@@ -32,7 +32,6 @@ from .averaging import (
     FastModeStats,
     averaged_coeffs,
     averaged_drift,
-    compute_hat_alpha,
     compute_qj,
     martingale_limit_driver,
     ou_stationary_stats,
@@ -44,19 +43,14 @@ from .dynamics import (
     NumericalAbort,
     SpdeConfig,
     slow_fast_decompose,
-    step_coupled_elements,
-    step_full_spde,
 )
 from .models import (
     DiscreteModel,
-    GridState,
     ModelDrivers,
     build_drivers,
     reduced_slow_sde,
     simulate_model,
-    step_conventional_fd,
-    step_gamma_reduced,
-    step_holistic,
+    step_model,
 )
 from .harness import (
     ConfigError,

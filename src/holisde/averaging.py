@@ -42,7 +42,6 @@ __all__ = [
     "MartingaleDriver",
     "ou_stationary_stats",
     "averaged_drift",
-    "compute_hat_alpha",
     "compute_qj",
     "martingale_limit_driver",
     "averaged_coeffs",
@@ -159,25 +158,6 @@ def averaged_drift(
     s = stats.second_moment_scalar(reading)
     u = np.asarray(u_bar, dtype=float)
     return -(u**3 + 3.0 * u * s)
-
-
-def compute_hat_alpha(
-    proj: ElementNoiseProjection,
-    eig0: AnalyticEigenSystem,
-    alpha: float,
-    sigma: float,
-    grid: DomainGrid,
-    lam_max: float | None = None,
-    reading: str = "projection",
-) -> np.ndarray:
-    """Effective linear coefficient hat_alpha_j = alpha (1 - 3 E eta^2).
-
-    In the projection reading the second-moment scalar is the element mean
-    of E eta^2, which equals sum_k q^h_{j,k}/(2 lambda_k) * 1/(2h); the
-    pointwise variant (centre value) is exposed for sensitivity checks.
-    """
-    stats = ou_stationary_stats(proj, eig0, sigma, lam_max=lam_max)
-    return alpha * (1.0 - 3.0 * stats.second_moment_scalar(reading))
 
 
 def compute_qj(

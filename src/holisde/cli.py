@@ -23,7 +23,6 @@ from .harness import (
     RunConfig,
     convergence_study,
     compare_models,
-    run_ensemble,
     write_csv,
     write_manifest,
 )
@@ -113,8 +112,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     drivers = build_drivers(setup.grid, setup.spec, setup.proj, path, dev_ss)
     kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
                 "holistic")
-    model = DiscreteModel(kind=kind, coeffs=setup.coeffs, gamma=cfg.gamma,
-                          deviation_alpha=cfg.deviation_alpha)
+    model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
     traj = simulate_model(model, spde, setup.grid, drivers, U0, store=True)
     out = _out_dir(cfg, args)
@@ -160,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file", default=None)
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="BLAS/worker thread hint")
     p.add_argument("--sweep", default=None, help="AXIS=v1,v2,... sweep override")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("eig-sweep", help="eigenvalue sweep over coupling strengths")

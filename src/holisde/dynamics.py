@@ -37,8 +37,6 @@ __all__ = [
     "NumericalAbort",
     "FullSpdeSolver",
     "CoupledElementSolver",
-    "step_full_spde",
-    "step_coupled_elements",
     "slow_fast_decompose",
     "initial_profile",
     "sample_periodic",
@@ -177,17 +175,12 @@ class FullSpdeSolver:
         m = np.arange(self.n // 2 + 1)
         self.symbol = 2.0 * (1.0 - np.cos(2.0 * np.pi * m / self.n)) / self.delta**2
 
-    def noise_increment(self, path: NoisePath, step: int) -> np.ndarray:
-        """Field increment on the fine grid, shape (n,)."""
-        return (self.sqrt_q * path.increments[:, step]) @ self.basis
+    def noise_increment(self, db: np.ndarray) -> np.ndarray:
+        """Field increment on the fine grid from sqrt(q)-weighted coefficients.
 
-    def noise_increment_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Batched field increments from stacked coefficients (K+1, R) -> (n, R).
-
-        batch must already carry the sqrt(q_k) weighting applied by the
-        ensemble runner.
+        db is (K+1,) or (K+1, R); the result is (n,) or (n, R).
         """
-        return np.tensordot(batch, self.basis, axes=(0, 0)).T
+        return np.tensordot(db, self.basis, axes=(0, 0)).T
 
     def step(self, u: np.ndarray, cfg: SpdeConfig, dW: np.ndarray) -> np.ndarray:
         """One step; u and dW may carry a trailing ensemble axis."""
@@ -216,20 +209,13 @@ class FullSpdeSolver:
         n_steps = path.n_steps
         snaps = [u.copy()] if store else None
         for i in range(n_steps):
-            dW = self.noise_increment(path, i)
+            dW = self.noise_increment(self.sqrt_q * path.increments[:, i])
             u = self.step(u, cfg, dW)
             if store:
                 snaps.append(u.copy())
         states = np.asarray(snaps) if store else u[None, :]
         times = path.times if store else path.times[-1:]
         return ModelTrajectory(times, states, {"solver": "full_spde", "seed": path.seed})
-
-
-def step_full_spde(state: np.ndarray, cfg: SpdeConfig, solver: FullSpdeSolver,
-                   path: NoisePath, step: int) -> np.ndarray:
-    """Single reference step; noise synthesized from the global coefficients."""
-    dW = solver.noise_increment(path, step)
-    return solver.step(state, cfg, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +260,22 @@ class CoupledElementSolver:
             u0 = ElementField(f(self.grid.all_nodes()), self.grid)
         return self.op.reduce(u0)
 
-    def noise_rhs(self, path: NoisePath, step: int, batch: Optional[np.ndarray] = None) -> np.ndarray:
+    def noise_rhs(self, db: np.ndarray) -> np.ndarray:
         """Reduced weak load of the element noise increment (without sigma).
 
+        db holds sqrt(q)-weighted global coefficients, (K+1,) or (K+1, R).
         The increment field is gamma times the restriction of the global
         increment to every element, weak-projected through Z^T M.
         """
-        if batch is None:
-            db = self.sqrt_q * path.increments[:, step]
-            dw = np.tensordot(db, self.basis, axes=(0, 0))           # (M, 2, n+1)
-            return self.op.gamma * self.op.weak_rhs(dw)
-        return self.noise_rhs_batch(batch)
-
-    def noise_rhs_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Batched reduced noise load; batch (K+1, R) already sqrt(q)-weighted."""
-        dw = np.einsum("kr,kmhi->mhir", batch, self.basis)
-        mh = np.einsum("ij,mhjr->mhir", self.grid.mass_block, dw)
-        return self.op.gamma * (self.op.Z.T @ mh.reshape(self.grid.ndof, -1))
+        dw = np.einsum("k...,kmhi->mhi...", db, self.basis)      # (M, 2, n+1[, R])
+        return self.op.gamma * self.op.weak_rhs(dw)
 
     def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise_rhs: np.ndarray) -> np.ndarray:
         """One step in reduced coordinates; c may be (nred,) or (nred, R)."""
         op = self.op
-        u = op.Z @ c
-        if c.ndim == 1:
-            uv = u.reshape(self.grid.M, 2, self.grid.subgrid_n + 1)
-        else:
-            uv = u.reshape(self.grid.M, 2, self.grid.subgrid_n + 1, -1)
+        uv = (op.Z @ c).reshape((self.grid.M, 2, self.grid.subgrid_n + 1) + c.shape[1:])
         reaction = cfg.alpha * (cfg.gamma**2 * uv - uv**3)
-        if c.ndim == 1:
-            weak = op.weak_rhs(reaction)
-        else:
-            mh = np.einsum("ij,mhjr->mhir", self.grid.mass_block, reaction)
-            weak = op.Z.T @ mh.reshape(self.grid.ndof, -1)
+        weak = op.weak_rhs(reaction)
         rhs = op.M_red @ c + cfg.dt * weak + cfg.sigma * noise_rhs
         if cfg.scheme == "semi_implicit":
             out = self._semi_lu.solve(rhs)
@@ -329,7 +299,7 @@ class CoupledElementSolver:
             if store_stride and i % store_stride == 0:
                 snaps.append(self.op.field_from_reduced(c).values)
                 snap_times.append(path.times[i])
-            c = self.step_reduced(c, cfg, self.noise_rhs(path, i))
+            c = self.step_reduced(c, cfg, self.noise_rhs(self.sqrt_q * path.increments[:, i]))
         snaps.append(self.op.field_from_reduced(c).values)
         snap_times.append(path.times[-1])
         return ModelTrajectory(
@@ -337,19 +307,6 @@ class CoupledElementSolver:
             np.asarray(snaps),
             {"solver": "coupled_elements", "gamma": cfg.gamma, "seed": path.seed},
         )
-
-
-def step_coupled_elements(
-    state: ElementField,
-    cfg: SpdeConfig,
-    solver: CoupledElementSolver,
-    path: NoisePath,
-    step: int,
-) -> ElementField:
-    """Single coupled-system step on a field (projected to the constraints)."""
-    c = solver.op.reduce(state)
-    c = solver.step_reduced(c, cfg, solver.noise_rhs(path, step))
-    return solver.op.field_from_reduced(c)
 
 
 def slow_fast_decompose(state: ElementField, eig) -> tuple[np.ndarray, ElementField]:

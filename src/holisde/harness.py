@@ -219,9 +219,7 @@ class RunSetup:
     grid: DomainGrid
     spec: QWienerSpec
     proj: noise.ElementNoiseProjection
-    eig0: spectral.AnalyticEigenSystem
     coeffs: averaging.AveragedCoeffs
-    stats: averaging.FastModeStats
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
@@ -229,10 +227,8 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     spec = cfg.qwiener()
     eig0 = spectral.eig_gamma0(grid, cfg.n_levels)
     proj = noise.project_to_element_modes(spec, eig0, grid)
-    stats = averaging.ou_stationary_stats(proj, eig0, cfg.sigma)
     coeffs = averaging.averaged_coeffs(proj, eig0, cfg.alpha, cfg.sigma, cfg.gamma)
-    return RunSetup(cfg=cfg, grid=grid, spec=spec, proj=proj, eig0=eig0,
-                    coeffs=coeffs, stats=stats)
+    return RunSetup(cfg=cfg, grid=grid, spec=spec, proj=proj, coeffs=coeffs)
 
 
 def member_seeds(master_seed: int, n: int) -> list:
@@ -247,62 +243,56 @@ def member_streams(member_ss) -> tuple:
 
 
 def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
-                        expansion=None) -> tuple[ModelDrivers, list]:
+                        paths: Optional[list] = None) -> tuple[ModelDrivers, list]:
     """Driver tables for a member batch, trailing axis = member.
 
     Each member's tables are built exactly as a standalone run would build
     them (same stream order), then stacked; replaying one member with its
-    seed reproduces its column bitwise.
+    seed reproduces its column bitwise.  Paths are sampled from each
+    member's path stream unless pre-sampled `paths` are given (common random
+    numbers across spacings).  `member_streams` spawns afresh on every call,
+    so it is called exactly once per member here whether or not the path
+    stream is used: the deviation draws depend on that count.
     """
-    paths = []
-    slow, gridpoint, deviation, aux = [], [], [], []
-    for ss in seeds:
-        path_ss, dev_ss, aux_ss = member_streams(ss)
-        path = sample_global_path(setup.spec, times, path_ss)
-        d = models.build_drivers(
-            setup.grid, setup.spec, setup.proj, path, dev_ss,
-            stats=setup.stats, eig0=setup.eig0, expansion=expansion,
-            aux_seed=aux_ss,
-        )
-        paths.append(path)
-        slow.append(d.slow)
-        gridpoint.append(d.gridpoint)
-        deviation.append(d.deviation)
-        if d.aux is not None:
-            aux.append(d.aux)
-    stack = lambda xs: np.stack(xs, axis=-1)
-    drivers = ModelDrivers(
-        grid=setup.grid,
-        dt=np.diff(times),
-        slow=stack(slow),
-        gridpoint=stack(gridpoint),
-        deviation=stack(deviation),
-        aux=stack(aux) if aux else None,
-    )
-    return drivers, paths
+    drawn, tables = [], []
+    for r, ss in enumerate(seeds):
+        path_ss, dev_ss, _ = member_streams(ss)
+        path = sample_global_path(setup.spec, times, path_ss) if paths is None else paths[r]
+        drawn.append(path)
+        tables.append(models.build_drivers(setup.grid, setup.spec, setup.proj, path, dev_ss))
+    stack = lambda name: np.stack([getattr(d, name) for d in tables], axis=-1)
+    drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=stack("slow"),
+                           gridpoint=stack("gridpoint"), deviation=stack("deviation"))
+    return drivers, drawn
 
 
-def reference_grid_values(setup: RunSetup, paths: list, spde: SpdeConfig,
+def _weighted_increments(spec: QWienerSpec, paths: list):
+    """Per step, the sqrt(q)-weighted increments of a member batch, (K+1, R)."""
+    sq = np.sqrt(spec.q)[:, None]
+    for i in range(paths[0].n_steps):
+        yield sq * np.stack([p.increments[:, i] for p in paths], axis=-1)
+
+
+def reference_grid_values(L: float, spec: QWienerSpec, paths: list, spde: SpdeConfig,
                           n_fine: int) -> np.ndarray:
-    """Reference grid values u(X_j, T) for a member batch, shape (M, R).
+    """Fine reference field u(x, T) for a member batch, shape (n_fine, R).
 
     The fine solver advances all members in lock step from the same global
-    coefficients the models consume (common random numbers).
+    coefficients the models consume (common random numbers); a single run
+    is a batch of one.  `at_grid_points` reads off the grid values.
     """
-    solver = FullSpdeSolver(setup.grid.L, n_fine, setup.spec)
-    u0 = initial_profile(spde.initial, setup.grid.L)(solver.x)
-    R = len(paths)
-    u = np.repeat(u0[:, None], R, axis=1)
-    n_steps = paths[0].n_steps
-    batch_incr = np.empty((setup.spec.n_modes, R))
-    sq = np.sqrt(setup.spec.q)
-    for i in range(n_steps):
-        for r, p in enumerate(paths):
-            batch_incr[:, r] = sq * p.increments[:, i]
-        u = solver.step(u, spde, solver.noise_increment_batch(batch_incr))
-    stride = n_fine // setup.grid.M
-    idx = (stride * np.arange(1, setup.grid.M + 1)) % n_fine
-    return u[idx, :]
+    solver = FullSpdeSolver(L, n_fine, spec)
+    u0 = initial_profile(spde.initial, L)(solver.x)
+    u = np.repeat(u0[:, None], len(paths), axis=1)
+    for db in _weighted_increments(spec, paths):
+        u = solver.step(u, spde, solver.noise_increment(db))
+    return u
+
+
+def at_grid_points(u: np.ndarray, M: int) -> np.ndarray:
+    """Rows of a periodic fine field (n_fine, ...) that sit on X_1 .. X_M."""
+    n_fine = u.shape[0]
+    return u[(n_fine // M) * np.arange(1, M + 1) % n_fine]
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +346,6 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     seeds = member_seeds(cfg.master_seed, R)
     needs_reference = "reference" in cfg.model_kinds
     model_kinds = [k for k in cfg.model_kinds if k not in ("reference", "coupled")]
-
-    expansion = None
-    if "gamma_reduced" in model_kinds:
-        op = spectral.assemble_operator(setup.grid, min(max(cfg.gamma, 1e-3), 1.0))
-        eig = spectral.eig_gamma(op, cfg.M + 2)
-        expansion = spectral.expand_ground_mode(eig, setup.grid, mode="top-slow")
-
     U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
 
     flush_dir = None
@@ -379,17 +362,18 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
             for k, v in data.items():
                 collected.setdefault(k, []).append(v)
             continue
-        drivers, paths = batch_driver_tables(setup, chunk, times, expansion=expansion)
+        drivers, paths = batch_driver_tables(setup, chunk, times)
+        U0b = np.repeat(U0[:, None], len(chunk), axis=1)
         out: dict[str, np.ndarray] = {}
         try:
             for kind in model_kinds:
-                model = DiscreteModel(kind=kind, coeffs=setup.coeffs, gamma=cfg.gamma,
+                model = DiscreteModel(kind=kind, coeffs=setup.coeffs,
                                       deviation_alpha=cfg.deviation_alpha)
-                U0b = np.repeat(U0[:, None], len(chunk), axis=1)
                 traj = simulate_model(model, spde, setup.grid, drivers, U0b, store=False)
                 out[kind] = traj.states[-1]
             if needs_reference:
-                out["reference"] = reference_grid_values(setup, paths, spde, cfg.n_fine)
+                fine = reference_grid_values(setup.grid.L, setup.spec, paths, spde, cfg.n_fine)
+                out["reference"] = at_grid_points(fine, cfg.M)
         except NumericalAbort as exc:
             # replay context: members ci*chunk..ci*chunk+len-1 of this master seed
             exc.member = ci * cfg.chunk_size
@@ -520,15 +504,15 @@ def _study_coeff_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
     return ConvergenceTable("coeff-h", "h", hs, metrics, orders)
 
 
-def _right_half_gap(field_values: np.ndarray, ref: np.ndarray, ref_x: np.ndarray,
-                    grid: DomainGrid) -> np.ndarray:
+def _right_half_gap(field_values: np.ndarray, ref: np.ndarray, grid: DomainGrid) -> np.ndarray:
     """L2 gap over the non-overlapping right-half cover, batched over members.
 
-    field_values: (M, 2, n+1, R); ref: (n_fine, R) on nodes ref_x.
+    field_values: (M, 2, n+1, R); ref: (n_fine, R) on the fine reference nodes.
     """
     L = grid.L
+    n_fine = ref.shape[0]
     xr = np.mod(grid.all_nodes()[:, 1, :], L)            # (M, n+1)
-    xg = np.concatenate([ref_x, [L]])
+    xg = np.concatenate([L * np.arange(n_fine) / n_fine, [L]])
     vg = np.concatenate([ref, ref[:1]], axis=0)          # (n_fine+1, R)
     idx = np.clip(np.searchsorted(xg, xr.ravel(), side="right") - 1, 0, xg.size - 2)
     w = ((xr.ravel() - xg[idx]) / (xg[idx + 1] - xg[idx]))[:, None]
@@ -544,43 +528,26 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
 
     Shared Brownian coefficients make the gamma -> 1 distributional limit a
     trackable pathwise gap; the sigma = 0 run of the same configuration
-    gives the pure discretization floor.
+    gives the pure discretization floor.  The reference never reads gamma,
+    so one reference batch serves every gamma.
     """
     grid = cfg.grid()
     spec = cfg.qwiener()
-    R = cfg.ensemble
     spde0 = cfg.spde()
     times = spde0.times()
-    n_fine = cfg.n_fine
-    fine = FullSpdeSolver(grid.L, n_fine, spec)
-    u0_fine = initial_profile(cfg.initial, grid.L)(fine.x)
-    sq = np.sqrt(spec.q)
-
-    seeds = member_seeds(cfg.master_seed, R)
+    seeds = member_seeds(cfg.master_seed, cfg.ensemble)
     paths = [sample_global_path(spec, times, member_streams(ss)[0]) for ss in seeds]
 
-    gaps = np.empty((gammas.size, R))
-    det_gap = None
-    for gi, g in enumerate(gammas):
-        op = spectral.assemble_operator(grid, float(g))
-        solver = CoupledElementSolver(op, spec, spde0.dt)
-        spde = cfg.spde(gamma=float(g))
-        c = np.repeat(solver.initial_reduced(spde)[:, None], R, axis=1)
-        u = np.repeat(u0_fine[:, None], R, axis=1)
-        batch = np.empty((spec.n_modes, R))
-        for i in range(times.size - 1):
-            for r, p in enumerate(paths):
-                batch[:, r] = sq * p.increments[:, i]
-            c = solver.step_reduced(c, spde, solver.noise_rhs_batch(batch))
-            u = fine.step(u, spde, fine.noise_increment_batch(batch))
-        fields = (op.Z @ c).reshape(grid.M, 2, grid.subgrid_n + 1, R)
-        gaps[gi] = _right_half_gap(fields, u, fine.x, grid)
-        if float(g) == 1.0 and det_gap is None:
-            det_gap = _deterministic_gap(cfg, grid, spec, op, solver, fine)
-    if det_gap is None:
-        op = spectral.assemble_operator(grid, 1.0)
-        solver = CoupledElementSolver(op, spec, spde0.dt)
-        det_gap = _deterministic_gap(cfg, grid, spec, op, solver, fine)
+    ref = reference_grid_values(grid.L, spec, paths, spde0, cfg.n_fine)
+    gaps = np.stack([
+        _right_half_gap(_coupled_fields(grid, spec, cfg.spde(gamma=float(g)), paths), ref, grid)
+        for g in gammas
+    ])
+    # sigma = 0 silences the noise, so any one path serves as the batch of one
+    spde_det = cfg.spde(gamma=1.0, sigma=0.0)
+    det_ref = reference_grid_values(grid.L, spec, paths[:1], spde_det, cfg.n_fine)
+    det_gap = float(_right_half_gap(_coupled_fields(grid, spec, spde_det, paths[:1]),
+                                    det_ref, grid)[0])
     mean_sq = np.mean(gaps**2, axis=1)
     metrics = {
         "ms_gap": mean_sq,
@@ -590,18 +557,15 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
     return ConvergenceTable("coupling-gap", "gamma", gammas, metrics, {})
 
 
-def _deterministic_gap(cfg, grid, spec, op, solver, fine) -> float:
-    """sigma = 0 discretization gap of the gamma = 1 element system."""
-    spde = cfg.spde(gamma=1.0, sigma=0.0)
-    times = spde.times()
-    path = sample_global_path(spec, times, 0)
-    c = solver.initial_reduced(spde)
-    u = initial_profile(cfg.initial, grid.L)(fine.x)
-    for i in range(times.size - 1):
-        c = solver.step_reduced(c, spde, 0.0 * solver.noise_rhs(path, i))
-        u = fine.step(u, spde, 0.0 * fine.noise_increment(path, i))
-    fields = (op.Z @ c).reshape(grid.M, 2, grid.subgrid_n + 1, 1)
-    return float(_right_half_gap(fields, u[:, None], fine.x, grid)[0])
+def _coupled_fields(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig,
+                    paths: list) -> np.ndarray:
+    """Coupled element fields at T at coupling spde.gamma, shape (M, 2, n+1, R)."""
+    op = spectral.assemble_operator(grid, spde.gamma)
+    solver = CoupledElementSolver(op, spec, spde.dt)
+    c = np.repeat(solver.initial_reduced(spde)[:, None], len(paths), axis=1)
+    for db in _weighted_increments(spec, paths):
+        c = solver.step_reduced(c, spde, solver.noise_rhs(db))
+    return (op.Z @ c).reshape(grid.M, 2, grid.subgrid_n + 1, -1)
 
 
 def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
@@ -624,22 +588,19 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
     base = replace(cfg, M=Ms[0])
     setup0 = build_setup(base)
     paths = [sample_global_path(setup0.spec, times, member_streams(ss)[0]) for ss in seeds]
-    ref = _reference_batch(setup0, paths, spde, cfg.n_fine)   # (n_fine, R)
+    ref = reference_grid_values(setup0.grid.L, setup0.spec, paths, spde, cfg.n_fine)   # (n_fine, R)
 
     mean_err, var_err = [], []
-    for M, h in zip(Ms, hs):
-        sub = replace(cfg, M=M)
-        setup = build_setup(sub)
-        drivers, _ = _tables_from_paths(setup, seeds, paths, times)
+    for M in Ms:
+        setup = build_setup(replace(cfg, M=M))
+        drivers, _ = batch_driver_tables(setup, seeds, times, paths=paths)
         U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-        model = DiscreteModel(kind="holistic", coeffs=setup.coeffs, gamma=1.0,
+        model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
         traj = simulate_model(model, spde, setup.grid,
                               drivers, np.repeat(U0[:, None], R, axis=1), store=False)
         U = traj.states[-1]                                   # (M, R)
-        stride = cfg.n_fine // M
-        idx = (stride * np.arange(1, M + 1)) % cfg.n_fine
-        uref = ref[idx, :]
+        uref = at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)
                                         - np.var(uref, axis=1, ddof=1)) ** 2)))
@@ -648,35 +609,6 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
     metrics["combined"] = combined
     orders = {k: fit_order(hs, v) for k, v in metrics.items()}
     return ConvergenceTable("weak-h", "h", hs, metrics, orders)
-
-
-def _tables_from_paths(setup: RunSetup, seeds, paths, times):
-    """Driver tables from pre-sampled paths (CRN across spacings)."""
-    slow, gridpoint, deviation = [], [], []
-    for ss, path in zip(seeds, paths):
-        _, dev_ss, _ = member_streams(ss)
-        d = models.build_drivers(setup.grid, setup.spec, setup.proj, path, dev_ss)
-        slow.append(d.slow)
-        gridpoint.append(d.gridpoint)
-        deviation.append(d.deviation)
-    stack = lambda xs: np.stack(xs, axis=-1)
-    drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=stack(slow),
-                           gridpoint=stack(gridpoint), deviation=stack(deviation))
-    return drivers, paths
-
-
-def _reference_batch(setup: RunSetup, paths, spde: SpdeConfig, n_fine: int) -> np.ndarray:
-    solver = FullSpdeSolver(setup.grid.L, n_fine, setup.spec)
-    u0 = initial_profile(spde.initial, setup.grid.L)(solver.x)
-    R = len(paths)
-    u = np.repeat(u0[:, None], R, axis=1)
-    sq = np.sqrt(setup.spec.q)
-    batch = np.empty((setup.spec.n_modes, R))
-    for i in range(paths[0].n_steps):
-        for r, p in enumerate(paths):
-            batch[:, r] = sq * p.increments[:, i]
-        u = solver.step(u, spde, solver.noise_increment_batch(batch))
-    return u
 
 
 # ---------------------------------------------------------------------------

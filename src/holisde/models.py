@@ -1,6 +1,7 @@
 """Discrete grid-value SDE models of the reaction-diffusion dynamics.
 
-Three steppers evolve the vector (U_1 .. U_M) of grid values:
+Four models evolve the vector (U_1 .. U_M) of grid values, all stepped by
+`step_model`:
 
 * conventional finite differences: second-difference stencil, bare cubic
   reaction, noise evaluated pointwise at the grid points;
@@ -10,15 +11,16 @@ Three steppers evolve the vector (U_1 .. U_M) of grid values:
   pointwise noise, a multiplicative deviation term 3 sqrt(2 Q_j) U_j and a
   noise-stencil correction (sigma/4)(dB_{j+1} - 2 dB_j + dB_{j-1}) coupling
   neighbouring drivers -- the subgrid noise/diffusion interaction that plain
-  differencing misses;
+  differencing misses; its introductory variant uses the pointwise noise;
 
 * the gamma-expanded model: every term of the holistic model weighted by
   its power of the coupling strength, plus the two O(gamma^3) families (the
   auxiliary martingale driver and the deviation stencil) that the full-
-  coupling truncation drops.  Evaluated at gamma = 1 with the truncation it
-  reproduces the holistic stepper bitwise -- both route through one kernel.
+  coupling truncation drops.  The holistic models are its gamma = 1
+  truncation: they evaluate the same expression at g = 1, so the
+  gamma-expanded model at gamma = 1 reproduces them bitwise.
 
-All steppers are Ito Euler-Maruyama updates and accept a trailing ensemble
+All models are Ito Euler-Maruyama updates and accept a trailing ensemble
 axis on the state and the driver tables.
 """
 
@@ -36,13 +38,10 @@ from .spectral import CoupledOperator, GroundModeExpansion, expansion_fields
 from .dynamics import ModelTrajectory, NumericalAbort, SpdeConfig
 
 __all__ = [
-    "GridState",
     "ModelDrivers",
     "DiscreteModel",
     "build_drivers",
-    "step_conventional_fd",
-    "step_holistic",
-    "step_gamma_reduced",
+    "step_model",
     "reduced_slow_sde",
     "simulate_model",
     "MODEL_KINDS",
@@ -52,28 +51,11 @@ MODEL_KINDS = ("conventional_fd", "holistic", "holistic_intro", "gamma_reduced")
 
 
 @dataclass(frozen=True)
-class GridState:
-    """Grid values U_j at one time; indices are L-periodic."""
-
-    U: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "U", np.asarray(self.U, dtype=float))
-        if not np.all(np.isfinite(self.U)):
-            raise ValueError("grid state must be finite")
-
-    def value(self, j: int) -> float:
-        return float(self.U[j % self.U.shape[0]])
-
-
-@dataclass(frozen=True)
 class DiscreteModel:
     """Model selection plus the coefficients it needs."""
 
     kind: str
     coeffs: Optional[AveragedCoeffs] = None
-    gamma: float = 1.0
     truncate: bool = True          # gamma_reduced only: drop O(gamma^3) families
     deviation_alpha: bool = False  # include the reaction coefficient in the
                                    # multiplicative deviation term
@@ -158,59 +140,6 @@ def _stencil(d: np.ndarray) -> np.ndarray:
     return np.roll(d, 1, axis=0) - 2.0 * d + np.roll(d, -1, axis=0)
 
 
-def _check_finite(U: np.ndarray, what: str):
-    if not np.all(np.isfinite(U)):
-        raise NumericalAbort(f"non-finite values in {what}")
-
-
-def step_conventional_fd(
-    state: GridState, cfg: SpdeConfig, grid: DomainGrid, drivers: ModelDrivers, step: int
-) -> GridState:
-    """Plain finite-difference Euler-Maruyama update with pointwise noise."""
-    U = state.U
-    dt = drivers.dt[step]
-    dW = drivers.gridpoint[:, step, ...]
-    # drift written term-by-term so the noise-free holistic update (whose
-    # linear coefficient then equals alpha exactly) reproduces it bitwise
-    Un = U + dt * (_lap(U, grid.h) + cfg.alpha * U - cfg.alpha * U**3) + cfg.sigma * dW
-    _check_finite(Un, "conventional FD model")
-    return GridState(Un, state.t + dt)
-
-
-def step_holistic(
-    state: GridState,
-    cfg: SpdeConfig,
-    coeffs: AveragedCoeffs,
-    drivers: ModelDrivers,
-    step: int,
-    deviation_alpha: bool = False,
-    gridpoint_noise: bool = False,
-) -> GridState:
-    """Holistic update: averaged drift plus the subgrid noise corrections.
-
-    With gridpoint_noise=True the additive drivers are the pointwise
-    evaluations W(X_j, .) instead of the element-mode projections (the
-    introductory variant of the model); the two agree up to O(h, gamma).
-    """
-    U = state.U
-    dt = drivers.dt[step]
-    dS = drivers.gridpoint[:, step, ...] if gridpoint_noise else drivers.slow[:, step, ...]
-    dchk = drivers.deviation[:, step, ...]
-    grid = drivers.grid
-    dev = _deviation_coef(coeffs, grid, deviation_alpha)
-    lin = _expand(coeffs.hat_alpha, U)
-    devb = _expand(dev, U)
-    Un = (
-        U
-        + dt * (_lap(U, grid.h) + lin * U - cfg.alpha * U**3)
-        + cfg.sigma * dS
-        + devb * U * dchk
-        + (cfg.sigma / 4.0) * _stencil(dS)
-    )
-    _check_finite(Un, "holistic model")
-    return GridState(Un, state.t + dt)
-
-
 def _deviation_coef(coeffs: AveragedCoeffs, grid: DomainGrid, deviation_alpha: bool) -> np.ndarray:
     """Amplitude of the multiplicative deviation term: 3 sqrt(2 Q_j) e_{j,0}(X_j)."""
     c = 3.0 * np.sqrt(2.0 * coeffs.qj) * grid.centre_mode_value
@@ -222,37 +151,41 @@ def _expand(coef: np.ndarray, like: np.ndarray) -> np.ndarray:
     return coef[:, None] if like.ndim > 1 else coef
 
 
-def step_gamma_reduced(
-    state: GridState,
-    cfg: SpdeConfig,
-    coeffs: AveragedCoeffs,
-    drivers: ModelDrivers,
-    step: int,
-    truncate: bool = False,
-    deviation_alpha: bool = False,
-) -> GridState:
-    """Full gamma-expanded update with every term tagged by its gamma order.
+def step_model(
+    model: DiscreteModel, U: np.ndarray, cfg: SpdeConfig, drivers: ModelDrivers, step: int
+) -> np.ndarray:
+    """One Ito Euler-Maruyama step of any discrete model; U is (M,) or (M, R).
 
-    Terms: O(gamma) slow driver; O(gamma^2) diffusion stencil, averaged
-    linear drift, auxiliary driver, deviation term and noise stencil;
-    O(gamma^3) auxiliary and deviation stencils.  truncate=True drops the
-    auxiliary family and the O(gamma^3) stencils -- at gamma = 1 that is
-    exactly the holistic update (bitwise, by construction of the factors).
-    The deviation stencil combines the same beta_check_j scaled by the
-    neighbour centre-mode values, which cancel on a uniform grid; the
-    auxiliary stencil combines the neighbour elements' drivers.
+    conventional_fd: plain stencil, bare cubic reaction, pointwise noise.
+
+    holistic, holistic_intro and gamma_reduced share one update whose terms
+    carry their gamma order: O(gamma) slow driver; O(gamma^2) diffusion
+    stencil, averaged linear drift, deviation term and noise stencil.  The
+    holistic models evaluate it at g = 1, where every factor is exact in
+    floating point, so gamma_reduced at gamma = 1 is the holistic update
+    bitwise.  holistic_intro swaps the slow drivers for the pointwise
+    evaluations W(X_j, .); the two agree up to O(h, gamma).
+
+    gamma_reduced with truncate=False adds the auxiliary driver at
+    O(gamma^2) and the O(gamma^3) auxiliary and deviation stencils.  The
+    deviation stencil combines the same beta_check_j scaled by the neighbour
+    centre-mode values, which cancel on a uniform grid; the auxiliary
+    stencil combines the neighbour elements' drivers.
     """
-    U = state.U
-    g = cfg.gamma
     dt = drivers.dt[step]
     grid = drivers.grid
-    dS = drivers.slow[:, step, ...]
-    dchk = drivers.deviation[:, step, ...]
+    if model.kind == "conventional_fd":
+        # drift written term-by-term so the noise-free holistic update (whose
+        # linear coefficient then equals alpha exactly) reproduces it bitwise
+        return (U + dt * (_lap(U, grid.h) + cfg.alpha * U - cfg.alpha * U**3)
+                + cfg.sigma * drivers.gridpoint[:, step, ...])
+    coeffs = model.coeffs
+    g = cfg.gamma if model.kind == "gamma_reduced" else 1.0
     g2 = g * g
-    g3 = g2 * g
-
+    dS = (drivers.gridpoint if model.kind == "holistic_intro" else drivers.slow)[:, step, ...]
+    dchk = drivers.deviation[:, step, ...]
     lin = _expand(g2 * coeffs.hat_alpha, U)
-    devb = _expand(g2 * _deviation_coef(coeffs, grid, deviation_alpha), U)
+    devb = _expand(g2 * _deviation_coef(coeffs, grid, model.deviation_alpha), U)
     Un = (
         U
         + dt * (g2 * _lap(U, grid.h) + lin * U - cfg.alpha * U**3)
@@ -260,21 +193,20 @@ def step_gamma_reduced(
         + devb * U * dchk
         + (cfg.sigma * g2 / 4.0) * _stencil(dS)
     )
-    if not truncate:
-        if drivers.aux is None:
-            raise ValueError("gamma_reduced without truncation needs auxiliary drivers")
-        daux = drivers.aux[:, step, ...] * grid.centre_mode_value   # B_hat at grid value
-        # deviation stencil: shared beta_check_j, neighbour centre-mode values
-        ev = np.full(grid.M, grid.centre_mode_value)
-        dev_sten = _expand(np.sqrt(coeffs.qj) * (np.roll(ev, 1) - 2.0 * ev + np.roll(ev, -1)), U)
-        Un = (
-            Un
-            + (cfg.sigma * g2) * daux
-            + (cfg.sigma * g3 / 4.0) * _stencil(daux)
-            + (3.0 * np.sqrt(2.0) / 4.0) * g3 * U * dev_sten * dchk
-        )
-    _check_finite(Un, "gamma-expanded model")
-    return GridState(Un, state.t + dt)
+    if model.kind != "gamma_reduced" or model.truncate:
+        return Un
+    if drivers.aux is None:
+        raise ValueError("gamma_reduced without truncation needs auxiliary drivers")
+    g3 = g2 * g
+    daux = drivers.aux[:, step, ...] * grid.centre_mode_value   # B_hat at grid value
+    ev = np.full(grid.M, grid.centre_mode_value)
+    dev_sten = _expand(np.sqrt(coeffs.qj) * (np.roll(ev, 1) - 2.0 * ev + np.roll(ev, -1)), U)
+    return (
+        Un
+        + (cfg.sigma * g2) * daux
+        + (cfg.sigma * g3 / 4.0) * _stencil(daux)
+        + (3.0 * np.sqrt(2.0) / 4.0) * g3 * U * dev_sten * dchk
+    )
 
 
 def reduced_slow_sde(
@@ -313,7 +245,8 @@ def reduced_slow_sde(
         3.0 * np.sqrt(2.0 * coeffs.qj) * grid.centre_mode_value
     ) * a * dchk
     out = a + dt * drift + noise
-    _check_finite(out, "reduced slow equation")
+    if not np.all(np.isfinite(out)):
+        raise NumericalAbort("non-finite values in reduced slow equation")
     return out
 
 
@@ -325,27 +258,19 @@ def simulate_model(
     U0: np.ndarray,
     store: bool = True,
 ) -> ModelTrajectory:
-    """Run a discrete model over the whole driver table."""
-    n = drivers.n_steps
-    state = GridState(np.array(U0, dtype=float), 0.0)
-    out = [state.U.copy()] if store else None
-    for i in range(n):
-        if model.kind == "conventional_fd":
-            state = step_conventional_fd(state, cfg, grid, drivers, i)
-        elif model.kind == "holistic":
-            state = step_holistic(state, cfg, model.coeffs, drivers, i,
-                                  deviation_alpha=model.deviation_alpha)
-        elif model.kind == "holistic_intro":
-            state = step_holistic(state, cfg, model.coeffs, drivers, i,
-                                  deviation_alpha=model.deviation_alpha,
-                                  gridpoint_noise=True)
-        else:
-            state = step_gamma_reduced(state, cfg, model.coeffs, drivers, i,
-                                       truncate=model.truncate,
-                                       deviation_alpha=model.deviation_alpha)
+    """Run a discrete model over the whole driver table (built on `grid`).
+
+    Raises NumericalAbort carrying the first step whose state is not finite.
+    """
+    U = np.array(U0, dtype=float)
+    out = [U] if store else None
+    for i in range(drivers.n_steps):
+        U = step_model(model, U, cfg, drivers, i)
+        if not np.all(np.isfinite(U)):
+            raise NumericalAbort(f"non-finite values in {model.kind} model", step=i)
         if store:
-            out.append(state.U.copy())
+            out.append(U)
     times = np.concatenate([[0.0], np.cumsum(drivers.dt)])
-    states = np.asarray(out) if store else state.U[None, ...]
+    states = np.asarray(out) if store else U[None, ...]
     return ModelTrajectory(times if store else times[-1:], states,
                            {"model": model.kind, "gamma": cfg.gamma})

@@ -139,9 +139,9 @@ class CoupledOperator:
         return self._lu().solve(self.Z.T @ mu)
 
     def weak_rhs(self, u_values: np.ndarray) -> np.ndarray:
-        """Z^T M u for a nodal field (M, 2, n+1) -> reduced load vector."""
-        mu = np.einsum("ij,...hj->...hi", self.grid.mass_block, u_values)
-        return self.Z.T @ mu.reshape(-1)
+        """Z^T M u for a nodal field (M, 2, n+1[, R]) -> reduced load (nred[, R])."""
+        mu = np.einsum("ij,mhj...->mhi...", self.grid.mass_block, u_values)
+        return self.Z.T @ mu.reshape((self.grid.ndof,) + u_values.shape[3:])
 
     # -- operator action ----------------------------------------------------
 

@@ -21,12 +21,11 @@ from holisde.grid import build_grid, inner_product, seminorm
 from holisde.harness import RunConfig, convergence_study
 from holisde.models import (
     DiscreteModel,
-    GridState,
     ModelDrivers,
     build_drivers,
     reduced_slow_sde,
     simulate_model,
-    step_gamma_reduced,
+    step_model,
 )
 from holisde.noise import QWienerSpec, fourier_basis, project_to_element_modes, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0, expand_ground_mode
@@ -249,7 +248,8 @@ def test_criterion_10_model_identity_gates():
         drv = ModelDrivers(grid=grid, dt=np.full(1, cfg.dt), **tables)
         op = assemble_operator(grid, g)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
-        u1 = step_gamma_reduced(GridState(a0.copy()), cfg, co, drv, 0).U
+        u1 = step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False),
+                        a0.copy(), cfg, drv, 0)
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = float(np.polyfit(np.log(gammas), np.log(gaps), 1)[0])
     gate_c = slope >= 2.7

@@ -5,7 +5,6 @@ from holisde.averaging import (
     FastModeStats,
     averaged_coeffs,
     averaged_drift,
-    compute_hat_alpha,
     compute_qj,
     hat_alpha_from_tables,
     martingale_limit_driver,
@@ -85,9 +84,9 @@ def test_averaged_drift_gaussian_moment_oracle(grid8):
 
 
 def test_hat_alpha_reduces_alpha(proj8, eig0_8, grid8):
-    hat = compute_hat_alpha(proj8, eig0_8, alpha=1.0, sigma=0.7, grid=grid8)
+    hat = averaged_coeffs(proj8, eig0_8, alpha=1.0, sigma=0.7).hat_alpha
     assert np.all(hat < 1.0)
-    hat0 = compute_hat_alpha(proj8, eig0_8, alpha=1.0, sigma=0.0, grid=grid8)
+    hat0 = averaged_coeffs(proj8, eig0_8, alpha=1.0, sigma=0.0).hat_alpha
     assert np.allclose(hat0, 1.0, rtol=0.0)
 
 

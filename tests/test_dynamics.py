@@ -8,8 +8,6 @@ from holisde.dynamics import (
     SpdeConfig,
     initial_profile,
     slow_fast_decompose,
-    step_coupled_elements,
-    step_full_spde,
 )
 from holisde.grid import ElementField, build_grid, inner_product, seminorm
 from holisde.noise import sample_global_path
@@ -27,7 +25,7 @@ def test_heat_decay_oracle(qspec):
     path = _quiet_path(qspec, cfg)
     u = np.sin(2.0 * np.pi * solver.x / L)
     kappa2 = (2.0 * np.pi / L) ** 2
-    v = step_full_spde(u, cfg, solver, path, 0)
+    v = solver.step(u, cfg, solver.noise_increment(solver.sqrt_q * path.increments[:, 0]))
     factor = v[10] / u[10]
     assert abs(factor - np.exp(-kappa2 * cfg.dt)) < 5.0 * cfg.dt**2
 
@@ -103,7 +101,9 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     path = _quiet_path(qspec, cfg, seed=4)
     u0 = ElementField.from_function(grid8, np.sin)
-    out = step_coupled_elements(u0, cfg, solver, path, 0)
+    c = solver.step_reduced(op.reduce(u0), cfg,
+                            solver.noise_rhs(solver.sqrt_q * path.increments[:, 0]))
+    out = op.field_from_reduced(c)
     assert out.is_value_consistent(1e-9)
     # coupling value conditions hold after the step
     vals = out.values
@@ -207,7 +207,8 @@ def test_slow_amplitude_stays_small_on_slow_timescale(grid8, qspec):
         c = solver.initial_reduced(cfg)
         max_amp = 0.0
         for i in range(path.n_steps):
-            c = solver.step_reduced(c, cfg, solver.noise_rhs(path, i))
+            c = solver.step_reduced(c, cfg,
+                                    solver.noise_rhs(solver.sqrt_q * path.increments[:, i]))
             if i % 20 == 0:
                 field = solver.op.field_from_reduced(c)
                 a, _ = slow_fast_decompose(field, eig)
@@ -233,7 +234,8 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
             path = sample_global_path(qspec, cfg.times(), 500 + r)
             c = solver.initial_reduced(cfg)
             for i in range(path.n_steps):
-                c = solver.step_reduced(c, cfg, solver.noise_rhs(path, i))
+                c = solver.step_reduced(c, cfg,
+                                        solver.noise_rhs(solver.sqrt_q * path.increments[:, i]))
                 if i > path.n_steps // 2 and i % 40 == 0:
                     field = solver.op.field_from_reduced(c)
                     _, fast = slow_fast_decompose(field, eig0)

@@ -17,7 +17,7 @@ from holisde.harness import (
     write_csv,
     write_manifest,
 )
-from holisde.dynamics import initial_profile
+from holisde.dynamics import NumericalAbort, initial_profile
 from holisde.models import DiscreteModel, build_drivers, simulate_model
 from holisde.noise import sample_global_path
 
@@ -82,6 +82,23 @@ def test_member_replay_is_bitwise(tmp_path):
     stats2 = run_ensemble(cfg)
     for name in stats1.observables:
         assert np.array_equal(stats1.mean(name), stats2.mean(name))
+
+
+def test_gamma_reduced_at_full_coupling_matches_holistic():
+    # at gamma = 1 the truncated gamma-expanded model is the holistic model
+    cfg = RunConfig(**{**FAST, "gamma": 1.0, "model_kinds": ("holistic", "gamma_reduced")})
+    stats = run_ensemble(cfg)
+    assert np.array_equal(stats.mean("holistic"), stats.mean("gamma_reduced"))
+    assert np.array_equal(stats.var("holistic"), stats.var("gamma_reduced"))
+
+
+def test_abort_names_step_member_and_seed():
+    cfg = RunConfig(**{**FAST, "initial": {"kind": "constant", "amplitude": 1e200}})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
+        run_ensemble(cfg)
+    assert err.value.step == 0
+    assert err.value.member == 0
+    assert err.value.seed == cfg.master_seed
 
 
 def test_stderr_shrinks_with_ensemble_size():

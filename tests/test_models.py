@@ -6,14 +6,11 @@ from holisde.dynamics import SpdeConfig, initial_profile
 from holisde.grid import build_grid
 from holisde.models import (
     DiscreteModel,
-    GridState,
     ModelDrivers,
     build_drivers,
     reduced_slow_sde,
     simulate_model,
-    step_conventional_fd,
-    step_gamma_reduced,
-    step_holistic,
+    step_model,
 )
 from holisde.noise import sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, expand_ground_mode
@@ -49,9 +46,9 @@ def _manual_drivers(grid, tables, dt):
 def test_fd_cubic_root_stationary(grid8, qspec, proj8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01)
     drv = _drivers(grid8, qspec, proj8, cfg)
-    state = GridState(np.ones(grid8.M))
-    out = step_conventional_fd(state, cfg, grid8, drv, 0)
-    assert np.array_equal(out.U, state.U)
+    U = np.ones(grid8.M)
+    out = step_model(DiscreteModel("conventional_fd"), U, cfg, drv, 0)
+    assert np.array_equal(out, U)
 
 
 def test_fd_discrete_decay_symbol():
@@ -65,10 +62,10 @@ def test_fd_discrete_decay_symbol():
         tables = {"slow": np.zeros((M, 1)), "deviation": np.zeros((M, 1)),
                   "gridpoint": np.zeros((M, 1))}
         drv = _manual_drivers(g, tables, cfg.dt)
-        out = step_conventional_fd(GridState(U0), cfg, g, drv, 0)
+        out = step_model(DiscreteModel("conventional_fd"), U0, cfg, drv, 0)
         symbol = 4.0 * np.sin(np.pi * g.h / g.L) ** 2 / g.h**2
         expected = (1.0 - cfg.dt * symbol) * U0
-        assert np.allclose(out.U, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
         errs.append(abs(symbol - (2.0 * np.pi / g.L) ** 2))
     assert errs[1] < errs[0] / 3.0 and errs[2] < errs[1] / 3.0
 
@@ -81,7 +78,7 @@ def test_fd_hand_computed_step_m4():
     tables = {"gridpoint": dW[:, None], "slow": np.zeros((4, 1)),
               "deviation": np.zeros((4, 1))}
     drv = _manual_drivers(g, tables, cfg.dt)
-    out = step_conventional_fd(GridState(U0), cfg, g, drv, 0)
+    out = step_model(DiscreteModel("conventional_fd"), U0, cfg, drv, 0)
     lap = np.array([
         U0[3] - 2 * U0[0] + U0[1],
         U0[0] - 2 * U0[1] + U0[2],
@@ -89,7 +86,7 @@ def test_fd_hand_computed_step_m4():
         U0[2] - 2 * U0[3] + U0[0],
     ]) / g.h**2
     expected = U0 + cfg.dt * lap + 1.0 * dW
-    assert np.allclose(out.U, expected, atol=1e-15)
+    assert np.allclose(out, expected, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +115,8 @@ def test_holistic_drift_fixed_point(grid8):
               "deviation": np.zeros((grid8.M, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.full(grid8.M, np.sqrt(hat))
-    out = step_holistic(GridState(U0), cfg, co, drv, 0)
-    assert np.allclose(out.U, U0, atol=1e-15)
+    out = step_model(DiscreteModel("holistic", coeffs=co), U0, cfg, drv, 0)
+    assert np.allclose(out, U0, atol=1e-15)
 
 
 def test_holistic_uniform_noise_gets_no_stencil_correction(grid8, proj8, eig0_8):
@@ -131,9 +128,9 @@ def test_holistic_uniform_noise_gets_no_stencil_correction(grid8, proj8, eig0_8)
               "deviation": np.zeros((grid8.M, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.zeros(grid8.M)
-    out = step_holistic(GridState(U0), cfg, co, drv, 0)
+    out = step_model(DiscreteModel("holistic", coeffs=co), U0, cfg, drv, 0)
     # spatially uniform driver increments: only the direct sigma*dS term acts
-    assert np.allclose(out.U, cfg.sigma * delta, atol=1e-15)
+    assert np.allclose(out, cfg.sigma * delta, atol=1e-15)
 
 
 def test_holistic_noise_stencil_variance(grid8, qspec, proj8, eig0_8):
@@ -173,10 +170,11 @@ def test_deviation_alpha_flag_scales_term(grid8, proj8, eig0_8):
               "deviation": np.full((grid8.M, 1), 0.1)}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.full(grid8.M, 0.5)
-    out_plain = step_holistic(GridState(U0), cfg, co, drv, 0)
-    out_alpha = step_holistic(GridState(U0), cfg, co, drv, 0, deviation_alpha=True)
-    dev_plain = out_plain.U - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
-    dev_alpha = out_alpha.U - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
+    out_plain = step_model(DiscreteModel("holistic", coeffs=co), U0, cfg, drv, 0)
+    out_alpha = step_model(DiscreteModel("holistic", coeffs=co, deviation_alpha=True),
+                           U0, cfg, drv, 0)
+    dev_plain = out_plain - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
+    dev_alpha = out_alpha - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
     assert np.allclose(dev_alpha, co.alpha * dev_plain, rtol=1e-10)
 
 
@@ -210,9 +208,9 @@ def test_gamma_reduced_small_gamma_decouples(grid8, qspec, proj8, eig0_8):
     drv = _drivers(grid8, qspec, proj8, cfg, seed=17, stats=stats,
                    eig0=eig0_8, expansion=exp, aux_seed=19)
     U0 = np.linspace(-0.5, 0.5, grid8.M)
-    out = step_gamma_reduced(GridState(U0), cfg, co, drv, 0)
+    out = step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False), U0, cfg, drv, 0)
     pure_cubic = U0 + cfg.dt * (-cfg.alpha * U0**3)
-    assert np.max(np.abs(out.U - pure_cubic)) < 5.0 * g
+    assert np.max(np.abs(out - pure_cubic)) < 5.0 * g
 
 
 def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig0_8):
@@ -222,11 +220,12 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
     M = grid8.M
     U0 = np.zeros(M)
     gammas = np.array([0.08, 0.04, 0.02])
+    model = DiscreteModel("gamma_reduced", coeffs=co, truncate=False)
 
-    def one_step(tables, g, **kw):
+    def one_step(tables, g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
         drv = _manual_drivers(grid8, tables, cfg.dt)
-        return step_gamma_reduced(GridState(U0), cfg, co, drv, 0, **kw).U
+        return step_model(model, U0, cfg, drv, 0)
 
     # family gamma^1: uniform slow driver (stencil part cancels)
     mags = [np.max(np.abs(one_step({"slow": np.full((M, 1), 0.3),
@@ -243,7 +242,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
         drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
                                       "deviation": np.full((M, 1), 0.2),
                                       "aux": np.zeros((M, 1))}, cfg.dt)
-        out = step_gamma_reduced(GridState(U1), cfg, co, drv, 0).U
+        out = step_model(model, U1, cfg, drv, 0)
         return np.max(np.abs(out - U1))
     mags = [dev_step(g) for g in gammas]
     slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
@@ -256,7 +255,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
         drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
                                       "deviation": np.zeros((M, 1)),
                                       "aux": aux}, cfg.dt)
-        out = step_gamma_reduced(GridState(U0), cfg, co, drv, 0).U
+        out = step_model(model, U0, cfg, drv, 0)
         tagged_g2 = cfg.sigma * g**2 * aux[:, 0] * grid8.centre_mode_value
         return np.max(np.abs(out - U0 - tagged_g2))
     mags = [aux_step(g) for g in gammas]
@@ -270,7 +269,8 @@ def test_gamma_reduced_needs_aux_when_untruncated(grid8, proj8, eig0_8):
     tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     with pytest.raises(ValueError):
-        step_gamma_reduced(GridState(np.zeros(grid8.M)), cfg, co, drv, 0)
+        step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False),
+                   np.zeros(grid8.M), cfg, drv, 0)
 
 
 def test_second_moment_regression_bound(grid8, qspec, proj8, eig0_8):
@@ -314,7 +314,8 @@ def test_reduced_slow_drift_gap_is_third_order(grid8, qspec, proj8, eig0_8):
                   "aux": np.zeros((grid8.M, 1))}
         drv = _manual_drivers(grid8, tables, cfg.dt)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
-        u1 = step_gamma_reduced(GridState(a0.copy()), cfg, co, drv, 0).U
+        u1 = step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False),
+                        a0.copy(), cfg, drv, 0)
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = np.polyfit(np.log(gammas), np.log(gaps), 1)[0]
     assert slope >= 2.7
