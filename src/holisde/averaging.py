@@ -61,9 +61,9 @@ class FastModeStats:
 
     Per element j and retained fast mode k: OU rate lam[k], drive variance
     rate qh[j, k] and stationary variance v[j, k] = sigma^2 qh/(2 lam).
-    field_second_moment samples E eta^2(x) on the subgrid; the two scalar
-    reductions (element mean and centre value) feed the averaged drift in
-    its projection and pointwise readings.
+    field_second_moment samples E eta^2(x) on the subgrid; its element
+    mean feeds the averaged drift, and its centre value is kept as a
+    pointwise diagnostic.
     """
 
     grid: DomainGrid
@@ -75,13 +75,6 @@ class FastModeStats:
     field_second_moment: np.ndarray  # (M, 2, n+1)
     mean_second_moment: np.ndarray   # (M,) element average of E eta^2
     centre_second_moment: np.ndarray  # (M,) E eta^2(X_j)
-
-    def second_moment_scalar(self, reading: str = "projection") -> np.ndarray:
-        if reading == "projection":
-            return self.mean_second_moment
-        if reading == "pointwise":
-            return self.centre_second_moment
-        raise ValueError(f"unknown reading {reading!r}")
 
 
 @dataclass(frozen=True)
@@ -147,17 +140,14 @@ def ou_stationary_stats(
     )
 
 
-def averaged_drift(
-    u_bar: np.ndarray, stats: FastModeStats, reading: str = "projection"
-) -> np.ndarray:
+def averaged_drift(u_bar: np.ndarray, stats: FastModeStats) -> np.ndarray:
     """Averaged cubic drift -(u^3 + 3 u E eta^2) per element.
 
     The Gaussian fast field has zero odd moments, so averaging the cubic
     over its stationary law leaves exactly the 3 u E eta^2 correction.
     """
-    s = stats.second_moment_scalar(reading)
     u = np.asarray(u_bar, dtype=float)
-    return -(u**3 + 3.0 * u * s)
+    return -(u**3 + 3.0 * u * stats.mean_second_moment)
 
 
 def compute_qj(
@@ -190,13 +180,11 @@ def averaged_coeffs(
     alpha: float,
     sigma: float,
     gamma: float = 1.0,
-    lam_max: float | None = None,
-    reading: str = "projection",
 ) -> AveragedCoeffs:
     """Bundle hat_alpha_j and Q_j for a model run (recomputed, never typed in)."""
     grid = eig0.grid
-    stats = ou_stationary_stats(proj, eig0, sigma, lam_max=lam_max)
-    hat = alpha * (1.0 - 3.0 * stats.second_moment_scalar(reading))
+    stats = ou_stationary_stats(proj, eig0, sigma)
+    hat = alpha * (1.0 - 3.0 * stats.mean_second_moment)
     qj, bound = compute_qj(stats, eig0, grid)
     return AveragedCoeffs(
         hat_alpha=hat,

@@ -14,20 +14,21 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import averaging, noise, spectral
+from . import spectral
 from .dynamics import NumericalAbort, initial_profile
 from .harness import (
+    STUDIES,
     ConfigError,
     RunConfig,
+    batch_driver_tables,
+    build_setup,
     convergence_study,
     compare_models,
+    member_seeds,
     write_csv,
     write_manifest,
 )
 from .models import DiscreteModel, simulate_model
-from .noise import sample_global_path
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -83,14 +84,10 @@ def cmd_expansion_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_coeffs(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
-    spec = cfg.qwiener()
-    eig0 = spectral.eig_gamma0(grid, cfg.n_levels)
-    proj = noise.project_to_element_modes(spec, eig0, grid)
-    coeffs = averaging.averaged_coeffs(proj, eig0, cfg.alpha, cfg.sigma, cfg.gamma)
+    coeffs = build_setup(cfg).coeffs
     rows = [
         (j + 1, float(coeffs.hat_alpha[j]), float(coeffs.qj[j]), float(coeffs.qj_truncation[j]))
-        for j in range(grid.M)
+        for j in range(cfg.M)
     ]
     out = _out_dir(cfg, args)
     write_csv(out / "coeffs.csv", ["j", "hat_alpha", "Qj", "truncation_bound"], rows)
@@ -99,27 +96,20 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    from .harness import build_setup
-
+    """Member 0 of the configured ensemble, stepped by one model and stored."""
     setup = build_setup(cfg)
     spde = cfg.spde()
-    times = spde.times()
-    seed_seq = np.random.SeedSequence(cfg.master_seed).spawn(1)[0]
-    path_ss, dev_ss, _ = seed_seq.spawn(3)
-    path = sample_global_path(setup.spec, times, path_ss)
-    from .models import build_drivers
-
-    drivers = build_drivers(setup.grid, setup.spec, setup.proj, path, dev_ss)
+    drivers, _ = batch_driver_tables(setup, member_seeds(cfg.master_seed, 1), spde.times())
     kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
                 "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    traj = simulate_model(model, spde, setup.grid, drivers, U0, store=True)
+    traj = simulate_model(model, spde, setup.grid, drivers, U0[:, None], store=True)
     out = _out_dir(cfg, args)
     header = ["t"] + [f"U_{j+1}" for j in range(setup.grid.M)]
     stride = max(1, traj.times.size // 2000)
     rows = [
-        tuple([float(traj.times[i])] + [float(v) for v in traj.states[i]])
+        tuple([float(traj.times[i])] + [float(v) for v in traj.states[i, :, 0]])
         for i in range(0, traj.times.size, stride)
     ]
     write_csv(out / f"trajectory_{kind}.csv", header, rows)
@@ -166,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", help="single seeded trajectory of one model")
     sub.add_parser("compare", help="weak-error comparison of the discrete models")
     conv = sub.add_parser("converge", help="named convergence study")
-    conv.add_argument("--study", required=True,
-                      choices=["lambda0", "expansion", "coeff-h", "coupling-gap", "weak-h"])
+    conv.add_argument("--study", required=True, choices=list(STUDIES))
     return p
 
 

@@ -15,20 +15,22 @@ Two solvers share one sampled noise path:
   the resolved form of the element-mode noise series: summed over all modes
   the series reproduces the restriction of W to the element.
 
-Both steppers accept a trailing ensemble axis and advance whole member
-batches in lock step.
+Each solver has one step, one noise method and one batched `simulate`
+that advances a member batch in lock step (a trailing ensemble axis); a
+single run is a batch of one.  The loop checks finiteness once per step and
+raises NumericalAbort naming the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grid import ElementField
-from .noise import NoisePath, QWienerSpec, fourier_basis
+from .noise import QWienerSpec, fourier_basis
 from .spectral import CoupledOperator
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "CoupledElementSolver",
     "slow_fast_decompose",
     "initial_profile",
-    "sample_periodic",
 ]
 
 
@@ -57,8 +58,8 @@ class NumericalAbort(RuntimeError):
 class SpdeConfig:
     """Reaction, noise and stepping parameters shared by the solvers.
 
-    dt guards: the semi-implicit scheme is unconditionally stable; the
-    explicit variant refuses dt * lambda_max > 2.
+    Both solvers step semi-implicitly (diffusion implicit, reaction and
+    noise explicit), which is stable for every dt.
     """
 
     alpha: float = 1.0
@@ -66,14 +67,11 @@ class SpdeConfig:
     gamma: float = 1.0
     dt: float = 1e-3
     T: float = 1.0
-    scheme: str = "semi_implicit"
     initial: dict = field(default_factory=lambda: {"kind": "sine", "amplitude": 0.3, "mode": 1})
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
-        if self.scheme not in ("semi_implicit", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
 
@@ -106,11 +104,11 @@ def initial_profile(spec: dict, L: float) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class ModelTrajectory:
-    """Time series produced by a solver or discrete model.
+    """Time series of grid values produced by a discrete model.
 
-    states has the time axis first; its trailing shape depends on the
-    producer (grid-value vector, element field, ...).  provenance records
-    which solver/config/seed generated it, enough to replay bitwise.
+    states has the time axis first, then the grid (and, for a member batch,
+    the ensemble) axes.  provenance records which model and coupling
+    generated it.
     """
 
     times: np.ndarray
@@ -123,33 +121,12 @@ class ModelTrajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
-    def save(self, path) -> None:
-        """Binary snapshot dump (full states; CSV export is for grid values)."""
-        import json as _json
 
-        np.savez_compressed(path, times=self.times, states=self.states,
-                            provenance=np.array(_json.dumps(self.provenance, default=str)))
-
-    @classmethod
-    def load(cls, path) -> "ModelTrajectory":
-        import json as _json
-
-        data = np.load(path, allow_pickle=False)
-        return cls(data["times"], data["states"], _json.loads(str(data["provenance"])))
-
-
-def sample_periodic(values: np.ndarray, grid_x: np.ndarray, x: np.ndarray, L: float) -> np.ndarray:
-    """Linear interpolation of a periodic nodal field at arbitrary points."""
-    xq = np.mod(x, L)
-    xg = np.concatenate([grid_x, [L]])
-    vg = np.concatenate([values, values[:1]], axis=0)
-    return np.interp(xq, xg, vg) if values.ndim == 1 else _interp_cols(xq, xg, vg)
-
-
-def _interp_cols(xq, xg, vg):
-    idx = np.clip(np.searchsorted(xg, xq, side="right") - 1, 0, xg.size - 2)
-    w = (xq - xg[idx]) / (xg[idx + 1] - xg[idx])
-    return vg[idx] * (1.0 - w[:, None]) + vg[idx + 1] * w[:, None]
+def _weighted_increments(sqrt_q: np.ndarray, paths: list) -> Iterator[np.ndarray]:
+    """Per step, the sqrt(q)-weighted increments of a member batch, (K+1, R)."""
+    sq = sqrt_q[:, None]
+    for i in range(paths[0].n_steps):
+        yield sq * np.stack([p.increments[:, i] for p in paths], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,36 +163,25 @@ class FullSpdeSolver:
         """One step; u and dW may carry a trailing ensemble axis."""
         reaction = cfg.alpha * (u - u**3)
         rhs = u + cfg.dt * reaction + cfg.sigma * dW
-        if cfg.scheme == "semi_implicit":
-            rhat = np.fft.rfft(rhs, axis=0)
-            rhat /= (1.0 + cfg.dt * self.symbol)[(...,) + (None,) * (rhs.ndim - 1)]
-            out = np.fft.irfft(rhat, n=self.n, axis=0)
-        else:
-            if cfg.dt * self.symbol.max() > 2.0:
-                raise NumericalAbort(
-                    f"explicit step unstable: dt*lambda_max = {cfg.dt * self.symbol.max():.3g} > 2"
-                )
-            lap = (np.roll(u, 1, axis=0) - 2.0 * u + np.roll(u, -1, axis=0)) / self.delta**2
-            out = u + cfg.dt * (lap + reaction) + cfg.sigma * dW
-        if not np.all(np.isfinite(out)):
-            raise NumericalAbort("non-finite values in reference solve")
-        return out
+        rhat = np.fft.rfft(rhs, axis=0)
+        rhat /= (1.0 + cfg.dt * self.symbol)[(...,) + (None,) * (rhs.ndim - 1)]
+        return np.fft.irfft(rhat, n=self.n, axis=0)
 
-    def simulate(self, cfg: SpdeConfig, path: NoisePath, u0: Optional[np.ndarray] = None,
-                 store: bool = False) -> ModelTrajectory:
+    def simulate(self, cfg: SpdeConfig, paths: list,
+                 u0: Optional[np.ndarray] = None) -> np.ndarray:
+        """Fine field at the end of the paths for a member batch, shape (n, R).
+
+        Every member starts from u0 (default: the configured initial
+        profile) and is driven by its own path.
+        """
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        u = np.array(u0, dtype=float)
-        n_steps = path.n_steps
-        snaps = [u.copy()] if store else None
-        for i in range(n_steps):
-            dW = self.noise_increment(self.sqrt_q * path.increments[:, i])
-            u = self.step(u, cfg, dW)
-            if store:
-                snaps.append(u.copy())
-        states = np.asarray(snaps) if store else u[None, :]
-        times = path.times if store else path.times[-1:]
-        return ModelTrajectory(times, states, {"solver": "full_spde", "seed": path.seed})
+        u = np.repeat(np.asarray(u0, dtype=float)[:, None], len(paths), axis=1)
+        for i, db in enumerate(_weighted_increments(self.sqrt_q, paths)):
+            u = self.step(u, cfg, self.noise_increment(db))
+            if not np.all(np.isfinite(u)):
+                raise NumericalAbort("non-finite values in reference solve", step=i)
+        return u
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +207,6 @@ class CoupledElementSolver:
         self.basis = fourier_basis(nodes, spec.n_modes, grid.L)  # (K+1, M, 2, n+1)
         self.sqrt_q = np.sqrt(spec.q)
         self._semi_lu = spla.splu((op.M_red + self.dt * op.K_red).tocsc())
-        self._lambda_max: Optional[float] = None
-
-    def _stability_guard(self):
-        if self._lambda_max is None:
-            lam = spla.eigsh(self.op.K_red, k=1, M=self.op.M_red, which="LM",
-                             return_eigenvectors=False)
-            self._lambda_max = float(lam[0])
-        if self.dt * self._lambda_max > 2.0:
-            raise NumericalAbort(
-                f"explicit step unstable: dt*lambda_max = {self.dt * self._lambda_max:.3g} > 2"
-            )
 
     def initial_reduced(self, cfg: SpdeConfig, u0: Optional[ElementField] = None) -> np.ndarray:
         """Project initial data onto the constrained subspace."""
@@ -277,36 +232,23 @@ class CoupledElementSolver:
         reaction = cfg.alpha * (cfg.gamma**2 * uv - uv**3)
         weak = op.weak_rhs(reaction)
         rhs = op.M_red @ c + cfg.dt * weak + cfg.sigma * noise_rhs
-        if cfg.scheme == "semi_implicit":
-            out = self._semi_lu.solve(rhs)
-        else:
-            self._stability_guard()
-            out = c + op._lu().solve(-cfg.dt * (op.K_red @ c) + cfg.dt * weak
-                                     + cfg.sigma * noise_rhs)
-        if not np.all(np.isfinite(out)):
-            raise NumericalAbort("non-finite values in coupled element solve")
-        return out
+        return self._semi_lu.solve(rhs)
 
-    def simulate(self, cfg: SpdeConfig, path: NoisePath, u0: Optional[ElementField] = None,
-                 store_stride: int = 0) -> ModelTrajectory:
-        """Run to the end of the path; optionally store field snapshots."""
+    def simulate(self, cfg: SpdeConfig, paths: list,
+                 u0: Optional[ElementField] = None) -> np.ndarray:
+        """Element fields at the end of the paths, shape (M, 2, n+1, R).
+
+        Every member starts from the projection of u0 (default: the
+        configured initial profile) and is driven by its own path.
+        """
         if abs(cfg.dt - self.dt) > 1e-14 * self.dt:
             raise ValueError("config dt differs from the factorized step size")
-        c = self.initial_reduced(cfg, u0)
-        snaps, snap_times = [], []
-        n_steps = path.n_steps
-        for i in range(n_steps):
-            if store_stride and i % store_stride == 0:
-                snaps.append(self.op.field_from_reduced(c).values)
-                snap_times.append(path.times[i])
-            c = self.step_reduced(c, cfg, self.noise_rhs(self.sqrt_q * path.increments[:, i]))
-        snaps.append(self.op.field_from_reduced(c).values)
-        snap_times.append(path.times[-1])
-        return ModelTrajectory(
-            np.asarray(snap_times),
-            np.asarray(snaps),
-            {"solver": "coupled_elements", "gamma": cfg.gamma, "seed": path.seed},
-        )
+        c = np.repeat(self.initial_reduced(cfg, u0)[:, None], len(paths), axis=1)
+        for i, db in enumerate(_weighted_increments(self.sqrt_q, paths)):
+            c = self.step_reduced(c, cfg, self.noise_rhs(db))
+            if not np.all(np.isfinite(c)):
+                raise NumericalAbort("non-finite values in coupled element solve", step=i)
+        return (self.op.Z @ c).reshape(self.grid.M, 2, self.grid.subgrid_n + 1, -1)
 
 
 def slow_fast_decompose(state: ElementField, eig) -> tuple[np.ndarray, ElementField]:

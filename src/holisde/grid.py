@@ -199,10 +199,6 @@ class ElementField:
     def element(self, j: int) -> np.ndarray:
         return self.values[self.grid.index(j)]
 
-    def centre_values(self) -> np.ndarray:
-        """Values at the element centres X_j (left-limit copy)."""
-        return self.values[:, 0, -1].copy()
-
     def value_jump_at_centres(self) -> float:
         """Largest mismatch between the two centre-node copies."""
         return float(np.max(np.abs(self.values[:, 0, -1] - self.values[:, 1, 0])))

@@ -74,7 +74,6 @@ class RunConfig:
     gamma: float = 1.0
     dt: Optional[float] = None   # default 1e-4 h^2
     T: float = 1.0
-    scheme: str = "semi_implicit"
     initial: dict = field(default_factory=lambda: {"kind": "sine", "amplitude": 0.3, "mode": 1})
 
     model_kinds: tuple = ("conventional_fd", "holistic")
@@ -110,10 +109,8 @@ class RunConfig:
             errors.append(f"dt must be positive, got {self.dt}")
         if self.T <= 0:
             errors.append(f"T must be positive, got {self.T}")
-        if self.scheme not in ("semi_implicit", "explicit"):
-            errors.append(f"unknown scheme {self.scheme!r}")
         for kind in self.model_kinds:
-            if kind not in models.MODEL_KINDS + ("reference", "coupled"):
+            if kind not in models.MODEL_KINDS + ("reference",):
                 errors.append(f"unknown model kind {kind!r}")
         if self.ensemble < 1:
             errors.append(f"ensemble size must be >= 1, got {self.ensemble}")
@@ -153,7 +150,7 @@ class RunConfig:
 
     def spde(self, **overrides) -> SpdeConfig:
         base = dict(alpha=self.alpha, sigma=self.sigma, gamma=self.gamma,
-                    dt=self.dt_value, T=self.T, scheme=self.scheme, initial=self.initial)
+                    dt=self.dt_value, T=self.T, initial=self.initial)
         base.update(overrides)
         return SpdeConfig(**base)
 
@@ -266,13 +263,6 @@ def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
     return drivers, drawn
 
 
-def _weighted_increments(spec: QWienerSpec, paths: list):
-    """Per step, the sqrt(q)-weighted increments of a member batch, (K+1, R)."""
-    sq = np.sqrt(spec.q)[:, None]
-    for i in range(paths[0].n_steps):
-        yield sq * np.stack([p.increments[:, i] for p in paths], axis=-1)
-
-
 def reference_grid_values(L: float, spec: QWienerSpec, paths: list, spde: SpdeConfig,
                           n_fine: int) -> np.ndarray:
     """Fine reference field u(x, T) for a member batch, shape (n_fine, R).
@@ -281,12 +271,7 @@ def reference_grid_values(L: float, spec: QWienerSpec, paths: list, spde: SpdeCo
     coefficients the models consume (common random numbers); a single run
     is a batch of one.  `at_grid_points` reads off the grid values.
     """
-    solver = FullSpdeSolver(L, n_fine, spec)
-    u0 = initial_profile(spde.initial, L)(solver.x)
-    u = np.repeat(u0[:, None], len(paths), axis=1)
-    for db in _weighted_increments(spec, paths):
-        u = solver.step(u, spde, solver.noise_increment(db))
-    return u
+    return FullSpdeSolver(L, n_fine, spec).simulate(spde, paths)
 
 
 def at_grid_points(u: np.ndarray, M: int) -> np.ndarray:
@@ -345,7 +330,7 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     R = cfg.ensemble
     seeds = member_seeds(cfg.master_seed, R)
     needs_reference = "reference" in cfg.model_kinds
-    model_kinds = [k for k in cfg.model_kinds if k not in ("reference", "coupled")]
+    model_kinds = [k for k in cfg.model_kinds if k != "reference"]
     U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
 
     flush_dir = None
@@ -426,22 +411,17 @@ def convergence_study(cfg: RunConfig, study: str, values=None) -> ConvergenceTab
     coefficient orders in the spacing), "coupling-gap" (pathwise gap to the
     reference as gamma -> 1), "weak-h" (weak model error in the spacing).
     """
+    if study not in STUDIES:
+        raise ConfigError([f"unknown study {study!r}"])
+    run, axis = STUDIES[study]
+    if cfg.sweep_axis is not None and cfg.sweep_axis != axis:
+        raise ConfigError([f"study {study!r} sweeps {axis}, not {cfg.sweep_axis}"])
     if values is None:
         values = cfg.sweep_values
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         raise ConfigError(["convergence studies need at least 3 sweep values"])
-    if study == "lambda0":
-        return _study_lambda0(cfg, values)
-    if study == "expansion":
-        return _study_expansion(cfg, values)
-    if study == "coeff-h":
-        return _study_coeff_h(cfg, values)
-    if study == "coupling-gap":
-        return _study_coupling_gap(cfg, values)
-    if study == "weak-h":
-        return _study_weak_h(cfg, values)
-    raise ConfigError([f"unknown study {study!r}"])
+    return run(cfg, values)
 
 
 def _study_lambda0(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
@@ -561,11 +541,7 @@ def _coupled_fields(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig,
                     paths: list) -> np.ndarray:
     """Coupled element fields at T at coupling spde.gamma, shape (M, 2, n+1, R)."""
     op = spectral.assemble_operator(grid, spde.gamma)
-    solver = CoupledElementSolver(op, spec, spde.dt)
-    c = np.repeat(solver.initial_reduced(spde)[:, None], len(paths), axis=1)
-    for db in _weighted_increments(spec, paths):
-        c = solver.step_reduced(c, spde, solver.noise_rhs(db))
-    return (op.Z @ c).reshape(grid.M, 2, grid.subgrid_n + 1, -1)
+    return CoupledElementSolver(op, spec, spde.dt).simulate(spde, paths)
 
 
 def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
@@ -611,6 +587,15 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
     return ConvergenceTable("weak-h", "h", hs, metrics, orders)
 
 
+STUDIES = {
+    "lambda0": (_study_lambda0, "gamma"),
+    "expansion": (_study_expansion, "gamma"),
+    "coeff-h": (_study_coeff_h, "h"),
+    "coupling-gap": (_study_coupling_gap, "gamma"),
+    "weak-h": (_study_weak_h, "h"),
+}
+
+
 # ---------------------------------------------------------------------------
 # model comparison report
 # ---------------------------------------------------------------------------
@@ -624,7 +609,7 @@ def compare_models(cfg: RunConfig) -> dict:
     computed in closed form from the driver covariances.  Findings are
     reported, not asserted.
     """
-    kinds = tuple(k for k in cfg.model_kinds if k not in ("reference", "coupled"))
+    kinds = tuple(k for k in cfg.model_kinds if k != "reference")
     run_cfg = replace(cfg, model_kinds=kinds + ("reference",))
     stats = run_ensemble(run_cfg)
     ref_mean = stats.mean("reference")

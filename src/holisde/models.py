@@ -217,7 +217,6 @@ def reduced_slow_sde(
     coeffs: AveragedCoeffs,
     drivers: ModelDrivers,
     step: int,
-    reading: str = "projection",
     linearize: bool = False,
 ) -> np.ndarray:
     """One step of the averaged slow equation in eigen-coordinates.
@@ -236,7 +235,7 @@ def reduced_slow_sde(
     vals = a[:, None, None] + g * F1 + g * g * F2
     c = op.reduce(ElementField(vals, grid))
     l_centre = (op.Z @ op.apply_reduced(c)).reshape(grid.M, 2, -1)[:, 0, -1]
-    s = stats.second_moment_scalar(reading)
+    s = stats.mean_second_moment
     cubic = 0.0 if linearize else a**3
     drift = l_centre + cfg.alpha * g * g * a - cfg.alpha * (cubic + 3.0 * g * g * a * s)
     dS = drivers.slow[:, step]

@@ -152,16 +152,6 @@ class NoisePath:
         dw = self.increments.reshape(self.n_modes, -1, factor).sum(axis=2)
         return NoisePath(self.times[::factor], dw, seed=self.seed)
 
-    def save(self, path) -> None:
-        """Binary column dump (times + increment matrix) for audits."""
-        np.savez_compressed(path, times=self.times, increments=self.increments,
-                            seed=np.array(str(self.seed)))
-
-    @classmethod
-    def load(cls, path) -> "NoisePath":
-        data = np.load(path, allow_pickle=False)
-        return cls(data["times"], data["increments"], seed=str(data["seed"]))
-
     def field_increment(self, basis: np.ndarray, sqrt_q: np.ndarray, step: int) -> np.ndarray:
         """Increment of the noise field on pre-evaluated basis samples.
 
@@ -203,7 +193,6 @@ class ElementNoiseProjection:
     qh: np.ndarray                # (M, n_modes)
     lam: np.ndarray               # (n_modes,)
     mode_mask: np.ndarray         # (M, n_modes) False where restriction was negligible
-    total_local_mass: np.ndarray  # (M,) sum_k q_k ||e_k||^2_{L2(I_j)}
 
     @property
     def sqrt_q(self) -> np.ndarray:
@@ -215,13 +204,6 @@ class ElementNoiseProjection:
         """Raw projected increments sqrt(q^h_{j,l}) dbeta_{j,l}, shape (M, n_steps)."""
         w = self.weights[:, l, :] * self.sqrt_q[None, :]
         return w @ path.increments
-
-    def unit_driver_increments(self, path: NoisePath, l: int) -> np.ndarray:
-        """Increments of the unit-rate Brownian drivers dbeta_{j,l}."""
-        raw = self.driver_increments(path, l)
-        scale = np.sqrt(self.qh[:, l])
-        scale[scale == 0] = 1.0
-        return raw / scale[:, None]
 
     def slow_gridvalue_increments(self, path: NoisePath, beta1_variant: bool = False) -> np.ndarray:
         """sqrt(q^h_{j,0}) dbeta_{j,0} e_{j,0}(X_j): grid-value noise seen by
@@ -281,8 +263,6 @@ def project_to_element_modes(
     weights = np.einsum("kmhi,ij,lmhj->mlk", basis, mb, shapes)
     weights = np.where(mask[:, :, None], weights, 0.0)
     qh = weights**2 @ spec.q
-
-    total = np.einsum("kmhi,ij,kmhj->m", basis, mb, basis * spec.q[:, None, None, None])
     return ElementNoiseProjection(
         grid=grid,
         q=spec.q,
@@ -290,7 +270,6 @@ def project_to_element_modes(
         qh=qh,
         lam=np.asarray(lam, dtype=float),
         mode_mask=mask,
-        total_local_mass=total,
     )
 
 

@@ -154,8 +154,6 @@ def test_field_second_moment_pointwise_vs_mean(proj8, eig0_8, grid8):
     expected_centre = (stats.v * centre_sq[None, :]).sum(axis=1)
     assert np.allclose(stats.centre_second_moment, expected_centre, rtol=1e-12)
     assert not np.allclose(stats.centre_second_moment, stats.mean_second_moment)
-    assert np.all(stats.second_moment_scalar("projection") == stats.mean_second_moment)
-    assert np.all(stats.second_moment_scalar("pointwise") == stats.centre_second_moment)
 
 
 def test_martingale_driver_zero_for_flat_expansion(proj8, eig0_8, grid8):

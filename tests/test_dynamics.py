@@ -4,7 +4,6 @@ import pytest
 from holisde.dynamics import (
     CoupledElementSolver,
     FullSpdeSolver,
-    NumericalAbort,
     SpdeConfig,
     initial_profile,
     slow_fast_decompose,
@@ -34,8 +33,8 @@ def test_zero_state_is_fixed_point(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01,
                      initial={"kind": "zero"})
     solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
-    traj = solver.simulate(cfg, _quiet_path(qspec, cfg))
-    assert np.all(traj.states[-1] == 0.0)
+    u = solver.simulate(cfg, [_quiet_path(qspec, cfg)])
+    assert np.all(u[..., 0] == 0.0)
 
 
 @pytest.mark.parametrize("ustar", [-1.0, 0.0, 1.0])
@@ -43,28 +42,8 @@ def test_cubic_roots_are_stationary(qspec, ustar):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.02,
                      initial={"kind": "constant", "amplitude": ustar})
     solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
-    traj = solver.simulate(cfg, _quiet_path(qspec, cfg))
-    assert np.allclose(traj.states[-1], ustar, atol=1e-12)
-
-
-def test_explicit_scheme_stability_guard(qspec):
-    cfg = SpdeConfig(alpha=0.0, sigma=0.0, dt=1e-2, T=0.02, scheme="explicit")
-    solver = FullSpdeSolver(2.0 * np.pi, 512, qspec)  # dt*lambda_max >> 2
-    path = _quiet_path(qspec, cfg)
-    u = np.sin(solver.x)
-    with pytest.raises(NumericalAbort):
-        solver.step(u, cfg, np.zeros_like(u))
-
-
-def test_explicit_matches_semi_implicit_at_coarse_resolution(qspec):
-    L = 2.0 * np.pi
-    cfg_e = SpdeConfig(alpha=1.0, sigma=0.0, dt=5e-5, T=0.01, scheme="explicit")
-    cfg_s = SpdeConfig(alpha=1.0, sigma=0.0, dt=5e-5, T=0.01)
-    solver = FullSpdeSolver(L, 64, qspec)
-    path = _quiet_path(qspec, cfg_e)
-    t_e = solver.simulate(cfg_e, path)
-    t_s = solver.simulate(cfg_s, path)
-    assert np.allclose(t_e.states[-1], t_s.states[-1], atol=1e-4)
+    u = solver.simulate(cfg, [_quiet_path(qspec, cfg)])
+    assert np.allclose(u[..., 0], ustar, atol=1e-12)
 
 
 def test_coupled_insulated_constants_are_stationary(grid8, qspec):
@@ -76,8 +55,8 @@ def test_coupled_insulated_constants_are_stationary(grid8, qspec):
     vals = np.repeat(consts[:, None, None], 2, axis=1)
     vals = np.repeat(vals, grid8.subgrid_n + 1, axis=2)
     u0 = ElementField(vals, grid8)
-    traj = solver.simulate(cfg, _quiet_path(qspec, cfg), u0=u0)
-    assert np.allclose(traj.states[-1], vals, atol=1e-10)
+    u = solver.simulate(cfg, [_quiet_path(qspec, cfg)], u0=u0)
+    assert np.allclose(u[..., 0], vals, atol=1e-10)
 
 
 def test_coupled_full_coupling_tracks_reference(grid8, qspec):
@@ -86,12 +65,12 @@ def test_coupled_full_coupling_tracks_reference(grid8, qspec):
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     fine = FullSpdeSolver(grid8.L, 2048, qspec)
     path = _quiet_path(qspec, cfg, seed=21)
-    traj = solver.simulate(cfg, path)
-    ref = fine.simulate(cfg, path)
+    u = solver.simulate(cfg, [path])
+    ref = fine.simulate(cfg, [path])
     # compare right-half centre values against the reference at grid points
-    centres = traj.states[-1][:, 0, -1]
+    centres = u[..., 0][:, 0, -1]
     stride = 2048 // grid8.M
-    ref_at_x = ref.states[-1][(stride * np.arange(1, grid8.M + 1)) % 2048]
+    ref_at_x = ref[..., 0][(stride * np.arange(1, grid8.M + 1)) % 2048]
     assert np.max(np.abs(centres - ref_at_x)) < 5e-3
 
 
@@ -120,11 +99,12 @@ def test_fast_mode_relaxation_rate(grid8, qspec):
     eig0 = eig_gamma0(grid8, 2)
     vals = np.broadcast_to(eig0.local_shapes[1], (grid8.M, 2, grid8.subgrid_n + 1)).copy()
     u0 = ElementField(vals, grid8)
-    traj = solver.simulate(cfg, _quiet_path(qspec, cfg), u0=u0, store_stride=20)
+    start = op.field_from_reduced(op.reduce(u0)).values
+    end = solver.simulate(cfg, [_quiet_path(qspec, cfg)], u0=u0)[..., 0]
     lam1 = np.pi**2 / grid8.h**2
-    e0 = np.einsum("mhi,ij,mhj->", traj.states[0], grid8.mass_block, traj.states[0])
-    e1 = np.einsum("mhi,ij,mhj->", traj.states[-1], grid8.mass_block, traj.states[-1])
-    t_span = traj.times[-1] - traj.times[0]
+    e0 = np.einsum("mhi,ij,mhj->", start, grid8.mass_block, start)
+    e1 = np.einsum("mhi,ij,mhj->", end, grid8.mass_block, end)
+    t_span = cfg.T
     rate = -np.log(e1 / e0) / t_span
     assert rate == pytest.approx(2.0 * lam1, rel=0.02)
 
@@ -164,9 +144,9 @@ def test_trajectory_determinism(grid8, qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.4, gamma=0.8, dt=1e-3, T=0.02)
     op = assemble_operator(grid8, 0.8)
     solver = CoupledElementSolver(op, qspec, cfg.dt)
-    t1 = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=33))
-    t2 = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=33))
-    assert np.array_equal(t1.states, t2.states)
+    u1 = solver.simulate(cfg, [_quiet_path(qspec, cfg, seed=33)])
+    u2 = solver.simulate(cfg, [_quiet_path(qspec, cfg, seed=33)])
+    assert np.array_equal(u1[..., 0], u2[..., 0])
 
 
 def test_linear_mode_variance_calibration(qspec):
@@ -178,12 +158,8 @@ def test_linear_mode_variance_calibration(qspec):
                      initial={"kind": "zero"})
     solver = FullSpdeSolver(L, 128, qspec)
     R = 48
-    finals = []
-    for r in range(R):
-        path = sample_global_path(qspec, cfg.times(), 1000 + r)
-        traj = solver.simulate(cfg, path)
-        finals.append(traj.states[-1])
-    finals = np.asarray(finals)                      # (R, n)
+    paths = [sample_global_path(qspec, cfg.times(), 1000 + r) for r in range(R)]
+    finals = solver.simulate(cfg, paths).T           # (R, n)
     coeff = (finals @ np.sin(solver.x)) * (L / solver.n) * np.sqrt(2.0 / L)
     k = 1                                            # sin(2 pi x / L) mode
     kappa2 = (2.0 * np.pi / L) ** 2
@@ -247,37 +223,9 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
     assert gaps[1] < gaps[0]  # Cauchy-decreasing toward the stationary limit
 
 
-def test_trajectory_binary_roundtrip(tmp_path, grid8, qspec):
-    cfg = SpdeConfig(alpha=1.0, sigma=0.3, gamma=0.7, dt=1e-3, T=0.01)
-    op = assemble_operator(grid8, 0.7)
-    solver = CoupledElementSolver(op, qspec, cfg.dt)
-    traj = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=2), store_stride=5)
-    from holisde.dynamics import ModelTrajectory
-
-    f = tmp_path / "traj.npz"
-    traj.save(f)
-    back = ModelTrajectory.load(f)
-    assert np.array_equal(back.states, traj.states)
-    assert np.array_equal(back.times, traj.times)
-
-
-def test_noise_path_binary_roundtrip(tmp_path, qspec):
-    from holisde.noise import NoisePath
-
-    cfg = SpdeConfig(dt=1e-3, T=0.01)
-    path = _quiet_path(qspec, cfg, seed=44)
-    f = tmp_path / "path.npz"
-    path.save(f)
-    back = NoisePath.load(f)
-    assert np.array_equal(back.increments, path.increments)
-    assert np.array_equal(back.times, path.times)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SpdeConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        SpdeConfig(scheme="whatever")
     with pytest.raises(ValueError):
         SpdeConfig(gamma=1.5)
     with pytest.raises(ValueError):

@@ -37,8 +37,8 @@ def test_config_roundtrip_identity():
 
 def test_config_validation_collects_all_errors():
     with pytest.raises(ConfigError) as err:
-        RunConfig(L=-1.0, M=2, sigma=-0.5, scheme="nope")
-    assert len(err.value.messages) >= 4
+        RunConfig(L=-1.0, M=2, sigma=-0.5, gamma=1.5, model_kinds=("coupled",))
+    assert len(err.value.messages) >= 5
 
 
 def test_config_rejects_unknown_keys():
@@ -93,12 +93,14 @@ def test_gamma_reduced_at_full_coupling_matches_holistic():
 
 
 def test_abort_names_step_member_and_seed():
-    cfg = RunConfig(**{**FAST, "initial": {"kind": "constant", "amplitude": 1e200}})
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
-        run_ensemble(cfg)
-    assert err.value.step == 0
-    assert err.value.member == 0
-    assert err.value.seed == cfg.master_seed
+    for kinds in (FAST["model_kinds"], ("reference",)):
+        cfg = RunConfig(**{**FAST, "model_kinds": kinds,
+                           "initial": {"kind": "constant", "amplitude": 1e200}})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
+            run_ensemble(cfg)
+        assert err.value.step == 0
+        assert err.value.member == 0
+        assert err.value.seed == cfg.master_seed
 
 
 def test_stderr_shrinks_with_ensemble_size():
@@ -156,6 +158,9 @@ def test_convergence_study_validation():
         convergence_study(cfg, "lambda0", values=(0.1, 0.05))
     with pytest.raises(ConfigError):
         convergence_study(cfg, "unknown-study", values=(1, 2, 3))
+    dt_sweep = RunConfig(**{**FAST, "sweep_axis": "dt", "sweep_values": (0.1, 0.05, 0.025)})
+    with pytest.raises(ConfigError):
+        convergence_study(dt_sweep, "lambda0")
 
 
 def test_rows_align_with_values():
@@ -206,6 +211,18 @@ def test_cli_coeffs_and_simulate(tmp_path):
     assert csvs and csvs[0].read_text().startswith("t,U_1")
 
 
+def test_cli_simulate_is_ensemble_member_zero(tmp_path):
+    cfg = RunConfig(**{**FAST, "ensemble": 1, "model_kinds": ("holistic",)})
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(cfg.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(cfgp), "--out", str(out), "simulate"]) == 0
+    lines = (out / "trajectory_holistic.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows[-1, 0] == pytest.approx(cfg.T)
+    assert np.array_equal(rows[-1, 1:], run_ensemble(cfg).mean("holistic"))
+
+
 def test_cli_eig_sweep(tmp_path):
     cfgp = _write_cfg(tmp_path, kmax=6)
     out = tmp_path / "out"
@@ -233,6 +250,8 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["--config", str(tmp_path / "missing.json"), "coeffs"]) == 2
     cfgp = _write_cfg(tmp_path)
     assert cli_main(["--config", str(cfgp), "--sweep", "bogus", "coeffs"]) == 2
+    assert cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out"),
+                     "--sweep", "dt=0.1,0.05,0.025", "converge", "--study", "lambda0"]) == 2
 
 
 def test_cli_seed_override_changes_digest(tmp_path):
