@@ -147,7 +147,7 @@ def averaged_drift(u_bar: np.ndarray, stats: FastModeStats) -> np.ndarray:
     over its stationary law leaves exactly the 3 u E eta^2 correction.
     """
     u = np.asarray(u_bar, dtype=float)
-    return -(u**3 + 3.0 * u * stats.mean_second_moment)
+    return -((u * u * u) + 3.0 * u * stats.mean_second_moment)
 
 
 def compute_qj(

@@ -107,10 +107,15 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     traj = simulate_model(model, spde, setup.grid, drivers, U0[:, None], store=True)
     out = _out_dir(cfg, args)
     header = ["t"] + [f"U_{j+1}" for j in range(setup.grid.M)]
-    stride = max(1, traj.times.size // 2000)
+    n_times = traj.times.size
+    stride = max(1, n_times // 2000)
+    # every stride-th row, and always the row at T
+    kept = list(range(0, n_times, stride))
+    if kept[-1] != n_times - 1:
+        kept.append(n_times - 1)
     rows = [
         tuple([float(traj.times[i])] + [float(v) for v in traj.states[i, :, 0]])
-        for i in range(0, traj.times.size, stride)
+        for i in kept
     ]
     write_csv(out / f"trajectory_{kind}.csv", header, rows)
     write_manifest(cfg, out, {"command": "simulate", "model": kind})

@@ -16,9 +16,12 @@ Two solvers share one sampled noise path:
   the series reproduces the restriction of W to the element.
 
 Each solver has one step, one noise method and one batched `simulate`
-that advances a member batch in lock step (a trailing ensemble axis); a
-single run is a batch of one.  The loop checks finiteness once per step and
-raises NumericalAbort naming the step.
+that advances a member batch in lock step; a single run is a batch of one.
+The reference steps a member-major state (R, n), so both FFTs run along
+the contiguous axis, and adds its noise in rfft space: the Fourier noise
+modes are exact DFT bins of the fine grid.  The coupled solver carries
+the members on a trailing axis.  Each loop checks finiteness once per step
+and raises NumericalAbort naming the step and the first non-finite member.
 """
 
 from __future__ import annotations
@@ -122,6 +125,17 @@ class ModelTrajectory:
             raise ValueError("times must be strictly increasing")
 
 
+def _check_finite(x: np.ndarray, member_axis: int, what: str, step: int) -> None:
+    """Raise NumericalAbort naming the step and the first non-finite member."""
+    if np.all(np.isfinite(x)):
+        return
+    member = 0                                   # a single state is a batch of one
+    if x.ndim > 1:
+        bad = np.moveaxis(~np.isfinite(x), member_axis, 0).reshape(x.shape[member_axis], -1)
+        member = int(np.argmax(bad.any(axis=1)))
+    raise NumericalAbort(f"non-finite values in {what}", step=step, member=member)
+
+
 def _weighted_increments(sqrt_q: np.ndarray, paths: list) -> Iterator[np.ndarray]:
     """Per step, the sqrt(q)-weighted increments of a member batch, (K+1, R)."""
     sq = sqrt_q[:, None]
@@ -138,7 +152,10 @@ class FullSpdeSolver:
     """Reference solver on a fine periodic grid, resolution-independent of M.
 
     The second difference is treated implicitly through its Fourier symbol
-    2 (1 - cos(2 pi m / N)) / delta^2; reaction and noise are explicit.
+    2 (1 - cos(2 pi m / N)) / delta^2; reaction and noise are explicit.  The
+    noise enters as rfft bins: basis_hat holds the rfft of every sampled
+    noise mode up to the highest bin any mode reaches (aliased modes fold
+    onto their bins exactly).
     """
 
     def __init__(self, L: float, n_fine: int, spec: QWienerSpec):
@@ -147,41 +164,44 @@ class FullSpdeSolver:
         self.spec = spec
         self.x = self.L * np.arange(self.n) / self.n
         self.delta = self.L / self.n
-        self.basis = fourier_basis(self.x, spec.n_modes, self.L)   # (K+1, n)
+        nb = min(self.n // 2, spec.n_modes // 2) + 1
+        basis = fourier_basis(self.x, spec.n_modes, self.L)                # (K+1, n)
+        self.basis_hat = np.fft.rfft(basis, axis=-1)[:, :nb]              # (K+1, nb)
         self.sqrt_q = np.sqrt(spec.q)
         m = np.arange(self.n // 2 + 1)
         self.symbol = 2.0 * (1.0 - np.cos(2.0 * np.pi * m / self.n)) / self.delta**2
 
     def noise_increment(self, db: np.ndarray) -> np.ndarray:
-        """Field increment on the fine grid from sqrt(q)-weighted coefficients.
+        """Leading rfft bins of the fine-grid noise increment.
 
-        db is (K+1,) or (K+1, R); the result is (n,) or (n, R).
+        db holds sqrt(q)-weighted coefficients, (K+1,) or (K+1, R); the
+        result is (nb,) or (R, nb).
         """
-        return np.tensordot(db, self.basis, axes=(0, 0)).T
+        return np.tensordot(db, self.basis_hat, axes=(0, 0))
 
-    def step(self, u: np.ndarray, cfg: SpdeConfig, dW: np.ndarray) -> np.ndarray:
-        """One step; u and dW may carry a trailing ensemble axis."""
-        reaction = cfg.alpha * (u - u**3)
-        rhs = u + cfg.dt * reaction + cfg.sigma * dW
-        rhat = np.fft.rfft(rhs, axis=0)
-        rhat /= (1.0 + cfg.dt * self.symbol)[(...,) + (None,) * (rhs.ndim - 1)]
-        return np.fft.irfft(rhat, n=self.n, axis=0)
+    def step(self, u: np.ndarray, cfg: SpdeConfig, dw_hat: np.ndarray) -> np.ndarray:
+        """One step of u, (n,) or (R, n); dw_hat is the matching noise_increment."""
+        reaction = cfg.alpha * (u - (u * u * u))
+        rhat = np.fft.rfft(u + cfg.dt * reaction, axis=-1)
+        rhat[..., : dw_hat.shape[-1]] += cfg.sigma * dw_hat
+        rhat /= 1.0 + cfg.dt * self.symbol
+        return np.fft.irfft(rhat, n=self.n, axis=-1)
 
     def simulate(self, cfg: SpdeConfig, paths: list,
                  u0: Optional[np.ndarray] = None) -> np.ndarray:
         """Fine field at the end of the paths for a member batch, shape (n, R).
 
         Every member starts from u0 (default: the configured initial
-        profile) and is driven by its own path.
+        profile) and is driven by its own path; the state is stepped
+        member-major and returned transposed.
         """
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        u = np.repeat(np.asarray(u0, dtype=float)[:, None], len(paths), axis=1)
+        u = np.repeat(np.asarray(u0, dtype=float)[None, :], len(paths), axis=0)
         for i, db in enumerate(_weighted_increments(self.sqrt_q, paths)):
             u = self.step(u, cfg, self.noise_increment(db))
-            if not np.all(np.isfinite(u)):
-                raise NumericalAbort("non-finite values in reference solve", step=i)
-        return u
+            _check_finite(u, 0, "reference solve", i)
+        return u.T
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +249,7 @@ class CoupledElementSolver:
         """One step in reduced coordinates; c may be (nred,) or (nred, R)."""
         op = self.op
         uv = (op.Z @ c).reshape((self.grid.M, 2, self.grid.subgrid_n + 1) + c.shape[1:])
-        reaction = cfg.alpha * (cfg.gamma**2 * uv - uv**3)
+        reaction = cfg.alpha * (cfg.gamma**2 * uv - (uv * uv * uv))
         weak = op.weak_rhs(reaction)
         rhs = op.M_red @ c + cfg.dt * weak + cfg.sigma * noise_rhs
         return self._semi_lu.solve(rhs)
@@ -246,8 +266,7 @@ class CoupledElementSolver:
         c = np.repeat(self.initial_reduced(cfg, u0)[:, None], len(paths), axis=1)
         for i, db in enumerate(_weighted_increments(self.sqrt_q, paths)):
             c = self.step_reduced(c, cfg, self.noise_rhs(db))
-            if not np.all(np.isfinite(c)):
-                raise NumericalAbort("non-finite values in coupled element solve", step=i)
+            _check_finite(c, -1, "coupled element solve", i)
         return (self.op.Z @ c).reshape(self.grid.M, 2, self.grid.subgrid_n + 1, -1)
 
 

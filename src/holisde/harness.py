@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -101,6 +103,11 @@ class RunConfig:
             errors.append(f"need at least 2 noise modes, got {self.n_modes}")
         if self.q_list is None and self.decay_r < 2:
             errors.append(f"decay_r must be >= 2, got {self.decay_r}")
+        if self.q_list is not None:
+            try:
+                QWienerSpec(np.asarray(self.q_list, dtype=float))
+            except (TypeError, ValueError) as exc:
+                errors.append(f"bad q_list: {exc}")
         if self.sigma < 0:
             errors.append(f"sigma must be nonnegative, got {self.sigma}")
         if not 0 <= self.gamma <= 1:
@@ -109,6 +116,10 @@ class RunConfig:
             errors.append(f"dt must be positive, got {self.dt}")
         if self.T <= 0:
             errors.append(f"T must be positive, got {self.T}")
+        try:
+            initial_profile(self.initial, self.L)
+        except (AttributeError, TypeError, ValueError) as exc:
+            errors.append(f"bad initial profile {self.initial!r}: {exc}")
         for kind in self.model_kinds:
             if kind not in models.MODEL_KINDS + ("reference",):
                 errors.append(f"unknown model kind {kind!r}")
@@ -118,6 +129,10 @@ class RunConfig:
             errors.append(f"n_fine={self.n_fine} too coarse for M={self.M}")
         if self.n_fine % self.M:
             errors.append("n_fine must be a multiple of M so grid points sit on fine nodes")
+        if self.n_levels < 1:
+            errors.append(f"n_levels must be >= 1, got {self.n_levels}")
+        if self.chunk_size < 1:
+            errors.append(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in ("gamma", "h", "dt"):
                 errors.append(f"unknown sweep axis {self.sweep_axis!r}")
@@ -316,13 +331,38 @@ def _summaries(samples: dict, R: int) -> EnsembleStats:
     return EnsembleStats(n_members=R, observables=obs)
 
 
+def _flush_chunk(cache: Path, out: dict) -> None:
+    """Write a chunk file whole or not at all: a temporary file, then a rename."""
+    tmp = cache.with_name(cache.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, **out)
+    os.replace(tmp, cache)
+
+
+def _load_chunk(cache: Path, keys: list, n_members: int) -> Optional[dict]:
+    """A flushed chunk's arrays, or None when the file is missing, unreadable,
+    or holds other keys or another member count than the chunk needs."""
+    if not cache.exists():
+        return None
+    try:
+        with np.load(cache) as data:
+            out = {k: data[k] for k in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None
+    if set(out) != set(keys) or any(v.shape[-1:] != (n_members,) for v in out.values()):
+        return None
+    return out
+
+
 def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStats:
     """Run the configured models over R common-random-number members.
 
     Observables: final grid values per model, their squares, and pairwise
     final-time gaps between models.  Member chunks are flushed to disk as
     they finish (when out_dir is given) and picked up on resume, keyed by
-    the config digest.
+    the config digest; a chunk file is renamed into place only once written
+    whole, and one that cannot be read or does not fit the chunk is
+    recomputed.
     """
     setup = build_setup(cfg)
     spde = setup.cfg.spde()
@@ -330,7 +370,7 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     R = cfg.ensemble
     seeds = member_seeds(cfg.master_seed, R)
     needs_reference = "reference" in cfg.model_kinds
-    model_kinds = [k for k in cfg.model_kinds if k != "reference"]
+    model_kinds = [k for k in dict.fromkeys(cfg.model_kinds) if k != "reference"]
     U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
 
     flush_dir = None
@@ -338,39 +378,38 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
         flush_dir = Path(out_dir) / f"members_{cfg.digest()}"
         flush_dir.mkdir(parents=True, exist_ok=True)
 
+    names = model_kinds + (["reference"] if needs_reference else [])
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    keys = names + [f"gap:{a}-{b}" for a, b in pairs]
     chunks = [seeds[i : i + cfg.chunk_size] for i in range(0, R, cfg.chunk_size)]
     collected: dict[str, list] = {}
     for ci, chunk in enumerate(chunks):
         cache = flush_dir / f"chunk_{ci:04d}.npz" if flush_dir else None
-        if cache is not None and cache.exists():
-            data = dict(np.load(cache))
-            for k, v in data.items():
-                collected.setdefault(k, []).append(v)
-            continue
-        drivers, paths = batch_driver_tables(setup, chunk, times)
-        U0b = np.repeat(U0[:, None], len(chunk), axis=1)
-        out: dict[str, np.ndarray] = {}
-        try:
-            for kind in model_kinds:
-                model = DiscreteModel(kind=kind, coeffs=setup.coeffs,
-                                      deviation_alpha=cfg.deviation_alpha)
-                traj = simulate_model(model, spde, setup.grid, drivers, U0b, store=False)
-                out[kind] = traj.states[-1]
-            if needs_reference:
-                fine = reference_grid_values(setup.grid.L, setup.spec, paths, spde, cfg.n_fine)
-                out["reference"] = at_grid_points(fine, cfg.M)
-        except NumericalAbort as exc:
-            # replay context: members ci*chunk..ci*chunk+len-1 of this master seed
-            exc.member = ci * cfg.chunk_size
-            exc.seed = cfg.master_seed
-            raise
-        names = list(out)
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                gap = np.sqrt(np.mean((out[names[a]] - out[names[b]]) ** 2, axis=0))
-                out[f"gap:{names[a]}-{names[b]}"] = gap[None, :]
-        if cache is not None:
-            np.savez(cache, **out)
+        out = _load_chunk(cache, keys, len(chunk)) if cache is not None else None
+        if out is None:
+            drivers, paths = batch_driver_tables(setup, chunk, times)
+            U0b = np.repeat(U0[:, None], len(chunk), axis=1)
+            out = {}
+            try:
+                for kind in model_kinds:
+                    model = DiscreteModel(kind=kind, coeffs=setup.coeffs,
+                                          deviation_alpha=cfg.deviation_alpha)
+                    traj = simulate_model(model, spde, setup.grid, drivers, U0b, store=False)
+                    out[kind] = traj.states[-1]
+                if needs_reference:
+                    fine = reference_grid_values(setup.grid.L, setup.spec, paths, spde,
+                                                 cfg.n_fine)
+                    out["reference"] = at_grid_points(fine, cfg.M)
+            except NumericalAbort as exc:
+                # replay context: the member's index in the ensemble and the master seed
+                exc.member += ci * cfg.chunk_size
+                exc.seed = cfg.master_seed
+                raise
+            for a, b in pairs:
+                gap = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))
+                out[f"gap:{a}-{b}"] = gap[None, :]
+            if cache is not None:
+                _flush_chunk(cache, out)
         for k, v in out.items():
             collected.setdefault(k, []).append(v)
 
@@ -649,15 +688,14 @@ def compare_models(cfg: RunConfig) -> dict:
 def _holistic_term_budget(cfg: RunConfig) -> dict:
     """Per-step variance of each holistic noise family, from the weights."""
     setup = build_setup(cfg)
-    spec, proj, grid = setup.spec, setup.proj, setup.grid
-    centre = grid.centre_mode_value
-    W = proj.weights[:, 0, :] * np.sqrt(spec.q)[None, :] * centre   # (M, K+1)
+    grid = setup.grid
+    W = setup.proj.slow_map                                          # (M, K+1)
     cov = W @ W.T
     var_slow = cfg.sigma**2 * np.diag(cov)
     sten = np.roll(np.eye(grid.M), 1, axis=1) - 2 * np.eye(grid.M) + np.roll(np.eye(grid.M), -1, axis=1)
     cov_sten = sten @ cov @ sten.T
     var_sten = (cfg.sigma / 4.0) ** 2 * np.diag(cov_sten)
-    dev = (3.0 * np.sqrt(2.0 * setup.coeffs.qj) * centre) ** 2
+    dev = (3.0 * np.sqrt(2.0 * setup.coeffs.qj) * grid.centre_mode_value) ** 2
     return {
         "slow_driver_variance_rate": var_slow.tolist(),
         "stencil_variance_rate": var_sten.tolist(),

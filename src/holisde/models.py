@@ -33,9 +33,9 @@ import numpy as np
 
 from .averaging import AveragedCoeffs, FastModeStats, MartingaleDriver, martingale_limit_driver
 from .grid import DomainGrid, ElementField
-from .noise import ElementNoiseProjection, NoisePath, QWienerSpec, fourier_basis
+from .noise import ElementNoiseProjection, NoisePath, QWienerSpec
 from .spectral import CoupledOperator, GroundModeExpansion, expansion_fields
-from .dynamics import ModelTrajectory, NumericalAbort, SpdeConfig
+from .dynamics import ModelTrajectory, NumericalAbort, SpdeConfig, _check_finite
 
 __all__ = [
     "ModelDrivers",
@@ -109,15 +109,13 @@ def build_drivers(
 ) -> ModelDrivers:
     """Assemble all driver tables for one noise path.
 
-    The slow and gridpoint tables are deterministic transforms of `path`;
-    the deviation (and, if an expansion is given, auxiliary) Brownian
-    families are drawn from their own seeds so replays stay bitwise.
+    The slow and gridpoint tables are the projection's member-independent
+    maps applied to `path`; the deviation (and, if an expansion is given,
+    auxiliary) Brownian families are drawn from their own seeds so replays
+    stay bitwise.
     """
-    centre = grid.centre_mode_value
-    slow_map = (proj.weights[:, 0, :] * np.sqrt(spec.q)[None, :]) * centre  # (M, K+1)
-    slow = slow_map @ path.increments
-    basis_x = fourier_basis(grid.grid_points, spec.n_modes, grid.L)         # (K+1, M)
-    gridpoint = (basis_x.T * np.sqrt(spec.q)[None, :]) @ path.increments
+    slow = proj.slow_map @ path.increments
+    gridpoint = proj.gridpoint_map @ path.increments
     rng = np.random.default_rng(deviation_seed)
     deviation = rng.standard_normal((grid.M, path.n_steps)) * np.sqrt(path.dt)[None, :]
     aux = None
@@ -177,7 +175,7 @@ def step_model(
     if model.kind == "conventional_fd":
         # drift written term-by-term so the noise-free holistic update (whose
         # linear coefficient then equals alpha exactly) reproduces it bitwise
-        return (U + dt * (_lap(U, grid.h) + cfg.alpha * U - cfg.alpha * U**3)
+        return (U + dt * (_lap(U, grid.h) + cfg.alpha * U - cfg.alpha * (U * U * U))
                 + cfg.sigma * drivers.gridpoint[:, step, ...])
     coeffs = model.coeffs
     g = cfg.gamma if model.kind == "gamma_reduced" else 1.0
@@ -188,7 +186,7 @@ def step_model(
     devb = _expand(g2 * _deviation_coef(coeffs, grid, model.deviation_alpha), U)
     Un = (
         U
-        + dt * (g2 * _lap(U, grid.h) + lin * U - cfg.alpha * U**3)
+        + dt * (g2 * _lap(U, grid.h) + lin * U - cfg.alpha * (U * U * U))
         + (cfg.sigma * g) * dS
         + devb * U * dchk
         + (cfg.sigma * g2 / 4.0) * _stencil(dS)
@@ -236,7 +234,7 @@ def reduced_slow_sde(
     c = op.reduce(ElementField(vals, grid))
     l_centre = (op.Z @ op.apply_reduced(c)).reshape(grid.M, 2, -1)[:, 0, -1]
     s = stats.mean_second_moment
-    cubic = 0.0 if linearize else a**3
+    cubic = 0.0 if linearize else (a * a * a)
     drift = l_centre + cfg.alpha * g * g * a - cfg.alpha * (cubic + 3.0 * g * g * a * s)
     dS = drivers.slow[:, step]
     dchk = drivers.deviation[:, step]
@@ -259,14 +257,14 @@ def simulate_model(
 ) -> ModelTrajectory:
     """Run a discrete model over the whole driver table (built on `grid`).
 
-    Raises NumericalAbort carrying the first step whose state is not finite.
+    Raises NumericalAbort naming the first step whose state is not finite
+    and the first member (column of U) that is not.
     """
     U = np.array(U0, dtype=float)
     out = [U] if store else None
     for i in range(drivers.n_steps):
         U = step_model(model, U, cfg, drivers, i)
-        if not np.all(np.isfinite(U)):
-            raise NumericalAbort(f"non-finite values in {model.kind} model", step=i)
+        _check_finite(U, -1, f"{model.kind} model", i)
         if store:
             out.append(U)
     times = np.concatenate([[0.0], np.cumsum(drivers.dt)])

@@ -185,6 +185,12 @@ class ElementNoiseProjection:
     restriction of mode l to element j; qh[j, l] = sum_k q_k weights^2 is the
     variance rate of the element-mode driver.  lam[l] holds the eigenvalue of
     mode l (used for trace bounds and the averaged coefficients).
+
+    slow_map and gridpoint_map take a path's increments to the grid-model
+    driver tables: the slow element-mode driver at the grid value,
+    sqrt(q_k) <e_k, e_{j,0}> e_{j,0}(X_j), and the pointwise noise
+    sqrt(q_k) e_k(X_j).  Neither depends on the path, so they are built here
+    once.
     """
 
     grid: DomainGrid
@@ -193,6 +199,8 @@ class ElementNoiseProjection:
     qh: np.ndarray                # (M, n_modes)
     lam: np.ndarray               # (n_modes,)
     mode_mask: np.ndarray         # (M, n_modes) False where restriction was negligible
+    slow_map: np.ndarray          # (M, K+1)
+    gridpoint_map: np.ndarray     # (M, K+1)
 
     @property
     def sqrt_q(self) -> np.ndarray:
@@ -263,6 +271,8 @@ def project_to_element_modes(
     weights = np.einsum("kmhi,ij,lmhj->mlk", basis, mb, shapes)
     weights = np.where(mask[:, :, None], weights, 0.0)
     qh = weights**2 @ spec.q
+    sqrt_q = np.sqrt(spec.q)[None, :]
+    basis_x = fourier_basis(grid.grid_points, spec.n_modes, grid.L)    # (K+1, M)
     return ElementNoiseProjection(
         grid=grid,
         q=spec.q,
@@ -270,6 +280,8 @@ def project_to_element_modes(
         qh=qh,
         lam=np.asarray(lam, dtype=float),
         mode_mask=mask,
+        slow_map=(weights[:, 0, :] * sqrt_q) * grid.centre_mode_value,
+        gridpoint_map=basis_x.T * sqrt_q,
     )
 
 

@@ -1,15 +1,20 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import holisde
 from holisde.dynamics import (
     CoupledElementSolver,
     FullSpdeSolver,
+    NumericalAbort,
     SpdeConfig,
     initial_profile,
     slow_fast_decompose,
 )
 from holisde.grid import ElementField, build_grid, inner_product, seminorm
-from holisde.noise import sample_global_path
+from holisde.noise import NoisePath, QWienerSpec, fourier_basis, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
 
@@ -230,3 +235,48 @@ def test_config_validation():
         SpdeConfig(gamma=1.5)
     with pytest.raises(ValueError):
         initial_profile({"kind": "nope"}, 1.0)
+
+
+@pytest.mark.parametrize("n_fine", [256, 16])
+def test_rfft_noise_matches_sampled_basis(n_fine):
+    # 33 modes reach bin 16: unaliased on 256 nodes, folded onto bins <= 8 on 16
+    spec = QWienerSpec.from_decay(33, 3.0)
+    L = 2.0 * np.pi
+    solver = FullSpdeSolver(L, n_fine, spec)
+    db = solver.sqrt_q[:, None] * np.random.default_rng(5).standard_normal((33, 3))
+    direct = np.tensordot(db, fourier_basis(solver.x, 33, L), axes=(0, 0))   # (3, n)
+    for hat, want in ((solver.noise_increment(db), direct),
+                      (solver.noise_increment(db[:, 0]), direct[0])):
+        pad = [(0, 0)] * (hat.ndim - 1) + [(0, n_fine // 2 + 1 - hat.shape[-1])]
+        field = np.fft.irfft(np.pad(hat, pad), n=n_fine, axis=-1)
+        assert np.max(np.abs(field - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_reference_simulate_batch_shape(qspec):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
+    solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
+    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(3)]
+    u = solver.simulate(cfg, paths)
+    assert u.shape == (64, 3)
+
+
+def test_abort_names_first_nonfinite_member(grid8, qspec):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
+    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(3)]
+    paths[1] = NoisePath(paths[1].times, 1e200 * paths[1].increments)
+    solvers = (FullSpdeSolver(grid8.L, 64, qspec),
+               CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt))
+    for solver in solvers:
+        with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+            solver.simulate(cfg, paths)
+        assert err.value.member == 1
+        assert err.value.step == 1
+
+
+def test_no_cube_by_pow():
+    # `x**3` takes numpy's generic pow loop; every cube is written x * x * x
+    src = Path(holisde.__file__).parent
+    hits = [f"{p.name}:{i}" for p in sorted(src.glob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if re.search(r"\*\*\s*3", line)]
+    assert hits == []

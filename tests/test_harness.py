@@ -122,6 +122,19 @@ def test_resume_uses_flushed_chunks(tmp_path):
         assert np.array_equal(s1.mean(name), s2.mean(name))
 
 
+def test_resume_recomputes_truncated_chunk(tmp_path):
+    cfg = RunConfig(**{**FAST, "out_dir": str(tmp_path)})
+    fresh = run_ensemble(cfg)
+    run_ensemble(cfg, out_dir=tmp_path)
+    cache = sorted((tmp_path / f"members_{cfg.digest()}").glob("chunk_*.npz"))
+    cache[1].write_bytes(cache[1].read_bytes()[:200])       # a flush cut short
+    resumed = run_ensemble(cfg, out_dir=tmp_path)
+    for name in fresh.observables:
+        for key in ("mean", "var", "stderr"):
+            assert np.array_equal(fresh.observables[name][key], resumed.observables[name][key])
+    assert not list(cache[1].parent.glob("*.tmp"))
+
+
 def test_sigma_zero_models_identical_in_report():
     cfg = RunConfig(**{**FAST, "sigma": 0.0, "ensemble": 2})
     report = compare_models(cfg)
@@ -223,6 +236,20 @@ def test_cli_simulate_is_ensemble_member_zero(tmp_path):
     assert np.array_equal(rows[-1, 1:], run_ensemble(cfg).mean("holistic"))
 
 
+def test_cli_simulate_keeps_final_time(tmp_path):
+    # 4001 steps are written with stride 2, so T is not on the stride
+    cfg = RunConfig(**{**FAST, "dt": 1e-4, "T": 0.4001, "ensemble": 1,
+                       "model_kinds": ("holistic",)})
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(cfg.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(cfgp), "--out", str(out), "simulate"]) == 0
+    lines = (out / "trajectory_holistic.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows[-1, 0] == pytest.approx(cfg.T)
+    assert np.array_equal(rows[-1, 1:], run_ensemble(cfg).mean("holistic"))
+
+
 def test_cli_eig_sweep(tmp_path):
     cfgp = _write_cfg(tmp_path, kmax=6)
     out = tmp_path / "out"
@@ -252,6 +279,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["--config", str(cfgp), "--sweep", "bogus", "coeffs"]) == 2
     assert cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out"),
                      "--sweep", "dt=0.1,0.05,0.025", "converge", "--study", "lambda0"]) == 2
+    cases = [({"initial": {"kind": "bogus"}}, "simulate"),
+             ({"n_levels": 0}, "coeffs"),
+             ({"q_list": [1.0] * 16}, "coeffs"),
+             ({"chunk_size": 0}, "compare")]
+    for override, verb in cases:
+        bad.write_text(json.dumps({**json.loads(RunConfig(**FAST).to_json()), **override}),
+                       encoding="utf-8")
+        assert cli_main(["--config", str(bad), "--out", str(tmp_path / "out"), verb]) == 2
 
 
 def test_cli_seed_override_changes_digest(tmp_path):

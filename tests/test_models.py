@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holisde.averaging import AveragedCoeffs, averaged_coeffs, ou_stationary_stats
-from holisde.dynamics import SpdeConfig, initial_profile
+from holisde.dynamics import NumericalAbort, SpdeConfig, initial_profile
 from holisde.grid import build_grid
 from holisde.models import (
     DiscreteModel,
@@ -346,3 +346,15 @@ def test_model_kind_validation(proj8, eig0_8):
         DiscreteModel("nope")
     with pytest.raises(ValueError):
         DiscreteModel("holistic")  # missing coefficients
+
+
+def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
+    d = _drivers(grid8, qspec, proj8, cfg)
+    blown = np.stack([d.slow, 1e200 * d.slow, d.slow], axis=-1)
+    drivers = _manual_drivers(grid8, {"slow": blown}, cfg.dt)
+    model = DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        simulate_model(model, cfg, grid8, drivers, np.zeros((grid8.M, 3)))
+    assert err.value.member == 1
+    assert err.value.step == 1
