@@ -50,6 +50,7 @@ from .models import (
     build_drivers,
     reduced_slow_sde,
     simulate_model,
+    simulate_models,
     step_model,
 )
 from .harness import (

@@ -20,8 +20,9 @@ that advances a member batch in lock step; a single run is a batch of one.
 The reference steps a member-major state (R, n), so both FFTs run along
 the contiguous axis, and adds its noise in rfft space: the Fourier noise
 modes are exact DFT bins of the fine grid.  The coupled solver carries
-the members on a trailing axis.  Each loop checks finiteness once per step
-and raises NumericalAbort naming the step and the first non-finite member.
+the members on a trailing axis and applies weak-load maps built once.
+Each loop checks finiteness once per step and raises NumericalAbort naming
+the step and the first non-finite member.
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ class CoupledElementSolver:
         grid = op.grid
         self.grid = grid
         nodes = np.mod(grid.all_nodes(), grid.L)
-        self.basis = fourier_basis(nodes, spec.n_modes, grid.L)  # (K+1, M, 2, n+1)
+        basis = fourier_basis(nodes, spec.n_modes, grid.L).reshape(spec.n_modes, -1)
+        self.load = op.gamma * (op.ZtM @ basis.T)                  # (nred, K+1)
         self.sqrt_q = np.sqrt(spec.q)
         self._semi_lu = spla.splu((op.M_red + self.dt * op.K_red).tocsc())
 
@@ -240,10 +242,10 @@ class CoupledElementSolver:
 
         db holds sqrt(q)-weighted global coefficients, (K+1,) or (K+1, R).
         The increment field is gamma times the restriction of the global
-        increment to every element, weak-projected through Z^T M.
+        increment to every element, weak-projected through Z^T M: the
+        precomputed load map gamma Z^T M basis, (nred, K+1).
         """
-        dw = np.einsum("k...,kmhi->mhi...", db, self.basis)      # (M, 2, n+1[, R])
-        return self.op.gamma * self.op.weak_rhs(dw)
+        return self.load @ db
 
     def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise_rhs: np.ndarray) -> np.ndarray:
         """One step in reduced coordinates; c may be (nred,) or (nred, R)."""

@@ -30,7 +30,7 @@ from .dynamics import (
     initial_profile,
 )
 from .grid import DomainGrid, build_grid
-from .models import DiscreteModel, ModelDrivers, simulate_model
+from .models import DiscreteModel, ModelDrivers, simulate_model, simulate_models
 from .noise import QWienerSpec, sample_global_path
 
 __all__ = [
@@ -271,7 +271,7 @@ def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
         path_ss, dev_ss, _ = member_streams(ss)
         path = sample_global_path(setup.spec, times, path_ss) if paths is None else paths[r]
         drawn.append(path)
-        tables.append(models.build_drivers(setup.grid, setup.spec, setup.proj, path, dev_ss))
+        tables.append(models.build_drivers(setup.grid, setup.proj, path, dev_ss))
     stack = lambda name: np.stack([getattr(d, name) for d in tables], axis=-1)
     drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=stack("slow"),
                            gridpoint=stack("gridpoint"), deviation=stack("deviation"))
@@ -362,16 +362,14 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     they finish (when out_dir is given) and picked up on resume, keyed by
     the config digest; a chunk file is renamed into place only once written
     whole, and one that cannot be read or does not fit the chunk is
-    recomputed.
+    recomputed.  The setup is built only if some chunk must be computed.
     """
-    setup = build_setup(cfg)
-    spde = setup.cfg.spde()
+    spde = cfg.spde()
     times = spde.times()
     R = cfg.ensemble
     seeds = member_seeds(cfg.master_seed, R)
     needs_reference = "reference" in cfg.model_kinds
     model_kinds = [k for k in dict.fromkeys(cfg.model_kinds) if k != "reference"]
-    U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
 
     flush_dir = None
     if out_dir is not None:
@@ -383,19 +381,22 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     keys = names + [f"gap:{a}-{b}" for a, b in pairs]
     chunks = [seeds[i : i + cfg.chunk_size] for i in range(0, R, cfg.chunk_size)]
     collected: dict[str, list] = {}
+    setup = None                    # built only once a chunk must be computed
     for ci, chunk in enumerate(chunks):
         cache = flush_dir / f"chunk_{ci:04d}.npz" if flush_dir else None
         out = _load_chunk(cache, keys, len(chunk)) if cache is not None else None
         if out is None:
+            if setup is None:
+                setup = build_setup(cfg)
+                U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
+                grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
+                                             deviation_alpha=cfg.deviation_alpha)
+                               for kind in model_kinds]
             drivers, paths = batch_driver_tables(setup, chunk, times)
             U0b = np.repeat(U0[:, None], len(chunk), axis=1)
-            out = {}
             try:
-                for kind in model_kinds:
-                    model = DiscreteModel(kind=kind, coeffs=setup.coeffs,
-                                          deviation_alpha=cfg.deviation_alpha)
-                    traj = simulate_model(model, spde, setup.grid, drivers, U0b, store=False)
-                    out[kind] = traj.states[-1]
+                trajs = simulate_models(grid_models, spde, drivers, U0b) if grid_models else []
+                out = {kind: traj.states[-1] for kind, traj in zip(model_kinds, trajs)}
                 if needs_reference:
                     fine = reference_grid_values(setup.grid.L, setup.spec, paths, spde,
                                                  cfg.n_fine)

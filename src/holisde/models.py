@@ -1,7 +1,6 @@
 """Discrete grid-value SDE models of the reaction-diffusion dynamics.
 
-Four models evolve the vector (U_1 .. U_M) of grid values, all stepped by
-`step_model`:
+Four models evolve the vector (U_1 .. U_M) of grid values:
 
 * conventional finite differences: second-difference stencil, bare cubic
   reaction, noise evaluated pointwise at the grid points;
@@ -20,8 +19,12 @@ Four models evolve the vector (U_1 .. U_M) of grid values, all stepped by
   truncation: they evaluate the same expression at g = 1, so the
   gamma-expanded model at gamma = 1 reproduces them bitwise.
 
-All models are Ito Euler-Maruyama updates and accept a trailing ensemble
-axis on the state and the driver tables.
+All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
+alpha U^3) + dev U dbeta_check + noise with per-kind coefficients.
+`simulate_models` steps several kinds on a leading kind axis in one time
+loop, with the U-independent noise precomputed in blocks; `simulate_model`
+is a batch of one kind.  States and driver tables may carry a trailing
+ensemble axis.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .averaging import AveragedCoeffs, FastModeStats, MartingaleDriver, martingale_limit_driver
 from .grid import DomainGrid, ElementField
-from .noise import ElementNoiseProjection, NoisePath, QWienerSpec
+from .noise import ElementNoiseProjection, NoisePath
 from .spectral import CoupledOperator, GroundModeExpansion, expansion_fields
 from .dynamics import ModelTrajectory, NumericalAbort, SpdeConfig, _check_finite
 
@@ -44,6 +47,7 @@ __all__ = [
     "step_model",
     "reduced_slow_sde",
     "simulate_model",
+    "simulate_models",
     "MODEL_KINDS",
 ]
 
@@ -98,7 +102,6 @@ class ModelDrivers:
 
 def build_drivers(
     grid: DomainGrid,
-    spec: QWienerSpec,
     proj: ElementNoiseProjection,
     path: NoisePath,
     deviation_seed,
@@ -128,14 +131,7 @@ def build_drivers(
                         deviation=deviation, aux=aux)
 
 
-def _lap(U: np.ndarray, h: float) -> np.ndarray:
-    """Periodic second difference (U_{j-1} - 2 U_j + U_{j+1}) / h^2."""
-    return (np.roll(U, 1, axis=0) - 2.0 * U + np.roll(U, -1, axis=0)) / h**2
-
-
-def _stencil(d: np.ndarray) -> np.ndarray:
-    """Neighbour second difference of a driver table slice: d_{j-1} - 2 d_j + d_{j+1}."""
-    return np.roll(d, 1, axis=0) - 2.0 * d + np.roll(d, -1, axis=0)
+_BLOCK = 64   # steps per precomputed noise block: a whole-run table would grow the RSS
 
 
 def _deviation_coef(coeffs: AveragedCoeffs, grid: DomainGrid, deviation_alpha: bool) -> np.ndarray:
@@ -144,67 +140,79 @@ def _deviation_coef(coeffs: AveragedCoeffs, grid: DomainGrid, deviation_alpha: b
     return coeffs.alpha * c if deviation_alpha else c
 
 
-def _expand(coef: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Broadcast per-element coefficients over a possible ensemble axis."""
-    return coef[:, None] if like.ndim > 1 else coef
+def _kind_terms(model: DiscreteModel, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
+    """(stencil weight g^2, linear coefficient, deviation coefficient, noise families).
+
+    A noise family (w, s, d) adds w d_j + s (d_{j-1} - 2 d_j + d_{j+1}).
+    conventional_fd is the shared update with a unit stencil weight, lin =
+    alpha, no deviation term and bare pointwise drivers, so the sigma = 0
+    holistic model (hat_alpha = alpha, Q_j = 0) reproduces it bitwise.  Others
+    weight each term by its gamma order: O(gamma) slow driver; O(gamma^2)
+    stencil, averaged linear drift, deviation term and noise stencil; with
+    truncate=False also the auxiliary driver at O(gamma^2), and its stencil
+    and the deviation stencil (zero on a uniform grid) at O(gamma^3).  The
+    holistic models use g = 1, exact in floating point, so gamma_reduced at
+    gamma = 1 has their terms bitwise; holistic_intro reads the pointwise
+    drivers W(X_j, .) in place of the slow ones.
+    """
+    grid = drivers.grid
+    if model.kind == "conventional_fd":
+        return (1.0, np.full(grid.M, cfg.alpha), np.zeros(grid.M),
+                [(cfg.sigma, 0.0, drivers.gridpoint)])
+    coeffs = model.coeffs
+    g = cfg.gamma if model.kind == "gamma_reduced" else 1.0
+    g2 = g * g
+    dS = drivers.gridpoint if model.kind == "holistic_intro" else drivers.slow
+    dev = g2 * _deviation_coef(coeffs, grid, model.deviation_alpha)
+    families = [(cfg.sigma * g, cfg.sigma * g2 / 4.0, dS)]
+    if model.kind == "gamma_reduced" and not model.truncate:
+        if drivers.aux is None:
+            raise ValueError("gamma_reduced without truncation needs auxiliary drivers")
+        g3 = g2 * g
+        ev = np.full(grid.M, grid.centre_mode_value)
+        dev = dev + (3.0 * np.sqrt(2.0) / 4.0) * g3 * np.sqrt(coeffs.qj) * (
+            np.roll(ev, 1) - 2.0 * ev + np.roll(ev, -1))
+        families.append((cfg.sigma * g2, cfg.sigma * g3 / 4.0,       # B_hat at grid value
+                         drivers.aux * grid.centre_mode_value))
+    return g2, g2 * coeffs.hat_alpha, dev, families
+
+
+def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers, ndim: int) -> tuple:
+    """(step, noise) of several kinds on a leading kind axis, state (K, M[, R]).
+
+    noise(i0, i1) holds the U-independent increments of steps i0 .. i1 - 1,
+    time-major (B, K, M[, R]); step(U, dt, dchk, noise_i) is one Ito
+    Euler-Maruyama step, dchk the deviation increments (M[, R]).  The
+    neighbours j -+ 1 are precomputed periodic indices.
+    """
+    parts = [_kind_terms(m, cfg, drivers) for m in models]
+    shape = (len(parts), -1) + (1,) * (ndim - 1)
+    wl, lin, dev = (np.reshape([p[i] for p in parts], shape) for i in range(3))
+    prev, nxt = np.roll(np.arange(drivers.grid.M), 1), np.roll(np.arange(drivers.grid.M), -1)
+    h2, alpha = drivers.grid.h**2, cfg.alpha
+
+    def family(w, s, d):                                          # d is (M, B[, R])
+        return w * d + s * (d[prev] - 2.0 * d + d[nxt])
+
+    def noise(i0, i1):
+        return np.moveaxis(np.stack([sum(family(w, s, d[:, i0:i1]) for w, s, d in p[3])
+                                     for p in parts]), 2, 0)
+
+    def step(U, dt, dchk, noise_i):
+        lap = (np.take(U, prev, axis=1) - 2.0 * U + np.take(U, nxt, axis=1)) / h2
+        return U + dt * (wl * lap + lin * U - alpha * (U * U * U)) + dev * U * dchk + noise_i
+
+    return step, noise
 
 
 def step_model(
     model: DiscreteModel, U: np.ndarray, cfg: SpdeConfig, drivers: ModelDrivers, step: int
 ) -> np.ndarray:
-    """One Ito Euler-Maruyama step of any discrete model; U is (M,) or (M, R).
-
-    conventional_fd: plain stencil, bare cubic reaction, pointwise noise.
-
-    holistic, holistic_intro and gamma_reduced share one update whose terms
-    carry their gamma order: O(gamma) slow driver; O(gamma^2) diffusion
-    stencil, averaged linear drift, deviation term and noise stencil.  The
-    holistic models evaluate it at g = 1, where every factor is exact in
-    floating point, so gamma_reduced at gamma = 1 is the holistic update
-    bitwise.  holistic_intro swaps the slow drivers for the pointwise
-    evaluations W(X_j, .); the two agree up to O(h, gamma).
-
-    gamma_reduced with truncate=False adds the auxiliary driver at
-    O(gamma^2) and the O(gamma^3) auxiliary and deviation stencils.  The
-    deviation stencil combines the same beta_check_j scaled by the neighbour
-    centre-mode values, which cancel on a uniform grid; the auxiliary
-    stencil combines the neighbour elements' drivers.
-    """
-    dt = drivers.dt[step]
-    grid = drivers.grid
-    if model.kind == "conventional_fd":
-        # drift written term-by-term so the noise-free holistic update (whose
-        # linear coefficient then equals alpha exactly) reproduces it bitwise
-        return (U + dt * (_lap(U, grid.h) + cfg.alpha * U - cfg.alpha * (U * U * U))
-                + cfg.sigma * drivers.gridpoint[:, step, ...])
-    coeffs = model.coeffs
-    g = cfg.gamma if model.kind == "gamma_reduced" else 1.0
-    g2 = g * g
-    dS = (drivers.gridpoint if model.kind == "holistic_intro" else drivers.slow)[:, step, ...]
-    dchk = drivers.deviation[:, step, ...]
-    lin = _expand(g2 * coeffs.hat_alpha, U)
-    devb = _expand(g2 * _deviation_coef(coeffs, grid, model.deviation_alpha), U)
-    Un = (
-        U
-        + dt * (g2 * _lap(U, grid.h) + lin * U - cfg.alpha * (U * U * U))
-        + (cfg.sigma * g) * dS
-        + devb * U * dchk
-        + (cfg.sigma * g2 / 4.0) * _stencil(dS)
-    )
-    if model.kind != "gamma_reduced" or model.truncate:
-        return Un
-    if drivers.aux is None:
-        raise ValueError("gamma_reduced without truncation needs auxiliary drivers")
-    g3 = g2 * g
-    daux = drivers.aux[:, step, ...] * grid.centre_mode_value   # B_hat at grid value
-    ev = np.full(grid.M, grid.centre_mode_value)
-    dev_sten = _expand(np.sqrt(coeffs.qj) * (np.roll(ev, 1) - 2.0 * ev + np.roll(ev, -1)), U)
-    return (
-        Un
-        + (cfg.sigma * g2) * daux
-        + (cfg.sigma * g3 / 4.0) * _stencil(daux)
-        + (3.0 * np.sqrt(2.0) / 4.0) * g3 * U * dev_sten * dchk
-    )
+    """One Ito Euler-Maruyama step of any discrete model; U is (M,) or (M, R)."""
+    U = np.asarray(U, dtype=float)
+    advance, noise = _stacked_kernel([model], cfg, drivers, U.ndim)
+    return advance(U[None], drivers.dt[step], drivers.deviation[:, step],
+                   noise(step, step + 1)[0])[0]
 
 
 def reduced_slow_sde(
@@ -247,6 +255,39 @@ def reduced_slow_sde(
     return out
 
 
+def simulate_models(
+    models,
+    cfg: SpdeConfig,
+    drivers: ModelDrivers,
+    U0: np.ndarray,
+    store: bool = False,
+) -> list:
+    """One ModelTrajectory per model, all stepped from U0 (M[, R]) in one loop.
+
+    Each kind's values are those of a run on its own.  Raises NumericalAbort
+    naming the kind, the first non-finite step and its first non-finite
+    member (column of U).
+    """
+    U0 = np.asarray(U0, dtype=float)
+    advance, noise = _stacked_kernel(models, cfg, drivers, U0.ndim)
+    U = np.repeat(U0[None], len(models), axis=0)
+    out = [U] if store else None
+    for i in range(drivers.n_steps):
+        if i % _BLOCK == 0:
+            block = noise(i, i + _BLOCK)
+        U = advance(U, drivers.dt[i], drivers.deviation[:, i], block[i % _BLOCK])
+        if not np.isfinite(U).all():
+            k = int(np.argmin(np.isfinite(U).reshape(len(models), -1).all(axis=1)))
+            _check_finite(U[k], -1, f"{models[k].kind} model", i)
+        if store:
+            out.append(U)
+    times = np.concatenate([[0.0], np.cumsum(drivers.dt)])
+    states = np.asarray(out) if store else U[None, ...]
+    return [ModelTrajectory(times if store else times[-1:], states[:, k],
+                            {"model": m.kind, "gamma": cfg.gamma})
+            for k, m in enumerate(models)]
+
+
 def simulate_model(
     model: DiscreteModel,
     cfg: SpdeConfig,
@@ -255,19 +296,8 @@ def simulate_model(
     U0: np.ndarray,
     store: bool = True,
 ) -> ModelTrajectory:
-    """Run a discrete model over the whole driver table (built on `grid`).
+    """Run one discrete model over the whole driver table (built on `grid`).
 
-    Raises NumericalAbort naming the first step whose state is not finite
-    and the first member (column of U) that is not.
+    A batch of one kind of `simulate_models`.
     """
-    U = np.array(U0, dtype=float)
-    out = [U] if store else None
-    for i in range(drivers.n_steps):
-        U = step_model(model, U, cfg, drivers, i)
-        _check_finite(U, -1, f"{model.kind} model", i)
-        if store:
-            out.append(U)
-    times = np.concatenate([[0.0], np.cumsum(drivers.dt)])
-    states = np.asarray(out) if store else U[None, ...]
-    return ModelTrajectory(times if store else times[-1:], states,
-                           {"model": model.kind, "gamma": cfg.gamma})
+    return simulate_models([model], cfg, drivers, U0, store)[0]

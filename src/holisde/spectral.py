@@ -107,8 +107,9 @@ def _constraint_basis(grid: DomainGrid, gamma: float) -> sp.csr_matrix:
 class CoupledOperator:
     """Assembled coupled operator at a fixed coupling strength.
 
-    Holds the constraint injection Z and the reduced Galerkin pair; the
-    operator action L u is the weak second derivative: solve
+    Holds the constraint injection Z, the reduced Galerkin pair and the
+    weak load map ZtM = Z^T (I x M_b) from nodal values to reduced loads;
+    the operator action L u is the weak second derivative: solve
     M_red c' = -K_red c and map back through Z.
     """
 
@@ -117,6 +118,7 @@ class CoupledOperator:
     Z: sp.csr_matrix
     K_red: sp.csc_matrix
     M_red: sp.csc_matrix
+    ZtM: sp.csr_matrix
     _mass_lu: Optional[spla.SuperLU] = field(default=None, repr=False)
 
     @property
@@ -135,13 +137,11 @@ class CoupledOperator:
 
     def reduce(self, u: ElementField) -> np.ndarray:
         """H-projection of a nodal field onto the constrained subspace."""
-        mu = np.einsum("ij,mhj->mhi", self.grid.mass_block, u.values).reshape(-1)
-        return self._lu().solve(self.Z.T @ mu)
+        return self._lu().solve(self.weak_rhs(u.values))
 
     def weak_rhs(self, u_values: np.ndarray) -> np.ndarray:
         """Z^T M u for a nodal field (M, 2, n+1[, R]) -> reduced load (nred[, R])."""
-        mu = np.einsum("ij,mhj...->mhi...", self.grid.mass_block, u_values)
-        return self.Z.T @ mu.reshape((self.grid.ndof,) + u_values.shape[3:])
+        return self.ZtM @ u_values.reshape((self.grid.ndof,) + u_values.shape[3:])
 
     # -- operator action ----------------------------------------------------
 
@@ -171,9 +171,11 @@ def assemble_operator(grid: DomainGrid, gamma: float) -> CoupledOperator:
     Mg = sp.block_diag([sp.csr_matrix(mb)] * (2 * M), format="csr")
     Kg = sp.block_diag([sp.csr_matrix(kb)] * (2 * M), format="csr")
     Z = _constraint_basis(grid, gamma)
+    ZtM = Z.T @ Mg
     K_red = (Z.T @ Kg @ Z).tocsc()
-    M_red = (Z.T @ Mg @ Z).tocsc()
-    return CoupledOperator(grid=grid, gamma=float(gamma), Z=Z, K_red=K_red, M_red=M_red)
+    M_red = (ZtM @ Z).tocsc()
+    return CoupledOperator(grid=grid, gamma=float(gamma), Z=Z, K_red=K_red, M_red=M_red,
+                           ZtM=ZtM.tocsr())
 
 
 def _cluster(eigenvalues: np.ndarray, grid: DomainGrid) -> list[tuple[int, int]]:

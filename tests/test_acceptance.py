@@ -221,7 +221,7 @@ def test_criterion_10_model_identity_gates():
     cfg0 = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.1)
     path0 = sample_global_path(spec, cfg0.times(), 41)
     co0 = averaged_coeffs(proj, eig0, 1.0, 0.0)
-    d0 = build_drivers(grid, spec, proj, path0, deviation_seed=43)
+    d0 = build_drivers(grid, proj, path0, deviation_seed=43)
     a_fd = simulate_model(DiscreteModel("conventional_fd"), cfg0, grid, d0, U0)
     a_h = simulate_model(DiscreteModel("holistic", coeffs=co0), cfg0, grid, d0, U0)
     gate_a = np.array_equal(a_fd.states, a_h.states)
@@ -230,7 +230,7 @@ def test_criterion_10_model_identity_gates():
     cfg1 = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.1)
     path1 = sample_global_path(spec, cfg1.times(), 47)
     co = averaged_coeffs(proj, eig0, 1.0, 0.5)
-    d1 = build_drivers(grid, spec, proj, path1, deviation_seed=53)
+    d1 = build_drivers(grid, proj, path1, deviation_seed=53)
     b_h = simulate_model(DiscreteModel("holistic", coeffs=co), cfg1, grid, d1, U0)
     b_g = simulate_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=True),
                          cfg1, grid, d1, U0)

@@ -273,6 +273,29 @@ def test_abort_names_first_nonfinite_member(grid8, qspec):
         assert err.value.step == 1
 
 
+@pytest.mark.parametrize("members", [None, 3])
+def test_coupled_maps_match_einsum_oracle(grid8, qspec, members):
+    op = assemble_operator(grid8, 0.7)
+    solver = CoupledElementSolver(op, qspec, 1e-3)
+    rng = np.random.default_rng(8)
+    tail = () if members is None else (members,)
+    mb = grid8.mass_block
+
+    def oracle_load(u):                                   # Z^T (I x M_b) u
+        mu = np.einsum("ij,mhj...->mhi...", mb, u)
+        return op.Z.T @ mu.reshape((grid8.ndof,) + u.shape[3:])
+
+    u = rng.standard_normal(grid8.all_nodes().shape + tail)
+    want = oracle_load(u)
+    assert np.max(np.abs(op.weak_rhs(u) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    db = rng.standard_normal((qspec.n_modes,) + tail)
+    db *= solver.sqrt_q.reshape((-1,) + (1,) * len(tail))
+    basis = fourier_basis(np.mod(grid8.all_nodes(), grid8.L), qspec.n_modes, grid8.L)
+    want = op.gamma * oracle_load(np.einsum("k...,kmhi->mhi...", db, basis))
+    assert np.max(np.abs(solver.noise_rhs(db) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_no_cube_by_pow():
     # `x**3` takes numpy's generic pow loop; every cube is written x * x * x
     src = Path(holisde.__file__).parent

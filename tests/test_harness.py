@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from holisde import noise
 from holisde.cli import main as cli_main
 from holisde.harness import (
     ConfigError,
@@ -69,7 +70,7 @@ def test_single_member_matches_direct_simulation():
     ss = member_seeds(cfg.master_seed, 1)[0]
     path_ss, dev_ss, _ = member_streams(ss)
     path = sample_global_path(setup.spec, spde.times(), path_ss)
-    drivers = build_drivers(setup.grid, setup.spec, setup.proj, path, dev_ss)
+    drivers = build_drivers(setup.grid, setup.proj, path, dev_ss)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
     traj = simulate_model(DiscreteModel("holistic", coeffs=setup.coeffs), spde,
                           setup.grid, drivers, U0, store=False)
@@ -120,6 +121,20 @@ def test_resume_uses_flushed_chunks(tmp_path):
     assert {p: p.stat().st_mtime_ns for p in cache} == mtimes  # untouched
     for name in s1.observables:
         assert np.array_equal(s1.mean(name), s2.mean(name))
+
+
+def test_full_resume_builds_no_setup(tmp_path, monkeypatch):
+    cfg = RunConfig(**FAST)
+    first = run_ensemble(cfg, out_dir=tmp_path)
+    calls = []
+    project = noise.project_to_element_modes
+    monkeypatch.setattr(noise, "project_to_element_modes",
+                        lambda *a, **k: calls.append(1) or project(*a, **k))
+    again = run_ensemble(cfg, out_dir=tmp_path)
+    assert calls == []
+    for name in first.observables:
+        for key in ("mean", "var", "stderr"):
+            assert np.array_equal(first.observables[name][key], again.observables[name][key])
 
 
 def test_resume_recomputes_truncated_chunk(tmp_path):

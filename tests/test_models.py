@@ -10,6 +10,7 @@ from holisde.models import (
     build_drivers,
     reduced_slow_sde,
     simulate_model,
+    simulate_models,
     step_model,
 )
 from holisde.noise import sample_global_path
@@ -22,7 +23,7 @@ def _coeffs(proj8, eig0_8, alpha=1.0, sigma=0.5):
 
 def _drivers(grid, qspec, proj, cfg, seed=0, dev_seed=1, **kw):
     path = sample_global_path(qspec, cfg.times(), seed)
-    return build_drivers(grid, qspec, proj, path, deviation_seed=dev_seed, **kw)
+    return build_drivers(grid, proj, path, deviation_seed=dev_seed, **kw)
 
 
 def _manual_drivers(grid, tables, dt):
@@ -358,3 +359,56 @@ def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8):
         simulate_model(model, cfg, grid8, drivers, np.zeros((grid8.M, 3)))
     assert err.value.member == 1
     assert err.value.step == 1
+
+
+def _member_batch(grid, qspec, proj, cfg, seeds, **kw):
+    """Driver tables, with auxiliary drivers, of several members on a trailing axis."""
+    ds = [_drivers(grid, qspec, proj, cfg, seed=s, dev_seed=s + 100, aux_seed=s + 200, **kw)
+          for s in seeds]
+    stack = lambda name: np.stack([getattr(d, name) for d in ds], axis=-1)
+    return ModelDrivers(grid=grid, dt=ds[0].dt, slow=stack("slow"), gridpoint=stack("gridpoint"),
+                        deviation=stack("deviation"), aux=stack("aux"))
+
+
+@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("store", [True, False])
+def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, store):
+    # 150 steps cross two precomputed driver blocks and end inside a third
+    co = _coeffs(proj8, eig0_8)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.15)
+    aux = dict(stats=ou_stationary_stats(proj8, eig0_8, 0.5), eig0=eig0_8,
+               expansion=_expansion(grid8, 0.5))
+    if members is None:
+        drv = _drivers(grid8, qspec, proj8, cfg, seed=31, aux_seed=37, **aux)
+    else:
+        drv = _member_batch(grid8, qspec, proj8, cfg, range(members), **aux)
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    if members is not None:
+        U0 = np.repeat(U0[:, None], members, axis=1)
+    models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
+              DiscreteModel("holistic_intro", coeffs=co),
+              DiscreteModel("gamma_reduced", coeffs=co, truncate=False)]
+    stacked = simulate_models(models, cfg, drv, U0, store=store)
+    for model, traj in zip(models, stacked):
+        alone = simulate_model(model, cfg, grid8, drv, U0, store=store)
+        assert traj.provenance == alone.provenance
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.states, alone.states)
+    assert stacked[0].states.shape == (drv.n_steps + 1 if store else 1,) + U0.shape
+
+
+def test_stacked_abort_names_kind_step_and_member(grid8, qspec, proj8, eig0_8):
+    # only the holistic model reads the slow drivers, and only member 1's blow up
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
+    d = _drivers(grid8, qspec, proj8, cfg)
+    slow = np.stack([d.slow, 1e200 * d.slow, d.slow], axis=-1)
+    gridpoint = np.repeat(d.gridpoint[..., None], 3, axis=-1)
+    drivers = _manual_drivers(grid8, {"slow": slow, "gridpoint": gridpoint}, cfg.dt)
+    models = [DiscreteModel("conventional_fd"),
+              DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))]
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        simulate_models(models, cfg, drivers, np.zeros((grid8.M, 3)))
+    assert "holistic model" in str(err.value)
+    assert "conventional_fd" not in str(err.value)
+    assert err.value.step == 1
+    assert err.value.member == 1
