@@ -12,7 +12,6 @@ from .grid import DomainGrid, ElementField, build_grid, inner_product, seminorm
 from .noise import (
     NoisePath,
     QWienerSpec,
-    element_noise_increment,
     fourier_basis,
     project_to_element_modes,
     sample_global_path,
@@ -31,7 +30,6 @@ from .averaging import (
     AveragedCoeffs,
     FastModeStats,
     averaged_coeffs,
-    averaged_drift,
     compute_qj,
     martingale_limit_driver,
     ou_stationary_stats,
@@ -42,16 +40,13 @@ from .dynamics import (
     ModelTrajectory,
     NumericalAbort,
     SpdeConfig,
-    slow_fast_decompose,
 )
 from .models import (
     DiscreteModel,
     ModelDrivers,
     build_drivers,
     reduced_slow_sde,
-    simulate_model,
     simulate_models,
-    step_model,
 )
 from .harness import (
     ConfigError,

@@ -41,11 +41,9 @@ __all__ = [
     "AveragedCoeffs",
     "MartingaleDriver",
     "ou_stationary_stats",
-    "averaged_drift",
     "compute_qj",
     "martingale_limit_driver",
     "averaged_coeffs",
-    "ou_integrated_variance",
     "mc_qj_estimate",
     "hat_alpha_from_tables",
     "qj_from_tables",
@@ -62,8 +60,7 @@ class FastModeStats:
     Per element j and retained fast mode k: OU rate lam[k], drive variance
     rate qh[j, k] and stationary variance v[j, k] = sigma^2 qh/(2 lam).
     field_second_moment samples E eta^2(x) on the subgrid; its element
-    mean feeds the averaged drift, and its centre value is kept as a
-    pointwise diagnostic.
+    mean feeds the averaged drift.
     """
 
     grid: DomainGrid
@@ -74,7 +71,6 @@ class FastModeStats:
     mode_indices: np.ndarray         # indices into the analytic mode family
     field_second_moment: np.ndarray  # (M, 2, n+1)
     mean_second_moment: np.ndarray   # (M,) element average of E eta^2
-    centre_second_moment: np.ndarray  # (M,) E eta^2(X_j)
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ def ou_stationary_stats(
     mb = grid.mass_block
     ones = np.ones((2, grid.subgrid_n + 1))
     mean = np.einsum("mhi,ij,hj->m", field, mb, ones) / (2.0 * grid.h)
-    centre = field[:, 0, -1].copy()
     return FastModeStats(
         grid=grid,
         sigma=float(sigma),
@@ -136,18 +131,7 @@ def ou_stationary_stats(
         mode_indices=keep,
         field_second_moment=field,
         mean_second_moment=mean,
-        centre_second_moment=centre,
     )
-
-
-def averaged_drift(u_bar: np.ndarray, stats: FastModeStats) -> np.ndarray:
-    """Averaged cubic drift -(u^3 + 3 u E eta^2) per element.
-
-    The Gaussian fast field has zero odd moments, so averaging the cubic
-    over its stationary law leaves exactly the 3 u E eta^2 correction.
-    """
-    u = np.asarray(u_bar, dtype=float)
-    return -((u * u * u) + 3.0 * u * stats.mean_second_moment)
 
 
 def compute_qj(
@@ -227,22 +211,8 @@ def qj_from_tables(
 
 
 # ---------------------------------------------------------------------------
-# Ornstein-Uhlenbeck helpers and the Monte-Carlo oracle for Q_j
+# exact Ornstein-Uhlenbeck sampler and the Monte-Carlo oracle for Q_j
 # ---------------------------------------------------------------------------
-
-
-def ou_integrated_variance(
-    lam: float, qh: float, sigma: float, gamma: float, t_prime: float
-) -> float:
-    """Exact variance of (1/gamma) int_0^{t'} eta(s) ds for a stationary
-    OU mode with rate lam/gamma^2 and drive (sigma/gamma) sqrt(qh).
-
-    Derived from the OU covariance; the gamma -> 0 limit is
-    sigma^2 qh t' / lam^2.
-    """
-    v = sigma**2 * qh / (2.0 * lam)
-    rho = lam / gamma**2
-    return (2.0 * v / lam) * (t_prime - (1.0 - np.exp(-rho * t_prime)) / rho)
 
 
 def simulate_ou_ensemble(
@@ -328,15 +298,8 @@ class MartingaleDriver:
     element with weights w[j, k] = sqrt(q^h/lambda) <e_{j,k}, F1_j>.
     """
 
-    times: np.ndarray
     weights: np.ndarray            # (M, Lf)
-    mode_increments: np.ndarray    # (M, Lf, n_steps) independent BM increments
     combined: np.ndarray           # (M, n_steps) sum_k w dbeta_hat
-
-    @property
-    def variance_rate(self) -> np.ndarray:
-        """Per-element variance rate of the combined driver: sum_k w^2."""
-        return np.sum(self.weights**2, axis=1)
 
 
 def martingale_limit_driver(
@@ -364,6 +327,4 @@ def martingale_limit_driver(
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal((grid.M, stats.lam.size, dt.size)) * np.sqrt(dt)[None, None, :]
     combined = np.einsum("ml,mls->ms", weights, incr)
-    return MartingaleDriver(
-        times=times, weights=weights, mode_increments=incr, combined=combined
-    )
+    return MartingaleDriver(weights=weights, combined=combined)

@@ -28,7 +28,7 @@ from .harness import (
     write_csv,
     write_manifest,
 )
-from .models import DiscreteModel, simulate_model
+from .models import DiscreteModel, simulate_models
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -104,7 +104,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                 "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    traj = simulate_model(model, spde, setup.grid, drivers, U0[:, None], store=True)
+    traj = simulate_models([model], spde, drivers, U0[:, None], store=True)[0]
     out = _out_dir(cfg, args)
     header = ["t"] + [f"U_{j+1}" for j in range(setup.grid.M)]
     n_times = traj.times.size

@@ -43,7 +43,6 @@ __all__ = [
     "NumericalAbort",
     "FullSpdeSolver",
     "CoupledElementSolver",
-    "slow_fast_decompose",
     "initial_profile",
 ]
 
@@ -162,7 +161,6 @@ class FullSpdeSolver:
     def __init__(self, L: float, n_fine: int, spec: QWienerSpec):
         self.L = float(L)
         self.n = int(n_fine)
-        self.spec = spec
         self.x = self.L * np.arange(self.n) / self.n
         self.delta = self.L / self.n
         nb = min(self.n // 2, spec.n_modes // 2) + 1
@@ -220,7 +218,6 @@ class CoupledElementSolver:
 
     def __init__(self, op: CoupledOperator, spec: QWienerSpec, dt: float):
         self.op = op
-        self.spec = spec
         self.dt = float(dt)
         grid = op.grid
         self.grid = grid
@@ -271,20 +268,3 @@ class CoupledElementSolver:
             _check_finite(c, -1, "coupled element solve", i)
         return (self.op.Z @ c).reshape(self.grid.M, 2, self.grid.subgrid_n + 1, -1)
 
-
-def slow_fast_decompose(state: ElementField, eig) -> tuple[np.ndarray, ElementField]:
-    """Split a field into per-element slow amplitudes and the fast remainder.
-
-    The slow direction on element j is the restriction of the designated
-    ground eigenfield; amplitudes are a_j = <u_j, e_j> / ||e_j||^2, and the
-    remainder is orthogonal element-wise, so recomposition is exact.
-    """
-    grid = state.grid
-    shapes, _ = eig.element_mode_shapes(grid)
-    ground = shapes[0]                                     # (M, 2, n+1)
-    mb = grid.mass_block
-    num = np.einsum("mhi,ij,mhj->m", state.values, mb, ground)
-    den = np.einsum("mhi,ij,mhj->m", ground, mb, ground)
-    a = num / den
-    fast = state.values - a[:, None, None] * ground
-    return a, ElementField(fast, grid)

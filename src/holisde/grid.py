@@ -184,27 +184,12 @@ class ElementField:
         return cls(np.zeros((grid.M, 2, grid.subgrid_n + 1)), grid)
 
     @classmethod
-    def from_function(cls, grid: DomainGrid, f) -> "ElementField":
-        """Sample a function of x on every element subgrid (no wrapping)."""
-        return cls(f(grid.all_nodes()), grid)
-
-    @classmethod
     def from_stacked(cls, vec: np.ndarray, grid: DomainGrid) -> "ElementField":
         return cls(vec.reshape(grid.M, 2, grid.subgrid_n + 1).copy(), grid)
 
     def stacked(self) -> np.ndarray:
         """Flatten to the element-major dof vector used by the operator."""
         return self.values.reshape(-1)
-
-    def element(self, j: int) -> np.ndarray:
-        return self.values[self.grid.index(j)]
-
-    def value_jump_at_centres(self) -> float:
-        """Largest mismatch between the two centre-node copies."""
-        return float(np.max(np.abs(self.values[:, 0, -1] - self.values[:, 1, 0])))
-
-    def is_value_consistent(self, tol: float = 1e-10) -> bool:
-        return self.value_jump_at_centres() <= tol
 
 
 def _check_same_grid(u: ElementField, v: ElementField) -> DomainGrid:
@@ -225,12 +210,11 @@ def inner_product(u: ElementField, v: ElementField) -> float:
 
 
 def seminorm(u: ElementField, order: int = 0) -> float:
-    """Sobolev seminorm ( sum_j \\int |d^order u_j|^2 )^{1/2}, order in {0,1,2}.
+    """Sobolev seminorm ( sum_j \\int |d^order u_j|^2 )^{1/2}, order in {0,1}.
 
     Derivatives are taken per half, one-sided across the duplicated centre
-    node: order 1 uses the stiffness form of the quadratic interpolant,
-    order 2 its piecewise-constant second derivative.  order 0 reduces to
-    sqrt(inner_product(u, u)).
+    node: order 1 uses the stiffness form of the quadratic interpolant.
+    order 0 reduces to sqrt(inner_product(u, u)).
     """
     g = u.grid
     if order == 0:
@@ -238,9 +222,4 @@ def seminorm(u: ElementField, order: int = 0) -> float:
     if order == 1:
         val = np.einsum("mhi,ij,mhj->", u.values, g.stiffness_block, u.values)
         return float(np.sqrt(max(val, 0.0)))
-    if order == 2:
-        vals = u.values
-        # second derivative of each quadratic cell: (u0 - 2 u1 + u2)/delta^2
-        d2 = (vals[:, :, 0:-2:2] - 2.0 * vals[:, :, 1:-1:2] + vals[:, :, 2::2]) / g.delta**2
-        return float(np.sqrt(2.0 * g.delta * np.sum(d2**2)))
-    raise ValueError(f"seminorm order must be 0, 1 or 2, got {order}")
+    raise ValueError(f"seminorm order must be 0 or 1, got {order}")

@@ -30,7 +30,7 @@ from .dynamics import (
     initial_profile,
 )
 from .grid import DomainGrid, build_grid
-from .models import DiscreteModel, ModelDrivers, simulate_model, simulate_models
+from .models import DiscreteModel, ModelDrivers, simulate_models
 from .noise import QWienerSpec, sample_global_path
 
 __all__ = [
@@ -613,8 +613,7 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
         U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
-        traj = simulate_model(model, spde, setup.grid,
-                              drivers, np.repeat(U0[:, None], R, axis=1), store=False)
+        traj = simulate_models([model], spde, drivers, np.repeat(U0[:, None], R, axis=1))[0]
         U = traj.states[-1]                                   # (M, R)
         uref = at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))

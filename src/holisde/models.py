@@ -22,8 +22,8 @@ Four models evolve the vector (U_1 .. U_M) of grid values:
 All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
 alpha U^3) + dev U dbeta_check + noise with per-kind coefficients.
 `simulate_models` steps several kinds on a leading kind axis in one time
-loop, with the U-independent noise precomputed in blocks; `simulate_model`
-is a batch of one kind.  States and driver tables may carry a trailing
+loop, with the U-independent noise precomputed in blocks; a single kind
+is a batch of one.  States and driver tables may carry a trailing
 ensemble axis.
 """
 
@@ -44,9 +44,7 @@ __all__ = [
     "ModelDrivers",
     "DiscreteModel",
     "build_drivers",
-    "step_model",
     "reduced_slow_sde",
-    "simulate_model",
     "simulate_models",
     "MODEL_KINDS",
 ]
@@ -205,16 +203,6 @@ def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers, ndim: int) -
     return step, noise
 
 
-def step_model(
-    model: DiscreteModel, U: np.ndarray, cfg: SpdeConfig, drivers: ModelDrivers, step: int
-) -> np.ndarray:
-    """One Ito Euler-Maruyama step of any discrete model; U is (M,) or (M, R)."""
-    U = np.asarray(U, dtype=float)
-    advance, noise = _stacked_kernel([model], cfg, drivers, U.ndim)
-    return advance(U[None], drivers.dt[step], drivers.deviation[:, step],
-                   noise(step, step + 1)[0])[0]
-
-
 def reduced_slow_sde(
     a: np.ndarray,
     cfg: SpdeConfig,
@@ -287,17 +275,3 @@ def simulate_models(
                             {"model": m.kind, "gamma": cfg.gamma})
             for k, m in enumerate(models)]
 
-
-def simulate_model(
-    model: DiscreteModel,
-    cfg: SpdeConfig,
-    grid: DomainGrid,
-    drivers: ModelDrivers,
-    U0: np.ndarray,
-    store: bool = True,
-) -> ModelTrajectory:
-    """Run one discrete model over the whole driver table (built on `grid`).
-
-    A batch of one kind of `simulate_models`.
-    """
-    return simulate_models([model], cfg, drivers, U0, store)[0]

@@ -23,7 +23,7 @@ dictate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "fourier_basis",
     "sample_global_path",
     "project_to_element_modes",
-    "element_noise_increment",
 ]
 
 
@@ -99,10 +98,6 @@ class QWienerSpec:
     def n_modes(self) -> int:
         return self.q.size
 
-    def trace_weighted(self) -> float:
-        """sum_k k q_k at the truncation (the well-behavedness functional)."""
-        return float(np.sum(np.arange(self.q.size) * self.q))
-
 
 @dataclass(frozen=True)
 class NoisePath:
@@ -139,26 +134,12 @@ class NoisePath:
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def betas(self) -> np.ndarray:
-        """Coefficient paths beta_k(t_i), shape (n_modes, n_steps + 1)."""
-        out = np.zeros((self.n_modes, self.n_steps + 1))
-        out[:, 1:] = np.cumsum(self.increments, axis=1)
-        return out
-
     def coarsen(self, factor: int) -> "NoisePath":
         """Pairwise-sum refinement inverse: exact coarse path from a fine one."""
         if self.n_steps % factor:
             raise ValueError("step count not divisible by coarsening factor")
         dw = self.increments.reshape(self.n_modes, -1, factor).sum(axis=2)
         return NoisePath(self.times[::factor], dw, seed=self.seed)
-
-    def field_increment(self, basis: np.ndarray, sqrt_q: np.ndarray, step: int) -> np.ndarray:
-        """Increment of the noise field on pre-evaluated basis samples.
-
-        basis has shape (n_modes, ...); returns sum_k sqrt(q_k) dbeta_k e_k.
-        """
-        db = sqrt_q * self.increments[:, step]
-        return np.tensordot(db, basis, axes=(0, 0))
 
 
 def sample_global_path(spec: QWienerSpec, times: np.ndarray, seed) -> NoisePath:
@@ -183,8 +164,7 @@ class ElementNoiseProjection:
 
     weights[j, l, k] = <e_k, e_{j,l}>_{I_j} with e_{j,l} the unit-normalized
     restriction of mode l to element j; qh[j, l] = sum_k q_k weights^2 is the
-    variance rate of the element-mode driver.  lam[l] holds the eigenvalue of
-    mode l (used for trace bounds and the averaged coefficients).
+    variance rate of the element-mode driver.
 
     slow_map and gridpoint_map take a path's increments to the grid-model
     driver tables: the slow element-mode driver at the grid value,
@@ -197,43 +177,8 @@ class ElementNoiseProjection:
     q: np.ndarray                 # (K+1,)
     weights: np.ndarray           # (M, n_modes, K+1)
     qh: np.ndarray                # (M, n_modes)
-    lam: np.ndarray               # (n_modes,)
-    mode_mask: np.ndarray         # (M, n_modes) False where restriction was negligible
     slow_map: np.ndarray          # (M, K+1)
     gridpoint_map: np.ndarray     # (M, K+1)
-
-    @property
-    def sqrt_q(self) -> np.ndarray:
-        return np.sqrt(self.q)
-
-    # -- derived drivers ----------------------------------------------------
-
-    def driver_increments(self, path: NoisePath, l: int) -> np.ndarray:
-        """Raw projected increments sqrt(q^h_{j,l}) dbeta_{j,l}, shape (M, n_steps)."""
-        w = self.weights[:, l, :] * self.sqrt_q[None, :]
-        return w @ path.increments
-
-    def slow_gridvalue_increments(self, path: NoisePath, beta1_variant: bool = False) -> np.ndarray:
-        """sqrt(q^h_{j,0}) dbeta_{j,0} e_{j,0}(X_j): grid-value noise seen by
-        the slow mode, shape (M, n_steps).
-
-        beta1_variant applies the sqrt(2) normalization some derivations
-        carry on this driver; correlations are unaffected, variances double.
-        """
-        out = self.driver_increments(path, 0) * self.grid.centre_mode_value
-        return np.sqrt(2.0) * out if beta1_variant else out
-
-    def predicted_driver_correlation(self, j1: int, l1: int, j2: int, l2: int) -> float:
-        """Correlation of two element-mode drivers implied by the weights."""
-        w1 = self.weights[self.grid.index(j1), l1, :]
-        w2 = self.weights[self.grid.index(j2), l2, :]
-        num = float(np.sum(self.q * w1 * w2))
-        den = np.sqrt(self.qh[self.grid.index(j1), l1] * self.qh[self.grid.index(j2), l2])
-        return num / den if den > 0 else 0.0
-
-    def trace_bound(self) -> float:
-        """max_j sum_l lambda_l q^h_{j,l} at the truncation."""
-        return float(np.max(np.sum(self.lam[None, :] * self.qh, axis=1)))
 
     def fast_mass_fraction(self) -> np.ndarray:
         """Per element: sum_{l>=1} q^h_{j,l} / q^h_{j,0}."""
@@ -254,13 +199,11 @@ def project_to_element_modes(
     unit-normalized there, and tuples carrying negligible mass on an
     element are masked out (their restriction direction is noise).
     """
-    M, n = grid.M, grid.subgrid_n
     mb = grid.mass_block
     nodes = grid.all_nodes()                       # (M, 2, n+1)
     basis = fourier_basis(nodes, spec.n_modes, grid.L)  # (K+1, M, 2, n+1)
 
-    shapes, lam = eig.element_mode_shapes(grid)    # (n_modes, M, 2, n+1), (n_modes,)
-    n_modes = shapes.shape[0]
+    shapes, _ = eig.element_mode_shapes(grid)      # (n_modes, M, 2, n+1)
 
     # unit-normalize every restriction under the element quadrature
     norms2 = np.einsum("lmhi,ij,lmhj->lm", shapes, mb, shapes)
@@ -278,38 +221,7 @@ def project_to_element_modes(
         q=spec.q,
         weights=weights,
         qh=qh,
-        lam=np.asarray(lam, dtype=float),
-        mode_mask=mask,
         slow_map=(weights[:, 0, :] * sqrt_q) * grid.centre_mode_value,
         gridpoint_map=basis_x.T * sqrt_q,
     )
 
-
-def coupled_trace_bound(spec: QWienerSpec, eig, grid: DomainGrid) -> float:
-    """sum_l lambda_l * q_l over whole mode tuples, q_l = sum_k q_k <e_k, mode_l>^2.
-
-    The tuple-level decomposition is orthonormal (unlike per-element
-    restrictions of coupled tuples, which are overcomplete), so this is the
-    quantity that stays bounded uniformly in the coupling strength at a
-    fixed truncation.
-    """
-    nodes = grid.all_nodes()
-    basis = fourier_basis(nodes, spec.n_modes, grid.L)
-    shapes, lam = eig.element_mode_shapes(grid)
-    w = np.einsum("kmhi,ij,lmhj->lk", basis, grid.mass_block, shapes)
-    q_l = w**2 @ spec.q
-    return float(np.sum(lam * q_l))
-
-
-def element_noise_increment(
-    proj: ElementNoiseProjection, path: NoisePath, step: int, gamma: float
-) -> np.ndarray:
-    """Per-element mode increments gamma * sqrt(q^h_{j,l}) dbeta_{j,l}.
-
-    The leading coupling factor gamma multiplies every mode; at gamma = 0
-    the element system is noise-free.  Shape (M, n_modes).
-    """
-    if not 0 <= step < path.n_steps:
-        raise IndexError(f"step {step} outside path range")
-    w = proj.weights * proj.sqrt_q[None, None, :]
-    return gamma * (w @ path.increments[:, step])

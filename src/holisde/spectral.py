@@ -48,8 +48,6 @@ __all__ = [
     "eig_gamma",
     "eig_gamma0",
     "expand_ground_mode",
-    "principal_angles",
-    "analytic_level_tuples",
 ]
 
 # clustering of numerically coincident eigenvalues
@@ -153,10 +151,6 @@ class CoupledOperator:
         """L u for a field (projected onto the constrained subspace first)."""
         return self.field_from_reduced(self.apply_reduced(self.reduce(u)))
 
-    def energy(self, u: ElementField) -> float:
-        """Dirichlet energy sum_j |u_j|_1^2 evaluated through the stiffness form."""
-        return float(np.einsum("mhi,ij,mhj->", u.values, self.grid.stiffness_block, u.values))
-
     def random_field(self, rng: np.random.Generator, scale: float = 1.0) -> ElementField:
         """Random field satisfying the value constraints (test helper)."""
         return self.field_from_reduced(scale * rng.standard_normal(self.n_reduced))
@@ -223,9 +217,6 @@ class EigenSystem:
             if a <= k < b:
                 return b - a
         raise IndexError(k)
-
-    def eigenfield(self, k: int) -> ElementField:
-        return ElementField(self.fields[k].copy(), self.grid)
 
     def slow_band(self) -> np.ndarray:
         """Indices of the M eigenvalues continuing the decoupled kernel."""
@@ -328,18 +319,11 @@ class AnalyticEigenSystem:
     grid: DomainGrid
     eigenvalues: np.ndarray       # (n_modes,)
     levels: np.ndarray            # (n_modes,) level index k of each mode
-    labels: list                  # mode kind, e.g. "sin2", "cos2", "kink2"
     local_shapes: np.ndarray      # (n_modes, 2, n+1) on x - X_j offsets
-
-    per_element: bool = True
 
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
-
-    def multiplicity_pattern(self, n_levels: int) -> list:
-        """Per-element multiplicities of the first distinct levels: 1,1,3,1,3,..."""
-        return [1] + [3 if k % 2 == 0 else 1 for k in range(1, n_levels + 1)]
 
     def element_mode_shapes(self, grid: DomainGrid):
         """Broadcast the local family to every element."""
@@ -350,12 +334,6 @@ class AnalyticEigenSystem:
             self.local_shapes[:, None, :, :], (self.n_modes, M, 2, grid.subgrid_n + 1)
         ).copy()
         return shapes, self.eigenvalues
-
-    def mode_field(self, j: int, l: int) -> ElementField:
-        """Eigenfield tuple supported on element j with local mode l."""
-        vals = np.zeros((self.grid.M, 2, self.grid.subgrid_n + 1))
-        vals[self.grid.index(j)] = self.local_shapes[l]
-        return ElementField(vals, self.grid)
 
 
 def eig_gamma0(grid: DomainGrid, n_levels: int = 6) -> AnalyticEigenSystem:
@@ -368,12 +346,11 @@ def eig_gamma0(grid: DomainGrid, n_levels: int = 6) -> AnalyticEigenSystem:
         raise ValueError("need at least one nonzero level")
     h, n = grid.h, grid.subgrid_n
     xi = grid.local_offsets()                      # (2, n+1)
-    shapes, lam, levels, labels = [], [], [], []
+    shapes, lam, levels = [], [], []
 
     shapes.append(np.full_like(xi, 1.0 / np.sqrt(2.0 * h)))
     lam.append(0.0)
     levels.append(0)
-    labels.append("const")
 
     inv_sqrt_h = 1.0 / np.sqrt(h)
     for k in range(1, n_levels + 1):
@@ -381,16 +358,13 @@ def eig_gamma0(grid: DomainGrid, n_levels: int = 6) -> AnalyticEigenSystem:
         shapes.append(inv_sqrt_h * np.sin(k * np.pi * xi / h))
         lam.append(lk)
         levels.append(k)
-        labels.append(f"sin{k}")
         if k % 2 == 0:
             shapes.append(inv_sqrt_h * np.cos(k * np.pi * xi / h))
             lam.append(lk)
             levels.append(k)
-            labels.append(f"cos{k}")
             shapes.append(inv_sqrt_h * np.sin(k * np.pi * np.abs(xi) / h))
             lam.append(lk)
             levels.append(k)
-            labels.append(f"kink{k}")
 
     shapes = np.asarray(shapes)
     # exact unit norm under the discrete quadrature
@@ -400,35 +374,8 @@ def eig_gamma0(grid: DomainGrid, n_levels: int = 6) -> AnalyticEigenSystem:
         grid=grid,
         eigenvalues=np.asarray(lam),
         levels=np.asarray(levels),
-        labels=labels,
         local_shapes=shapes,
     )
-
-
-def analytic_level_tuples(eig0: AnalyticEigenSystem, level: int) -> np.ndarray:
-    """All eigenfield tuples of one decoupled level, shape (M*m_k, M, 2, n+1)."""
-    idx = np.nonzero(eig0.levels == level)[0]
-    grid = eig0.grid
-    out = np.zeros((grid.M * idx.size, grid.M, 2, grid.subgrid_n + 1))
-    row = 0
-    for j in range(grid.M):
-        for l in idx:
-            out[row, j] = eig0.local_shapes[l]
-            row += 1
-    return out
-
-
-def principal_angles(fields_a: np.ndarray, fields_b: np.ndarray, grid: DomainGrid) -> np.ndarray:
-    """Principal angles between two H-orthonormal eigenfield families.
-
-    Only subspaces are comparable across coupling strengths: degenerate
-    clusters mix their members arbitrarily, so convergence statements are
-    made on spans, never on individual eigenvector labels.
-    """
-    mb = grid.mass_block
-    gram = np.einsum("amhi,ij,bmhj->ab", fields_a, mb, fields_b)
-    svals = sla.svdvals(gram)
-    return np.arccos(np.clip(svals, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

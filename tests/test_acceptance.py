@@ -24,11 +24,10 @@ from holisde.models import (
     ModelDrivers,
     build_drivers,
     reduced_slow_sde,
-    simulate_model,
-    step_model,
+    simulate_models,
 )
 from holisde.noise import QWienerSpec, fourier_basis, project_to_element_modes, sample_global_path
-from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0, expand_ground_mode
+from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
 
 def _report(num: int, name: str, ok: bool, detail: str, t0: float):
@@ -222,8 +221,8 @@ def test_criterion_10_model_identity_gates():
     path0 = sample_global_path(spec, cfg0.times(), 41)
     co0 = averaged_coeffs(proj, eig0, 1.0, 0.0)
     d0 = build_drivers(grid, proj, path0, deviation_seed=43)
-    a_fd = simulate_model(DiscreteModel("conventional_fd"), cfg0, grid, d0, U0)
-    a_h = simulate_model(DiscreteModel("holistic", coeffs=co0), cfg0, grid, d0, U0)
+    a_fd = simulate_models([DiscreteModel("conventional_fd")], cfg0, d0, U0, store=True)[0]
+    a_h = simulate_models([DiscreteModel("holistic", coeffs=co0)], cfg0, d0, U0, store=True)[0]
     gate_a = np.array_equal(a_fd.states, a_h.states)
 
     # (b) gamma = 1 truncation reproduces the holistic stepper bitwise
@@ -231,9 +230,9 @@ def test_criterion_10_model_identity_gates():
     path1 = sample_global_path(spec, cfg1.times(), 47)
     co = averaged_coeffs(proj, eig0, 1.0, 0.5)
     d1 = build_drivers(grid, proj, path1, deviation_seed=53)
-    b_h = simulate_model(DiscreteModel("holistic", coeffs=co), cfg1, grid, d1, U0)
-    b_g = simulate_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=True),
-                         cfg1, grid, d1, U0)
+    b_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg1, d1, U0, store=True)[0]
+    b_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=True)],
+                          cfg1, d1, U0, store=True)[0]
     gate_b = np.array_equal(b_h.states, b_g.states)
 
     # (c) one-step drift gap of the reduced slow equation is O(gamma^3)
@@ -248,8 +247,8 @@ def test_criterion_10_model_identity_gates():
         drv = ModelDrivers(grid=grid, dt=np.full(1, cfg.dt), **tables)
         op = assemble_operator(grid, g)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
-        u1 = step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False),
-                        a0.copy(), cfg, drv, 0)
+        u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=False)],
+                             cfg, drv, a0.copy())[0].states[-1]
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = float(np.polyfit(np.log(gammas), np.log(gaps), 1)[0])
     gate_c = slope >= 2.7

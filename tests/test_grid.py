@@ -100,7 +100,6 @@ def test_seminorm_sine_mode():
     u = ElementField(vals, g)
     assert seminorm(u, 1) == pytest.approx(np.pi / g.h, rel=1e-4)
     assert seminorm(u, 0) == pytest.approx(1.0, rel=1e-6)
-    assert seminorm(u, 2) == pytest.approx((np.pi / g.h) ** 2, rel=1e-2)
 
 
 def test_seminorm_order_zero_matches_inner_product(grid8, rng):
@@ -111,30 +110,20 @@ def test_seminorm_order_zero_matches_inner_product(grid8, rng):
 def test_seminorm_rejects_high_order(grid8):
     u = ElementField.zeros(grid8)
     with pytest.raises(ValueError):
-        seminorm(u, 3)
+        seminorm(u, 2)
 
 
 def test_quadrature_convergence_under_refinement():
     # doubling the subgrid shrinks smooth-integrand errors by >= 4
     def ip_value(n):
         g = build_grid(2.0 * np.pi, 4, n)
-        f = ElementField.from_function(g, lambda x: np.exp(np.sin(x)))
+        f = ElementField(np.exp(np.sin(g.all_nodes())), g)
         return inner_product(f, f)
 
     fine = ip_value(256)  # oracle: same integrand at much finer resolution
     errs = [abs(ip_value(n) - fine) for n in (8, 16, 32)]
     assert errs[1] <= errs[0] / 4.0
     assert errs[2] <= errs[1] / 4.0
-
-
-def test_centre_value_consistency_helpers(grid8):
-    f = ElementField.from_function(grid8, np.sin)
-    assert f.is_value_consistent()
-    vals = f.values.copy()
-    vals[0, 1, 0] += 0.5
-    g = ElementField(vals, grid8)
-    assert not g.is_value_consistent(tol=1e-3)
-    assert g.value_jump_at_centres() == pytest.approx(0.5)
 
 
 def test_stacked_roundtrip(grid8, rng):

@@ -19,7 +19,7 @@ from holisde.harness import (
     write_manifest,
 )
 from holisde.dynamics import NumericalAbort, initial_profile
-from holisde.models import DiscreteModel, build_drivers, simulate_model
+from holisde.models import DiscreteModel, build_drivers, simulate_models
 from holisde.noise import sample_global_path
 
 FAST = dict(
@@ -72,8 +72,7 @@ def test_single_member_matches_direct_simulation():
     path = sample_global_path(setup.spec, spde.times(), path_ss)
     drivers = build_drivers(setup.grid, setup.proj, path, dev_ss)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    traj = simulate_model(DiscreteModel("holistic", coeffs=setup.coeffs), spde,
-                          setup.grid, drivers, U0, store=False)
+    traj = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)[0]
     assert np.array_equal(stats.mean("holistic"), traj.states[-1])
 
 

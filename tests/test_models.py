@@ -9,9 +9,7 @@ from holisde.models import (
     ModelDrivers,
     build_drivers,
     reduced_slow_sde,
-    simulate_model,
     simulate_models,
-    step_model,
 )
 from holisde.noise import sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, expand_ground_mode
@@ -45,10 +43,10 @@ def _manual_drivers(grid, tables, dt):
 
 
 def test_fd_cubic_root_stationary(grid8, qspec, proj8):
-    cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
     drv = _drivers(grid8, qspec, proj8, cfg)
     U = np.ones(grid8.M)
-    out = step_model(DiscreteModel("conventional_fd"), U, cfg, drv, 0)
+    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U)[0].states[-1]
     assert np.array_equal(out, U)
 
 
@@ -63,7 +61,7 @@ def test_fd_discrete_decay_symbol():
         tables = {"slow": np.zeros((M, 1)), "deviation": np.zeros((M, 1)),
                   "gridpoint": np.zeros((M, 1))}
         drv = _manual_drivers(g, tables, cfg.dt)
-        out = step_model(DiscreteModel("conventional_fd"), U0, cfg, drv, 0)
+        out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[0].states[-1]
         symbol = 4.0 * np.sin(np.pi * g.h / g.L) ** 2 / g.h**2
         expected = (1.0 - cfg.dt * symbol) * U0
         assert np.allclose(out, expected, atol=1e-14)
@@ -79,7 +77,7 @@ def test_fd_hand_computed_step_m4():
     tables = {"gridpoint": dW[:, None], "slow": np.zeros((4, 1)),
               "deviation": np.zeros((4, 1))}
     drv = _manual_drivers(g, tables, cfg.dt)
-    out = step_model(DiscreteModel("conventional_fd"), U0, cfg, drv, 0)
+    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[0].states[-1]
     lap = np.array([
         U0[3] - 2 * U0[0] + U0[1],
         U0[0] - 2 * U0[1] + U0[2],
@@ -100,8 +98,8 @@ def test_holistic_equals_fd_without_noise(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8, sigma=0.0)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=5)
     U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
-    t_fd = simulate_model(DiscreteModel("conventional_fd"), cfg, grid8, drv, U0)
-    t_h = simulate_model(DiscreteModel("holistic", coeffs=co), cfg, grid8, drv, U0)
+    t_fd = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0, store=True)[0]
+    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
     assert np.array_equal(t_fd.states, t_h.states)
 
 
@@ -116,7 +114,7 @@ def test_holistic_drift_fixed_point(grid8):
               "deviation": np.zeros((grid8.M, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.full(grid8.M, np.sqrt(hat))
-    out = step_model(DiscreteModel("holistic", coeffs=co), U0, cfg, drv, 0)
+    out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[0].states[-1]
     assert np.allclose(out, U0, atol=1e-15)
 
 
@@ -129,7 +127,7 @@ def test_holistic_uniform_noise_gets_no_stencil_correction(grid8, proj8, eig0_8)
               "deviation": np.zeros((grid8.M, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.zeros(grid8.M)
-    out = step_model(DiscreteModel("holistic", coeffs=co), U0, cfg, drv, 0)
+    out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[0].states[-1]
     # spatially uniform driver increments: only the direct sigma*dS term acts
     assert np.allclose(out, cfg.sigma * delta, atol=1e-15)
 
@@ -140,7 +138,7 @@ def test_holistic_noise_stencil_variance(grid8, qspec, proj8, eig0_8):
     sigma = 0.8
     cfg = SpdeConfig(alpha=0.0, sigma=sigma, dt=1e-3, T=4.0)
     path = sample_global_path(qspec, cfg.times(), 3)
-    slow = proj8.slow_gridvalue_increments(path)       # (M, N)
+    slow = proj8.slow_map @ path.increments            # (M, N)
     sten = np.roll(slow, 1, axis=0) - 2.0 * slow + np.roll(slow, -1, axis=0)
     term = (sigma / 4.0) * sten
     emp = np.var(term, axis=1, ddof=1) / cfg.dt
@@ -157,8 +155,9 @@ def test_intro_variant_uses_gridpoint_noise(grid8, qspec, proj8, eig0_8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.02)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=9)
     U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
-    t_h = simulate_model(DiscreteModel("holistic", coeffs=co), cfg, grid8, drv, U0)
-    t_i = simulate_model(DiscreteModel("holistic_intro", coeffs=co), cfg, grid8, drv, U0)
+    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
+    t_i = simulate_models([DiscreteModel("holistic_intro", coeffs=co)], cfg, drv, U0,
+                          store=True)[0]
     assert not np.array_equal(t_h.states, t_i.states)
     # but they stay close: the drivers agree up to O(h)
     assert np.max(np.abs(t_h.states[-1] - t_i.states[-1])) < 0.05
@@ -171,9 +170,9 @@ def test_deviation_alpha_flag_scales_term(grid8, proj8, eig0_8):
               "deviation": np.full((grid8.M, 1), 0.1)}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.full(grid8.M, 0.5)
-    out_plain = step_model(DiscreteModel("holistic", coeffs=co), U0, cfg, drv, 0)
-    out_alpha = step_model(DiscreteModel("holistic", coeffs=co, deviation_alpha=True),
-                           U0, cfg, drv, 0)
+    out_plain = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[0].states[-1]
+    out_alpha = simulate_models([DiscreteModel("holistic", coeffs=co, deviation_alpha=True)],
+                                cfg, drv, U0)[0].states[-1]
     dev_plain = out_plain - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
     dev_alpha = out_alpha - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
     assert np.allclose(dev_alpha, co.alpha * dev_plain, rtol=1e-10)
@@ -194,9 +193,9 @@ def test_gamma_reduced_truncated_equals_holistic_bitwise(grid8, qspec, proj8, ei
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.05)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=13)
     U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
-    t_h = simulate_model(DiscreteModel("holistic", coeffs=co), cfg, grid8, drv, U0)
-    t_g = simulate_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=True),
-                         cfg, grid8, drv, U0)
+    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
+    t_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=True)],
+                          cfg, drv, U0, store=True)[0]
     assert np.array_equal(t_h.states, t_g.states)
 
 
@@ -205,11 +204,12 @@ def test_gamma_reduced_small_gamma_decouples(grid8, qspec, proj8, eig0_8):
     stats = ou_stationary_stats(proj8, eig0_8, 0.5)
     exp = _expansion(grid8)
     g = 1e-4
-    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=g, dt=1e-3, T=0.01)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=g, dt=1e-3, T=1e-3)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=17, stats=stats,
                    eig0=eig0_8, expansion=exp, aux_seed=19)
     U0 = np.linspace(-0.5, 0.5, grid8.M)
-    out = step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False), U0, cfg, drv, 0)
+    model = DiscreteModel("gamma_reduced", coeffs=co, truncate=False)
+    out = simulate_models([model], cfg, drv, U0)[0].states[-1]
     pure_cubic = U0 + cfg.dt * (-cfg.alpha * U0**3)
     assert np.max(np.abs(out - pure_cubic)) < 5.0 * g
 
@@ -226,7 +226,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
     def one_step(tables, g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
         drv = _manual_drivers(grid8, tables, cfg.dt)
-        return step_model(model, U0, cfg, drv, 0)
+        return simulate_models([model], cfg, drv, U0)[0].states[-1]
 
     # family gamma^1: uniform slow driver (stencil part cancels)
     mags = [np.max(np.abs(one_step({"slow": np.full((M, 1), 0.3),
@@ -243,7 +243,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
         drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
                                       "deviation": np.full((M, 1), 0.2),
                                       "aux": np.zeros((M, 1))}, cfg.dt)
-        out = step_model(model, U1, cfg, drv, 0)
+        out = simulate_models([model], cfg, drv, U1)[0].states[-1]
         return np.max(np.abs(out - U1))
     mags = [dev_step(g) for g in gammas]
     slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
@@ -256,7 +256,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
         drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
                                       "deviation": np.zeros((M, 1)),
                                       "aux": aux}, cfg.dt)
-        out = step_model(model, U0, cfg, drv, 0)
+        out = simulate_models([model], cfg, drv, U0)[0].states[-1]
         tagged_g2 = cfg.sigma * g**2 * aux[:, 0] * grid8.centre_mode_value
         return np.max(np.abs(out - U0 - tagged_g2))
     mags = [aux_step(g) for g in gammas]
@@ -270,8 +270,8 @@ def test_gamma_reduced_needs_aux_when_untruncated(grid8, proj8, eig0_8):
     tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     with pytest.raises(ValueError):
-        step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False),
-                   np.zeros(grid8.M), cfg, drv, 0)
+        simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=False)],
+                        cfg, drv, np.zeros(grid8.M))
 
 
 def test_second_moment_regression_bound(grid8, qspec, proj8, eig0_8):
@@ -280,7 +280,7 @@ def test_second_moment_regression_bound(grid8, qspec, proj8, eig0_8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=1.0)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=29)
     U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
-    traj = simulate_model(DiscreteModel("holistic", coeffs=co), cfg, grid8, drv, U0)
+    traj = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
     assert float(np.max(traj.states**2)) < 2.0
 
 
@@ -315,8 +315,8 @@ def test_reduced_slow_drift_gap_is_third_order(grid8, qspec, proj8, eig0_8):
                   "aux": np.zeros((grid8.M, 1))}
         drv = _manual_drivers(grid8, tables, cfg.dt)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
-        u1 = step_model(DiscreteModel("gamma_reduced", coeffs=co, truncate=False),
-                        a0.copy(), cfg, drv, 0)
+        u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=False)],
+                             cfg, drv, a0.copy())[0].states[-1]
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = np.polyfit(np.log(gammas), np.log(gaps), 1)[0]
     assert slope >= 2.7
@@ -356,7 +356,7 @@ def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8):
     drivers = _manual_drivers(grid8, {"slow": blown}, cfg.dt)
     model = DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-        simulate_model(model, cfg, grid8, drivers, np.zeros((grid8.M, 3)))
+        simulate_models([model], cfg, drivers, np.zeros((grid8.M, 3)))
     assert err.value.member == 1
     assert err.value.step == 1
 
@@ -390,7 +390,7 @@ def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, stor
               DiscreteModel("gamma_reduced", coeffs=co, truncate=False)]
     stacked = simulate_models(models, cfg, drv, U0, store=store)
     for model, traj in zip(models, stacked):
-        alone = simulate_model(model, cfg, grid8, drv, U0, store=store)
+        alone = simulate_models([model], cfg, drv, U0, store=store)[0]
         assert traj.provenance == alone.provenance
         assert np.array_equal(traj.times, alone.times)
         assert np.array_equal(traj.states, alone.states)

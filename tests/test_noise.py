@@ -2,16 +2,29 @@ import numpy as np
 import pytest
 
 from holisde.grid import build_grid
-from holisde.noise import (
-    ElementNoiseProjection,
-    NoisePath,
-    QWienerSpec,
-    element_noise_increment,
-    fourier_basis,
-    project_to_element_modes,
-    sample_global_path,
-)
+from holisde.noise import QWienerSpec, fourier_basis, project_to_element_modes, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
+
+
+def coupled_trace_bound(spec, eig, grid):
+    """sum_l lambda_l * q_l over whole mode tuples, q_l = sum_k q_k <e_k, mode_l>^2.
+
+    The tuple-level decomposition is orthonormal (unlike per-element
+    restrictions of coupled tuples, which are overcomplete), so this is the
+    quantity that stays bounded uniformly in the coupling strength at a
+    fixed truncation.
+    """
+    basis = fourier_basis(grid.all_nodes(), spec.n_modes, grid.L)
+    shapes, lam = eig.element_mode_shapes(grid)
+    w = np.einsum("kmhi,ij,lmhj->lk", basis, grid.mass_block, shapes)
+    return float(np.sum(lam * (w**2 @ spec.q)))
+
+
+def predicted_driver_correlation(proj, j1, l1, j2, l2):
+    """Correlation of two element-mode drivers implied by the weights."""
+    w1, w2 = proj.weights[j1, l1, :], proj.weights[j2, l2, :]
+    den = np.sqrt(proj.qh[j1, l1] * proj.qh[j2, l2])
+    return float(np.sum(proj.q * w1 * w2)) / den if den > 0 else 0.0
 
 
 def test_spec_validation():
@@ -68,18 +81,8 @@ def test_zero_spectrum_gives_zero_field():
     path = sample_global_path(spec, t, 5)
     x = np.linspace(0.0, 1.0, 33)
     basis = fourier_basis(x, spec.n_modes, 1.0)
-    incr = path.field_increment(basis, np.sqrt(spec.q), 0)
+    incr = np.tensordot(np.sqrt(spec.q) * path.increments[:, 0], basis, axes=(0, 0))
     assert np.all(incr == 0.0)
-
-
-def test_betas_cumulative_reconstruction(qspec):
-    t = np.linspace(0.0, 1.0, 21)
-    path = sample_global_path(qspec, t, 3)
-    b = path.betas()
-    # no re-sampling: the paths are the running sums of the stored increments
-    assert np.array_equal(b[:, 1:], np.cumsum(path.increments, axis=1))
-    assert np.all(b[:, 0] == 0.0)
-    assert np.allclose(b[:, 1:] - b[:, :-1], path.increments, rtol=1e-12, atol=1e-15)
 
 
 def test_coarsen_is_exact_pairwise_sum(qspec):
@@ -121,15 +124,15 @@ def test_projection_single_global_mode(grid8, eig0_8):
     assert np.allclose(proj.qh[:, 0], 2.0 * grid8.h / grid8.L, rtol=1e-12)
 
 
-def test_qh_nonnegative_and_trace_bounded(proj8, qspec):
+def test_qh_nonnegative_and_trace_bounded(proj8, qspec, eig0_8):
     assert np.all(proj8.qh >= 0.0)
-    # trace bound at the truncation, uniform over coupling by construction
-    assert proj8.trace_bound() < 50.0 * qspec.trace_weighted()
+    # trace bound at the truncation, uniform over coupling by construction:
+    # max_j sum_l lambda_l q^h_{j,l} against sum_k k q_k
+    trace_bound = np.max(np.sum(eig0_8.eigenvalues[None, :] * proj8.qh, axis=1))
+    assert trace_bound < 50.0 * np.sum(np.arange(qspec.n_modes) * qspec.q)
 
 
 def test_trace_bound_uniform_over_coupling(grid8, qspec):
-    from holisde.noise import coupled_trace_bound
-
     bounds = []
     for g in (0.1, 0.5, 1.0):
         eig = eig_gamma(assemble_operator(grid8, g), 30)
@@ -159,7 +162,7 @@ def test_gridvalue_driver_correlation_formula(grid8, qspec, proj8):
     # Monte-Carlo confirmation on sampled increments
     t = np.linspace(0.0, 1.0, 20_001)
     path = sample_global_path(qspec, t, 17)
-    a = proj8.driver_increments(path, 0)[j]
+    a = (np.sqrt(q) * w) @ path.increments
     b = (np.sqrt(q) * ex) @ path.increments
     mc = np.corrcoef(a, b)[0, 1]
     assert mc == pytest.approx(corr, abs=0.02)
@@ -167,10 +170,10 @@ def test_gridvalue_driver_correlation_formula(grid8, qspec, proj8):
 
 
 def test_neighbour_driver_correlation_matches_prediction(grid8, qspec, proj8):
-    pred = proj8.predicted_driver_correlation(2, 0, 3, 0)
+    pred = predicted_driver_correlation(proj8, 2, 0, 3, 0)
     t = np.linspace(0.0, 1.0, 20_001)
     path = sample_global_path(qspec, t, 23)
-    d = proj8.driver_increments(path, 0)
+    d = (proj8.weights[:, 0, :] * np.sqrt(qspec.q)) @ path.increments
     mc = np.corrcoef(d[2], d[3])[0, 1]
     assert 0.0 < pred < 1.0
     assert mc == pytest.approx(pred, abs=0.02)
@@ -185,28 +188,6 @@ def test_fast_mass_fraction_shrinks_under_refinement(qspec):
         fracs.append(float(np.max(proj.fast_mass_fraction())))
     assert fracs[2] < fracs[1] < fracs[0]
     assert fracs[2] < 0.02
-
-
-def test_element_noise_increment_scalings(grid8, qspec, proj8):
-    t = np.linspace(0.0, 0.1, 11)
-    path = sample_global_path(qspec, t, 31)
-    zero = element_noise_increment(proj8, path, 0, 0.0)
-    assert np.all(zero == 0.0)
-    one = element_noise_increment(proj8, path, 0, 1.0)
-    half = element_noise_increment(proj8, path, 0, 0.5)
-    assert np.allclose(half, 0.5 * one, rtol=0.0, atol=0.0)
-    raw = proj8.driver_increments(path, 0)[:, 0]
-    assert np.allclose(one[:, 0], raw, rtol=1e-12)
-    with pytest.raises(IndexError):
-        element_noise_increment(proj8, path, path.n_steps, 1.0)
-
-
-def test_beta1_variant_scales_variance_not_correlation(grid8, qspec, proj8):
-    t = np.linspace(0.0, 1.0, 101)
-    path = sample_global_path(qspec, t, 3)
-    base = proj8.slow_gridvalue_increments(path)
-    var = proj8.slow_gridvalue_increments(path, beta1_variant=True)
-    assert np.allclose(var, np.sqrt(2.0) * base, rtol=0.0, atol=0.0)
 
 
 def test_projection_rejects_grid_mismatch(qspec, eig0_8):
