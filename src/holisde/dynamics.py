@@ -19,14 +19,19 @@ Each solver has one step, one noise method and one batched `simulate`
 that advances a member batch in lock step; a single run is a batch of one.
 The reference steps a member-major state (R, n), so both FFTs run along
 the contiguous axis, and adds its noise in rfft space: the Fourier noise
-modes are exact DFT bins of the fine grid.  The coupled solver carries
-the members on a trailing axis and applies weak-load maps built once.
-Each loop checks finiteness once per step and raises NumericalAbort naming
-the step and the first non-finite member.
+modes are exact DFT bins of the fine grid; it steps L2-sized member blocks in
+place on a pool of one thread per usable CPU, bitwise as one whole-batch loop.
+The coupled solver carries the members on a trailing axis and applies
+weak-load maps built once.  Each loop checks finiteness once per step and
+raises NumericalAbort naming the step and the first non-finite member.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -129,11 +134,9 @@ def _check_finite(x: np.ndarray, member_axis: int, what: str, step: int) -> None
     """Raise NumericalAbort naming the step and the first non-finite member."""
     if np.all(np.isfinite(x)):
         return
-    member = 0                                   # a single state is a batch of one
-    if x.ndim > 1:
-        bad = np.moveaxis(~np.isfinite(x), member_axis, 0).reshape(x.shape[member_axis], -1)
-        member = int(np.argmax(bad.any(axis=1)))
-    raise NumericalAbort(f"non-finite values in {what}", step=step, member=member)
+    bad = np.moveaxis(~np.isfinite(x), member_axis, 0).reshape(x.shape[member_axis], -1)
+    raise NumericalAbort(f"non-finite values in {what}", step=step,
+                         member=int(np.argmax(bad.any(axis=1))))
 
 
 def _weighted_increments(sqrt_q: np.ndarray, paths: list) -> Iterator[np.ndarray]:
@@ -146,6 +149,12 @@ def _weighted_increments(sqrt_q: np.ndarray, paths: list) -> Iterator[np.ndarray
 # ---------------------------------------------------------------------------
 # full periodic reference solver
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The reference solver's block workers, one per usable CPU, made on first use."""
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
 
 
 class FullSpdeSolver:
@@ -178,28 +187,61 @@ class FullSpdeSolver:
         """
         return np.tensordot(db, self.basis_hat, axes=(0, 0))
 
-    def step(self, u: np.ndarray, cfg: SpdeConfig, dw_hat: np.ndarray) -> np.ndarray:
-        """One step of u, (n,) or (R, n); dw_hat is the matching noise_increment."""
-        reaction = cfg.alpha * (u - (u * u * u))
-        rhat = np.fft.rfft(u + cfg.dt * reaction, axis=-1)
-        rhat[..., : dw_hat.shape[-1]] += cfg.sigma * dw_hat
-        rhat /= 1.0 + cfg.dt * self.symbol
-        return np.fft.irfft(rhat, n=self.n, axis=-1)
+    def step(self, u: np.ndarray, cfg: SpdeConfig, dw_hat: np.ndarray, scratch: np.ndarray,
+             rhat: np.ndarray, denom: np.ndarray) -> None:
+        """u <- irfft((rfft(u + dt alpha (u - u u u)) + sigma dw_hat) / denom), in place.
+
+        u is (R, n), dw_hat its noise_increment, scratch and rhat (R, n // 2 + 1) buffers.
+        """
+        np.multiply(u, u, out=scratch)
+        np.multiply(scratch, u, out=scratch)
+        np.subtract(u, scratch, out=scratch)
+        np.multiply(cfg.alpha, scratch, out=scratch)
+        np.multiply(cfg.dt, scratch, out=scratch)
+        np.add(u, scratch, out=scratch)
+        np.fft.rfft(scratch, axis=-1, out=rhat)
+        rhat[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
+        np.divide(rhat, denom, out=rhat)
+        np.fft.irfft(rhat, n=self.n, axis=-1, out=u)
 
     def simulate(self, cfg: SpdeConfig, paths: list,
                  u0: Optional[np.ndarray] = None) -> np.ndarray:
         """Fine field at the end of the paths for a member batch, shape (n, R).
 
-        Every member starts from u0 (default: the configured initial
-        profile) and is driven by its own path; the state is stepped
-        member-major and returned transposed.
+        Every member starts from u0 (default: the configured initial profile)
+        and is driven by its own path; rows are stepped in blocks of two or more
+        members (R > 1).  An abort names the earliest step, then the lowest member.
         """
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        u = np.repeat(np.asarray(u0, dtype=float)[None, :], len(paths), axis=0)
-        for i, db in enumerate(_weighted_increments(self.sqrt_q, paths)):
-            u = self.step(u, cfg, self.noise_increment(db))
-            _check_finite(u, 0, "reference solve", i)
+        R = len(paths)
+        u = np.repeat(np.asarray(u0, dtype=float)[None, :], R, axis=0)
+        denom = 1.0 + cfg.dt * self.symbol
+        scratch, rhat = np.empty_like(u), np.empty((R, denom.size), dtype=complex)
+        err = np.geterr()             # worker threads start from numpy's default error state
+        stop = threading.Event()      # set when the caller stops waiting, e.g. on an interrupt
+
+        def run(lo: int, hi: int) -> Optional[NumericalAbort]:
+            ub, sb, rb = u[lo:hi], scratch[lo:hi], rhat[lo:hi]
+            with np.errstate(**err):
+                try:
+                    for i, db in enumerate(_weighted_increments(self.sqrt_q, paths[lo:hi])):
+                        if stop.is_set():
+                            break
+                        self.step(ub, cfg, self.noise_increment(db), sb, rb, denom)
+                        _check_finite(ub, 0, "reference solve", i)
+                except NumericalAbort as abort:
+                    abort.member += lo
+                    return abort
+
+        n_blocks = max(1, min(-(-u.nbytes // 2**19), R // 2))    # 512 KiB blocks: L2 / 4
+        edges = [R * b // n_blocks for b in range(n_blocks + 1)]
+        try:
+            aborts = [a for a in _pool().map(run, edges[:-1], edges[1:]) if a is not None]
+        finally:
+            stop.set()
+        if aborts:
+            raise min(aborts, key=lambda a: (a.step, a.member))
         return u.T
 
 

@@ -259,22 +259,24 @@ def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
     """Driver tables for a member batch, trailing axis = member.
 
     Each member's tables are built exactly as a standalone run would build
-    them (same stream order), then stacked; replaying one member with its
-    seed reproduces its column bitwise.  Paths are sampled from each
-    member's path stream unless pre-sampled `paths` are given (common random
-    numbers across spacings).  `member_streams` spawns afresh on every call,
-    so it is called exactly once per member here whether or not the path
-    stream is used: the deviation draws depend on that count.
+    them (same stream order), into its column of preallocated tables; replaying
+    one member with its seed reproduces its column bitwise.  Paths are sampled
+    from each member's path stream unless pre-sampled `paths` are given
+    (common random numbers across spacings).  `member_streams` spawns afresh
+    on every call, so it is called exactly once per member here whether or
+    not the path stream is used: the deviation draws depend on that count.
     """
-    drawn, tables = [], []
+    slow, gridpoint, deviation = (np.empty((setup.grid.M, times.size - 1, len(seeds)))
+                                  for _ in range(3))
+    drawn = []
     for r, ss in enumerate(seeds):
         path_ss, dev_ss, _ = member_streams(ss)
         path = sample_global_path(setup.spec, times, path_ss) if paths is None else paths[r]
         drawn.append(path)
-        tables.append(models.build_drivers(setup.grid, setup.proj, path, dev_ss))
-    stack = lambda name: np.stack([getattr(d, name) for d in tables], axis=-1)
-    drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=stack("slow"),
-                           gridpoint=stack("gridpoint"), deviation=stack("deviation"))
+        d = models.build_drivers(setup.grid, setup.proj, path, dev_ss)
+        slow[..., r], gridpoint[..., r], deviation[..., r] = d.slow, d.gridpoint, d.deviation
+    drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=slow,
+                           gridpoint=gridpoint, deviation=deviation)
     return drivers, drawn
 
 

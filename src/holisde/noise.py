@@ -203,16 +203,15 @@ def project_to_element_modes(
     nodes = grid.all_nodes()                       # (M, 2, n+1)
     basis = fourier_basis(nodes, spec.n_modes, grid.L)  # (K+1, M, 2, n+1)
 
-    shapes, _ = eig.element_mode_shapes(grid)      # (n_modes, M, 2, n+1)
+    shapes = eig.element_mode_shapes(grid)         # (n_modes, M, 2, n+1)
 
-    # unit-normalize every restriction under the element quadrature
-    norms2 = np.einsum("lmhi,ij,lmhj->lm", shapes, mb, shapes)
-    mask = norms2.T > min_restriction_mass         # (M, n_modes)
-    safe = np.where(norms2 > min_restriction_mass, norms2, 1.0)
-    shapes = shapes / np.sqrt(safe)[:, :, None, None]
-
-    weights = np.einsum("kmhi,ij,lmhj->mlk", basis, mb, shapes)
-    weights = np.where(mask[:, :, None], weights, 0.0)
+    weighted = shapes @ mb          # M_b symmetric: serves the norms and the weights
+    norms2 = np.sum(weighted * shapes, axis=(2, 3)).T   # (M, n_modes)
+    mask = norms2 > min_restriction_mass
+    safe = np.where(mask, norms2, 1.0)
+    weights = np.matmul(weighted.transpose(1, 0, 2, 3).reshape(grid.M, shapes.shape[0], -1),
+                        basis.transpose(1, 2, 3, 0).reshape(grid.M, -1, spec.n_modes))
+    weights = np.where(mask[:, :, None], weights / np.sqrt(safe)[:, :, None], 0.0)
     qh = weights**2 @ spec.q
     sqrt_q = np.sqrt(spec.q)[None, :]
     basis_x = fourier_basis(grid.grid_points, spec.n_modes, grid.L)    # (K+1, M)

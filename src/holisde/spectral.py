@@ -230,11 +230,11 @@ class EigenSystem:
     def is_simple(self, k: int) -> bool:
         return self.multiplicity(k) == 1
 
-    def element_mode_shapes(self, grid: DomainGrid):
+    def element_mode_shapes(self, grid: DomainGrid) -> np.ndarray:
         """Mode restrictions per element for noise projection."""
         if grid != self.grid:
             raise ValueError("eigensystem grid does not match")
-        return self.fields, self.eigenvalues
+        return self.fields
 
 
 def _fix_signs(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
@@ -325,15 +325,12 @@ class AnalyticEigenSystem:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def element_mode_shapes(self, grid: DomainGrid):
-        """Broadcast the local family to every element."""
+    def element_mode_shapes(self, grid: DomainGrid) -> np.ndarray:
+        """The local family broadcast to every element (a read-only view)."""
         if grid != self.grid:
             raise ValueError("eigensystem grid does not match")
-        M = grid.M
-        shapes = np.broadcast_to(
-            self.local_shapes[:, None, :, :], (self.n_modes, M, 2, grid.subgrid_n + 1)
-        ).copy()
-        return shapes, self.eigenvalues
+        return np.broadcast_to(self.local_shapes[:, None, :, :],
+                               (self.n_modes, grid.M, 2, grid.subgrid_n + 1))
 
 
 def eig_gamma0(grid: DomainGrid, n_levels: int = 6) -> AnalyticEigenSystem:

@@ -1,10 +1,13 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import holisde
+from holisde import dynamics
 from holisde.dynamics import (
     CoupledElementSolver,
     FullSpdeSolver,
@@ -25,7 +28,7 @@ def slow_fast_decompose(state, eig):
     remainder is orthogonal element-wise, so recomposition is exact.
     """
     grid = state.grid
-    shapes, _ = eig.element_mode_shapes(grid)
+    shapes = eig.element_mode_shapes(grid)
     ground = shapes[0]                                     # (M, 2, n+1)
     mb = grid.mass_block
     num = np.einsum("mhi,ij,mhj->m", state.values, mb, ground)
@@ -39,15 +42,40 @@ def _quiet_path(spec, cfg, seed=0):
     return sample_global_path(spec, cfg.times(), seed)
 
 
+def workspace(solver, cfg, members):
+    """Work buffers and implicit denominator of FullSpdeSolver.step for a batch."""
+    return (np.empty((members, solver.n)), np.empty((members, solver.n // 2 + 1), dtype=complex),
+            1.0 + cfg.dt * solver.symbol)
+
+
+def whole_batch_reference(solver, cfg, paths):
+    """Oracle: step the whole batch as one block with the solver's step, (n, R)."""
+    u0 = initial_profile(cfg.initial, solver.L)(solver.x)
+    u = np.repeat(u0[None, :], len(paths), axis=0)
+    work = workspace(solver, cfg, len(paths))
+    for i in range(cfg.n_steps):
+        db = solver.sqrt_q[:, None] * np.stack([p.increments[:, i] for p in paths], axis=-1)
+        solver.step(u, cfg, solver.noise_increment(db), *work)
+        if not np.all(np.isfinite(u)):
+            return i, int(np.argmax(~np.isfinite(u).all(axis=1)))
+    return u.T
+
+
+# 7 members x 32768 nodes is 1.75 MiB: blocks of 2, 2 and 3 members
+BLOCKED_N, BLOCKED_R = 32768, 7
+
+
 def test_heat_decay_oracle(qspec):
     L = 2.0 * np.pi
     cfg = SpdeConfig(alpha=0.0, sigma=0.0, dt=1e-3, T=0.01)
     solver = FullSpdeSolver(L, 512, qspec)
     path = _quiet_path(qspec, cfg)
-    u = np.sin(2.0 * np.pi * solver.x / L)
+    u = np.sin(2.0 * np.pi * solver.x / L)[None, :]
     kappa2 = (2.0 * np.pi / L) ** 2
-    v = solver.step(u, cfg, solver.noise_increment(solver.sqrt_q * path.increments[:, 0]))
-    factor = v[10] / u[10]
+    v = u.copy()
+    dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[:, :1])
+    solver.step(v, cfg, dw_hat, *workspace(solver, cfg, 1))
+    factor = v[0, 10] / u[0, 10]
     assert abs(factor - np.exp(-kappa2 * cfg.dt)) < 5.0 * cfg.dt**2
 
 
@@ -153,7 +181,7 @@ def test_slow_fast_pythagoras(grid8, rng):
     eig = eig_gamma(assemble_operator(grid8, 0.2), 4)
     state = ElementField(rng.standard_normal((grid8.M, 2, grid8.subgrid_n + 1)), grid8)
     a, fast = slow_fast_decompose(state, eig)
-    shapes, _ = eig.element_mode_shapes(grid8)
+    shapes = eig.element_mode_shapes(grid8)
     slow_vals = a[:, None, None] * shapes[0]
     slow = ElementField(slow_vals, grid8)
     # recomposition is exact, split is orthogonal
@@ -289,6 +317,74 @@ def test_abort_names_first_nonfinite_member(grid8, qspec):
             solver.simulate(cfg, paths)
         assert err.value.member == 1
         assert err.value.step == 1
+
+
+@pytest.mark.parametrize("workers", [None, 1, 8])
+def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, workers):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.004)
+    solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
+    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(BLOCKED_R)]
+    want = whole_batch_reference(solver, cfg, paths)
+    rows, step = [], solver.step
+    monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
+    if workers is not None:
+        pool = ThreadPoolExecutor(workers)
+        monkeypatch.setattr(dynamics, "_pool", lambda: pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = solver.simulate(cfg, paths)
+    finally:
+        sys.setswitchinterval(interval)
+        if workers is not None:
+            pool.shutdown(wait=True)
+    assert np.array_equal(got, want)
+    assert sorted(rows) == [2] * 2 * cfg.n_steps + [3] * cfg.n_steps
+
+
+def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatch):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.2)
+    solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
+    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(BLOCKED_R)]
+    rows, step = [], solver.step
+    monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
+    pool = ThreadPoolExecutor(2)
+
+    class Interrupted(Exception):
+        pass
+
+    class InterruptedWait:                  # starts every block, then the wait is interrupted
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                pool.submit(fn, *args)
+            raise Interrupted
+
+    monkeypatch.setattr(dynamics, "_pool", InterruptedWait)
+    with pytest.raises(Interrupted):
+        solver.simulate(cfg, paths)
+    pool.shutdown(wait=True)
+    assert sum(rows) < BLOCKED_R * cfg.n_steps // 4      # member steps taken
+
+
+def test_blocked_abort_names_earliest_step_then_member(qspec):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
+    solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
+    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(BLOCKED_R)]
+    # a huge increment at step k - 1 overflows the cube at step k; members
+    # 1, 2 and 5 sit in the first, second and third block
+    for member, k in ((1, 4), (2, 2), (5, 2)):
+        dw = paths[member].increments.copy()
+        dw[:, k - 1] *= 1e200
+        paths[member] = NoisePath(paths[member].times, dw)
+    with np.errstate(all="ignore"):
+        assert whole_batch_reference(solver, cfg, paths) == (2, 2)
+        with pytest.raises(NumericalAbort) as err:
+            solver.simulate(cfg, paths)
+    assert (err.value.step, err.value.member) == (2, 2)
+    paths[2] = _quiet_path(qspec, cfg, seed=2)
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        solver.simulate(cfg, paths)
+    assert (err.value.step, err.value.member) == (2, 5)
 
 
 @pytest.mark.parametrize("members", [None, 3])

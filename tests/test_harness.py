@@ -8,6 +8,7 @@ from holisde.cli import main as cli_main
 from holisde.harness import (
     ConfigError,
     RunConfig,
+    batch_driver_tables,
     build_setup,
     compare_models,
     convergence_study,
@@ -74,6 +75,22 @@ def test_single_member_matches_direct_simulation():
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
     traj = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)[0]
     assert np.array_equal(stats.mean("holistic"), traj.states[-1])
+
+
+def test_batch_driver_columns_are_member_tables():
+    cfg = RunConfig(**FAST)
+    setup = build_setup(cfg)
+    times = cfg.spde().times()
+    drivers, paths = batch_driver_tables(setup, member_seeds(cfg.master_seed, 3), times)
+    assert drivers.slow.shape == (setup.grid.M, times.size - 1, 3)
+    # fresh seed trees: member_streams advances a tree's spawn counter
+    for r, ss in enumerate(member_seeds(cfg.master_seed, 3)):
+        path_ss, dev_ss, _ = member_streams(ss)
+        path = sample_global_path(setup.spec, times, path_ss)
+        assert np.array_equal(paths[r].increments, path.increments)
+        one = build_drivers(setup.grid, setup.proj, path, dev_ss)
+        for name in ("slow", "gridpoint", "deviation"):
+            assert np.array_equal(getattr(drivers, name)[..., r], getattr(one, name))
 
 
 def test_member_replay_is_bitwise(tmp_path):

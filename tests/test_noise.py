@@ -15,9 +15,22 @@ def coupled_trace_bound(spec, eig, grid):
     fixed truncation.
     """
     basis = fourier_basis(grid.all_nodes(), spec.n_modes, grid.L)
-    shapes, lam = eig.element_mode_shapes(grid)
+    shapes = eig.element_mode_shapes(grid)
     w = np.einsum("kmhi,ij,lmhj->lk", basis, grid.mass_block, shapes)
-    return float(np.sum(lam * (w**2 @ spec.q)))
+    return float(np.sum(eig.eigenvalues * (w**2 @ spec.q)))
+
+
+def einsum_projection_weights(spec, eig, grid, min_restriction_mass=1e-8):
+    """Projection weights by two three-operand einsums, normalizing the shapes first."""
+    mb = grid.mass_block
+    basis = fourier_basis(grid.all_nodes(), spec.n_modes, grid.L)
+    shapes = eig.element_mode_shapes(grid)
+    norms2 = np.einsum("lmhi,ij,lmhj->lm", shapes, mb, shapes)
+    mask = norms2.T > min_restriction_mass
+    safe = np.where(norms2 > min_restriction_mass, norms2, 1.0)
+    shapes = shapes / np.sqrt(safe)[:, :, None, None]
+    weights = np.einsum("kmhi,ij,lmhj->mlk", basis, mb, shapes)
+    return np.where(mask[:, :, None], weights, 0.0)
 
 
 def predicted_driver_correlation(proj, j1, l1, j2, l2):
@@ -111,6 +124,15 @@ def test_projection_weights_against_dense_quadrature(grid8, qspec, eig0_8, proj8
         oracle = simpson(ek * mode, x=xs)
         # agreement limited by the subgrid quadrature itself (4th order, n = 16)
         assert proj8.weights[j, l, k] == pytest.approx(oracle, abs=1e-5)
+
+
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_projection_weights_match_einsum_oracle(grid8, qspec, eig0_8, gamma):
+    eig = eig0_8 if gamma is None else eig_gamma(assemble_operator(grid8, gamma), 10)
+    want = einsum_projection_weights(qspec, eig, grid8)
+    got = project_to_element_modes(qspec, eig, grid8).weights
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_projection_single_global_mode(grid8, eig0_8):
