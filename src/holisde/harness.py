@@ -5,7 +5,8 @@ seeds are spawned from the master seed, all noise consumed by the solvers
 is a deterministic image of the sampled Brownian coefficient matrices, and
 artifacts carry a manifest with the config hash.  Ensembles advance member
 batches in lock step (the state arrays grow a trailing member axis), which
-keeps the per-step work in BLAS instead of Python.
+keeps the per-step work in BLAS instead of Python.  A batch's paths and driver
+tables are drawn serially, in place, into whole-batch buffers, bitwise per member.
 """
 
 from __future__ import annotations
@@ -254,30 +255,31 @@ def member_streams(member_ss) -> tuple:
     return path_ss, dev_ss, aux_ss
 
 
+def sample_paths(spec: QWienerSpec, times: np.ndarray, path_seeds) -> list:
+    """A member batch's NoisePaths, drawn in place into one (R, K+1, n_steps) buffer."""
+    buf = np.empty((len(path_seeds), spec.n_modes, times.size - 1))
+    return [sample_global_path(spec, times, ss, out=row) for ss, row in zip(path_seeds, buf)]
+
+
 def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
                         paths: Optional[list] = None) -> tuple[ModelDrivers, list]:
     """Driver tables for a member batch, trailing axis = member.
 
-    Each member's tables are built exactly as a standalone run would build
-    them (same stream order), into its column of preallocated tables; replaying
-    one member with its seed reproduces its column bitwise.  Paths are sampled
-    from each member's path stream unless pre-sampled `paths` are given
-    (common random numbers across spacings).  `member_streams` spawns afresh
-    on every call, so it is called exactly once per member here whether or
-    not the path stream is used: the deviation draws depend on that count.
+    Paths go into one whole-batch buffer (`sample_paths`) unless pre-sampled
+    `paths` are given (common random numbers across spacings); the tables
+    are written in place by `models.driver_tables`, serially, each column
+    bitwise a standalone run's.  `member_streams` spawns afresh on every
+    call, so it is called exactly once per member here whether or not the
+    path stream is used: the deviation draws depend on that count.
     """
-    slow, gridpoint, deviation = (np.empty((setup.grid.M, times.size - 1, len(seeds)))
-                                  for _ in range(3))
-    drawn = []
-    for r, ss in enumerate(seeds):
-        path_ss, dev_ss, _ = member_streams(ss)
-        path = sample_global_path(setup.spec, times, path_ss) if paths is None else paths[r]
-        drawn.append(path)
-        d = models.build_drivers(setup.grid, setup.proj, path, dev_ss)
-        slow[..., r], gridpoint[..., r], deviation[..., r] = d.slow, d.gridpoint, d.deviation
+    streams = [member_streams(ss) for ss in seeds]
+    if paths is None:
+        paths = sample_paths(setup.spec, times, [s[0] for s in streams])
+    slow, gridpoint, deviation = models.driver_tables(
+        setup.proj, [p.increments for p in paths], np.diff(times), [s[1] for s in streams])
     drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=slow,
                            gridpoint=gridpoint, deviation=deviation)
-    return drivers, drawn
+    return drivers, paths
 
 
 def reference_grid_values(L: float, spec: QWienerSpec, paths: list, spde: SpdeConfig,
@@ -344,10 +346,8 @@ def _flush_chunk(cache: Path, out: dict) -> None:
 def _load_chunk(cache: Path, keys: list, n_members: int) -> Optional[dict]:
     """A flushed chunk's arrays, or None when the file is missing, unreadable,
     or holds other keys or another member count than the chunk needs."""
-    if not cache.exists():
-        return None
     try:
-        with np.load(cache) as data:
+        with open(cache, "rb") as fh, np.load(fh) as data:
             out = {k: data[k] for k in data.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
@@ -558,7 +558,7 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
     spde0 = cfg.spde()
     times = spde0.times()
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
-    paths = [sample_global_path(spec, times, member_streams(ss)[0]) for ss in seeds]
+    paths = sample_paths(spec, times, [member_streams(ss)[0] for ss in seeds])
 
     ref = reference_grid_values(grid.L, spec, paths, spde0, cfg.n_fine)
     gaps = np.stack([
@@ -605,7 +605,7 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
 
     base = replace(cfg, M=Ms[0])
     setup0 = build_setup(base)
-    paths = [sample_global_path(setup0.spec, times, member_streams(ss)[0]) for ss in seeds]
+    paths = sample_paths(setup0.spec, times, [member_streams(ss)[0] for ss in seeds])
     ref = reference_grid_values(setup0.grid.L, setup0.spec, paths, spde, cfg.n_fine)   # (n_fine, R)
 
     mean_err, var_err = [], []

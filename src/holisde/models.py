@@ -113,12 +113,10 @@ def build_drivers(
     The slow and gridpoint tables are the projection's member-independent
     maps applied to `path`; the deviation (and, if an expansion is given,
     auxiliary) Brownian families are drawn from their own seeds so replays
-    stay bitwise.
+    stay bitwise: the tables are those of `driver_tables` on a batch of one.
     """
-    slow = proj.slow_map @ path.increments
-    gridpoint = proj.gridpoint_map @ path.increments
-    rng = np.random.default_rng(deviation_seed)
-    deviation = rng.standard_normal((grid.M, path.n_steps)) * np.sqrt(path.dt)[None, :]
+    slow, gridpoint, deviation = driver_tables(proj, [path.increments], path.dt,
+                                               [deviation_seed])[..., 0]
     aux = None
     if expansion is not None:
         if stats is None or eig0 is None:
@@ -127,6 +125,31 @@ def build_drivers(
         aux = md.combined
     return ModelDrivers(grid=grid, dt=path.dt, slow=slow, gridpoint=gridpoint,
                         deviation=deviation, aux=aux)
+
+
+_SCRATCH_BYTES = 2**19   # 512 KiB of member-major table scratch: L2 / 4, as in dynamics
+
+
+def driver_tables(proj: ElementNoiseProjection, increments, dt: np.ndarray,
+                  deviation_seeds) -> np.ndarray:
+    """Slow, gridpoint and deviation tables (3, M, n_steps, R) of R members'
+    path increments (K+1, n_steps) and deviation seeds.  Members are written
+    in place into a member-major scratch of at most 512 KiB (or one member),
+    one BLAS product per map and member as on its own, so each column is
+    bitwise that member's tables; one transposing copy per block follows."""
+    R, n, M = len(increments), dt.size, proj.slow_map.shape[0]
+    tables = np.empty((3, M, n, R))
+    B = min(R, max(1, _SCRATCH_BYTES // (3 * M * n * 8)))
+    scratch = np.empty((B, 3, M, n))
+    for r0 in range(0, R, B):
+        block = scratch[:min(B, R - r0)]
+        for member, inc, ss in zip(block, increments[r0:], deviation_seeds[r0:]):
+            np.matmul(proj.slow_map, inc, out=member[0])
+            np.matmul(proj.gridpoint_map, inc, out=member[1])
+            np.random.default_rng(ss).standard_normal(out=member[2])
+        block[:, 2] *= np.sqrt(dt)
+        tables[..., r0:r0 + len(block)] = block.transpose(1, 2, 3, 0)
+    return tables
 
 
 _BLOCK = 64   # steps per precomputed noise block: a whole-run table would grow the RSS
@@ -197,7 +220,7 @@ def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers, ndim: int) -
                                      for p in parts]), 2, 0)
 
     def step(U, dt, dchk, noise_i):
-        lap = (np.take(U, prev, axis=1) - 2.0 * U + np.take(U, nxt, axis=1)) / h2
+        lap = (U.take(prev, axis=1) - 2.0 * U + U.take(nxt, axis=1)) / h2
         return U + dt * (wl * lap + lin * U - alpha * (U * U * U)) + dev * U * dchk + noise_i
 
     return step, noise

@@ -142,19 +142,21 @@ class NoisePath:
         return NoisePath(self.times[::factor], dw, seed=self.seed)
 
 
-def sample_global_path(spec: QWienerSpec, times: np.ndarray, seed) -> NoisePath:
+def sample_global_path(spec: QWienerSpec, times: np.ndarray, seed, out=None) -> NoisePath:
     """Draw the Brownian coefficient increments for every Fourier mode.
 
     Deterministic in (seed, times): the same seed gives a bitwise-identical
     increment matrix whatever consumes it afterwards.  `seed` may be an int
-    or a numpy SeedSequence (used for ensemble member spawning).
+    or a numpy SeedSequence (used for ensemble member spawning).  A given
+    `out` (C-contiguous (K+1, n_steps)) receives the same draws in place.
     """
     times = np.asarray(times, dtype=float)
     dt = np.diff(times)
     if np.any(dt <= 0):
         raise ValueError("time grid must be strictly increasing")
     rng = np.random.default_rng(seed)
-    dw = rng.standard_normal((spec.n_modes, dt.size)) * np.sqrt(dt)[None, :]
+    dw = rng.standard_normal((spec.n_modes, dt.size), out=out)
+    dw *= np.sqrt(dt)
     return NoisePath(times, dw, seed=seed)
 
 

@@ -1,11 +1,15 @@
+import gc
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from holisde import noise
+from holisde import models, noise
 from holisde.cli import main as cli_main
 from holisde.harness import (
+    _load_chunk,
     ConfigError,
     RunConfig,
     batch_driver_tables,
@@ -77,20 +81,50 @@ def test_single_member_matches_direct_simulation():
     assert np.array_equal(stats.mean("holistic"), traj.states[-1])
 
 
+def _member_oracle(setup, times, ss, path=None):
+    """One member's path increments, slow, gridpoint and deviation tables and
+    deviation seed, drawn and mapped on its own with fresh temporaries."""
+    path_ss, dev_ss, _ = member_streams(ss)
+    sqrt_dt = np.sqrt(np.diff(times))[None, :]
+    if path is None:
+        inc = np.random.default_rng(path_ss).standard_normal((setup.spec.n_modes, times.size - 1))
+        inc = inc * sqrt_dt
+    else:
+        inc = path.increments
+    dev = np.random.default_rng(dev_ss).standard_normal((setup.grid.M, times.size - 1)) * sqrt_dt
+    return inc, setup.proj.slow_map @ inc, setup.proj.gridpoint_map @ inc, dev, dev_ss
+
+
 def test_batch_driver_columns_are_member_tables():
-    cfg = RunConfig(**FAST)
+    cfg = RunConfig(**{**FAST, "T": 0.2})    # 200 steps: 38,400 B of tables per member
     setup = build_setup(cfg)
     times = cfg.spde().times()
-    drivers, paths = batch_driver_tables(setup, member_seeds(cfg.master_seed, 3), times)
-    assert drivers.slow.shape == (setup.grid.M, times.size - 1, 3)
-    # fresh seed trees: member_streams advances a tree's spawn counter
-    for r, ss in enumerate(member_seeds(cfg.master_seed, 3)):
-        path_ss, dev_ss, _ = member_streams(ss)
-        path = sample_global_path(setup.spec, times, path_ss)
-        assert np.array_equal(paths[r].increments, path.increments)
-        one = build_drivers(setup.grid, setup.proj, path, dev_ss)
-        for name in ("slow", "gridpoint", "deviation"):
-            assert np.array_equal(getattr(drivers, name)[..., r], getattr(one, name))
+    M, n = setup.grid.M, times.size - 1
+    per_block = models._SCRATCH_BYTES // (3 * M * n * 8)
+    assert 2 * per_block < 30 < 3 * per_block    # two whole scratch blocks and a remainder
+    for R, given in itertools.product((1, 3, 30), (False, True)):
+        given_paths = ([sample_global_path(setup.spec, times, 100 + r) for r in range(R)]
+                       if given else None)
+        drivers, paths = batch_driver_tables(setup, member_seeds(cfg.master_seed, R), times,
+                                             paths=given_paths)
+        tables = [drivers.slow, drivers.gridpoint, drivers.deviation]
+        assert all(t.shape == (M, n, R) for t in tables)
+        if not given:   # sampled paths are the rows of one whole-batch buffer
+            buf = paths[0].increments.base
+            assert buf.shape == (R, setup.spec.n_modes, n)
+            assert all(p.increments.base is buf for p in paths)
+        for a, b in itertools.combinations(tables + [p.increments for p in paths], 2):
+            assert not np.shares_memory(a, b)
+        # fresh seed trees: member_streams advances a tree's spawn counter
+        for r, ss in enumerate(member_seeds(cfg.master_seed, R)):
+            inc, slow, gridpoint, dev, dev_ss = _member_oracle(
+                setup, times, ss, given_paths[r] if given else None)
+            assert np.array_equal(paths[r].increments, inc)
+            for table, want in zip(tables, (slow, gridpoint, dev)):
+                assert np.array_equal(table[..., r], want)
+            one = build_drivers(setup.grid, setup.proj, paths[r], dev_ss)   # a batch of one
+            for name, want in zip(("slow", "gridpoint", "deviation"), (slow, gridpoint, dev)):
+                assert np.array_equal(getattr(one, name), want)
 
 
 def test_member_replay_is_bitwise(tmp_path):
@@ -164,6 +198,20 @@ def test_resume_recomputes_truncated_chunk(tmp_path):
         for key in ("mean", "var", "stderr"):
             assert np.array_equal(fresh.observables[name][key], resumed.observables[name][key])
     assert not list(cache[1].parent.glob("*.tmp"))
+
+
+def test_truncated_chunk_file_is_closed(tmp_path):
+    cfg = RunConfig(**{**FAST, "ensemble": 4})
+    run_ensemble(cfg, out_dir=tmp_path)
+    cache = next((tmp_path / f"members_{cfg.digest()}").glob("chunk_*.npz"))
+    with np.load(cache) as data:
+        keys = list(data.files)
+    cache.write_bytes(cache.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _load_chunk(cache, keys, 4) is None
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
 
 
 def test_sigma_zero_models_identical_in_report():
