@@ -35,8 +35,13 @@ EXIT_NUMERIC = 3
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8")) \
-        if args.config else RunConfig()
+    cfg = RunConfig()
+    if args.config:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"cannot read config {args.config!r}: {exc}"]) from exc
+        cfg = RunConfig.from_json(text)
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -46,8 +51,11 @@ def _load_config(args) -> RunConfig:
         axis, _, vals = args.sweep.partition("=")
         if axis not in ("gamma", "h", "dt") or not vals:
             raise ConfigError([f"bad --sweep {args.sweep!r}; expected AXIS=v1,v2,..."])
+        try:
+            overrides["sweep_values"] = tuple(float(v) for v in vals.split(","))
+        except ValueError:
+            raise ConfigError([f"bad --sweep value in {args.sweep!r}; expected numbers"]) from None
         overrides["sweep_axis"] = axis
-        overrides["sweep_values"] = tuple(float(v) for v in vals.split(","))
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -184,11 +192,9 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalAbort as exc:
-        print(f"numerical abort: {exc} (step={exc.step}, member={exc.member})", file=sys.stderr)
+    except NumericalAbort as exc:   # every verb steps members of the master seed's ensemble
+        print(f"numerical abort: {exc} (step={exc.step}, member={exc.member}, "
+              f"seed={cfg.master_seed})", file=sys.stderr)
         return EXIT_NUMERIC
     return rc
 

@@ -1,6 +1,6 @@
 """Time stepping for the continuum systems.
 
-Two solvers share one sampled noise path:
+Two solvers share one sampled member batch of noise paths:
 
 * the full periodic reaction-diffusion equation
   du = (u_xx + alpha (u - u^3)) dt + sigma dW on a fine uniform grid,
@@ -16,7 +16,8 @@ Two solvers share one sampled noise path:
   the series reproduces the restriction of W to the element.
 
 Each solver has one step, one noise method and one batched `simulate`
-that advances a member batch in lock step; a single run is a batch of one.
+that advances a NoisePath member batch in lock step, writing each step's
+weighted (K+1, R) increments into one buffer; a single run is a batch of one.
 The reference steps a member-major state (R, n), so both FFTs run along
 the contiguous axis, and adds its noise in rfft space: the Fourier noise
 modes are exact DFT bins of the fine grid; it steps L2-sized member blocks in
@@ -33,13 +34,13 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grid import ElementField
-from .noise import QWienerSpec, fourier_basis
+from .noise import NoisePath, QWienerSpec, fourier_basis
 from .spectral import CoupledOperator
 
 __all__ = [
@@ -139,13 +140,6 @@ def _check_finite(x: np.ndarray, member_axis: int, what: str, step: int) -> None
                          member=int(np.argmax(bad.any(axis=1))))
 
 
-def _weighted_increments(sqrt_q: np.ndarray, paths: list) -> Iterator[np.ndarray]:
-    """Per step, the sqrt(q)-weighted increments of a member batch, (K+1, R)."""
-    sq = sqrt_q[:, None]
-    for i in range(paths[0].n_steps):
-        yield sq * np.stack([p.increments[:, i] for p in paths], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # full periodic reference solver
 # ---------------------------------------------------------------------------
@@ -204,17 +198,17 @@ class FullSpdeSolver:
         np.divide(rhat, denom, out=rhat)
         np.fft.irfft(rhat, n=self.n, axis=-1, out=u)
 
-    def simulate(self, cfg: SpdeConfig, paths: list,
+    def simulate(self, cfg: SpdeConfig, path: NoisePath,
                  u0: Optional[np.ndarray] = None) -> np.ndarray:
-        """Fine field at the end of the paths for a member batch, shape (n, R).
+        """Fine field at the end of a member batch's paths, shape (n, R).
 
         Every member starts from u0 (default: the configured initial profile)
-        and is driven by its own path; rows are stepped in blocks of two or more
-        members (R > 1).  An abort names the earliest step, then the lowest member.
+        and is driven by its row of `path`; rows are stepped in blocks of two or
+        more members (R > 1).  An abort names the earliest step, then the lowest member.
         """
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        R = len(paths)
+        R, sq = len(path.increments), self.sqrt_q[:, None]
         u = np.repeat(np.asarray(u0, dtype=float)[None, :], R, axis=0)
         denom = 1.0 + cfg.dt * self.symbol
         scratch, rhat = np.empty_like(u), np.empty((R, denom.size), dtype=complex)
@@ -223,11 +217,13 @@ class FullSpdeSolver:
 
         def run(lo: int, hi: int) -> Optional[NumericalAbort]:
             ub, sb, rb = u[lo:hi], scratch[lo:hi], rhat[lo:hi]
+            db = np.empty((sq.size, hi - lo))
             with np.errstate(**err):
                 try:
-                    for i, db in enumerate(_weighted_increments(self.sqrt_q, paths[lo:hi])):
+                    for i in range(path.n_steps):
                         if stop.is_set():
                             break
+                        np.multiply(sq, path.increments[lo:hi, :, i].T, out=db)
                         self.step(ub, cfg, self.noise_increment(db), sb, rb, denom)
                         _check_finite(ub, 0, "reference solve", i)
                 except NumericalAbort as abort:
@@ -295,17 +291,20 @@ class CoupledElementSolver:
         rhs = op.M_red @ c + cfg.dt * weak + cfg.sigma * noise_rhs
         return self._semi_lu.solve(rhs)
 
-    def simulate(self, cfg: SpdeConfig, paths: list,
+    def simulate(self, cfg: SpdeConfig, path: NoisePath,
                  u0: Optional[ElementField] = None) -> np.ndarray:
-        """Element fields at the end of the paths, shape (M, 2, n+1, R).
+        """Element fields at the end of a member batch's paths, shape (M, 2, n+1, R).
 
         Every member starts from the projection of u0 (default: the
-        configured initial profile) and is driven by its own path.
+        configured initial profile) and is driven by its row of `path`.
         """
         if abs(cfg.dt - self.dt) > 1e-14 * self.dt:
             raise ValueError("config dt differs from the factorized step size")
-        c = np.repeat(self.initial_reduced(cfg, u0)[:, None], len(paths), axis=1)
-        for i, db in enumerate(_weighted_increments(self.sqrt_q, paths)):
+        sq, c = self.sqrt_q[:, None], self.initial_reduced(cfg, u0)
+        c = np.repeat(c[:, None], len(path.increments), axis=1)
+        db = np.empty((sq.size, c.shape[1]))
+        for i in range(path.n_steps):
+            np.multiply(sq, path.increments[:, :, i].T, out=db)
             c = self.step_reduced(c, cfg, self.noise_rhs(db))
             _check_finite(c, -1, "coupled element solve", i)
         return (self.op.Z @ c).reshape(self.grid.M, 2, self.grid.subgrid_n + 1, -1)

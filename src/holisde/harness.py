@@ -5,8 +5,9 @@ seeds are spawned from the master seed, all noise consumed by the solvers
 is a deterministic image of the sampled Brownian coefficient matrices, and
 artifacts carry a manifest with the config hash.  Ensembles advance member
 batches in lock step (the state arrays grow a trailing member axis), which
-keeps the per-step work in BLAS instead of Python.  A batch's paths and driver
-tables are drawn serially, in place, into whole-batch buffers, bitwise per member.
+keeps the per-step work in BLAS instead of Python.  A batch's noise is one
+`NoisePath`, read by every solver and the driver tables; paths and tables
+are drawn serially, in place, into whole-batch buffers, bitwise per member.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
+import sys
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +35,7 @@ from .dynamics import (
 )
 from .grid import DomainGrid, build_grid
 from .models import DiscreteModel, ModelDrivers, simulate_models
-from .noise import QWienerSpec, sample_global_path
+from .noise import NoisePath, QWienerSpec, sample_global_path
 
 __all__ = [
     "ConfigError",
@@ -56,6 +59,33 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.messages))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float, not a bool; NaN fails the comparison."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+# a RunConfig field's annotation -> (accepts, normalizes, description) of its value
+_FIELD_TYPES = {
+    "int": (_is_int, int, "an integer"),
+    "float": (_is_real, float, "a finite real number"),
+    "str": (lambda v: isinstance(v, str), str, "a string"),
+    "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
+    "dict": (lambda v: isinstance(v, dict), dict, "an object"),
+    "tuple[float, ...]": (lambda v: _is_list(v, _is_real), lambda v: tuple(map(float, v)),
+                          "a list of finite real numbers"),
+    "tuple[str, ...]": (lambda v: _is_list(v, lambda x: isinstance(x, str)), tuple,
+                        "a list of strings"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated description of one harness run.
@@ -69,7 +99,7 @@ class RunConfig:
     subgrid_n: int = 64
     n_modes: int = 33            # Fourier modes K+1 of the driving noise
     decay_r: float = 3.0
-    q_list: Optional[tuple] = None
+    q_list: Optional[tuple[float, ...]] = None
     master_seed: int = 2024
 
     alpha: float = 1.0
@@ -79,13 +109,13 @@ class RunConfig:
     T: float = 1.0
     initial: dict = field(default_factory=lambda: {"kind": "sine", "amplitude": 0.3, "mode": 1})
 
-    model_kinds: tuple = ("conventional_fd", "holistic")
+    model_kinds: tuple[str, ...] = ("conventional_fd", "holistic")
     ensemble: int = 256
     n_fine: int = 1024
     kmax: int = 16
     n_levels: int = 6
     sweep_axis: Optional[str] = None
-    sweep_values: tuple = ()
+    sweep_values: tuple[float, ...] = ()
     out_dir: Optional[str] = None
     chunk_size: int = 32
     deviation_alpha: bool = False
@@ -94,6 +124,22 @@ class RunConfig:
 
     def __post_init__(self):
         errors = []
+        # every value gets its annotated type before any comparison: ints and
+        # floats are normalized to int and float, lists to tuples (annotations
+        # are strings under `from __future__ import annotations`)
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type
+            if kind.startswith("Optional["):
+                if value is None:
+                    continue
+                kind = kind[len("Optional["):-1]
+            accepts, normalize, what = _FIELD_TYPES[kind]
+            if accepts(value):
+                object.__setattr__(self, f.name, normalize(value))
+            else:
+                errors.append(f"{f.name} must be {what}, got {value!r}")
+        if errors:
+            raise ConfigError(errors)
         if self.L <= 0:
             errors.append(f"L must be positive, got {self.L}")
         if self.M < 3:
@@ -107,8 +153,10 @@ class RunConfig:
         if self.q_list is not None:
             try:
                 QWienerSpec(np.asarray(self.q_list, dtype=float))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 errors.append(f"bad q_list: {exc}")
+        if self.master_seed < 0:
+            errors.append(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.sigma < 0:
             errors.append(f"sigma must be nonnegative, got {self.sigma}")
         if not 0 <= self.gamma <= 1:
@@ -117,10 +165,16 @@ class RunConfig:
             errors.append(f"dt must be positive, got {self.dt}")
         if self.T <= 0:
             errors.append(f"T must be positive, got {self.T}")
-        try:
-            initial_profile(self.initial, self.L)
-        except (AttributeError, TypeError, ValueError) as exc:
-            errors.append(f"bad initial profile {self.initial!r}: {exc}")
+        init = self.initial
+        if (set(init) - {"kind", "amplitude", "mode"} or not _is_real(init.get("amplitude", 0.0))
+                or not _is_int(init.get("mode", 1))):
+            errors.append(f"bad initial profile {init!r}: it takes a kind, a finite real "
+                          "amplitude and an integer mode")
+        else:
+            try:
+                initial_profile(init, self.L)
+            except ValueError as exc:
+                errors.append(f"bad initial profile {init!r}: {exc}")
         for kind in self.model_kinds:
             if kind not in models.MODEL_KINDS + ("reference",):
                 errors.append(f"unknown model kind {kind!r}")
@@ -128,10 +182,12 @@ class RunConfig:
             errors.append(f"ensemble size must be >= 1, got {self.ensemble}")
         if self.n_fine < 4 * self.M:
             errors.append(f"n_fine={self.n_fine} too coarse for M={self.M}")
-        if self.n_fine % self.M:
+        if self.M > 0 and self.n_fine % self.M:
             errors.append("n_fine must be a multiple of M so grid points sit on fine nodes")
         if self.n_levels < 1:
             errors.append(f"n_levels must be >= 1, got {self.n_levels}")
+        if self.kmax < 1:
+            errors.append(f"kmax must be >= 1, got {self.kmax}")
         if self.chunk_size < 1:
             errors.append(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.sweep_axis is not None:
@@ -141,10 +197,6 @@ class RunConfig:
                 errors.append("sweeps need at least 3 values")
         if errors:
             raise ConfigError(errors)
-        if isinstance(self.q_list, list):
-            object.__setattr__(self, "q_list", tuple(self.q_list))
-        object.__setattr__(self, "model_kinds", tuple(self.model_kinds))
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
 
     # -- derived objects -------------------------------------------------------
 
@@ -188,10 +240,6 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError([f"unknown config key {k!r}" for k in sorted(unknown)])
-        d = dict(d)
-        for key in ("q_list", "model_kinds", "sweep_values"):
-            if key in d and isinstance(d[key], list):
-                d[key] = tuple(d[key])
         return cls(**d)
 
     @classmethod
@@ -205,7 +253,10 @@ class RunConfig:
         return cls.from_dict(payload)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """Resume key: a hash of every field but out_dir, which moves no number."""
+        d = self.to_dict()
+        del d["out_dir"]
+        return hashlib.sha256(json.dumps(d, sort_keys=True, indent=2).encode()).hexdigest()[:16]
 
 
 def fit_order(x: np.ndarray, y: np.ndarray) -> float:
@@ -255,34 +306,28 @@ def member_streams(member_ss) -> tuple:
     return path_ss, dev_ss, aux_ss
 
 
-def sample_paths(spec: QWienerSpec, times: np.ndarray, path_seeds) -> list:
-    """A member batch's NoisePaths, drawn in place into one (R, K+1, n_steps) buffer."""
-    buf = np.empty((len(path_seeds), spec.n_modes, times.size - 1))
-    return [sample_global_path(spec, times, ss, out=row) for ss, row in zip(path_seeds, buf)]
-
-
 def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
-                        paths: Optional[list] = None) -> tuple[ModelDrivers, list]:
-    """Driver tables for a member batch, trailing axis = member.
+                        path: Optional[NoisePath] = None) -> tuple[ModelDrivers, NoisePath]:
+    """Driver tables for a member batch, trailing axis = member, and its paths.
 
-    Paths go into one whole-batch buffer (`sample_paths`) unless pre-sampled
-    `paths` are given (common random numbers across spacings); the tables
-    are written in place by `models.driver_tables`, serially, each column
-    bitwise a standalone run's.  `member_streams` spawns afresh on every
-    call, so it is called exactly once per member here whether or not the
-    path stream is used: the deviation draws depend on that count.
+    The paths are sampled as one batch unless a pre-sampled `path` batch is
+    given (common random numbers across spacings); the tables are written in
+    place by `models.driver_tables`, serially, each column bitwise a
+    standalone run's.  `member_streams` spawns afresh on every call, so it is
+    called exactly once per member here whether or not the path stream is
+    used: the deviation draws depend on that count.
     """
     streams = [member_streams(ss) for ss in seeds]
-    if paths is None:
-        paths = sample_paths(setup.spec, times, [s[0] for s in streams])
+    if path is None:
+        path = sample_global_path(setup.spec, times, [s[0] for s in streams])
     slow, gridpoint, deviation = models.driver_tables(
-        setup.proj, [p.increments for p in paths], np.diff(times), [s[1] for s in streams])
-    drivers = ModelDrivers(grid=setup.grid, dt=np.diff(times), slow=slow,
+        setup.proj, path.increments, path.dt, [s[1] for s in streams])
+    drivers = ModelDrivers(grid=setup.grid, dt=path.dt, slow=slow,
                            gridpoint=gridpoint, deviation=deviation)
-    return drivers, paths
+    return drivers, path
 
 
-def reference_grid_values(L: float, spec: QWienerSpec, paths: list, spde: SpdeConfig,
+def reference_grid_values(L: float, spec: QWienerSpec, path: NoisePath, spde: SpdeConfig,
                           n_fine: int) -> np.ndarray:
     """Fine reference field u(x, T) for a member batch, shape (n_fine, R).
 
@@ -290,7 +335,7 @@ def reference_grid_values(L: float, spec: QWienerSpec, paths: list, spde: SpdeCo
     coefficients the models consume (common random numbers); a single run
     is a batch of one.  `at_grid_points` reads off the grid values.
     """
-    return FullSpdeSolver(L, n_fine, spec).simulate(spde, paths)
+    return FullSpdeSolver(L, n_fine, spec).simulate(spde, path)
 
 
 def at_grid_points(u: np.ndarray, M: int) -> np.ndarray:
@@ -394,13 +439,13 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
                 grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
                                              deviation_alpha=cfg.deviation_alpha)
                                for kind in model_kinds]
-            drivers, paths = batch_driver_tables(setup, chunk, times)
+            drivers, path = batch_driver_tables(setup, chunk, times)
             U0b = np.repeat(U0[:, None], len(chunk), axis=1)
             try:
                 trajs = simulate_models(grid_models, spde, drivers, U0b) if grid_models else []
                 out = {kind: traj.states[-1] for kind, traj in zip(model_kinds, trajs)}
                 if needs_reference:
-                    fine = reference_grid_values(setup.grid.L, setup.spec, paths, spde,
+                    fine = reference_grid_values(setup.grid.L, setup.spec, path, spde,
                                                  cfg.n_fine)
                     out["reference"] = at_grid_points(fine, cfg.M)
             except NumericalAbort as exc:
@@ -558,17 +603,18 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
     spde0 = cfg.spde()
     times = spde0.times()
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
-    paths = sample_paths(spec, times, [member_streams(ss)[0] for ss in seeds])
+    path = sample_global_path(spec, times, [member_streams(ss)[0] for ss in seeds])
 
-    ref = reference_grid_values(grid.L, spec, paths, spde0, cfg.n_fine)
+    ref = reference_grid_values(grid.L, spec, path, spde0, cfg.n_fine)
     gaps = np.stack([
-        _right_half_gap(_coupled_fields(grid, spec, cfg.spde(gamma=float(g)), paths), ref, grid)
+        _right_half_gap(_coupled_fields(grid, spec, cfg.spde(gamma=float(g)), path), ref, grid)
         for g in gammas
     ])
     # sigma = 0 silences the noise, so any one path serves as the batch of one
     spde_det = cfg.spde(gamma=1.0, sigma=0.0)
-    det_ref = reference_grid_values(grid.L, spec, paths[:1], spde_det, cfg.n_fine)
-    det_gap = float(_right_half_gap(_coupled_fields(grid, spec, spde_det, paths[:1]),
+    one = NoisePath(path.times, path.increments[:1])
+    det_ref = reference_grid_values(grid.L, spec, one, spde_det, cfg.n_fine)
+    det_gap = float(_right_half_gap(_coupled_fields(grid, spec, spde_det, one),
                                     det_ref, grid)[0])
     mean_sq = np.mean(gaps**2, axis=1)
     metrics = {
@@ -580,10 +626,10 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
 
 
 def _coupled_fields(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig,
-                    paths: list) -> np.ndarray:
+                    path: NoisePath) -> np.ndarray:
     """Coupled element fields at T at coupling spde.gamma, shape (M, 2, n+1, R)."""
     op = spectral.assemble_operator(grid, spde.gamma)
-    return CoupledElementSolver(op, spec, spde.dt).simulate(spde, paths)
+    return CoupledElementSolver(op, spec, spde.dt).simulate(spde, path)
 
 
 def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
@@ -605,13 +651,13 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
 
     base = replace(cfg, M=Ms[0])
     setup0 = build_setup(base)
-    paths = sample_paths(setup0.spec, times, [member_streams(ss)[0] for ss in seeds])
-    ref = reference_grid_values(setup0.grid.L, setup0.spec, paths, spde, cfg.n_fine)   # (n_fine, R)
+    path = sample_global_path(setup0.spec, times, [member_streams(ss)[0] for ss in seeds])
+    ref = reference_grid_values(setup0.grid.L, setup0.spec, path, spde, cfg.n_fine)   # (n_fine, R)
 
     mean_err, var_err = [], []
     for M in Ms:
         setup = build_setup(replace(cfg, M=M))
-        drivers, _ = batch_driver_tables(setup, seeds, times, paths=paths)
+        drivers, _ = batch_driver_tables(setup, seeds, times, path=path)
         U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)

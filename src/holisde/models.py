@@ -108,14 +108,16 @@ def build_drivers(
     expansion: Optional[GroundModeExpansion] = None,
     aux_seed=None,
 ) -> ModelDrivers:
-    """Assemble all driver tables for one noise path.
+    """Assemble all driver tables for one noise path, a batch of one (else ValueError).
 
     The slow and gridpoint tables are the projection's member-independent
     maps applied to `path`; the deviation (and, if an expansion is given,
     auxiliary) Brownian families are drawn from their own seeds so replays
-    stay bitwise: the tables are those of `driver_tables` on a batch of one.
+    stay bitwise: the tables are those of `driver_tables`, without the member axis.
     """
-    slow, gridpoint, deviation = driver_tables(proj, [path.increments], path.dt,
+    if len(path.increments) != 1:
+        raise ValueError(f"build_drivers takes a batch of one path, got {len(path.increments)}")
+    slow, gridpoint, deviation = driver_tables(proj, path.increments, path.dt,
                                                [deviation_seed])[..., 0]
     aux = None
     if expansion is not None:
@@ -130,10 +132,10 @@ def build_drivers(
 _SCRATCH_BYTES = 2**19   # 512 KiB of member-major table scratch: L2 / 4, as in dynamics
 
 
-def driver_tables(proj: ElementNoiseProjection, increments, dt: np.ndarray,
+def driver_tables(proj: ElementNoiseProjection, increments: np.ndarray, dt: np.ndarray,
                   deviation_seeds) -> np.ndarray:
-    """Slow, gridpoint and deviation tables (3, M, n_steps, R) of R members'
-    path increments (K+1, n_steps) and deviation seeds.  Members are written
+    """Slow, gridpoint and deviation tables (3, M, n_steps, R) of a member batch's
+    path increments (R, K+1, n_steps) and deviation seeds.  Members are written
     in place into a member-major scratch of at most 512 KiB (or one member),
     one BLAS product per map and member as on its own, so each column is
     bitwise that member's tables; one transposing copy per block follows."""

@@ -8,9 +8,10 @@ real Fourier basis,
 with independent scalar Brownian motions beta_k and user-chosen variances
 q_k >= 0 decaying fast enough that sum_k k q_k stays bounded at the
 truncation.  Everything downstream (reference solver, coupled element
-system, discrete models) consumes the *same* sampled Brownian coefficient
-matrix, so comparisons between solvers are common-random-number
-comparisons: pathwise gaps measure method differences, not noise draws.
+system, driver tables) reads the *same* sampled Brownian coefficients, one
+(R, K+1, n_steps) `NoisePath` per member batch, so comparisons between
+solvers are common-random-number comparisons: pathwise gaps measure method
+differences, not noise draws.
 
 Per-element drivers are obtained by projecting W onto element modes: for
 element j and mode shape e_{j,l} (unit L^2(I_j) norm) the projection
@@ -101,16 +102,15 @@ class QWienerSpec:
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Sampled Brownian increments of every Fourier coefficient.
+    """Sampled Brownian increments of every Fourier coefficient, for a member batch.
 
-    increments[k, i] ~ N(0, t_{i+1} - t_i), independent across k and i.
-    Coefficient paths beta_k(t_i) are recovered exactly by cumulative
-    summation; no re-sampling happens downstream.
+    increments[r, k, i] ~ N(0, t_{i+1} - t_i), independent across r, k and i;
+    a single path is a batch of one.  Coefficient paths beta_k(t_i) are
+    recovered exactly by cumulative summation; no re-sampling happens downstream.
     """
 
     times: np.ndarray
-    increments: np.ndarray
-    seed: object = None
+    increments: np.ndarray        # (R, K+1, n_steps)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -119,45 +119,43 @@ class NoisePath:
         object.__setattr__(self, "increments", dw)
         if np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if dw.shape[1] != t.size - 1:
-            raise ValueError("increment columns must match time steps")
+        if dw.ndim != 3 or dw.shape[2] != t.size - 1:
+            raise ValueError("increments must be (members, modes, time steps)")
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[1]
+        return self.increments.shape[2]
 
     @property
     def n_modes(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[1]
 
     @property
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
     def coarsen(self, factor: int) -> "NoisePath":
-        """Pairwise-sum refinement inverse: exact coarse path from a fine one."""
+        """Pairwise-sum refinement inverse: exact coarse paths from fine ones."""
         if self.n_steps % factor:
             raise ValueError("step count not divisible by coarsening factor")
-        dw = self.increments.reshape(self.n_modes, -1, factor).sum(axis=2)
-        return NoisePath(self.times[::factor], dw, seed=self.seed)
+        dw = self.increments.reshape(self.increments.shape[:2] + (-1, factor)).sum(axis=3)
+        return NoisePath(self.times[::factor], dw)
 
 
-def sample_global_path(spec: QWienerSpec, times: np.ndarray, seed, out=None) -> NoisePath:
-    """Draw the Brownian coefficient increments for every Fourier mode.
+def sample_global_path(spec: QWienerSpec, times: np.ndarray, seeds) -> NoisePath:
+    """Draw the Brownian coefficient increments of every Fourier mode, one row per seed.
 
-    Deterministic in (seed, times): the same seed gives a bitwise-identical
-    increment matrix whatever consumes it afterwards.  `seed` may be an int
-    or a numpy SeedSequence (used for ensemble member spawning).  A given
-    `out` (C-contiguous (K+1, n_steps)) receives the same draws in place.
+    Deterministic in (seed, times): row r is `default_rng(seeds[r])`'s standard
+    normals scaled by sqrt(dt), bitwise whatever else is in the batch or
+    consumes it afterwards.  A seed may be an int or a numpy SeedSequence
+    (used for ensemble member spawning).  The time grid is validated once.
     """
-    times = np.asarray(times, dtype=float)
-    dt = np.diff(times)
-    if np.any(dt <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    rng = np.random.default_rng(seed)
-    dw = rng.standard_normal((spec.n_modes, dt.size), out=out)
-    dw *= np.sqrt(dt)
-    return NoisePath(times, dw, seed=seed)
+    path = NoisePath(times, np.empty((len(seeds), spec.n_modes, np.size(times) - 1)))
+    dw = path.increments
+    for seed, row in zip(seeds, dw):
+        np.random.default_rng(seed).standard_normal(out=row)
+    dw *= np.sqrt(path.dt)
+    return path
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def test_criterion_10_model_identity_gates():
 
     # (a) sigma = 0: holistic is bitwise the conventional scheme
     cfg0 = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.1)
-    path0 = sample_global_path(spec, cfg0.times(), 41)
+    path0 = sample_global_path(spec, cfg0.times(), [41])
     co0 = averaged_coeffs(proj, eig0, 1.0, 0.0)
     d0 = build_drivers(grid, proj, path0, deviation_seed=43)
     a_fd = simulate_models([DiscreteModel("conventional_fd")], cfg0, d0, U0, store=True)[0]
@@ -227,7 +227,7 @@ def test_criterion_10_model_identity_gates():
 
     # (b) gamma = 1 truncation reproduces the holistic stepper bitwise
     cfg1 = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.1)
-    path1 = sample_global_path(spec, cfg1.times(), 47)
+    path1 = sample_global_path(spec, cfg1.times(), [47])
     co = averaged_coeffs(proj, eig0, 1.0, 0.5)
     d1 = build_drivers(grid, proj, path1, deviation_seed=53)
     b_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg1, d1, U0, store=True)[0]

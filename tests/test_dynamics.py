@@ -16,7 +16,7 @@ from holisde.dynamics import (
     initial_profile,
 )
 from holisde.grid import ElementField, inner_product, seminorm
-from holisde.noise import NoisePath, QWienerSpec, fourier_basis, sample_global_path
+from holisde.noise import QWienerSpec, fourier_basis, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
 
@@ -39,7 +39,11 @@ def slow_fast_decompose(state, eig):
 
 
 def _quiet_path(spec, cfg, seed=0):
-    return sample_global_path(spec, cfg.times(), seed)
+    return sample_global_path(spec, cfg.times(), [seed])
+
+
+def _batch(spec, cfg, members):
+    return sample_global_path(spec, cfg.times(), range(members))
 
 
 def workspace(solver, cfg, members):
@@ -48,13 +52,15 @@ def workspace(solver, cfg, members):
             1.0 + cfg.dt * solver.symbol)
 
 
-def whole_batch_reference(solver, cfg, paths):
-    """Oracle: step the whole batch as one block with the solver's step, (n, R)."""
+def whole_batch_reference(solver, cfg, path):
+    """Oracle: step the whole batch as one block with the solver's step, (n, R),
+    gathering each step's increments member by member."""
     u0 = initial_profile(cfg.initial, solver.L)(solver.x)
-    u = np.repeat(u0[None, :], len(paths), axis=0)
-    work = workspace(solver, cfg, len(paths))
+    rows = list(path.increments)
+    u = np.repeat(u0[None, :], len(rows), axis=0)
+    work = workspace(solver, cfg, len(rows))
     for i in range(cfg.n_steps):
-        db = solver.sqrt_q[:, None] * np.stack([p.increments[:, i] for p in paths], axis=-1)
+        db = solver.sqrt_q[:, None] * np.stack([row[:, i] for row in rows], axis=-1)
         solver.step(u, cfg, solver.noise_increment(db), *work)
         if not np.all(np.isfinite(u)):
             return i, int(np.argmax(~np.isfinite(u).all(axis=1)))
@@ -73,7 +79,7 @@ def test_heat_decay_oracle(qspec):
     u = np.sin(2.0 * np.pi * solver.x / L)[None, :]
     kappa2 = (2.0 * np.pi / L) ** 2
     v = u.copy()
-    dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[:, :1])
+    dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[0, :, :1])
     solver.step(v, cfg, dw_hat, *workspace(solver, cfg, 1))
     factor = v[0, 10] / u[0, 10]
     assert abs(factor - np.exp(-kappa2 * cfg.dt)) < 5.0 * cfg.dt**2
@@ -83,7 +89,7 @@ def test_zero_state_is_fixed_point(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01,
                      initial={"kind": "zero"})
     solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
-    u = solver.simulate(cfg, [_quiet_path(qspec, cfg)])
+    u = solver.simulate(cfg, _quiet_path(qspec, cfg))
     assert np.all(u[..., 0] == 0.0)
 
 
@@ -92,7 +98,7 @@ def test_cubic_roots_are_stationary(qspec, ustar):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.02,
                      initial={"kind": "constant", "amplitude": ustar})
     solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
-    u = solver.simulate(cfg, [_quiet_path(qspec, cfg)])
+    u = solver.simulate(cfg, _quiet_path(qspec, cfg))
     assert np.allclose(u[..., 0], ustar, atol=1e-12)
 
 
@@ -105,7 +111,7 @@ def test_coupled_insulated_constants_are_stationary(grid8, qspec):
     vals = np.repeat(consts[:, None, None], 2, axis=1)
     vals = np.repeat(vals, grid8.subgrid_n + 1, axis=2)
     u0 = ElementField(vals, grid8)
-    u = solver.simulate(cfg, [_quiet_path(qspec, cfg)], u0=u0)
+    u = solver.simulate(cfg, _quiet_path(qspec, cfg), u0=u0)
     assert np.allclose(u[..., 0], vals, atol=1e-10)
 
 
@@ -115,8 +121,8 @@ def test_coupled_full_coupling_tracks_reference(grid8, qspec):
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     fine = FullSpdeSolver(grid8.L, 2048, qspec)
     path = _quiet_path(qspec, cfg, seed=21)
-    u = solver.simulate(cfg, [path])
-    ref = fine.simulate(cfg, [path])
+    u = solver.simulate(cfg, path)
+    ref = fine.simulate(cfg, path)
     # compare right-half centre values against the reference at grid points
     centres = u[..., 0][:, 0, -1]
     stride = 2048 // grid8.M
@@ -131,7 +137,7 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     path = _quiet_path(qspec, cfg, seed=4)
     u0 = ElementField(np.sin(grid8.all_nodes()), grid8)
     c = solver.step_reduced(op.reduce(u0), cfg,
-                            solver.noise_rhs(solver.sqrt_q * path.increments[:, 0]))
+                            solver.noise_rhs(solver.sqrt_q * path.increments[0, :, 0]))
     vals = op.field_from_reduced(c).values
     centres = vals[:, 0, -1]
     assert np.max(np.abs(centres - vals[:, 1, 0])) <= 1e-9     # centre copies agree
@@ -149,7 +155,7 @@ def test_fast_mode_relaxation_rate(grid8, qspec):
     vals = np.broadcast_to(eig0.local_shapes[1], (grid8.M, 2, grid8.subgrid_n + 1)).copy()
     u0 = ElementField(vals, grid8)
     start = op.field_from_reduced(op.reduce(u0)).values
-    end = solver.simulate(cfg, [_quiet_path(qspec, cfg)], u0=u0)[..., 0]
+    end = solver.simulate(cfg, _quiet_path(qspec, cfg), u0=u0)[..., 0]
     lam1 = np.pi**2 / grid8.h**2
     e0 = np.einsum("mhi,ij,mhj->", start, grid8.mass_block, start)
     e1 = np.einsum("mhi,ij,mhj->", end, grid8.mass_block, end)
@@ -195,8 +201,8 @@ def test_trajectory_determinism(grid8, qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.4, gamma=0.8, dt=1e-3, T=0.02)
     op = assemble_operator(grid8, 0.8)
     solver = CoupledElementSolver(op, qspec, cfg.dt)
-    u1 = solver.simulate(cfg, [_quiet_path(qspec, cfg, seed=33)])
-    u2 = solver.simulate(cfg, [_quiet_path(qspec, cfg, seed=33)])
+    u1 = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=33))
+    u2 = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=33))
     assert np.array_equal(u1[..., 0], u2[..., 0])
 
 
@@ -209,8 +215,8 @@ def test_linear_mode_variance_calibration(qspec):
                      initial={"kind": "zero"})
     solver = FullSpdeSolver(L, 128, qspec)
     R = 48
-    paths = [sample_global_path(qspec, cfg.times(), 1000 + r) for r in range(R)]
-    finals = solver.simulate(cfg, paths).T           # (R, n)
+    path = sample_global_path(qspec, cfg.times(), [1000 + r for r in range(R)])
+    finals = solver.simulate(cfg, path).T           # (R, n)
     coeff = (finals @ np.sin(solver.x)) * (L / solver.n) * np.sqrt(2.0 / L)
     k = 1                                            # sin(2 pi x / L) mode
     kappa2 = (2.0 * np.pi / L) ** 2
@@ -235,7 +241,7 @@ def test_slow_amplitude_stays_small_on_slow_timescale(grid8, qspec):
         max_amp = 0.0
         for i in range(path.n_steps):
             c = solver.step_reduced(c, cfg,
-                                    solver.noise_rhs(solver.sqrt_q * path.increments[:, i]))
+                                    solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]))
             if i % 20 == 0:
                 field = solver.op.field_from_reduced(c)
                 a, _ = slow_fast_decompose(field, eig)
@@ -258,11 +264,11 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
         solver = CoupledElementSolver(op, qspec, cfg.dt)
         acc, count = 0.0, 0
         for r in range(4):
-            path = sample_global_path(qspec, cfg.times(), 500 + r)
+            path = sample_global_path(qspec, cfg.times(), [500 + r])
             c = solver.initial_reduced(cfg)
             for i in range(path.n_steps):
                 c = solver.step_reduced(c, cfg,
-                                        solver.noise_rhs(solver.sqrt_q * path.increments[:, i]))
+                                        solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]))
                 if i > path.n_steps // 2 and i % 40 == 0:
                     field = solver.op.field_from_reduced(c)
                     _, fast = slow_fast_decompose(field, eig0)
@@ -301,20 +307,19 @@ def test_rfft_noise_matches_sampled_basis(n_fine):
 def test_reference_simulate_batch_shape(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
     solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
-    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(3)]
-    u = solver.simulate(cfg, paths)
+    u = solver.simulate(cfg, _batch(qspec, cfg, 3))
     assert u.shape == (64, 3)
 
 
 def test_abort_names_first_nonfinite_member(grid8, qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
-    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(3)]
-    paths[1] = NoisePath(paths[1].times, 1e200 * paths[1].increments)
+    path = _batch(qspec, cfg, 3)
+    path.increments[1] *= 1e200
     solvers = (FullSpdeSolver(grid8.L, 64, qspec),
                CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt))
     for solver in solvers:
         with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-            solver.simulate(cfg, paths)
+            solver.simulate(cfg, path)
         assert err.value.member == 1
         assert err.value.step == 1
 
@@ -323,8 +328,8 @@ def test_abort_names_first_nonfinite_member(grid8, qspec):
 def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, workers):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.004)
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
-    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(BLOCKED_R)]
-    want = whole_batch_reference(solver, cfg, paths)
+    path = _batch(qspec, cfg, BLOCKED_R)
+    want = whole_batch_reference(solver, cfg, path)
     rows, step = [], solver.step
     monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
     if workers is not None:
@@ -333,7 +338,7 @@ def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = solver.simulate(cfg, paths)
+        got = solver.simulate(cfg, path)
     finally:
         sys.setswitchinterval(interval)
         if workers is not None:
@@ -345,7 +350,7 @@ def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, workers):
 def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatch):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.2)
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
-    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(BLOCKED_R)]
+    path = _batch(qspec, cfg, BLOCKED_R)
     rows, step = [], solver.step
     monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
     pool = ThreadPoolExecutor(2)
@@ -361,7 +366,7 @@ def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatc
 
     monkeypatch.setattr(dynamics, "_pool", InterruptedWait)
     with pytest.raises(Interrupted):
-        solver.simulate(cfg, paths)
+        solver.simulate(cfg, path)
     pool.shutdown(wait=True)
     assert sum(rows) < BLOCKED_R * cfg.n_steps // 4      # member steps taken
 
@@ -369,21 +374,19 @@ def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatc
 def test_blocked_abort_names_earliest_step_then_member(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
-    paths = [_quiet_path(qspec, cfg, seed=s) for s in range(BLOCKED_R)]
+    path = _batch(qspec, cfg, BLOCKED_R)
     # a huge increment at step k - 1 overflows the cube at step k; members
     # 1, 2 and 5 sit in the first, second and third block
     for member, k in ((1, 4), (2, 2), (5, 2)):
-        dw = paths[member].increments.copy()
-        dw[:, k - 1] *= 1e200
-        paths[member] = NoisePath(paths[member].times, dw)
+        path.increments[member, :, k - 1] *= 1e200
     with np.errstate(all="ignore"):
-        assert whole_batch_reference(solver, cfg, paths) == (2, 2)
+        assert whole_batch_reference(solver, cfg, path) == (2, 2)
         with pytest.raises(NumericalAbort) as err:
-            solver.simulate(cfg, paths)
+            solver.simulate(cfg, path)
     assert (err.value.step, err.value.member) == (2, 2)
-    paths[2] = _quiet_path(qspec, cfg, seed=2)
+    path.increments[2] = _quiet_path(qspec, cfg, seed=2).increments[0]
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-        solver.simulate(cfg, paths)
+        solver.simulate(cfg, path)
     assert (err.value.step, err.value.member) == (2, 5)
 
 

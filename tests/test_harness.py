@@ -2,9 +2,11 @@ import gc
 import itertools
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holisde import models, noise
 from holisde.cli import main as cli_main
@@ -25,7 +27,7 @@ from holisde.harness import (
 )
 from holisde.dynamics import NumericalAbort, initial_profile
 from holisde.models import DiscreteModel, build_drivers, simulate_models
-from holisde.noise import sample_global_path
+from holisde.noise import NoisePath, sample_global_path
 
 FAST = dict(
     subgrid_n=16, n_modes=17, T=0.02, dt=1e-3, ensemble=8, n_fine=256,
@@ -57,6 +59,49 @@ def test_config_rejects_bad_json():
         RunConfig.from_json("{broken")
 
 
+# a valid value of every field but out_dir, each unlike FAST's and the defaults
+OTHER_VALUES = {
+    "L": 3.0, "M": 4, "subgrid_n": 32, "n_modes": 9, "decay_r": 4.0, "q_list": (1.0, 0.5),
+    "master_seed": 7, "alpha": 0.5, "sigma": 0.25, "gamma": 0.5, "dt": 2e-3, "T": 0.01,
+    "initial": {"kind": "zero"}, "model_kinds": ("holistic",), "ensemble": 2, "n_fine": 128,
+    "kmax": 8, "n_levels": 3, "sweep_axis": "gamma", "sweep_values": (0.1, 0.2, 0.4),
+    "chunk_size": 2, "deviation_alpha": True,
+}
+
+
+def test_digest_is_keyed_on_every_field_but_out_dir():
+    base = RunConfig(**{**FAST, "sweep_axis": "h", "sweep_values": (1.0, 0.5, 0.25)})
+    assert set(OTHER_VALUES) | {"out_dir"} == set(base.to_dict())
+    assert replace(base, out_dir="a").digest() == replace(base, out_dir="b").digest() \
+        == base.digest()
+    for name, value in OTHER_VALUES.items():
+        assert replace(base, **{name: value}).digest() != base.digest(), name
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats()
+            | st.text(max_size=3) | st.sampled_from(["gamma", "h", "sine", "zero", "holistic"]))
+_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=4)
+           | st.dictionaries(st.sampled_from(["kind", "amplitude", "mode", "x"]), _SCALARS,
+                             max_size=3))
+
+
+# each drawn field takes, about half the time, a valid value of its own
+_FIELDS = st.sampled_from(sorted(OTHER_VALUES)).flatmap(
+    lambda k: st.tuples(st.just(k), st.just(OTHER_VALUES[k]) | _VALUES))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.lists(_FIELDS | st.tuples(st.just("out_dir"), _VALUES), max_size=3).map(dict))
+def test_config_dict_roundtrips_or_is_a_config_error(d):
+    try:
+        cfg = RunConfig.from_dict(d)
+    except ConfigError:
+        return
+    again = RunConfig.from_json(cfg.to_json())
+    assert again == cfg
+    assert again.digest() == cfg.digest()
+
+
 def test_fit_order_exact_slopes():
     x = np.array([1.0, 0.5, 0.25, 0.125])
     assert fit_order(x, 3.0 * x**2) == pytest.approx(2.0, abs=1e-12)
@@ -74,23 +119,21 @@ def test_single_member_matches_direct_simulation():
     spde = cfg.spde()
     ss = member_seeds(cfg.master_seed, 1)[0]
     path_ss, dev_ss, _ = member_streams(ss)
-    path = sample_global_path(setup.spec, spde.times(), path_ss)
+    path = sample_global_path(setup.spec, spde.times(), [path_ss])
     drivers = build_drivers(setup.grid, setup.proj, path, dev_ss)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
     traj = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)[0]
     assert np.array_equal(stats.mean("holistic"), traj.states[-1])
 
 
-def _member_oracle(setup, times, ss, path=None):
-    """One member's path increments, slow, gridpoint and deviation tables and
-    deviation seed, drawn and mapped on its own with fresh temporaries."""
+def _member_oracle(setup, times, ss, inc=None):
+    """One member's path increments (unless given), slow, gridpoint and deviation
+    tables and deviation seed, drawn and mapped on its own with fresh temporaries."""
     path_ss, dev_ss, _ = member_streams(ss)
     sqrt_dt = np.sqrt(np.diff(times))[None, :]
-    if path is None:
+    if inc is None:
         inc = np.random.default_rng(path_ss).standard_normal((setup.spec.n_modes, times.size - 1))
         inc = inc * sqrt_dt
-    else:
-        inc = path.increments
     dev = np.random.default_rng(dev_ss).standard_normal((setup.grid.M, times.size - 1)) * sqrt_dt
     return inc, setup.proj.slow_map @ inc, setup.proj.gridpoint_map @ inc, dev, dev_ss
 
@@ -103,26 +146,25 @@ def test_batch_driver_columns_are_member_tables():
     per_block = models._SCRATCH_BYTES // (3 * M * n * 8)
     assert 2 * per_block < 30 < 3 * per_block    # two whole scratch blocks and a remainder
     for R, given in itertools.product((1, 3, 30), (False, True)):
-        given_paths = ([sample_global_path(setup.spec, times, 100 + r) for r in range(R)]
-                       if given else None)
-        drivers, paths = batch_driver_tables(setup, member_seeds(cfg.master_seed, R), times,
-                                             paths=given_paths)
+        given_path = (sample_global_path(setup.spec, times, [100 + r for r in range(R)])
+                      if given else None)
+        drivers, path = batch_driver_tables(setup, member_seeds(cfg.master_seed, R), times,
+                                            path=given_path)
         tables = [drivers.slow, drivers.gridpoint, drivers.deviation]
         assert all(t.shape == (M, n, R) for t in tables)
-        if not given:   # sampled paths are the rows of one whole-batch buffer
-            buf = paths[0].increments.base
-            assert buf.shape == (R, setup.spec.n_modes, n)
-            assert all(p.increments.base is buf for p in paths)
-        for a, b in itertools.combinations(tables + [p.increments for p in paths], 2):
+        assert path.increments.shape == (R, setup.spec.n_modes, n)
+        assert path is given_path if given else path.increments.flags.c_contiguous
+        for a, b in itertools.combinations(tables + [path.increments], 2):
             assert not np.shares_memory(a, b)
         # fresh seed trees: member_streams advances a tree's spawn counter
         for r, ss in enumerate(member_seeds(cfg.master_seed, R)):
             inc, slow, gridpoint, dev, dev_ss = _member_oracle(
-                setup, times, ss, given_paths[r] if given else None)
-            assert np.array_equal(paths[r].increments, inc)
+                setup, times, ss, given_path.increments[r] if given else None)
+            assert np.array_equal(path.increments[r], inc)
             for table, want in zip(tables, (slow, gridpoint, dev)):
                 assert np.array_equal(table[..., r], want)
-            one = build_drivers(setup.grid, setup.proj, paths[r], dev_ss)   # a batch of one
+            one = build_drivers(setup.grid, setup.proj,      # a batch of one
+                                NoisePath(times, path.increments[r:r + 1]), dev_ss)
             for name, want in zip(("slow", "gridpoint", "deviation"), (slow, gridpoint, dev)):
                 assert np.array_equal(getattr(one, name), want)
 
@@ -360,12 +402,49 @@ def test_cli_config_error_exit_code(tmp_path):
                      "--sweep", "dt=0.1,0.05,0.025", "converge", "--study", "lambda0"]) == 2
     cases = [({"initial": {"kind": "bogus"}}, "simulate"),
              ({"n_levels": 0}, "coeffs"),
+             ({"kmax": 0}, "eig-sweep"),
              ({"q_list": [1.0] * 16}, "coeffs"),
              ({"chunk_size": 0}, "compare")]
     for override, verb in cases:
         bad.write_text(json.dumps({**json.loads(RunConfig(**FAST).to_json()), **override}),
                        encoding="utf-8")
         assert cli_main(["--config", str(bad), "--out", str(tmp_path / "out"), verb]) == 2
+
+
+@pytest.mark.parametrize("override, sweep", [
+    ({"M": "8"}, None),
+    ({"T": "1"}, None),
+    ({"ensemble": 2.5}, None),
+    ({}, "gamma=a,b,c"),
+    (None, None),                   # the config path is a directory
+    ({"dt": float("nan")}, None),
+    ({"M": 0}, None),
+    ({"master_seed": -1}, None),
+], ids=["int-as-string", "float-as-string", "fractional-int", "sweep-value", "directory",
+        "nan", "zero-elements", "negative-seed"])
+def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
+    cfgp = tmp_path
+    if override is not None:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({**RunConfig(**FAST).to_dict(), **override}), encoding="utf-8")
+    argv = ["--config", str(cfgp), "--out", str(tmp_path / "out")]
+    argv += ["--sweep", sweep] if sweep else []
+    assert cli_main(argv + ["compare"]) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [
+    ["compare"],
+    ["--sweep", f"h={np.pi / 2},{np.pi / 4},{np.pi / 8}", "converge", "--study", "weak-h"],
+    ["simulate"],
+], ids=["compare", "weak-h", "simulate"])
+def test_cli_abort_names_step_member_and_seed(tmp_path, capsys, verb):
+    cfgp = _write_cfg(tmp_path, ensemble=2, initial={"kind": "constant", "amplitude": 1e200})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out")] + verb)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "step=0, member=0, seed=2024" in err
 
 
 def test_cli_seed_override_changes_digest(tmp_path):

@@ -11,7 +11,7 @@ from holisde.models import (
     reduced_slow_sde,
     simulate_models,
 )
-from holisde.noise import sample_global_path
+from holisde.noise import NoisePath, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, expand_ground_mode
 
 
@@ -20,7 +20,7 @@ def _coeffs(proj8, eig0_8, alpha=1.0, sigma=0.5):
 
 
 def _drivers(grid, qspec, proj, cfg, seed=0, dev_seed=1, **kw):
-    path = sample_global_path(qspec, cfg.times(), seed)
+    path = sample_global_path(qspec, cfg.times(), [seed])
     return build_drivers(grid, proj, path, deviation_seed=dev_seed, **kw)
 
 
@@ -137,8 +137,8 @@ def test_holistic_noise_stencil_variance(grid8, qspec, proj8, eig0_8):
     # closed form from the driver covariance
     sigma = 0.8
     cfg = SpdeConfig(alpha=0.0, sigma=sigma, dt=1e-3, T=4.0)
-    path = sample_global_path(qspec, cfg.times(), 3)
-    slow = proj8.slow_map @ path.increments            # (M, N)
+    path = sample_global_path(qspec, cfg.times(), [3])
+    slow = proj8.slow_map @ path.increments[0]         # (M, N)
     sten = np.roll(slow, 1, axis=0) - 2.0 * slow + np.roll(slow, -1, axis=0)
     term = (sigma / 4.0) * sten
     emp = np.var(term, axis=1, ddof=1) / cfg.dt
@@ -340,6 +340,16 @@ def test_reduced_slow_linearized_decouples_in_dft_modes(grid8, qspec, proj8, eig
     D = F @ A @ np.linalg.inv(F)
     off = D - np.diag(np.diag(D))
     assert np.max(np.abs(off)) < 1e-8 * np.max(np.abs(np.diag(D)))
+
+
+def test_build_drivers_takes_a_batch_of_one(grid8, qspec, proj8):
+    cfg = SpdeConfig(dt=1e-3, T=0.01)
+    two = sample_global_path(qspec, cfg.times(), [0, 1])
+    with pytest.raises(ValueError):
+        build_drivers(grid8, proj8, two, deviation_seed=1)
+    one = build_drivers(grid8, proj8, NoisePath(two.times, two.increments[1:]), deviation_seed=1)
+    assert one.slow.shape == (grid8.M, cfg.n_steps)
+    assert np.array_equal(one.slow, proj8.slow_map @ two.increments[1])
 
 
 def test_model_kind_validation(proj8, eig0_8):

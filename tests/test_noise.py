@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from holisde.grid import build_grid
-from holisde.noise import QWienerSpec, fourier_basis, project_to_element_modes, sample_global_path
+from holisde.noise import (
+    NoisePath,
+    QWienerSpec,
+    fourier_basis,
+    project_to_element_modes,
+    sample_global_path,
+)
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
 
@@ -65,25 +71,36 @@ def test_fourier_basis_orthonormal():
 
 def test_sample_path_deterministic(qspec):
     t = np.linspace(0.0, 1.0, 101)
-    p1 = sample_global_path(qspec, t, 99)
-    p2 = sample_global_path(qspec, t, 99)
+    p1 = sample_global_path(qspec, t, [99])
+    p2 = sample_global_path(qspec, t, [99])
+    assert p1.increments.shape == (1, qspec.n_modes, 100)
     assert np.array_equal(p1.increments, p2.increments)
-    p3 = sample_global_path(qspec, t, 100)
+    p3 = sample_global_path(qspec, t, [100])
     assert not np.array_equal(p1.increments, p3.increments)
+    # a row is its seed's draw whatever else is in the batch
+    batch = sample_global_path(qspec, t, [100, 99])
+    assert np.array_equal(batch.increments, np.concatenate([p3.increments, p1.increments]))
+    want = np.random.default_rng(99).standard_normal((qspec.n_modes, 100)) * np.sqrt(np.diff(t))
+    assert np.array_equal(p1.increments[0], want)
 
 
 def test_sample_path_rejects_bad_times(qspec):
     with pytest.raises(ValueError):
-        sample_global_path(qspec, np.array([0.0, 0.5, 0.5, 1.0]), 1)
+        sample_global_path(qspec, np.array([0.0, 0.5, 0.5, 1.0]), [1])
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError):     # one path without its member axis
+        NoisePath(t, np.zeros((qspec.n_modes, 4)))
+    with pytest.raises(ValueError):
+        NoisePath(t, np.zeros((1, qspec.n_modes, 5)))
 
 
 def test_increment_variance_band(qspec):
     # 3-sigma chi^2 band around Var = dt for 1e5 increments
     dt = 0.01
     t = dt * np.arange(100_001)
-    path = sample_global_path(qspec, t, 7)
+    path = sample_global_path(qspec, t, [7])
     for k in (0, 3, 11):
-        v = np.var(path.increments[k], ddof=1)
+        v = np.var(path.increments[0, k], ddof=1)
         assert 0.0094 <= v <= 0.0106
 
 
@@ -91,24 +108,23 @@ def test_zero_spectrum_gives_zero_field():
     q = np.zeros(9)
     spec = QWienerSpec(q)
     t = np.linspace(0.0, 1.0, 11)
-    path = sample_global_path(spec, t, 5)
+    path = sample_global_path(spec, t, [5])
     x = np.linspace(0.0, 1.0, 33)
     basis = fourier_basis(x, spec.n_modes, 1.0)
-    incr = np.tensordot(np.sqrt(spec.q) * path.increments[:, 0], basis, axes=(0, 0))
+    incr = np.tensordot(np.sqrt(spec.q) * path.increments[0, :, 0], basis, axes=(0, 0))
     assert np.all(incr == 0.0)
 
 
 def test_coarsen_is_exact_pairwise_sum(qspec):
     t = np.linspace(0.0, 1.0, 41)
-    fine = sample_global_path(qspec, t, 11)
+    fine = sample_global_path(qspec, t, [11, 12])
     coarse = fine.coarsen(4)
     assert coarse.n_steps == 10
+    assert coarse.increments.shape == (2, qspec.n_modes, 10)
     assert np.array_equal(coarse.times, t[::4])
-    assert np.allclose(
-        coarse.increments,
-        fine.increments.reshape(qspec.n_modes, 10, 4).sum(axis=2),
-        rtol=0.0, atol=0.0,
-    )
+    for r in range(2):
+        assert np.array_equal(coarse.increments[r],
+                              fine.increments[r].reshape(qspec.n_modes, 10, 4).sum(axis=2))
 
 
 def test_projection_weights_against_dense_quadrature(grid8, qspec, eig0_8, proj8):
@@ -183,9 +199,9 @@ def test_gridvalue_driver_correlation_formula(grid8, qspec, proj8):
     corr = np.sum(q * w * ex) / np.sqrt(np.sum(q * w**2) * np.sum(q * ex**2))
     # Monte-Carlo confirmation on sampled increments
     t = np.linspace(0.0, 1.0, 20_001)
-    path = sample_global_path(qspec, t, 17)
-    a = (np.sqrt(q) * w) @ path.increments
-    b = (np.sqrt(q) * ex) @ path.increments
+    path = sample_global_path(qspec, t, [17])
+    a = (np.sqrt(q) * w) @ path.increments[0]
+    b = (np.sqrt(q) * ex) @ path.increments[0]
     mc = np.corrcoef(a, b)[0, 1]
     assert mc == pytest.approx(corr, abs=0.02)
     assert corr > 0.9  # already high at h = L/8
@@ -194,8 +210,8 @@ def test_gridvalue_driver_correlation_formula(grid8, qspec, proj8):
 def test_neighbour_driver_correlation_matches_prediction(grid8, qspec, proj8):
     pred = predicted_driver_correlation(proj8, 2, 0, 3, 0)
     t = np.linspace(0.0, 1.0, 20_001)
-    path = sample_global_path(qspec, t, 23)
-    d = (proj8.weights[:, 0, :] * np.sqrt(qspec.q)) @ path.increments
+    path = sample_global_path(qspec, t, [23])
+    d = (proj8.weights[:, 0, :] * np.sqrt(qspec.q)) @ path.increments[0]
     mc = np.corrcoef(d[2], d[3])[0, 1]
     assert 0.0 < pred < 1.0
     assert mc == pytest.approx(pred, abs=0.02)
