@@ -31,7 +31,6 @@ from .averaging import (
     FastModeStats,
     averaged_coeffs,
     compute_qj,
-    martingale_limit_driver,
     ou_stationary_stats,
 )
 from .dynamics import (

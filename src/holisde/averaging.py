@@ -34,15 +34,13 @@ import numpy as np
 
 from .grid import DomainGrid
 from .noise import ElementNoiseProjection
-from .spectral import AnalyticEigenSystem, GroundModeExpansion
+from .spectral import AnalyticEigenSystem
 
 __all__ = [
     "FastModeStats",
     "AveragedCoeffs",
-    "MartingaleDriver",
     "ou_stationary_stats",
     "compute_qj",
-    "martingale_limit_driver",
     "averaged_coeffs",
     "mc_qj_estimate",
     "hat_alpha_from_tables",
@@ -63,7 +61,6 @@ class FastModeStats:
     mean feeds the averaged drift.
     """
 
-    grid: DomainGrid
     sigma: float
     lam: np.ndarray                  # (Lf,)
     qh: np.ndarray                   # (M, Lf)
@@ -123,7 +120,6 @@ def ou_stationary_stats(
     ones = np.ones((2, grid.subgrid_n + 1))
     mean = np.einsum("mhi,ij,hj->m", field, mb, ones) / (2.0 * grid.h)
     return FastModeStats(
-        grid=grid,
         sigma=float(sigma),
         lam=lam,
         qh=qh,
@@ -281,50 +277,3 @@ def mc_qj_estimate(
     est = float(np.mean(per_path))
     se = float(np.std(per_path, ddof=1) / np.sqrt(n_paths))
     return est, se
-
-
-# ---------------------------------------------------------------------------
-# martingale-limit auxiliary drivers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MartingaleDriver:
-    """Auxiliary slow-time Brownian forcing from the integrated fast field.
-
-    On slow scales the running integral of the fast field acts as Brownian
-    forcing with per-mode intensity sqrt(q^h_{j,k}/lambda_k); projected onto
-    the expansion correction F1 this collapses to one combined driver per
-    element with weights w[j, k] = sqrt(q^h/lambda) <e_{j,k}, F1_j>.
-    """
-
-    weights: np.ndarray            # (M, Lf)
-    combined: np.ndarray           # (M, n_steps) sum_k w dbeta_hat
-
-
-def martingale_limit_driver(
-    stats: FastModeStats,
-    eig0: AnalyticEigenSystem,
-    expansion: GroundModeExpansion,
-    times: np.ndarray,
-    seed,
-) -> MartingaleDriver:
-    """Sample the auxiliary drivers feeding the gamma-expanded model.
-
-    The beta_hat family is fresh randomness, independent of the global
-    noise path, drawn deterministically from the given seed.
-    """
-    grid = stats.grid
-    times = np.asarray(times, dtype=float)
-    dt = np.diff(times)
-    if np.any(dt <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    shapes = eig0.local_shapes[stats.mode_indices]       # (Lf, 2, n+1)
-    mb = grid.mass_block
-    # <e_{j,k}, F1_j> varies per element through F1
-    overlap = np.einsum("lhi,ij,mhj->ml", shapes, mb, expansion.F1)
-    weights = np.sqrt(stats.qh / stats.lam[None, :]) * overlap
-    rng = np.random.default_rng(seed)
-    incr = rng.standard_normal((grid.M, stats.lam.size, dt.size)) * np.sqrt(dt)[None, None, :]
-    combined = np.einsum("ml,mls->ms", weights, incr)
-    return MartingaleDriver(weights=weights, combined=combined)

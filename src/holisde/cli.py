@@ -20,15 +20,16 @@ from .harness import (
     STUDIES,
     ConfigError,
     RunConfig,
-    batch_driver_tables,
     build_setup,
     convergence_study,
     compare_models,
     member_seeds,
+    member_streams,
     write_csv,
     write_manifest,
 )
-from .models import DiscreteModel, simulate_models
+from .models import DiscreteModel, build_drivers, simulate_models
+from .noise import sample_global_path
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -107,7 +108,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     """Member 0 of the configured ensemble, stepped by one model and stored."""
     setup = build_setup(cfg)
     spde = cfg.spde()
-    drivers, _ = batch_driver_tables(setup, member_seeds(cfg.master_seed, 1), spde.times())
+    path_seeds, deviation_seeds = member_streams(member_seeds(cfg.master_seed, 1))
+    path = sample_global_path(setup.spec, spde.times(), path_seeds)
+    drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
     kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
                 "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)

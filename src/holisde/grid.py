@@ -180,16 +180,8 @@ class ElementField:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
 
     @classmethod
-    def zeros(cls, grid: DomainGrid) -> "ElementField":
-        return cls(np.zeros((grid.M, 2, grid.subgrid_n + 1)), grid)
-
-    @classmethod
     def from_stacked(cls, vec: np.ndarray, grid: DomainGrid) -> "ElementField":
         return cls(vec.reshape(grid.M, 2, grid.subgrid_n + 1).copy(), grid)
-
-    def stacked(self) -> np.ndarray:
-        """Flatten to the element-major dof vector used by the operator."""
-        return self.values.reshape(-1)
 
 
 def _check_same_grid(u: ElementField, v: ElementField) -> DomainGrid:

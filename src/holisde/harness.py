@@ -6,8 +6,9 @@ is a deterministic image of the sampled Brownian coefficient matrices, and
 artifacts carry a manifest with the config hash.  Ensembles advance member
 batches in lock step (the state arrays grow a trailing member axis), which
 keeps the per-step work in BLAS instead of Python.  A batch's noise is one
-`NoisePath`, read by every solver and the driver tables; paths and tables
-are drawn serially, in place, into whole-batch buffers, bitwise per member.
+`NoisePath`, read by every solver and by `models.build_drivers`; paths and
+tables are drawn serially, in place, into whole-batch buffers, bitwise per
+member.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .dynamics import (
     initial_profile,
 )
 from .grid import DomainGrid, build_grid
-from .models import DiscreteModel, ModelDrivers, simulate_models
+from .models import DiscreteModel, simulate_models
 from .noise import NoisePath, QWienerSpec, sample_global_path
 
 __all__ = [
@@ -70,6 +71,15 @@ def _is_real(v) -> bool:
 
 def _is_list(v, item) -> bool:
     return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+def _sweep_errors(axis: str, values) -> list:
+    """Messages for sweep values off their axis: gamma in [0, 1], h and dt positive."""
+    if axis == "gamma":
+        bad = [float(v) for v in values if not 0 <= v <= 1]
+        return [f"gamma sweep values must lie in [0, 1], got {bad}"] if bad else []
+    bad = [float(v) for v in values if not v > 0]
+    return [f"{axis} sweep values must be positive, got {bad}"] if bad else []
 
 
 # a RunConfig field's annotation -> (accepts, normalizes, description) of its value
@@ -193,6 +203,8 @@ class RunConfig:
         if self.sweep_axis is not None:
             if self.sweep_axis not in ("gamma", "h", "dt"):
                 errors.append(f"unknown sweep axis {self.sweep_axis!r}")
+            else:
+                errors += _sweep_errors(self.sweep_axis, self.sweep_values)
             if len(self.sweep_values) < 3:
                 errors.append("sweeps need at least 3 values")
         if errors:
@@ -300,31 +312,14 @@ def member_seeds(master_seed: int, n: int) -> list:
     return np.random.SeedSequence(master_seed).spawn(n)
 
 
-def member_streams(member_ss) -> tuple:
-    """(path, deviation, auxiliary) seed children of one member."""
-    path_ss, dev_ss, aux_ss = member_ss.spawn(3)
-    return path_ss, dev_ss, aux_ss
+def member_streams(seeds) -> tuple[list, list]:
+    """(path seeds, deviation seeds) of a member batch, one child of each per member.
 
-
-def batch_driver_tables(setup: RunSetup, seeds, times: np.ndarray,
-                        path: Optional[NoisePath] = None) -> tuple[ModelDrivers, NoisePath]:
-    """Driver tables for a member batch, trailing axis = member, and its paths.
-
-    The paths are sampled as one batch unless a pre-sampled `path` batch is
-    given (common random numbers across spacings); the tables are written in
-    place by `models.driver_tables`, serially, each column bitwise a
-    standalone run's.  `member_streams` spawns afresh on every call, so it is
-    called exactly once per member here whether or not the path stream is
-    used: the deviation draws depend on that count.
+    Every call spawns three children per member (the third unused), which
+    advances the member's spawn counter: a later call gets other children.
     """
-    streams = [member_streams(ss) for ss in seeds]
-    if path is None:
-        path = sample_global_path(setup.spec, times, [s[0] for s in streams])
-    slow, gridpoint, deviation = models.driver_tables(
-        setup.proj, path.increments, path.dt, [s[1] for s in streams])
-    drivers = ModelDrivers(grid=setup.grid, dt=path.dt, slow=slow,
-                           gridpoint=gridpoint, deviation=deviation)
-    return drivers, path
+    streams = [ss.spawn(3) for ss in seeds]
+    return [s[0] for s in streams], [s[1] for s in streams]
 
 
 def reference_grid_values(L: float, spec: QWienerSpec, path: NoisePath, spde: SpdeConfig,
@@ -439,7 +434,9 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
                 grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
                                              deviation_alpha=cfg.deviation_alpha)
                                for kind in model_kinds]
-            drivers, path = batch_driver_tables(setup, chunk, times)
+            path_seeds, deviation_seeds = member_streams(chunk)
+            path = sample_global_path(setup.spec, times, path_seeds)
+            drivers = models.build_drivers(setup.grid, setup.proj, path, deviation_seeds)
             U0b = np.repeat(U0[:, None], len(chunk), axis=1)
             try:
                 trajs = simulate_models(grid_models, spde, drivers, U0b) if grid_models else []
@@ -497,10 +494,12 @@ def convergence_study(cfg: RunConfig, study: str, values=None) -> ConvergenceTab
     (centre-expansion remainder order in gamma), "coeff-h" (averaged
     coefficient orders in the spacing), "coupling-gap" (pathwise gap to the
     reference as gamma -> 1), "weak-h" (weak model error in the spacing).
+    The order-fitting studies need distinct, positive values and metrics
+    that stay positive; anything else is a ConfigError.
     """
     if study not in STUDIES:
         raise ConfigError([f"unknown study {study!r}"])
-    run, axis = STUDIES[study]
+    run, axis, fits = STUDIES[study]
     if cfg.sweep_axis is not None and cfg.sweep_axis != axis:
         raise ConfigError([f"study {study!r} sweeps {axis}, not {cfg.sweep_axis}"])
     if values is None:
@@ -508,10 +507,22 @@ def convergence_study(cfg: RunConfig, study: str, values=None) -> ConvergenceTab
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         raise ConfigError(["convergence studies need at least 3 sweep values"])
-    return run(cfg, values)
+    errors = _sweep_errors(axis, values)
+    if fits and not errors and (np.any(values <= 0) or np.unique(values).size < values.size):
+        errors.append(f"study {study!r} fits orders: its {axis} values must be distinct and "
+                      f"positive, got {values.tolist()}")
+    if errors:
+        raise ConfigError(errors)
+    x, metrics = run(cfg, values)
+    try:
+        orders = {name: fit_order(x, y) for name, y in metrics.items()} if fits else {}
+    except ValueError as exc:       # a metric that vanishes or is not finite somewhere
+        raise ConfigError([f"study {study!r} cannot fit orders over {axis} = "
+                           f"{x.tolist()}: {exc}"]) from exc
+    return ConvergenceTable(study, axis, x, metrics, orders)
 
 
-def _study_lambda0(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
+def _study_lambda0(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     """Largest slow-band eigenvalue against gamma (kernel excluded).
 
     The literal smallest eigenvalue is the exact zero of the uniform kernel
@@ -526,23 +537,24 @@ def _study_lambda0(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
         lam_top.append(eig.eigenvalues[grid.M - 1])
         lam_first.append(eig.eigenvalues[1])
     metrics = {"lambda_slow_top": np.asarray(lam_top), "lambda_slow_first": np.asarray(lam_first)}
-    orders = {k: fit_order(gammas, v) for k, v in metrics.items()}
-    return ConvergenceTable("lambda0", "gamma", gammas, metrics, orders)
+    return gammas, metrics
 
 
-def _study_expansion(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
+def _study_expansion(cfg: RunConfig, gammas: np.ndarray) -> tuple:
+    """Remainder of the top slow mode's centre expansion against gamma."""
     grid = cfg.grid()
     rem = []
     for g in gammas:
         eig = spectral.eig_gamma(spectral.assemble_operator(grid, g), grid.M + 1)
-        exp = spectral.expand_ground_mode(eig, grid, mode="top-slow")
+        try:
+            exp = spectral.expand_ground_mode(eig, grid, mode="top-slow")
+        except ValueError as exc:      # a degenerate top slow mode at this coupling
+            raise ConfigError([f"expansion study at gamma={g}: {exc}"]) from exc
         rem.append(exp.remainder_norm)
-    metrics = {"remainder": np.asarray(rem)}
-    return ConvergenceTable("expansion", "gamma", gammas, metrics,
-                            {"remainder": fit_order(gammas, metrics["remainder"])})
+    return gammas, {"remainder": np.asarray(rem)}
 
 
-def _study_coeff_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
+def _study_coeff_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     """Averaged-coefficient orders under the frozen-intensity spacing family.
 
     The per-mode intensities q_{j,l} are frozen from the projections at the
@@ -567,8 +579,7 @@ def _study_coeff_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
         hat_err.append(np.max(np.abs(hat - cfg.alpha)))
         qj_val.append(np.max(qj))
     metrics = {"hat_alpha_gap": np.asarray(hat_err), "qj": np.asarray(qj_val)}
-    orders = {k: fit_order(hs, v) for k, v in metrics.items()}
-    return ConvergenceTable("coeff-h", "h", hs, metrics, orders)
+    return hs, metrics
 
 
 def _right_half_gap(field_values: np.ndarray, ref: np.ndarray, grid: DomainGrid) -> np.ndarray:
@@ -590,7 +601,7 @@ def _right_half_gap(field_values: np.ndarray, ref: np.ndarray, grid: DomainGrid)
     return np.sqrt(np.maximum(gap2, 0.0))
 
 
-def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
+def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     """CRN mean-square gap between the element system and the reference.
 
     Shared Brownian coefficients make the gamma -> 1 distributional limit a
@@ -603,7 +614,7 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
     spde0 = cfg.spde()
     times = spde0.times()
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
-    path = sample_global_path(spec, times, [member_streams(ss)[0] for ss in seeds])
+    path = sample_global_path(spec, times, member_streams(seeds)[0])
 
     ref = reference_grid_values(grid.L, spec, path, spde0, cfg.n_fine)
     gaps = np.stack([
@@ -622,7 +633,7 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> ConvergenceTable:
         "rms_gap": np.sqrt(mean_sq),
         "det_gap": np.full(gammas.size, det_gap),
     }
-    return ConvergenceTable("coupling-gap", "gamma", gammas, metrics, {})
+    return gammas, metrics
 
 
 def _coupled_fields(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig,
@@ -632,7 +643,7 @@ def _coupled_fields(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig,
     return CoupledElementSolver(op, spec, spde.dt).simulate(spde, path)
 
 
-def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
+def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     """Weak error of the holistic model against the reference, per spacing.
 
     One reference ensemble (independent of h) serves every spacing; grid
@@ -651,13 +662,13 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
 
     base = replace(cfg, M=Ms[0])
     setup0 = build_setup(base)
-    path = sample_global_path(setup0.spec, times, [member_streams(ss)[0] for ss in seeds])
+    path = sample_global_path(setup0.spec, times, member_streams(seeds)[0])
     ref = reference_grid_values(setup0.grid.L, setup0.spec, path, spde, cfg.n_fine)   # (n_fine, R)
 
     mean_err, var_err = [], []
     for M in Ms:
         setup = build_setup(replace(cfg, M=M))
-        drivers, _ = batch_driver_tables(setup, seeds, times, path=path)
+        drivers = models.build_drivers(setup.grid, setup.proj, path, member_streams(seeds)[1])
         U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
@@ -670,16 +681,16 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> ConvergenceTable:
     metrics = {"mean_gap": np.asarray(mean_err), "var_gap": np.asarray(var_err)}
     combined = metrics["mean_gap"] + metrics["var_gap"]
     metrics["combined"] = combined
-    orders = {k: fit_order(hs, v) for k, v in metrics.items()}
-    return ConvergenceTable("weak-h", "h", hs, metrics, orders)
+    return hs, metrics
 
 
+# name -> (study returning (swept values, metrics), axis, whether orders are fitted)
 STUDIES = {
-    "lambda0": (_study_lambda0, "gamma"),
-    "expansion": (_study_expansion, "gamma"),
-    "coeff-h": (_study_coeff_h, "h"),
-    "coupling-gap": (_study_coupling_gap, "gamma"),
-    "weak-h": (_study_weak_h, "h"),
+    "lambda0": (_study_lambda0, "gamma", True),
+    "expansion": (_study_expansion, "gamma", True),
+    "coeff-h": (_study_coeff_h, "h", True),
+    "coupling-gap": (_study_coupling_gap, "gamma", False),
+    "weak-h": (_study_weak_h, "h", True),
 }
 
 
@@ -743,7 +754,7 @@ def _holistic_term_budget(cfg: RunConfig) -> dict:
     sten = np.roll(np.eye(grid.M), 1, axis=1) - 2 * np.eye(grid.M) + np.roll(np.eye(grid.M), -1, axis=1)
     cov_sten = sten @ cov @ sten.T
     var_sten = (cfg.sigma / 4.0) ** 2 * np.diag(cov_sten)
-    dev = (3.0 * np.sqrt(2.0 * setup.coeffs.qj) * grid.centre_mode_value) ** 2
+    dev = models._deviation_coef(setup.coeffs, grid, cfg.deviation_alpha) ** 2
     return {
         "slow_driver_variance_rate": var_slow.tolist(),
         "stencil_variance_rate": var_sten.tolist(),

@@ -13,18 +13,18 @@ Four models evolve the vector (U_1 .. U_M) of grid values:
   differencing misses; its introductory variant uses the pointwise noise;
 
 * the gamma-expanded model: every term of the holistic model weighted by
-  its power of the coupling strength, plus the two O(gamma^3) families (the
-  auxiliary martingale driver and the deviation stencil) that the full-
-  coupling truncation drops.  The holistic models are its gamma = 1
-  truncation: they evaluate the same expression at g = 1, so the
-  gamma-expanded model at gamma = 1 reproduces them bitwise.
+  its power of the coupling strength, to O(gamma^2) as the averaging and
+  slow-mode expansion give it.  The holistic models evaluate the same
+  expression at g = 1, so the gamma-expanded model at gamma = 1 reproduces
+  them bitwise.
 
 All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
 alpha U^3) + dev U dbeta_check + noise with per-kind coefficients.
 `simulate_models` steps several kinds on a leading kind axis in one time
 loop, with the U-independent noise precomputed in blocks; a single kind
-is a batch of one.  States and driver tables may carry a trailing
-ensemble axis.
+is a batch of one.  `build_drivers` writes the driver tables of a member
+batch with a trailing member axis, and a single member steps as a batch of
+one, U0[:, None].
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .averaging import AveragedCoeffs, FastModeStats, MartingaleDriver, martingale_limit_driver
+from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
 from .noise import ElementNoiseProjection, NoisePath
-from .spectral import CoupledOperator, GroundModeExpansion, expansion_fields
+from .spectral import CoupledOperator, expansion_fields
 from .dynamics import ModelTrajectory, NumericalAbort, SpdeConfig, _check_finite
 
 __all__ = [
@@ -58,7 +58,6 @@ class DiscreteModel:
 
     kind: str
     coeffs: Optional[AveragedCoeffs] = None
-    truncate: bool = True          # gamma_reduced only: drop O(gamma^3) families
     deviation_alpha: bool = False  # include the reaction coefficient in the
                                    # multiplicative deviation term
 
@@ -71,19 +70,17 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class ModelDrivers:
-    """Precomputed noise-increment tables for the discrete models.
+    """Precomputed noise-increment tables of a member batch for the discrete models.
 
-    slow[j, i]       increment of sqrt(q^h_{j,0}) beta_{j,0} e_{j,0}(X_j)
-                     (slow element-mode driver evaluated as a grid value);
-    gridpoint[j, i]  increment of W(X_j, t) (pointwise evaluation);
-    deviation[j, i]  increment of the per-element unit Brownian beta_check_j;
-    aux[j, i]        increment of the combined martingale-limit driver
-                     (None unless an expansion was supplied).
+    slow[j, i, r]       increment of sqrt(q^h_{j,0}) beta_{j,0} e_{j,0}(X_j)
+                        (slow element-mode driver evaluated as a grid value);
+    gridpoint[j, i, r]  increment of W(X_j, t) (pointwise evaluation);
+    deviation[j, i, r]  increment of the per-element unit Brownian beta_check_j.
 
     slow and gridpoint are linear images of the global Brownian matrix, so
-    every model in a comparison run shares the same randomness; deviation
-    and aux are fresh independent families with their own derived seeds.
-    Tables may carry a trailing ensemble axis.
+    every model in a comparison run shares the same randomness; deviation is
+    a fresh independent family drawn from each member's own seed.  The
+    trailing member axis r may be absent when tables are built by hand.
     """
 
     grid: DomainGrid
@@ -91,55 +88,29 @@ class ModelDrivers:
     slow: np.ndarray
     gridpoint: np.ndarray
     deviation: np.ndarray
-    aux: Optional[np.ndarray] = None
 
     @property
     def n_steps(self) -> int:
         return self.slow.shape[1]
 
 
-def build_drivers(
-    grid: DomainGrid,
-    proj: ElementNoiseProjection,
-    path: NoisePath,
-    deviation_seed,
-    stats: Optional[FastModeStats] = None,
-    eig0=None,
-    expansion: Optional[GroundModeExpansion] = None,
-    aux_seed=None,
-) -> ModelDrivers:
-    """Assemble all driver tables for one noise path, a batch of one (else ValueError).
-
-    The slow and gridpoint tables are the projection's member-independent
-    maps applied to `path`; the deviation (and, if an expansion is given,
-    auxiliary) Brownian families are drawn from their own seeds so replays
-    stay bitwise: the tables are those of `driver_tables`, without the member axis.
-    """
-    if len(path.increments) != 1:
-        raise ValueError(f"build_drivers takes a batch of one path, got {len(path.increments)}")
-    slow, gridpoint, deviation = driver_tables(proj, path.increments, path.dt,
-                                               [deviation_seed])[..., 0]
-    aux = None
-    if expansion is not None:
-        if stats is None or eig0 is None:
-            raise ValueError("auxiliary drivers need fast-mode stats and the analytic modes")
-        md: MartingaleDriver = martingale_limit_driver(stats, eig0, expansion, path.times, aux_seed)
-        aux = md.combined
-    return ModelDrivers(grid=grid, dt=path.dt, slow=slow, gridpoint=gridpoint,
-                        deviation=deviation, aux=aux)
-
-
 _SCRATCH_BYTES = 2**19   # 512 KiB of member-major table scratch: L2 / 4, as in dynamics
 
 
-def driver_tables(proj: ElementNoiseProjection, increments: np.ndarray, dt: np.ndarray,
-                  deviation_seeds) -> np.ndarray:
-    """Slow, gridpoint and deviation tables (3, M, n_steps, R) of a member batch's
-    path increments (R, K+1, n_steps) and deviation seeds.  Members are written
-    in place into a member-major scratch of at most 512 KiB (or one member),
-    one BLAS product per map and member as on its own, so each column is
-    bitwise that member's tables; one transposing copy per block follows."""
+def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: NoisePath,
+                  deviation_seeds) -> ModelDrivers:
+    """Driver tables (M, n_steps, R) of a member batch's path and deviation seeds.
+
+    The time grid is the path's.  Members are written in place into a
+    member-major scratch of at most 512 KiB (or one member), one BLAS
+    product per map and member as on its own, so each column is bitwise that
+    member's tables whatever the batch; one transposing copy per block
+    follows.  Raises ValueError unless there is one seed per member.
+    """
+    increments, dt = path.increments, path.dt
     R, n, M = len(increments), dt.size, proj.slow_map.shape[0]
+    if len(deviation_seeds) != R:
+        raise ValueError(f"{len(deviation_seeds)} deviation seeds for {R} members")
     tables = np.empty((3, M, n, R))
     B = min(R, max(1, _SCRATCH_BYTES // (3 * M * n * 8)))
     scratch = np.empty((B, 3, M, n))
@@ -151,7 +122,8 @@ def driver_tables(proj: ElementNoiseProjection, increments: np.ndarray, dt: np.n
             np.random.default_rng(ss).standard_normal(out=member[2])
         block[:, 2] *= np.sqrt(dt)
         tables[..., r0:r0 + len(block)] = block.transpose(1, 2, 3, 0)
-    return tables
+    slow, gridpoint, deviation = tables
+    return ModelDrivers(grid=grid, dt=dt, slow=slow, gridpoint=gridpoint, deviation=deviation)
 
 
 _BLOCK = 64   # steps per precomputed noise block: a whole-run table would grow the RSS
@@ -164,40 +136,27 @@ def _deviation_coef(coeffs: AveragedCoeffs, grid: DomainGrid, deviation_alpha: b
 
 
 def _kind_terms(model: DiscreteModel, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
-    """(stencil weight g^2, linear coefficient, deviation coefficient, noise families).
+    """(stencil weight g^2, linear coefficient, deviation coefficient, w, s, d).
 
-    A noise family (w, s, d) adds w d_j + s (d_{j-1} - 2 d_j + d_{j+1}).
+    The noise (w, s, d) adds w d_j + s (d_{j-1} - 2 d_j + d_{j+1}).
     conventional_fd is the shared update with a unit stencil weight, lin =
     alpha, no deviation term and bare pointwise drivers, so the sigma = 0
     holistic model (hat_alpha = alpha, Q_j = 0) reproduces it bitwise.  Others
     weight each term by its gamma order: O(gamma) slow driver; O(gamma^2)
-    stencil, averaged linear drift, deviation term and noise stencil; with
-    truncate=False also the auxiliary driver at O(gamma^2), and its stencil
-    and the deviation stencil (zero on a uniform grid) at O(gamma^3).  The
+    stencil, averaged linear drift, deviation term and noise stencil.  The
     holistic models use g = 1, exact in floating point, so gamma_reduced at
     gamma = 1 has their terms bitwise; holistic_intro reads the pointwise
     drivers W(X_j, .) in place of the slow ones.
     """
     grid = drivers.grid
     if model.kind == "conventional_fd":
-        return (1.0, np.full(grid.M, cfg.alpha), np.zeros(grid.M),
-                [(cfg.sigma, 0.0, drivers.gridpoint)])
+        return 1.0, np.full(grid.M, cfg.alpha), np.zeros(grid.M), cfg.sigma, 0.0, drivers.gridpoint
     coeffs = model.coeffs
     g = cfg.gamma if model.kind == "gamma_reduced" else 1.0
     g2 = g * g
     dS = drivers.gridpoint if model.kind == "holistic_intro" else drivers.slow
     dev = g2 * _deviation_coef(coeffs, grid, model.deviation_alpha)
-    families = [(cfg.sigma * g, cfg.sigma * g2 / 4.0, dS)]
-    if model.kind == "gamma_reduced" and not model.truncate:
-        if drivers.aux is None:
-            raise ValueError("gamma_reduced without truncation needs auxiliary drivers")
-        g3 = g2 * g
-        ev = np.full(grid.M, grid.centre_mode_value)
-        dev = dev + (3.0 * np.sqrt(2.0) / 4.0) * g3 * np.sqrt(coeffs.qj) * (
-            np.roll(ev, 1) - 2.0 * ev + np.roll(ev, -1))
-        families.append((cfg.sigma * g2, cfg.sigma * g3 / 4.0,       # B_hat at grid value
-                         drivers.aux * grid.centre_mode_value))
-    return g2, g2 * coeffs.hat_alpha, dev, families
+    return g2, g2 * coeffs.hat_alpha, dev, cfg.sigma * g, cfg.sigma * g2 / 4.0, dS
 
 
 def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers, ndim: int) -> tuple:
@@ -218,8 +177,7 @@ def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers, ndim: int) -
         return w * d + s * (d[prev] - 2.0 * d + d[nxt])
 
     def noise(i0, i1):
-        return np.moveaxis(np.stack([sum(family(w, s, d[:, i0:i1]) for w, s, d in p[3])
-                                     for p in parts]), 2, 0)
+        return np.moveaxis(np.stack([family(w, s, d[:, i0:i1]) for *_, w, s, d in parts]), 2, 0)
 
     def step(U, dt, dchk, noise_i):
         lap = (U.take(prev, axis=1) - 2.0 * U + U.take(nxt, axis=1)) / h2

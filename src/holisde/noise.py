@@ -127,10 +127,6 @@ class NoisePath:
         return self.increments.shape[2]
 
     @property
-    def n_modes(self) -> int:
-        return self.increments.shape[1]
-
-    @property
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 

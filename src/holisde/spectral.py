@@ -151,10 +151,6 @@ class CoupledOperator:
         """L u for a field (projected onto the constrained subspace first)."""
         return self.field_from_reduced(self.apply_reduced(self.reduce(u)))
 
-    def random_field(self, rng: np.random.Generator, scale: float = 1.0) -> ElementField:
-        """Random field satisfying the value constraints (test helper)."""
-        return self.field_from_reduced(scale * rng.standard_normal(self.n_reduced))
-
 
 def assemble_operator(grid: DomainGrid, gamma: float) -> CoupledOperator:
     """Build the reduced Galerkin pair for coupling strength gamma in [0, 1]."""
@@ -391,14 +387,10 @@ class GroundModeExpansion:
     vanishing at X_j.  remainder_norm is the H-norm of what is left.
     """
 
-    gamma: float
-    mode_index: int
     centres: np.ndarray          # (M,)
     F1: np.ndarray               # (M, 2, n+1)
-    F2: np.ndarray               # (M, 2, n+1)
     A: np.ndarray                # (M,)
     remainder_norm: float
-    remainder: np.ndarray        # (M, 2, n+1)
 
 
 def expansion_fields(centres: np.ndarray, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,13 +455,4 @@ def expand_ground_mode(
     rnorm = float(
         np.sqrt(max(np.einsum("mhi,ij,mhj->", remainder, grid.mass_block, remainder), 0.0))
     )
-    return GroundModeExpansion(
-        gamma=g,
-        mode_index=idx,
-        centres=centres,
-        F1=F1,
-        F2=F2,
-        A=A,
-        remainder_norm=rnorm,
-        remainder=remainder,
-    )
+    return GroundModeExpansion(centres=centres, F1=F1, A=A, remainder_norm=rnorm)

@@ -5,13 +5,11 @@ from holisde.averaging import (
     averaged_coeffs,
     compute_qj,
     hat_alpha_from_tables,
-    martingale_limit_driver,
     mc_qj_estimate,
     ou_stationary_stats,
     qj_from_tables,
     simulate_ou_ensemble,
 )
-from holisde.spectral import assemble_operator, eig_gamma, expand_ground_mode
 
 
 def _stats(proj8, eig0_8, sigma=0.5):
@@ -147,30 +145,6 @@ def test_field_second_moment_pointwise_vs_mean(proj8, eig0_8, grid8):
     centre = stats.field_second_moment[:, 0, -1]
     assert np.allclose(centre, expected_centre, rtol=1e-12)
     assert not np.allclose(centre, stats.mean_second_moment)
-
-
-def test_martingale_driver_zero_for_flat_expansion(proj8, eig0_8, grid8):
-    stats = _stats(proj8, eig0_8)
-    eig = eig_gamma(assemble_operator(grid8, 0.1), grid8.M + 1)
-    exp = expand_ground_mode(eig, grid8, mode="ground")  # flat centres: F1 = 0
-    times = np.linspace(0.0, 1.0, 11)
-    md = martingale_limit_driver(stats, eig0_8, exp, times, seed=3)
-    assert np.allclose(md.weights, 0.0, atol=1e-9)
-    assert np.allclose(md.combined, 0.0, atol=1e-9)
-
-
-def test_martingale_driver_variance_identity(proj8, eig0_8, grid8):
-    stats = _stats(proj8, eig0_8)
-    eig = eig_gamma(assemble_operator(grid8, 0.1), grid8.M + 1)
-    exp = expand_ground_mode(eig, grid8, mode="top-slow")
-    times = np.linspace(0.0, 1.0, 4001)
-    md = martingale_limit_driver(stats, eig0_8, exp, times, seed=11)
-    # independent-sum structure: total variance rate = sum of per-mode weights^2
-    rate = np.sum(md.weights**2, axis=1)
-    assert np.all(rate > 0.0)
-    emp = np.var(md.combined, axis=1, ddof=1) / np.diff(times)[0]
-    se = rate * np.sqrt(2.0 / (md.combined.shape[1] - 1))
-    assert np.all(np.abs(emp - rate) < 4.0 * se)
 
 
 def test_fast_set_excludes_zero_rate(proj8, eig0_8, grid8):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holisde import models, noise
 from holisde.cli import main as cli_main
@@ -14,7 +14,7 @@ from holisde.harness import (
     _load_chunk,
     ConfigError,
     RunConfig,
-    batch_driver_tables,
+    _holistic_term_budget,
     build_setup,
     compare_models,
     convergence_study,
@@ -117,19 +117,19 @@ def test_single_member_matches_direct_simulation():
     stats = run_ensemble(cfg)
     setup = build_setup(cfg)
     spde = cfg.spde()
-    ss = member_seeds(cfg.master_seed, 1)[0]
-    path_ss, dev_ss, _ = member_streams(ss)
-    path = sample_global_path(setup.spec, spde.times(), [path_ss])
-    drivers = build_drivers(setup.grid, setup.proj, path, dev_ss)
+    path_seeds, deviation_seeds = member_streams(member_seeds(cfg.master_seed, 1))
+    path = sample_global_path(setup.spec, spde.times(), path_seeds)
+    drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    traj = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)[0]
-    assert np.array_equal(stats.mean("holistic"), traj.states[-1])
+    traj = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers,
+                           U0[:, None])[0]
+    assert np.array_equal(stats.mean("holistic"), traj.states[-1][:, 0])
 
 
 def _member_oracle(setup, times, ss, inc=None):
     """One member's path increments (unless given), slow, gridpoint and deviation
     tables and deviation seed, drawn and mapped on its own with fresh temporaries."""
-    path_ss, dev_ss, _ = member_streams(ss)
+    (path_ss,), (dev_ss,) = member_streams([ss])
     sqrt_dt = np.sqrt(np.diff(times))[None, :]
     if inc is None:
         inc = np.random.default_rng(path_ss).standard_normal((setup.spec.n_modes, times.size - 1))
@@ -146,27 +146,29 @@ def test_batch_driver_columns_are_member_tables():
     per_block = models._SCRATCH_BYTES // (3 * M * n * 8)
     assert 2 * per_block < 30 < 3 * per_block    # two whole scratch blocks and a remainder
     for R, given in itertools.product((1, 3, 30), (False, True)):
-        given_path = (sample_global_path(setup.spec, times, [100 + r for r in range(R)])
-                      if given else None)
-        drivers, path = batch_driver_tables(setup, member_seeds(cfg.master_seed, R), times,
-                                            path=given_path)
+        path_seeds, deviation_seeds = member_streams(member_seeds(cfg.master_seed, R))
+        path = sample_global_path(setup.spec, times, [100 + r for r in range(R)] if given
+                                  else path_seeds)
+        with pytest.raises(ValueError):
+            build_drivers(setup.grid, setup.proj, path, deviation_seeds[1:])
+        drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
         tables = [drivers.slow, drivers.gridpoint, drivers.deviation]
         assert all(t.shape == (M, n, R) for t in tables)
         assert path.increments.shape == (R, setup.spec.n_modes, n)
-        assert path is given_path if given else path.increments.flags.c_contiguous
+        assert path.increments.flags.c_contiguous
         for a, b in itertools.combinations(tables + [path.increments], 2):
             assert not np.shares_memory(a, b)
         # fresh seed trees: member_streams advances a tree's spawn counter
         for r, ss in enumerate(member_seeds(cfg.master_seed, R)):
             inc, slow, gridpoint, dev, dev_ss = _member_oracle(
-                setup, times, ss, given_path.increments[r] if given else None)
+                setup, times, ss, path.increments[r] if given else None)
             assert np.array_equal(path.increments[r], inc)
             for table, want in zip(tables, (slow, gridpoint, dev)):
                 assert np.array_equal(table[..., r], want)
             one = build_drivers(setup.grid, setup.proj,      # a batch of one
-                                NoisePath(times, path.increments[r:r + 1]), dev_ss)
+                                NoisePath(times, path.increments[r:r + 1]), [dev_ss])
             for name, want in zip(("slow", "gridpoint", "deviation"), (slow, gridpoint, dev)):
-                assert np.array_equal(getattr(one, name), want)
+                assert np.array_equal(getattr(one, name)[..., 0], want)
 
 
 def test_member_replay_is_bitwise(tmp_path):
@@ -391,7 +393,7 @@ def test_cli_converge_expansion(tmp_path, capsys):
     assert "fitted order" in capsys.readouterr().out
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"M": 1}', encoding="utf-8")
     assert cli_main(["--config", str(bad), "coeffs"]) == 2
@@ -400,6 +402,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["--config", str(cfgp), "--sweep", "bogus", "coeffs"]) == 2
     assert cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out"),
                      "--sweep", "dt=0.1,0.05,0.025", "converge", "--study", "lambda0"]) == 2
+    # sweep values off their axis, and values or metrics an order fit cannot use
+    for argv in (["--sweep", "gamma=1.5,1.2,1.1", "eig-sweep"],
+                 ["--sweep", "gamma=1.5,1.2,1.1", "converge", "--study", "lambda0"],
+                 ["--sweep", "gamma=2,3,4", "converge", "--study", "coupling-gap"],
+                 ["--sweep", "h=0,-1,2", "converge", "--study", "coeff-h"],
+                 ["--sweep", "gamma=0,0.5,1", "converge", "--study", "lambda0"],
+                 ["--sweep", "gamma=0,0.5,1", "converge", "--study", "expansion"],
+                 ["--sweep", "gamma=0.2,0.1,0.2", "converge", "--study", "lambda0"],
+                 ["--sweep", "gamma=0.25,0.5,1", "converge", "--study", "expansion"],
+                 ["--sweep", "gamma=1e-12,1e-11,1e-10", "converge", "--study", "lambda0"]):
+        assert cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out")] + argv) == 2
+        assert "config error: " in capsys.readouterr().err
     cases = [({"initial": {"kind": "bogus"}}, "simulate"),
              ({"n_levels": 0}, "coeffs"),
              ({"kmax": 0}, "eig-sweep"),
@@ -420,8 +434,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"dt": float("nan")}, None),
     ({"M": 0}, None),
     ({"master_seed": -1}, None),
+    ({}, "gamma=1.5,1.2,1.1"),
+    ({}, "h=0,-1,2"),
 ], ids=["int-as-string", "float-as-string", "fractional-int", "sweep-value", "directory",
-        "nan", "zero-elements", "negative-seed"])
+        "nan", "zero-elements", "negative-seed", "gamma-above-one", "h-not-positive"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
     cfgp = tmp_path
     if override is not None:
@@ -445,6 +461,46 @@ def test_cli_abort_names_step_member_and_seed(tmp_path, capsys, verb):
     assert rc == 3
     err = capsys.readouterr().err
     assert "step=0, member=0, seed=2024" in err
+
+
+@pytest.fixture(scope="module")
+def fast_cfg_path(tmp_path_factory):
+    return _write_cfg(tmp_path_factory.mktemp("main"))
+
+
+_CHEAP_VERBS = [["coeffs"], ["eig-sweep"], ["expansion-check"],
+                ["converge", "--study", "lambda0"], ["converge", "--study", "expansion"],
+                ["converge", "--study", "coeff-h"]]
+# about half the values are valid for every axis, the others for none or only some
+_SWEEPS = st.none() | st.tuples(
+    st.sampled_from(["gamma", "h", "dt", "x"]),
+    st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.5, 1.0]) | st.sampled_from([-1.0, 0.0, 1e-9, 2.0]),
+             min_size=3, max_size=4))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_SWEEPS, st.sampled_from(_CHEAP_VERBS))
+@example(("gamma", [1.5, 1.2, 1.1]), ["eig-sweep"])
+@example(("gamma", [2.0, 3.0, 4.0]), ["converge", "--study", "lambda0"])
+@example(("h", [0.0, -1.0, 2.0]), ["converge", "--study", "coeff-h"])
+@example(("gamma", [0.0, 0.5, 1.0]), ["converge", "--study", "expansion"])
+@example(("gamma", [0.2, 0.1, 0.05]), ["converge", "--study", "expansion"])
+@example(("h", [1.0, 0.5, 0.25]), ["converge", "--study", "coeff-h"])
+def test_cli_main_exits_0_2_or_3(fast_cfg_path, sweep, verb):
+    # the exit-code contract: success, config error or numerical abort, never
+    # an exit 1 or an escaping exception, whatever the sweep
+    argv = ["--config", str(fast_cfg_path), "--out", str(fast_cfg_path.parent / "out")]
+    if sweep is not None:
+        argv += ["--sweep", f"{sweep[0]}=" + ",".join(map(repr, sweep[1]))]
+    assert cli_main(argv + verb) in (0, 2, 3)
+
+
+def test_term_budget_deviation_rate_carries_alpha():
+    cfg = RunConfig(**{**FAST, "alpha": 2.0})
+    rate = [np.asarray(_holistic_term_budget(replace(cfg, deviation_alpha=flag))
+                       ["deviation_variance_rate_unit_U"]) for flag in (False, True)]
+    assert np.all(rate[0] > 0.0)
+    assert np.array_equal(rate[1], 4.0 * rate[0])
 
 
 def test_cli_seed_override_changes_digest(tmp_path):

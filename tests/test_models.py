@@ -12,16 +12,17 @@ from holisde.models import (
     simulate_models,
 )
 from holisde.noise import NoisePath, sample_global_path
-from holisde.spectral import assemble_operator, eig_gamma, expand_ground_mode
+from holisde.spectral import assemble_operator
 
 
 def _coeffs(proj8, eig0_8, alpha=1.0, sigma=0.5):
     return averaged_coeffs(proj8, eig0_8, alpha, sigma)
 
 
-def _drivers(grid, qspec, proj, cfg, seed=0, dev_seed=1, **kw):
+def _drivers(grid, qspec, proj, cfg, seed=0, dev_seed=1):
+    """Driver tables of a batch of one, (M, n_steps, 1)."""
     path = sample_global_path(qspec, cfg.times(), [seed])
-    return build_drivers(grid, proj, path, deviation_seed=dev_seed, **kw)
+    return build_drivers(grid, proj, path, [dev_seed])
 
 
 def _manual_drivers(grid, tables, dt):
@@ -33,7 +34,6 @@ def _manual_drivers(grid, tables, dt):
         slow=tables.get("slow", zeros),
         gridpoint=tables.get("gridpoint", zeros),
         deviation=tables.get("deviation", zeros),
-        aux=tables.get("aux"),
     )
 
 
@@ -45,7 +45,7 @@ def _manual_drivers(grid, tables, dt):
 def test_fd_cubic_root_stationary(grid8, qspec, proj8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
     drv = _drivers(grid8, qspec, proj8, cfg)
-    U = np.ones(grid8.M)
+    U = np.ones((grid8.M, 1))
     out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U)[0].states[-1]
     assert np.array_equal(out, U)
 
@@ -97,7 +97,7 @@ def test_holistic_equals_fd_without_noise(grid8, qspec, proj8, eig0_8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.05)
     co = _coeffs(proj8, eig0_8, sigma=0.0)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=5)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
     t_fd = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0, store=True)[0]
     t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
     assert np.array_equal(t_fd.states, t_h.states)
@@ -154,7 +154,7 @@ def test_intro_variant_uses_gridpoint_noise(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.02)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=9)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
     t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
     t_i = simulate_models([DiscreteModel("holistic_intro", coeffs=co)], cfg, drv, U0,
                           store=True)[0]
@@ -183,32 +183,24 @@ def test_deviation_alpha_flag_scales_term(grid8, proj8, eig0_8):
 # ---------------------------------------------------------------------------
 
 
-def _expansion(grid, gamma=0.1):
-    eig = eig_gamma(assemble_operator(grid, gamma), grid.M + 1)
-    return expand_ground_mode(eig, grid, mode="top-slow")
-
-
 def test_gamma_reduced_truncated_equals_holistic_bitwise(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.05)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=13)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
     t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
-    t_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=True)],
+    t_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],
                           cfg, drv, U0, store=True)[0]
     assert np.array_equal(t_h.states, t_g.states)
 
 
 def test_gamma_reduced_small_gamma_decouples(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
-    stats = ou_stationary_stats(proj8, eig0_8, 0.5)
-    exp = _expansion(grid8)
     g = 1e-4
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=g, dt=1e-3, T=1e-3)
-    drv = _drivers(grid8, qspec, proj8, cfg, seed=17, stats=stats,
-                   eig0=eig0_8, expansion=exp, aux_seed=19)
-    U0 = np.linspace(-0.5, 0.5, grid8.M)
-    model = DiscreteModel("gamma_reduced", coeffs=co, truncate=False)
+    drv = _drivers(grid8, qspec, proj8, cfg, seed=17)
+    U0 = np.linspace(-0.5, 0.5, grid8.M)[:, None]
+    model = DiscreteModel("gamma_reduced", coeffs=co)
     out = simulate_models([model], cfg, drv, U0)[0].states[-1]
     pure_cubic = U0 + cfg.dt * (-cfg.alpha * U0**3)
     assert np.max(np.abs(out - pure_cubic)) < 5.0 * g
@@ -216,12 +208,10 @@ def test_gamma_reduced_small_gamma_decouples(grid8, qspec, proj8, eig0_8):
 
 def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
-    stats = ou_stationary_stats(proj8, eig0_8, 0.5)
-    exp = _expansion(grid8)
     M = grid8.M
     U0 = np.zeros(M)
     gammas = np.array([0.08, 0.04, 0.02])
-    model = DiscreteModel("gamma_reduced", coeffs=co, truncate=False)
+    model = DiscreteModel("gamma_reduced", coeffs=co)
 
     def one_step(tables, g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
@@ -230,8 +220,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
 
     # family gamma^1: uniform slow driver (stencil part cancels)
     mags = [np.max(np.abs(one_step({"slow": np.full((M, 1), 0.3),
-                                    "deviation": np.zeros((M, 1)),
-                                    "aux": np.zeros((M, 1))}, g)))
+                                    "deviation": np.zeros((M, 1))}, g)))
             for g in gammas]
     slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
     assert slope == pytest.approx(1.0, abs=1e-9)
@@ -241,37 +230,12 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
     def dev_step(g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
         drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
-                                      "deviation": np.full((M, 1), 0.2),
-                                      "aux": np.zeros((M, 1))}, cfg.dt)
+                                      "deviation": np.full((M, 1), 0.2)}, cfg.dt)
         out = simulate_models([model], cfg, drv, U1)[0].states[-1]
         return np.max(np.abs(out - U1))
     mags = [dev_step(g) for g in gammas]
     slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
     assert slope == pytest.approx(2.0, abs=1e-9)
-
-    # family gamma^3: auxiliary stencil after removing the tagged gamma^2 part
-    aux = np.array([0.1, -0.2, 0.15, 0.05, -0.1, 0.2, -0.15, -0.05])[:, None]
-    def aux_step(g):
-        cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
-        drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
-                                      "deviation": np.zeros((M, 1)),
-                                      "aux": aux}, cfg.dt)
-        out = simulate_models([model], cfg, drv, U0)[0].states[-1]
-        tagged_g2 = cfg.sigma * g**2 * aux[:, 0] * grid8.centre_mode_value
-        return np.max(np.abs(out - U0 - tagged_g2))
-    mags = [aux_step(g) for g in gammas]
-    slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
-    assert slope == pytest.approx(3.0, abs=1e-9)
-
-
-def test_gamma_reduced_needs_aux_when_untruncated(grid8, proj8, eig0_8):
-    co = _coeffs(proj8, eig0_8)
-    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.01)
-    tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1))}
-    drv = _manual_drivers(grid8, tables, cfg.dt)
-    with pytest.raises(ValueError):
-        simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=False)],
-                        cfg, drv, np.zeros(grid8.M))
 
 
 def test_second_moment_regression_bound(grid8, qspec, proj8, eig0_8):
@@ -279,7 +243,7 @@ def test_second_moment_regression_bound(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=1.0)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=29)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
     traj = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
     assert float(np.max(traj.states**2)) < 2.0
 
@@ -294,7 +258,9 @@ def test_reduced_slow_zero_state_stays_zero(grid8, qspec, proj8, eig0_8):
     stats = ou_stationary_stats(proj8, eig0_8, 0.0)
     op = assemble_operator(grid8, 0.1)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=0.1, dt=1e-3, T=0.01)
-    drv = _drivers(grid8, qspec, proj8, cfg, seed=1)
+    d = _drivers(grid8, qspec, proj8, cfg, seed=1)
+    drv = _manual_drivers(grid8, {"slow": d.slow[..., 0], "deviation": d.deviation[..., 0]},
+                          cfg.dt)
     a = np.zeros(grid8.M)
     for i in range(5):
         a = reduced_slow_sde(a, cfg, op, stats, co, drv, i)
@@ -311,11 +277,10 @@ def test_reduced_slow_drift_gap_is_third_order(grid8, qspec, proj8, eig0_8):
     for g in gammas:
         cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=g, dt=1e-3, T=1e-3)
         op = assemble_operator(grid8, g)
-        tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1)),
-                  "aux": np.zeros((grid8.M, 1))}
+        tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1))}
         drv = _manual_drivers(grid8, tables, cfg.dt)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
-        u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co, truncate=False)],
+        u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],
                              cfg, drv, a0.copy())[0].states[-1]
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = np.polyfit(np.log(gammas), np.log(gaps), 1)[0]
@@ -346,10 +311,10 @@ def test_build_drivers_takes_a_batch_of_one(grid8, qspec, proj8):
     cfg = SpdeConfig(dt=1e-3, T=0.01)
     two = sample_global_path(qspec, cfg.times(), [0, 1])
     with pytest.raises(ValueError):
-        build_drivers(grid8, proj8, two, deviation_seed=1)
-    one = build_drivers(grid8, proj8, NoisePath(two.times, two.increments[1:]), deviation_seed=1)
-    assert one.slow.shape == (grid8.M, cfg.n_steps)
-    assert np.array_equal(one.slow, proj8.slow_map @ two.increments[1])
+        build_drivers(grid8, proj8, two, [1])          # one deviation seed per member
+    one = build_drivers(grid8, proj8, NoisePath(two.times, two.increments[1:]), [1])
+    assert one.slow.shape == (grid8.M, cfg.n_steps, 1)
+    assert np.array_equal(one.slow[..., 0], proj8.slow_map @ two.increments[1])
 
 
 def test_model_kind_validation(proj8, eig0_8):
@@ -361,8 +326,8 @@ def test_model_kind_validation(proj8, eig0_8):
 
 def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
-    d = _drivers(grid8, qspec, proj8, cfg)
-    blown = np.stack([d.slow, 1e200 * d.slow, d.slow], axis=-1)
+    slow = _drivers(grid8, qspec, proj8, cfg).slow[..., 0]
+    blown = np.stack([slow, 1e200 * slow, slow], axis=-1)
     drivers = _manual_drivers(grid8, {"slow": blown}, cfg.dt)
     model = DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
@@ -371,33 +336,22 @@ def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8):
     assert err.value.step == 1
 
 
-def _member_batch(grid, qspec, proj, cfg, seeds, **kw):
-    """Driver tables, with auxiliary drivers, of several members on a trailing axis."""
-    ds = [_drivers(grid, qspec, proj, cfg, seed=s, dev_seed=s + 100, aux_seed=s + 200, **kw)
-          for s in seeds]
-    stack = lambda name: np.stack([getattr(d, name) for d in ds], axis=-1)
-    return ModelDrivers(grid=grid, dt=ds[0].dt, slow=stack("slow"), gridpoint=stack("gridpoint"),
-                        deviation=stack("deviation"), aux=stack("aux"))
-
-
 @pytest.mark.parametrize("members", [None, 3])
 @pytest.mark.parametrize("store", [True, False])
 def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, store):
     # 150 steps cross two precomputed driver blocks and end inside a third
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.15)
-    aux = dict(stats=ou_stationary_stats(proj8, eig0_8, 0.5), eig0=eig0_8,
-               expansion=_expansion(grid8, 0.5))
-    if members is None:
-        drv = _drivers(grid8, qspec, proj8, cfg, seed=31, aux_seed=37, **aux)
-    else:
-        drv = _member_batch(grid8, qspec, proj8, cfg, range(members), **aux)
+    path = sample_global_path(qspec, cfg.times(), list(range(members or 1)))
+    drv = build_drivers(grid8, proj8, path, [s + 100 for s in range(members or 1)])
     U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
-    if members is not None:
+    if members is None:         # a state without a member axis reads tables without one
+        drv = ModelDrivers(grid8, drv.dt, drv.slow[..., 0], drv.gridpoint[..., 0],
+                           drv.deviation[..., 0])
+    else:
         U0 = np.repeat(U0[:, None], members, axis=1)
     models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
-              DiscreteModel("holistic_intro", coeffs=co),
-              DiscreteModel("gamma_reduced", coeffs=co, truncate=False)]
+              DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
     stacked = simulate_models(models, cfg, drv, U0, store=store)
     for model, traj in zip(models, stacked):
         alone = simulate_models([model], cfg, drv, U0, store=store)[0]
@@ -411,8 +365,8 @@ def test_stacked_abort_names_kind_step_and_member(grid8, qspec, proj8, eig0_8):
     # only the holistic model reads the slow drivers, and only member 1's blow up
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
     d = _drivers(grid8, qspec, proj8, cfg)
-    slow = np.stack([d.slow, 1e200 * d.slow, d.slow], axis=-1)
-    gridpoint = np.repeat(d.gridpoint[..., None], 3, axis=-1)
+    slow = np.concatenate([d.slow, 1e200 * d.slow, d.slow], axis=-1)
+    gridpoint = np.repeat(d.gridpoint, 3, axis=-1)
     drivers = _manual_drivers(grid8, {"slow": slow, "gridpoint": gridpoint}, cfg.dt)
     models = [DiscreteModel("conventional_fd"),
               DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))]

@@ -11,6 +11,7 @@ import numpy as np
 import holisde
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def test_every_exported_name_resolves():
@@ -37,5 +38,34 @@ def test_readme_quick_start_runs():
     scope = {}
     exec(compile(code, str(README), "exec"), scope)
     traj, cfg, grid = scope["traj"], scope["cfg"], scope["grid"]
-    assert traj.states.shape == (cfg.n_steps + 1, grid.M)
+    assert traj.states.shape == (cfg.n_steps + 1, grid.M, 1)
     assert np.all(np.isfinite(traj.states))
+
+
+def _reads(tree: ast.Module) -> set:
+    """Names and attributes a module reads, each top-level def or class not
+    counting reads of its own name."""
+    reads = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name != own:
+                    reads.add(name)
+    return reads
+
+
+def test_every_public_name_has_a_caller_or_is_an_oracle():
+    # a public name read only by its own unit test does not belong in the
+    # package; the acceptance suite's imports are the oracles it may keep
+    oracles = {a.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("holisde")
+               for a in node.names}
+    src = Path(holisde.__file__).parent
+    reads = set().union(*(_reads(ast.parse(p.read_text())) for p in src.glob("*.py")
+                          if p.name != "__init__.py"))
+    idle = [f"{info.name}.{n}" for info in pkgutil.iter_modules(holisde.__path__)
+            for n in getattr(importlib.import_module(f"holisde.{info.name}"), "__all__", ())
+            if n not in reads and n not in oracles]
+    assert idle == []
