@@ -20,11 +20,16 @@ that advances a NoisePath member batch in lock step, writing each step's
 weighted (K+1, R) increments into one buffer; a single run is a batch of one.
 The reference steps a member-major state (R, n), so both FFTs run along
 the contiguous axis, and adds its noise in rfft space: the Fourier noise
-modes are exact DFT bins of the fine grid; it steps L2-sized member blocks in
-place on a pool of one thread per usable CPU, bitwise as one whole-batch loop.
-The coupled solver carries the members on a trailing axis and applies
-weak-load maps built once.  Each loop checks finiteness once per step and
-raises NumericalAbort naming the step and the first non-finite member.
+modes are exact DFT bins of the fine grid.  The coupled solver carries the
+members on a trailing axis, applies weak-load maps built once and writes its
+per-step arrays into buffers made once per member block.
+
+Both solvers step through one runner, `run_batches`: it splits every job's
+batch into L2-sized member blocks and steps all blocks of all jobs in place
+on a pool of one thread per usable CPU, each field bitwise as one
+whole-batch loop.  A block stops at its first non-finite step; the runner
+raises NumericalAbort naming the step and the first non-finite member of the
+first aborting job, as one serial loop over the jobs would.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from .spectral import CoupledOperator
 
 __all__ = [
     "SpdeConfig",
+    "BatchJob",
+    "run_batches",
     "ModelTrajectory",
     "NumericalAbort",
     "FullSpdeSolver",
@@ -141,14 +148,85 @@ def _check_finite(x: np.ndarray, member_axis: int, what: str, step: int) -> None
 
 
 # ---------------------------------------------------------------------------
-# full periodic reference solver
+# the block runner shared by both solvers
 # ---------------------------------------------------------------------------
+
+
+_WORKER = "holisde-solver"
 
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The reference solver's block workers, one per usable CPU, made on first use."""
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+    """The solvers' block workers, one per usable CPU, made on first use."""
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix=_WORKER)
+
+
+@dataclass(frozen=True)
+class BatchJob:
+    """One member batch for `run_batches`: every member starts from u0
+    (default: cfg's initial profile) and is driven by its row of `path`."""
+
+    solver: FullSpdeSolver | CoupledElementSolver
+    cfg: SpdeConfig
+    path: NoisePath
+    u0: Optional[np.ndarray | ElementField] = None
+
+
+def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
+    """Each job's fields at the end of its paths, as its solver's `simulate` returns them.
+
+    Every job's state is split into near-equal member blocks of at most
+    512 KiB where possible, never a block of one member unless R = 1, and all
+    blocks of all jobs run in one pool map, each its own time loop in place;
+    members are independent, so every field is bitwise that of stepping the
+    job's whole batch at once.  A block stops at its first non-finite step and
+    every block stops once the caller stops waiting.  The abort raised is the
+    first aborting job's in list order, at its earliest step, then its lowest
+    member.  The runner waits on the pool, so a pool worker must not call it:
+    with one worker per CPU, the nested wait can deadlock.
+    """
+    if threading.current_thread().name.startswith(_WORKER):
+        raise RuntimeError("run_batches must not be called from a solver pool worker")
+    states, blocks = [], []
+    for j, job in enumerate(jobs):
+        state = job.solver._batch_state(job.cfg, job.path, job.u0)
+        R = len(job.path.increments)
+        n_blocks = max(1, min(-(-state.nbytes // 2**19), R // 2))    # 512 KiB blocks: L2 / 4
+        edges = [R * b // n_blocks for b in range(n_blocks + 1)]
+        blocks += [(j, lo, hi, job.solver._block_stepper(job.cfg, state, lo, hi))
+                   for lo, hi in zip(edges[:-1], edges[1:])]
+        states.append(state)
+    err = np.geterr()             # worker threads start from numpy's default error state
+    stop = threading.Event()      # set when the caller stops waiting, e.g. on an interrupt
+
+    def run(j: int, lo: int, hi: int, advance) -> Optional[NumericalAbort]:
+        solver, path = jobs[j].solver, jobs[j].path
+        sq = solver.sqrt_q[:, None]
+        db = np.empty((sq.size, hi - lo))
+        with np.errstate(**err):
+            try:
+                for i in range(path.n_steps):
+                    if stop.is_set():
+                        break
+                    np.multiply(sq, path.increments[lo:hi, :, i].T, out=db)
+                    _check_finite(advance(db), 0, solver._what, i)
+            except NumericalAbort as abort:
+                abort.member += lo
+                return abort
+
+    try:
+        aborts = list(_pool().map(run, *zip(*blocks)))
+    finally:
+        stop.set()
+    failed = [(j, a.step, a.member, a) for (j, *_), a in zip(blocks, aborts) if a is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[:3])[3]
+    return [job.solver._batch_fields(state) for job, state in zip(jobs, states)]
+
+
+# ---------------------------------------------------------------------------
+# full periodic reference solver
+# ---------------------------------------------------------------------------
 
 
 class FullSpdeSolver:
@@ -168,7 +246,8 @@ class FullSpdeSolver:
         self.delta = self.L / self.n
         nb = min(self.n // 2, spec.n_modes // 2) + 1
         basis = fourier_basis(self.x, spec.n_modes, self.L)                # (K+1, n)
-        self.basis_hat = np.fft.rfft(basis, axis=-1)[:, :nb]              # (K+1, nb)
+        # a copy: a view would keep all n // 2 + 1 bins of every mode alive
+        self.basis_hat = np.fft.rfft(basis, axis=-1)[:, :nb].copy()       # (K+1, nb)
         self.sqrt_q = np.sqrt(spec.q)
         m = np.arange(self.n // 2 + 1)
         self.symbol = 2.0 * (1.0 - np.cos(2.0 * np.pi * m / self.n)) / self.delta**2
@@ -203,41 +282,33 @@ class FullSpdeSolver:
         """Fine field at the end of a member batch's paths, shape (n, R).
 
         Every member starts from u0 (default: the configured initial profile)
-        and is driven by its row of `path`; rows are stepped in blocks of two or
-        more members (R > 1).  An abort names the earliest step, then the lowest member.
+        and is driven by its row of `path`; a one-job `run_batches` call.
         """
+        return run_batches([BatchJob(self, cfg, path, u0)])[0]
+
+    # -- the runner's interface: whole-batch state, block step, result -------
+
+    _what = "reference solve"
+
+    def _batch_state(self, cfg: SpdeConfig, path: NoisePath,
+                     u0: Optional[np.ndarray]) -> np.ndarray:
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        R, sq = len(path.increments), self.sqrt_q[:, None]
-        u = np.repeat(np.asarray(u0, dtype=float)[None, :], R, axis=0)
-        denom = 1.0 + cfg.dt * self.symbol
-        scratch, rhat = np.empty_like(u), np.empty((R, denom.size), dtype=complex)
-        err = np.geterr()             # worker threads start from numpy's default error state
-        stop = threading.Event()      # set when the caller stops waiting, e.g. on an interrupt
+        return np.repeat(np.asarray(u0, dtype=float)[None, :], len(path.increments), axis=0)
 
-        def run(lo: int, hi: int) -> Optional[NumericalAbort]:
-            ub, sb, rb = u[lo:hi], scratch[lo:hi], rhat[lo:hi]
-            db = np.empty((sq.size, hi - lo))
-            with np.errstate(**err):
-                try:
-                    for i in range(path.n_steps):
-                        if stop.is_set():
-                            break
-                        np.multiply(sq, path.increments[lo:hi, :, i].T, out=db)
-                        self.step(ub, cfg, self.noise_increment(db), sb, rb, denom)
-                        _check_finite(ub, 0, "reference solve", i)
-                except NumericalAbort as abort:
-                    abort.member += lo
-                    return abort
+    def _block_stepper(self, cfg: SpdeConfig, u: np.ndarray, lo: int, hi: int):
+        """advance(db) steps members lo:hi of u in place with their own buffers
+        and returns them, members first."""
+        ub, denom = u[lo:hi], 1.0 + cfg.dt * self.symbol
+        scratch, rhat = np.empty_like(ub), np.empty((hi - lo, denom.size), dtype=complex)
 
-        n_blocks = max(1, min(-(-u.nbytes // 2**19), R // 2))    # 512 KiB blocks: L2 / 4
-        edges = [R * b // n_blocks for b in range(n_blocks + 1)]
-        try:
-            aborts = [a for a in _pool().map(run, edges[:-1], edges[1:]) if a is not None]
-        finally:
-            stop.set()
-        if aborts:
-            raise min(aborts, key=lambda a: (a.step, a.member))
+        def advance(db: np.ndarray) -> np.ndarray:
+            self.step(ub, cfg, self.noise_increment(db), scratch, rhat, denom)
+            return ub
+
+        return advance
+
+    def _batch_fields(self, u: np.ndarray) -> np.ndarray:
         return u.T
 
 
@@ -262,6 +333,7 @@ class CoupledElementSolver:
         nodes = np.mod(grid.all_nodes(), grid.L)
         basis = fourier_basis(nodes, spec.n_modes, grid.L).reshape(spec.n_modes, -1)
         self.load = op.gamma * (op.ZtM @ basis.T)                  # (nred, K+1)
+        self.nodal_shape = (grid.M, 2, grid.subgrid_n + 1)
         self.sqrt_q = np.sqrt(spec.q)
         self._semi_lu = spla.splu((op.M_red + self.dt * op.K_red).tocsc())
 
@@ -272,40 +344,73 @@ class CoupledElementSolver:
             u0 = ElementField(f(self.grid.all_nodes()), self.grid)
         return self.op.reduce(u0)
 
-    def noise_rhs(self, db: np.ndarray) -> np.ndarray:
+    def noise_rhs(self, db: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Reduced weak load of the element noise increment (without sigma).
 
         db holds sqrt(q)-weighted global coefficients, (K+1,) or (K+1, R).
         The increment field is gamma times the restriction of the global
         increment to every element, weak-projected through Z^T M: the
-        precomputed load map gamma Z^T M basis, (nred, K+1).
+        precomputed load map gamma Z^T M basis, (nred, K+1).  The load is
+        written into `out` when one is given.
         """
-        return self.load @ db
+        return np.matmul(self.load, db, out=out)
 
-    def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise_rhs: np.ndarray) -> np.ndarray:
-        """One step in reduced coordinates; c may be (nred,) or (nred, R)."""
+    def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise_rhs: np.ndarray,
+                     cube: np.ndarray) -> None:
+        """One step in reduced coordinates, in place; c may be (nred,) or (nred, R).
+
+        c <- (M_red + dt K_red)^-1 (M_red c + dt weak_rhs(reaction) + sigma noise_rhs),
+        with the reaction alpha (gamma^2 u - u u u) of the nodal field u = Z c.
+        cube is a nodal (M, 2, n+1[, R]) buffer; the reaction and the right-hand
+        side are written over the sparse products they start from.
+        """
         op = self.op
-        uv = (op.Z @ c).reshape((self.grid.M, 2, self.grid.subgrid_n + 1) + c.shape[1:])
-        reaction = cfg.alpha * (cfg.gamma**2 * uv - (uv * uv * uv))
-        weak = op.weak_rhs(reaction)
-        rhs = op.M_red @ c + cfg.dt * weak + cfg.sigma * noise_rhs
-        return self._semi_lu.solve(rhs)
+        uv = (op.Z @ c).reshape(cube.shape)
+        np.multiply(uv, uv, out=cube)
+        np.multiply(cube, uv, out=cube)
+        np.multiply(cfg.gamma**2, uv, out=uv)
+        np.subtract(uv, cube, out=uv)
+        np.multiply(cfg.alpha, uv, out=uv)
+        weak = op.weak_rhs(uv)
+        np.multiply(cfg.dt, weak, out=weak)
+        rhs = op.M_red @ c
+        np.add(rhs, weak, out=rhs)
+        np.multiply(cfg.sigma, noise_rhs, out=weak)
+        np.add(rhs, weak, out=rhs)
+        del uv, weak        # before the solve: a worker thread's arena keeps its high-water mark
+        c[...] = self._semi_lu.solve(rhs)
 
     def simulate(self, cfg: SpdeConfig, path: NoisePath,
                  u0: Optional[ElementField] = None) -> np.ndarray:
         """Element fields at the end of a member batch's paths, shape (M, 2, n+1, R).
 
         Every member starts from the projection of u0 (default: the
-        configured initial profile) and is driven by its row of `path`.
+        configured initial profile) and is driven by its row of `path`; a
+        one-job `run_batches` call.
         """
+        return run_batches([BatchJob(self, cfg, path, u0)])[0]
+
+    # -- the runner's interface: whole-batch state, block step, result -------
+
+    _what = "coupled element solve"
+
+    def _batch_state(self, cfg: SpdeConfig, path: NoisePath,
+                     u0: Optional[ElementField]) -> np.ndarray:
         if abs(cfg.dt - self.dt) > 1e-14 * self.dt:
             raise ValueError("config dt differs from the factorized step size")
-        sq, c = self.sqrt_q[:, None], self.initial_reduced(cfg, u0)
-        c = np.repeat(c[:, None], len(path.increments), axis=1)
-        db = np.empty((sq.size, c.shape[1]))
-        for i in range(path.n_steps):
-            np.multiply(sq, path.increments[:, :, i].T, out=db)
-            c = self.step_reduced(c, cfg, self.noise_rhs(db))
-            _check_finite(c, -1, "coupled element solve", i)
-        return (self.op.Z @ c).reshape(self.grid.M, 2, self.grid.subgrid_n + 1, -1)
+        return np.repeat(self.initial_reduced(cfg, u0)[:, None], len(path.increments), axis=1)
 
+    def _block_stepper(self, cfg: SpdeConfig, c: np.ndarray, lo: int, hi: int):
+        """advance(db) steps members lo:hi of c in place with their own buffers
+        and returns them, members first."""
+        cb = c[:, lo:hi]
+        cube, load = np.empty(self.nodal_shape + (hi - lo,)), np.empty_like(cb)
+
+        def advance(db: np.ndarray) -> np.ndarray:
+            self.step_reduced(cb, cfg, self.noise_rhs(db, load), cube)
+            return cb.T
+
+        return advance
+
+    def _batch_fields(self, c: np.ndarray) -> np.ndarray:
+        return (self.op.Z @ c).reshape(self.nodal_shape + (-1,))

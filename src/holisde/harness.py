@@ -28,11 +28,13 @@ import numpy as np
 
 from . import averaging, models, noise, spectral
 from .dynamics import (
+    BatchJob,
     CoupledElementSolver,
     FullSpdeSolver,
     NumericalAbort,
     SpdeConfig,
     initial_profile,
+    run_batches,
 )
 from .grid import DomainGrid, build_grid
 from .models import DiscreteModel, simulate_models
@@ -564,6 +566,9 @@ def _study_coeff_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     hs = np.sort(hs)[::-1]
     h_ref = hs[0]
     M_ref = max(int(round(cfg.L / h_ref)), 3)
+    if M_ref > cfg.n_fine // 4:       # the bound RunConfig puts on M
+        raise ConfigError([f"coeff-h spacing h={h_ref:g} needs {M_ref} elements, more than "
+                           f"n_fine // 4 = {cfg.n_fine // 4}"])
     grid = build_grid(M_ref * h_ref, M_ref, cfg.subgrid_n)
     spec = cfg.qwiener()
     eig0 = spectral.eig_gamma0(grid, cfg.n_levels)
@@ -582,11 +587,9 @@ def _study_coeff_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     return hs, metrics
 
 
-def _right_half_gap(field_values: np.ndarray, ref: np.ndarray, grid: DomainGrid) -> np.ndarray:
-    """L2 gap over the non-overlapping right-half cover, batched over members.
-
-    field_values: (M, 2, n+1, R); ref: (n_fine, R) on the fine reference nodes.
-    """
+def _right_half_values(ref: np.ndarray, grid: DomainGrid) -> np.ndarray:
+    """A periodic fine field (n_fine, R) interpolated linearly to the right-half
+    element nodes, (M, n+1, R)."""
     L = grid.L
     n_fine = ref.shape[0]
     xr = np.mod(grid.all_nodes()[:, 1, :], L)            # (M, n+1)
@@ -594,7 +597,15 @@ def _right_half_gap(field_values: np.ndarray, ref: np.ndarray, grid: DomainGrid)
     vg = np.concatenate([ref, ref[:1]], axis=0)          # (n_fine+1, R)
     idx = np.clip(np.searchsorted(xg, xr.ravel(), side="right") - 1, 0, xg.size - 2)
     w = ((xr.ravel() - xg[idx]) / (xg[idx + 1] - xg[idx]))[:, None]
-    ref_nodes = (vg[idx] * (1.0 - w) + vg[idx + 1] * w).reshape(xr.shape + (-1,))
+    return (vg[idx] * (1.0 - w) + vg[idx + 1] * w).reshape(xr.shape + (-1,))
+
+
+def _right_half_gap(field_values: np.ndarray, ref_nodes: np.ndarray,
+                    grid: DomainGrid) -> np.ndarray:
+    """L2 gap over the non-overlapping right-half cover, batched over members.
+
+    field_values: (M, 2, n+1, R); ref_nodes: the reference's `_right_half_values`.
+    """
     diff = field_values[:, 1, :, :] - ref_nodes          # (M, n+1, R)
     mb = grid.mass_block
     gap2 = np.einsum("mir,ij,mjr->r", diff, mb, diff)
@@ -607,7 +618,8 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     Shared Brownian coefficients make the gamma -> 1 distributional limit a
     trackable pathwise gap; the sigma = 0 run of the same configuration
     gives the pure discretization floor.  The reference never reads gamma,
-    so one reference batch serves every gamma.
+    so one reference batch serves every gamma; the coupled batches and the
+    sigma = 0 pair then step together in one `run_batches` call.
     """
     grid = cfg.grid()
     spec = cfg.qwiener()
@@ -615,18 +627,19 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     times = spde0.times()
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
     path = sample_global_path(spec, times, member_streams(seeds)[0])
+    ref_nodes = _right_half_values(reference_grid_values(grid.L, spec, path, spde0, cfg.n_fine),
+                                   grid)
 
-    ref = reference_grid_values(grid.L, spec, path, spde0, cfg.n_fine)
-    gaps = np.stack([
-        _right_half_gap(_coupled_fields(grid, spec, cfg.spde(gamma=float(g)), path), ref, grid)
-        for g in gammas
-    ])
     # sigma = 0 silences the noise, so any one path serves as the batch of one
     spde_det = cfg.spde(gamma=1.0, sigma=0.0)
     one = NoisePath(path.times, path.increments[:1])
-    det_ref = reference_grid_values(grid.L, spec, one, spde_det, cfg.n_fine)
-    det_gap = float(_right_half_gap(_coupled_fields(grid, spec, spde_det, one),
-                                    det_ref, grid)[0])
+    jobs = [BatchJob(_coupled_solver(grid, spec, spde), spde, path)
+            for spde in (cfg.spde(gamma=float(g)) for g in gammas)]
+    jobs += [BatchJob(FullSpdeSolver(grid.L, cfg.n_fine, spec), spde_det, one),
+             BatchJob(_coupled_solver(grid, spec, spde_det), spde_det, one)]
+    *fields, det_ref, det_field = run_batches(jobs)
+    gaps = np.stack([_right_half_gap(f, ref_nodes, grid) for f in fields])
+    det_gap = float(_right_half_gap(det_field, _right_half_values(det_ref, grid), grid)[0])
     mean_sq = np.mean(gaps**2, axis=1)
     metrics = {
         "ms_gap": mean_sq,
@@ -636,11 +649,9 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     return gammas, metrics
 
 
-def _coupled_fields(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig,
-                    path: NoisePath) -> np.ndarray:
-    """Coupled element fields at T at coupling spde.gamma, shape (M, 2, n+1, R)."""
-    op = spectral.assemble_operator(grid, spde.gamma)
-    return CoupledElementSolver(op, spec, spde.dt).simulate(spde, path)
+def _coupled_solver(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig) -> CoupledElementSolver:
+    """The coupled element solver at coupling spde.gamma and step spde.dt."""
+    return CoupledElementSolver(spectral.assemble_operator(grid, spde.gamma), spec, spde.dt)
 
 
 def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:

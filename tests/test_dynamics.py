@@ -1,3 +1,4 @@
+import contextlib
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,16 +8,18 @@ import numpy as np
 import pytest
 
 import holisde
-from holisde import dynamics
+from holisde import dynamics, harness
 from holisde.dynamics import (
+    BatchJob,
     CoupledElementSolver,
     FullSpdeSolver,
     NumericalAbort,
     SpdeConfig,
     initial_profile,
+    run_batches,
 )
 from holisde.grid import ElementField, inner_product, seminorm
-from holisde.noise import QWienerSpec, fourier_basis, sample_global_path
+from holisde.noise import NoisePath, QWienerSpec, fourier_basis, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
 
@@ -52,6 +55,11 @@ def workspace(solver, cfg, members):
             1.0 + cfg.dt * solver.symbol)
 
 
+def cube_buffer(solver, c):
+    """The nodal work buffer of CoupledElementSolver.step_reduced for a reduced state c."""
+    return np.empty(solver.nodal_shape + c.shape[1:])
+
+
 def whole_batch_reference(solver, cfg, path):
     """Oracle: step the whole batch as one block with the solver's step, (n, R),
     gathering each step's increments member by member."""
@@ -65,6 +73,49 @@ def whole_batch_reference(solver, cfg, path):
         if not np.all(np.isfinite(u)):
             return i, int(np.argmax(~np.isfinite(u).all(axis=1)))
     return u.T
+
+
+def whole_batch_coupled(solver, cfg, path):
+    """Oracle: step the whole batch as one block with the solver's step_reduced,
+    (M, 2, n+1, R)."""
+    c = np.repeat(solver.initial_reduced(cfg)[:, None], len(path.increments), axis=1)
+    cube = cube_buffer(solver, c)
+    for i in range(cfg.n_steps):
+        db = solver.sqrt_q[:, None] * path.increments[:, :, i].T
+        solver.step_reduced(c, cfg, solver.noise_rhs(db), cube)
+    return (solver.op.Z @ c).reshape(solver.nodal_shape + (-1,))
+
+
+@contextlib.contextmanager
+def solver_pool(monkeypatch, workers):
+    """Run the solver blocks on a pool of `workers` threads (None: the default
+    pool), switching threads every microsecond."""
+    if workers is not None:
+        pool = ThreadPoolExecutor(workers)
+        monkeypatch.setattr(dynamics, "_pool", lambda: pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+        if workers is not None:
+            pool.shutdown(wait=True)
+
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupted_wait(pool):
+    """A solver pool that starts every block on `pool`, then interrupts the wait."""
+    class InterruptedWait:
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                pool.submit(fn, *args)
+            raise Interrupted
+
+    return InterruptedWait
 
 
 # 7 members x 32768 nodes is 1.75 MiB: blocks of 2, 2 and 3 members
@@ -136,8 +187,9 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     path = _quiet_path(qspec, cfg, seed=4)
     u0 = ElementField(np.sin(grid8.all_nodes()), grid8)
-    c = solver.step_reduced(op.reduce(u0), cfg,
-                            solver.noise_rhs(solver.sqrt_q * path.increments[0, :, 0]))
+    c = op.reduce(u0)
+    solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path.increments[0, :, 0]),
+                        cube_buffer(solver, c))
     vals = op.field_from_reduced(c).values
     centres = vals[:, 0, -1]
     assert np.max(np.abs(centres - vals[:, 1, 0])) <= 1e-9     # centre copies agree
@@ -238,10 +290,11 @@ def test_slow_amplitude_stays_small_on_slow_timescale(grid8, qspec):
         path = _quiet_path(qspec, cfg, seed=8)
         eig = eig_gamma(op, 2)
         c = solver.initial_reduced(cfg)
+        cube = cube_buffer(solver, c)
         max_amp = 0.0
         for i in range(path.n_steps):
-            c = solver.step_reduced(c, cfg,
-                                    solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]))
+            solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]),
+                                cube)
             if i % 20 == 0:
                 field = solver.op.field_from_reduced(c)
                 a, _ = slow_fast_decompose(field, eig)
@@ -266,9 +319,11 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
         for r in range(4):
             path = sample_global_path(qspec, cfg.times(), [500 + r])
             c = solver.initial_reduced(cfg)
+            cube = cube_buffer(solver, c)
             for i in range(path.n_steps):
-                c = solver.step_reduced(c, cfg,
-                                        solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]))
+                solver.step_reduced(c, cfg,
+                                    solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]),
+                                    cube)
                 if i > path.n_steps // 2 and i % 40 == 0:
                     field = solver.op.field_from_reduced(c)
                     _, fast = slow_fast_decompose(field, eig0)
@@ -332,17 +387,8 @@ def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, workers):
     want = whole_batch_reference(solver, cfg, path)
     rows, step = [], solver.step
     monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
-    if workers is not None:
-        pool = ThreadPoolExecutor(workers)
-        monkeypatch.setattr(dynamics, "_pool", lambda: pool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with solver_pool(monkeypatch, workers):
         got = solver.simulate(cfg, path)
-    finally:
-        sys.setswitchinterval(interval)
-        if workers is not None:
-            pool.shutdown(wait=True)
     assert np.array_equal(got, want)
     assert sorted(rows) == [2] * 2 * cfg.n_steps + [3] * cfg.n_steps
 
@@ -354,21 +400,85 @@ def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatc
     rows, step = [], solver.step
     monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
     pool = ThreadPoolExecutor(2)
-
-    class Interrupted(Exception):
-        pass
-
-    class InterruptedWait:                  # starts every block, then the wait is interrupted
-        def map(self, fn, *iterables):
-            for args in zip(*iterables):
-                pool.submit(fn, *args)
-            raise Interrupted
-
-    monkeypatch.setattr(dynamics, "_pool", InterruptedWait)
+    monkeypatch.setattr(dynamics, "_pool", interrupted_wait(pool))
     with pytest.raises(Interrupted):
         solver.simulate(cfg, path)
     pool.shutdown(wait=True)
     assert sum(rows) < BLOCKED_R * cfg.n_steps // 4      # member steps taken
+
+
+def test_coupled_job_stops_when_the_caller_stops_waiting(grid8, qspec, monkeypatch):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=1.0)
+    solver = CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt)
+    path = _batch(qspec, cfg, 64)
+    steps, step = [], solver.step_reduced
+    monkeypatch.setattr(solver, "step_reduced", lambda *args: (steps.append(1), step(*args)))
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(dynamics, "_pool", interrupted_wait(pool))
+    with pytest.raises(Interrupted):
+        solver.simulate(cfg, path)
+    pool.shutdown(wait=True)
+    assert len(steps) < cfg.n_steps // 4
+
+
+# 80 members: the reference (1024 nodes) and every gamma batch (M = 8,
+# n = 64) split into two blocks, the sigma = 0 pair are batches of one
+GAP_CFG = dict(M=8, subgrid_n=64, n_modes=17, dt=1e-3, T=0.004, ensemble=80, n_fine=1024)
+
+
+def serial_coupling_gap(cfg, gammas):
+    """Oracle: the coupling-gap study's (ms_gap, det_gap) with every batch
+    stepped whole, one after another on the calling thread."""
+    grid, spec, spde0 = cfg.grid(), cfg.qwiener(), cfg.spde()
+    seeds = harness.member_seeds(cfg.master_seed, cfg.ensemble)
+    path = sample_global_path(spec, spde0.times(), harness.member_streams(seeds)[0])
+    fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
+
+    def gap(spde, path, ref):
+        solver = CoupledElementSolver(assemble_operator(grid, spde.gamma), spec, spde.dt)
+        field = whole_batch_coupled(solver, spde, path)
+        return harness._right_half_gap(field, harness._right_half_values(ref, grid), grid)
+
+    ref = whole_batch_reference(fine, spde0, path)
+    ms = np.mean(np.stack([gap(cfg.spde(gamma=g), path, ref) for g in gammas]) ** 2, axis=1)
+    det, one = cfg.spde(gamma=1.0, sigma=0.0), NoisePath(path.times, path.increments[:1])
+    return ms, gap(det, one, whole_batch_reference(fine, det, one))[0]
+
+
+@pytest.mark.parametrize("workers", [None, 1, 8])
+def test_coupling_gap_study_matches_serial_oracle(monkeypatch, workers):
+    cfg = harness.RunConfig(**GAP_CFG)
+    gammas = np.array([0.9, 0.99, 1.0])
+    ms, det = serial_coupling_gap(cfg, gammas)
+    with solver_pool(monkeypatch, workers):
+        got = harness.convergence_study(cfg, "coupling-gap", gammas).metrics
+    assert np.array_equal(got["ms_gap"], ms)
+    assert np.array_equal(got["det_gap"], np.full(3, det))
+
+
+def test_runner_raises_the_first_aborting_job(grid8, qspec):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
+    solver = CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt)
+    first, second = _batch(qspec, cfg, 3), _batch(qspec, cfg, 3)
+    # a huge increment at step k - 1 overflows the cube at step k
+    first.increments[2, :, 3] *= 1e200
+    second.increments[1, :, 0] *= 1e200
+    with np.errstate(all="ignore"):
+        for path, want in ((first, (4, 2)), (second, (1, 1))):      # one job at a time
+            with pytest.raises(NumericalAbort) as err:
+                solver.simulate(cfg, path)
+            assert (err.value.step, err.value.member) == want
+        with pytest.raises(NumericalAbort) as err:
+            run_batches([BatchJob(solver, cfg, first), BatchJob(solver, cfg, second)])
+    assert (err.value.step, err.value.member) == (4, 2)
+
+
+def test_runner_refuses_to_run_on_a_pool_worker(qspec):
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.002)
+    job = BatchJob(FullSpdeSolver(2.0 * np.pi, 64, qspec), cfg, _batch(qspec, cfg, 2))
+    nested = dynamics._pool().submit(run_batches, [job])
+    with pytest.raises(RuntimeError, match="pool worker"):
+        nested.result(timeout=60)
 
 
 def test_blocked_abort_names_earliest_step_then_member(qspec):

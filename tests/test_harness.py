@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holisde import models, noise
+from holisde import harness, models, noise
 from holisde.cli import main as cli_main
 from holisde.harness import (
     _load_chunk,
@@ -26,6 +26,7 @@ from holisde.harness import (
     write_manifest,
 )
 from holisde.dynamics import NumericalAbort, initial_profile
+from holisde.grid import build_grid
 from holisde.models import DiscreteModel, build_drivers, simulate_models
 from holisde.noise import NoisePath, sample_global_path
 
@@ -425,6 +426,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert cli_main(["--config", str(bad), "--out", str(tmp_path / "out"), verb]) == 2
 
 
+def test_cli_coeff_h_grid_beyond_the_element_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # h = 3e-5 would freeze a grid of about 2e5 elements and a 1.9 GB noise basis
+    def no_huge_grid(L, M, subgrid_n):
+        assert M <= RunConfig(**FAST).n_fine // 4, f"built a grid of {M} elements"
+        return build_grid(L, M, subgrid_n)
+
+    monkeypatch.setattr(harness, "build_grid", no_huge_grid)
+    cfgp = _write_cfg(tmp_path)
+    assert cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out"),
+                     "--sweep", "h=1e-5,2e-5,3e-5", "converge", "--study", "coeff-h"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: coeff-h spacing h=3e-05 needs 209440 elements" in err
+
+
 @pytest.mark.parametrize("override, sweep", [
     ({"M": "8"}, None),
     ({"T": "1"}, None),
@@ -452,8 +467,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
 @pytest.mark.parametrize("verb", [
     ["compare"],
     ["--sweep", f"h={np.pi / 2},{np.pi / 4},{np.pi / 8}", "converge", "--study", "weak-h"],
+    ["--sweep", "gamma=0.9,0.99,1", "converge", "--study", "coupling-gap"],
     ["simulate"],
-], ids=["compare", "weak-h", "simulate"])
+], ids=["compare", "weak-h", "coupling-gap", "simulate"])
 def test_cli_abort_names_step_member_and_seed(tmp_path, capsys, verb):
     cfgp = _write_cfg(tmp_path, ensemble=2, initial={"kind": "constant", "amplitude": 1e200})
     with np.errstate(over="ignore", invalid="ignore"):
