@@ -52,6 +52,7 @@ __all__ = [
     "SpdeConfig",
     "BatchJob",
     "run_batches",
+    "pool_width",
     "ModelTrajectory",
     "NumericalAbort",
     "FullSpdeSolver",
@@ -61,13 +62,18 @@ __all__ = [
 
 
 class NumericalAbort(RuntimeError):
-    """A solve produced non-finite values; carries replay diagnostics."""
+    """A solve produced non-finite values; carries replay diagnostics.
+
+    `job` is the index of the aborting job in a `run_batches` call, None
+    outside one.
+    """
 
     def __init__(self, message: str, step: int | None = None, member: int | None = None, seed=None):
         super().__init__(message)
         self.step = step
         self.member = member
         self.seed = seed
+        self.job = None
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,11 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix=_WORKER)
 
 
+def pool_width() -> int:
+    """How many blocks `run_batches` steps at once: its pool's worker count."""
+    return _pool()._max_workers
+
+
 @dataclass(frozen=True)
 class BatchJob:
     """One member batch for `run_batches`: every member starts from u0
@@ -182,8 +193,9 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     job's whole batch at once.  A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
-    member.  The runner waits on the pool, so a pool worker must not call it:
-    with one worker per CPU, the nested wait can deadlock.
+    member; its `job` is that job's index.  The runner waits on the pool, so
+    a pool worker must not call it: with one worker per CPU, the nested wait
+    can deadlock.
     """
     if threading.current_thread().name.startswith(_WORKER):
         raise RuntimeError("run_batches must not be called from a solver pool worker")
@@ -220,7 +232,9 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
         stop.set()
     failed = [(j, a.step, a.member, a) for (j, *_), a in zip(blocks, aborts) if a is not None]
     if failed:
-        raise min(failed, key=lambda f: f[:3])[3]
+        j, *_, abort = min(failed, key=lambda f: f[:3])
+        abort.job = j
+        raise abort
     return [job.solver._batch_fields(state) for job, state in zip(jobs, states)]
 
 

@@ -34,6 +34,7 @@ from .dynamics import (
     NumericalAbort,
     SpdeConfig,
     initial_profile,
+    pool_width,
     run_batches,
 )
 from .grid import DomainGrid, build_grid
@@ -398,6 +399,14 @@ def _load_chunk(cache: Path, keys: list, n_members: int) -> Optional[dict]:
     return out
 
 
+def _replay_context(abort: NumericalAbort, chunk: int, cfg: RunConfig) -> NumericalAbort:
+    """An abort in member chunk `chunk`, renamed to the member's index in the
+    ensemble, with the master seed."""
+    abort.member += chunk * cfg.chunk_size
+    abort.seed = cfg.master_seed
+    return abort
+
+
 def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStats:
     """Run the configured models over R common-random-number members.
 
@@ -407,6 +416,15 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     the config digest; a chunk file is renamed into place only once written
     whole, and one that cannot be read or does not fit the chunk is
     recomputed.  The setup is built only if some chunk must be computed.
+
+    The chunks to compute go in groups of one chunk per solver pool worker:
+    each chunk's grid models step on the calling thread, its driver tables
+    released before the next chunk's are drawn, then the group's reference
+    batches step in one `run_batches` call.  So one chunk's path per worker
+    is in flight (at the default T = 1, 32 x 33 x 16,211 x 8 B, about
+    137 MB).  Values, flushed chunks and the abort raised are those of
+    computing the chunks one after another: the earliest aborting chunk's,
+    its models before its reference, with every chunk before it flushed.
     """
     spde = cfg.spde()
     times = spde.times()
@@ -424,43 +442,60 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     keys = names + [f"gap:{a}-{b}" for a, b in pairs]
     chunks = [seeds[i : i + cfg.chunk_size] for i in range(0, R, cfg.chunk_size)]
-    collected: dict[str, list] = {}
-    setup = None                    # built only once a chunk must be computed
-    for ci, chunk in enumerate(chunks):
-        cache = flush_dir / f"chunk_{ci:04d}.npz" if flush_dir else None
-        out = _load_chunk(cache, keys, len(chunk)) if cache is not None else None
-        if out is None:
-            if setup is None:
-                setup = build_setup(cfg)
-                U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
-                grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
-                                             deviation_alpha=cfg.deviation_alpha)
-                               for kind in model_kinds]
-            path_seeds, deviation_seeds = member_streams(chunk)
+    caches = [flush_dir / f"chunk_{ci:04d}.npz" if flush_dir else None
+              for ci in range(len(chunks))]
+    outs = [_load_chunk(cache, keys, len(chunk)) if cache is not None else None
+            for cache, chunk in zip(caches, chunks)]
+    todo = [ci for ci, out in enumerate(outs) if out is None]
+    groups = []
+    if todo:
+        setup = build_setup(cfg)
+        U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
+        grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
+                                     deviation_alpha=cfg.deviation_alpha)
+                       for kind in model_kinds]
+        fine = FullSpdeSolver(setup.grid.L, cfg.n_fine, setup.spec) if needs_reference else None
+        width = pool_width()
+        groups = [todo[g : g + width] for g in range(0, len(todo), width)]
+    for group in groups:
+        done, jobs, abort = [], [], None        # drops the last group's paths
+        for ci in group:
+            path_seeds, deviation_seeds = member_streams(chunks[ci])
             path = sample_global_path(setup.spec, times, path_seeds)
             drivers = models.build_drivers(setup.grid, setup.proj, path, deviation_seeds)
-            U0b = np.repeat(U0[:, None], len(chunk), axis=1)
+            U0b = np.repeat(U0[:, None], len(chunks[ci]), axis=1)
             try:
                 trajs = simulate_models(grid_models, spde, drivers, U0b) if grid_models else []
-                out = {kind: traj.states[-1] for kind, traj in zip(model_kinds, trajs)}
-                if needs_reference:
-                    fine = reference_grid_values(setup.grid.L, setup.spec, path, spde,
-                                                 cfg.n_fine)
-                    out["reference"] = at_grid_points(fine, cfg.M)
             except NumericalAbort as exc:
-                # replay context: the member's index in the ensemble and the master seed
-                exc.member += ci * cfg.chunk_size
-                exc.seed = cfg.master_seed
-                raise
+                abort = _replay_context(exc, ci, cfg)
+                break
+            del drivers                         # before the next chunk's tables are drawn
+            outs[ci] = {kind: traj.states[-1] for kind, traj in zip(model_kinds, trajs)}
+            done.append(ci)
+            if needs_reference:
+                jobs.append(BatchJob(fine, spde, path))
+        if jobs:
+            try:
+                finals = run_batches(jobs)
+            except NumericalAbort as exc:
+                # an earlier chunk's reference aborts before any later chunk;
+                # the chunks before it step again so that they can be flushed
+                abort = _replay_context(exc, done[exc.job], cfg)
+                del done[exc.job :]
+                finals = run_batches(jobs[: exc.job])
+            for ci, u in zip(done, finals):
+                outs[ci]["reference"] = at_grid_points(u, cfg.M)
+        for ci in done:
+            out = outs[ci]
             for a, b in pairs:
                 gap = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))
                 out[f"gap:{a}-{b}"] = gap[None, :]
-            if cache is not None:
-                _flush_chunk(cache, out)
-        for k, v in out.items():
-            collected.setdefault(k, []).append(v)
+            if caches[ci] is not None:
+                _flush_chunk(caches[ci], out)
+        if abort is not None:
+            raise abort
 
-    samples = {k: np.concatenate(v, axis=-1) for k, v in collected.items()}
+    samples = {k: np.concatenate([out[k] for out in outs], axis=-1) for k in keys}
     return _summaries(samples, R)
 
 

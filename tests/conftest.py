@@ -1,3 +1,7 @@
+import contextlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from holisde import (
     eig_gamma0,
     project_to_element_modes,
 )
+from holisde import dynamics
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +44,26 @@ def proj8(qspec, eig0_8, grid8):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def solver_pool(monkeypatch):
+    """solver_pool(workers): a context that runs the solver blocks on a pool of
+    `workers` threads (None: the default pool), switching threads every
+    microsecond."""
+
+    @contextlib.contextmanager
+    def use(workers):
+        if workers is not None:
+            pool = ThreadPoolExecutor(workers)
+            monkeypatch.setattr(dynamics, "_pool", lambda: pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+            if workers is not None:
+                pool.shutdown(wait=True)
+
+    return use

@@ -1,6 +1,4 @@
-import contextlib
 import re
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -84,23 +82,6 @@ def whole_batch_coupled(solver, cfg, path):
         db = solver.sqrt_q[:, None] * path.increments[:, :, i].T
         solver.step_reduced(c, cfg, solver.noise_rhs(db), cube)
     return (solver.op.Z @ c).reshape(solver.nodal_shape + (-1,))
-
-
-@contextlib.contextmanager
-def solver_pool(monkeypatch, workers):
-    """Run the solver blocks on a pool of `workers` threads (None: the default
-    pool), switching threads every microsecond."""
-    if workers is not None:
-        pool = ThreadPoolExecutor(workers)
-        monkeypatch.setattr(dynamics, "_pool", lambda: pool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-        if workers is not None:
-            pool.shutdown(wait=True)
 
 
 class Interrupted(Exception):
@@ -380,14 +361,14 @@ def test_abort_names_first_nonfinite_member(grid8, qspec):
 
 
 @pytest.mark.parametrize("workers", [None, 1, 8])
-def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, workers):
+def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, solver_pool, workers):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.004)
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
     path = _batch(qspec, cfg, BLOCKED_R)
     want = whole_batch_reference(solver, cfg, path)
     rows, step = [], solver.step
     monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
-    with solver_pool(monkeypatch, workers):
+    with solver_pool(workers):
         got = solver.simulate(cfg, path)
     assert np.array_equal(got, want)
     assert sorted(rows) == [2] * 2 * cfg.n_steps + [3] * cfg.n_steps
@@ -446,11 +427,11 @@ def serial_coupling_gap(cfg, gammas):
 
 
 @pytest.mark.parametrize("workers", [None, 1, 8])
-def test_coupling_gap_study_matches_serial_oracle(monkeypatch, workers):
+def test_coupling_gap_study_matches_serial_oracle(solver_pool, workers):
     cfg = harness.RunConfig(**GAP_CFG)
     gammas = np.array([0.9, 0.99, 1.0])
     ms, det = serial_coupling_gap(cfg, gammas)
-    with solver_pool(monkeypatch, workers):
+    with solver_pool(workers):
         got = harness.convergence_study(cfg, "coupling-gap", gammas).metrics
     assert np.array_equal(got["ms_gap"], ms)
     assert np.array_equal(got["det_gap"], np.full(3, det))

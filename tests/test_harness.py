@@ -259,6 +259,134 @@ def test_truncated_chunk_file_is_closed(tmp_path):
     assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
 
 
+# three chunks of 4, 4 and 2 members, each stepping its reference too
+GROUPED = dict(FAST, ensemble=10, model_kinds=("conventional_fd", "holistic", "reference"))
+
+
+def serial_ensemble(cfg):
+    """Oracle: run_ensemble's statistics with every chunk computed whole, one
+    after another, its reference through a one-job solve."""
+    setup, spde = build_setup(cfg), cfg.spde()
+    kinds = [k for k in cfg.model_kinds if k != "reference"]
+    grid_models = [DiscreteModel(k, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
+                   for k in kinds]
+    U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
+    seeds = member_seeds(cfg.master_seed, cfg.ensemble)
+    samples = {}
+    for lo in range(0, cfg.ensemble, cfg.chunk_size):
+        chunk = seeds[lo : lo + cfg.chunk_size]
+        path_seeds, deviation_seeds = member_streams(chunk)
+        path = sample_global_path(setup.spec, spde.times(), path_seeds)
+        drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
+        trajs = simulate_models(grid_models, spde, drivers,
+                                np.repeat(U0[:, None], len(chunk), axis=1))
+        out = {k: traj.states[-1] for k, traj in zip(kinds, trajs)}
+        fine = harness.reference_grid_values(setup.grid.L, setup.spec, path, spde, cfg.n_fine)
+        out["reference"] = harness.at_grid_points(fine, cfg.M)
+        for a, b in itertools.combinations(list(out), 2):
+            out[f"gap:{a}-{b}"] = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))[None, :]
+        for k, v in out.items():
+            samples.setdefault(k, []).append(v)
+    return harness._summaries({k: np.concatenate(v, axis=-1) for k, v in samples.items()},
+                              cfg.ensemble)
+
+
+def assert_same_stats(got, want):
+    assert list(got.observables) == list(want.observables)
+    for name in want.observables:
+        for key in ("mean", "var", "stderr"):
+            assert np.array_equal(got.observables[name][key], want.observables[name][key])
+
+
+@pytest.mark.parametrize("workers", [None, 1, 8])
+def test_grouped_ensemble_matches_serial_oracle(monkeypatch, solver_pool, workers):
+    # one chunk per worker: on two CPUs groups of 2 and 1 chunks, then 1 + 1 + 1, then all 3
+    cfg = RunConfig(**GROUPED)
+    want = serial_ensemble(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_ensemble", serial_ensemble)
+        want_report = compare_models(cfg)
+    with solver_pool(workers):
+        got = run_ensemble(cfg)
+        report = compare_models(cfg)
+    assert_same_stats(got, want)
+    assert report == want_report
+
+
+def plant_blowups(monkeypatch, reference=(), model=()):
+    """Blow up members once their chunk's driver tables are built: (chunk,
+    member, step) in `reference` scales that step's path increments by 1e200,
+    which only the reference reads from then on, so its cube overflows a step
+    later; in `model`, it makes the tables non-finite at that step."""
+    build, chunks = models.build_drivers, itertools.count()
+
+    def planted(grid, proj, path, deviation_seeds):
+        drivers, chunk = build(grid, proj, path, deviation_seeds), next(chunks)
+        for member, step in [(m, i) for c, m, i in reference if c == chunk]:
+            path.increments[member, :, step] *= 1e200
+        for member, step in [(m, i) for c, m, i in model if c == chunk]:
+            for table in (drivers.slow, drivers.gridpoint, drivers.deviation):
+                table[:, step, member] = np.inf
+        return drivers
+
+    monkeypatch.setattr(models, "build_drivers", planted)
+
+
+@pytest.mark.parametrize("reference, model, want", [
+    ([(1, 2, 5)], [], (6, 4 + 2, "reference")),              # the second chunk of a group
+    ([(0, 3, 5)], [(1, 1, 2)], (6, 3, "reference")),         # chunk 0's reference comes first
+    ([(1, 3, 1)], [(1, 1, 4)], (4, 4 + 1, "model")),         # a chunk's models, then its reference
+], ids=["second-chunk", "earlier-chunk-reference", "models-first"])
+def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, model, want):
+    cfg = RunConfig(**GROUPED)
+    plant_blowups(monkeypatch, reference, model)
+    with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalAbort) as err:
+        run_ensemble(cfg)
+    step, member, solve = want
+    assert (err.value.step, err.value.member, err.value.seed) == (step, member, cfg.master_seed)
+    assert solve in str(err.value)
+
+
+@pytest.mark.parametrize("reference, model, chunk", [
+    ([(0, 1, 5)], [], 0), ([(1, 1, 5)], [], 1), ([], [(2, 1, 5)], 2), ([(3, 1, 5)], [], 3),
+])
+def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
+                                            reference, model, chunk):
+    # four chunks in groups (0, 1) and (2, 3)
+    cfg = RunConfig(**{**GROUPED, "ensemble": 16})
+    run_ensemble(cfg, out_dir=tmp_path / "clean")
+    plant_blowups(monkeypatch, reference, model)
+    with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalAbort) as err:
+        run_ensemble(cfg, out_dir=tmp_path / "aborted")
+    assert err.value.member == chunk * cfg.chunk_size + 1
+    flushed = sorted(p.name for p in (tmp_path / "aborted" / f"members_{cfg.digest()}").iterdir())
+    assert flushed == [f"chunk_{c:04d}.npz" for c in range(chunk)]
+    for name in flushed:
+        with np.load(tmp_path / "aborted" / f"members_{cfg.digest()}" / name) as got, \
+                np.load(tmp_path / "clean" / f"members_{cfg.digest()}" / name) as want:
+            assert got.files == want.files
+            assert all(np.array_equal(got[k], want[k]) for k in want.files)
+
+
+def test_resume_recomputes_only_a_missing_chunk(tmp_path, monkeypatch):
+    cfg = RunConfig(**{**GROUPED, "ensemble": 16})
+    fresh = run_ensemble(cfg)
+    run_ensemble(cfg, out_dir=tmp_path)
+    cache = sorted((tmp_path / f"members_{cfg.digest()}").glob("chunk_*.npz"))
+    assert len(cache) == 4
+    cache[2].unlink()
+    mtimes = {p: p.stat().st_mtime_ns for p in cache if p.exists()}
+    sampled, sample = [], harness.sample_global_path
+    monkeypatch.setattr(harness, "sample_global_path",
+                        lambda *a: sampled.append(a) or sample(*a))
+    resumed = run_ensemble(cfg, out_dir=tmp_path)
+    assert len(sampled) == 1 and cache[2].exists()
+    assert {p: p.stat().st_mtime_ns for p in mtimes} == mtimes
+    assert_same_stats(resumed, fresh)
+
+
 def test_sigma_zero_models_identical_in_report():
     cfg = RunConfig(**{**FAST, "sigma": 0.0, "ensemble": 2})
     report = compare_models(cfg)
