@@ -62,7 +62,10 @@ def _load_config(args) -> RunConfig:
 
 def _out_dir(cfg: RunConfig, args) -> Path:
     out = Path(cfg.out_dir or args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create output directory {str(out)!r}: {exc}"]) from exc
     return out
 
 
@@ -187,7 +190,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse printed its usage (exit 2) or help (exit 0)
+        return exc.code
     try:
         cfg = _load_config(args)
         rc = COMMANDS[args.command](cfg, args)

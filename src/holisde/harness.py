@@ -659,19 +659,21 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     grid = cfg.grid()
     spec = cfg.qwiener()
     spde0 = cfg.spde()
-    times = spde0.times()
+    spdes = [cfg.spde(gamma=float(g)) for g in gammas]
+    spde_det = cfg.spde(gamma=1.0, sigma=0.0)
+    # the coupled solvers first, so that scipy's import and the LU factors
+    # are allocated before the batch arrays and do not raise the peak
+    *solvers, det_solver = [_coupled_solver(grid, spec, s) for s in spdes + [spde_det]]
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
-    path = sample_global_path(spec, times, member_streams(seeds)[0])
+    path = sample_global_path(spec, spde0.times(), member_streams(seeds)[0])
     ref_nodes = _right_half_values(reference_grid_values(grid.L, spec, path, spde0, cfg.n_fine),
                                    grid)
 
     # sigma = 0 silences the noise, so any one path serves as the batch of one
-    spde_det = cfg.spde(gamma=1.0, sigma=0.0)
     one = NoisePath(path.times, path.increments[:1])
-    jobs = [BatchJob(_coupled_solver(grid, spec, spde), spde, path)
-            for spde in (cfg.spde(gamma=float(g)) for g in gammas)]
+    jobs = [BatchJob(solver, spde, path) for solver, spde in zip(solvers, spdes)]
     jobs += [BatchJob(FullSpdeSolver(grid.L, cfg.n_fine, spec), spde_det, one),
-             BatchJob(_coupled_solver(grid, spec, spde_det), spde_det, one)]
+             BatchJob(det_solver, spde_det, one)]
     *fields, det_ref, det_field = run_batches(jobs)
     gaps = np.stack([_right_half_gap(f, ref_nodes, grid) for f in fields])
     det_gap = float(_right_half_gap(det_field, _right_half_values(det_ref, grid), grid)[0])

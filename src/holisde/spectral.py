@@ -25,19 +25,28 @@ The decoupled operator (gamma = 0) has a closed-form eigensystem per element:
 eigenvalue k^2 pi^2 / h^2 with one mode for odd k (the odd sine), three for
 even k (cosine, sine, and the centre-kinked sine in |x - X_j|), and the
 normalized constant at k = 0.
+
+This module is the package's only user of scipy's linear algebra, and it
+imports scipy's sparse and dense linear algebra inside the functions that
+assemble, factor or diagonalize the coupled operator (`_constraint_basis`,
+`assemble_operator`, `CoupledOperator._lu` and `semi_implicit_lu`,
+`eig_gamma`).  Loading those modules costs about 0.3 s and 23 MiB, and the
+grid-model paths (the closed-form gamma = 0 eigensystem, the reference, the
+models) never touch them, so `import holisde` does not pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import DomainGrid, ElementField
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "CoupledOperator",
@@ -61,6 +70,8 @@ def _constraint_basis(grid: DomainGrid, gamma: float) -> sp.csr_matrix:
     centre copy; the eliminated dofs (left endpoint, right endpoint, second
     centre copy) are rebuilt from the value conditions.
     """
+    import scipy.sparse as sp
+
     M, n = grid.M, grid.subgrid_n
     S = 2 * (n + 1)      # nodal dofs per element
     F = 2 * n - 1        # free dofs per element
@@ -125,8 +136,16 @@ class CoupledOperator:
 
     def _lu(self) -> spla.SuperLU:
         if self._mass_lu is None:
-            self._mass_lu = spla.splu(self.M_red)
+            from scipy.sparse.linalg import splu
+
+            self._mass_lu = splu(self.M_red)
         return self._mass_lu
+
+    def semi_implicit_lu(self, dt: float) -> spla.SuperLU:
+        """Sparse LU factor of M_red + dt K_red, the semi-implicit step's matrix."""
+        from scipy.sparse.linalg import splu
+
+        return splu((self.M_red + dt * self.K_red).tocsc())
 
     # -- coordinate maps ----------------------------------------------------
 
@@ -156,7 +175,9 @@ def assemble_operator(grid: DomainGrid, gamma: float) -> CoupledOperator:
     """Build the reduced Galerkin pair for coupling strength gamma in [0, 1]."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"coupling gamma must lie in [0, 1], got {gamma}")
-    M, n = grid.M, grid.subgrid_n
+    import scipy.sparse as sp
+
+    M = grid.M
     mb, kb = grid.mass_block, grid.stiffness_block
     Mg = sp.block_diag([sp.csr_matrix(mb)] * (2 * M), format="csr")
     Kg = sp.block_diag([sp.csr_matrix(kb)] * (2 * M), format="csr")
@@ -259,6 +280,8 @@ def eig_gamma(op: CoupledOperator, kmax: int) -> EigenSystem:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    import scipy.linalg as sla
+
     A = op.K_red.toarray()
     B = op.M_red.toarray()
     A = 0.5 * (A + A.T)

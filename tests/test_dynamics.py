@@ -48,9 +48,9 @@ def _batch(spec, cfg, members):
 
 
 def workspace(solver, cfg, members):
-    """Work buffers and implicit denominator of FullSpdeSolver.step for a batch."""
+    """Work buffers and implicit reciprocal of FullSpdeSolver.step for a batch."""
     return (np.empty((members, solver.n)), np.empty((members, solver.n // 2 + 1), dtype=complex),
-            1.0 + cfg.dt * solver.symbol)
+            1.0 / (1.0 + cfg.dt * solver.symbol))
 
 
 def cube_buffer(solver, c):
@@ -338,6 +338,21 @@ def test_rfft_noise_matches_sampled_basis(n_fine):
         pad = [(0, 0)] * (hat.ndim - 1) + [(0, n_fine // 2 + 1 - hat.shape[-1])]
         field = np.fft.irfft(np.pad(hat, pad), n=n_fine, axis=-1)
         assert np.max(np.abs(field - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_reference_reciprocal_is_the_implicit_division(qspec):
+    # oracle: the step as first written, dividing the rfft bins by 1 + dt symbol
+    cfg = SpdeConfig(alpha=0.7, sigma=0.5, dt=1e-3, T=0.005)
+    solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
+    path = _batch(qspec, cfg, 3)
+    u = np.repeat(initial_profile(cfg.initial, solver.L)(solver.x)[None, :], 3, axis=0)
+    denom = 1.0 + cfg.dt * solver.symbol
+    for i in range(cfg.n_steps):
+        dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[:, :, i].T)
+        rhat = np.fft.rfft(u + cfg.dt * (cfg.alpha * (u - u * u * u)), axis=-1)
+        rhat[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
+        u = np.fft.irfft(rhat / denom, n=solver.n, axis=-1)
+    assert np.array_equal(solver.simulate(cfg, path), u.T)
 
 
 def test_reference_simulate_batch_shape(qspec):

@@ -1,6 +1,9 @@
+import contextlib
 import gc
+import io
 import itertools
 import json
+import os
 import warnings
 from dataclasses import replace
 
@@ -637,6 +640,59 @@ def test_cli_main_exits_0_2_or_3(fast_cfg_path, sweep, verb):
     if sweep is not None:
         argv += ["--sweep", f"{sweep[0]}=" + ",".join(map(repr, sweep[1]))]
     assert cli_main(argv + verb) in (0, 2, 3)
+
+
+# values of the wrong type, non-finite or not positive: a field that takes one
+# either rejects it or stays as cheap as FAST, so no drawn config runs long or
+# allocates much (a tiny dt or a huge ensemble would)
+_BAD_SCALARS = (st.none() | st.booleans() | st.integers(-3, 0)
+                | st.sampled_from([float("nan"), float("inf"), -1.5, 0.0])
+                | st.text(max_size=3) | st.sampled_from(["gamma", "h", "sine", "zero", "holistic"]))
+_BAD_VALUES = (_BAD_SCALARS | st.lists(_BAD_SCALARS, max_size=4)
+               | st.dictionaries(st.sampled_from(["kind", "amplitude", "mode", "x"]), _BAD_SCALARS,
+                                 max_size=3))
+_BAD_FIELDS = st.sampled_from(sorted(OTHER_VALUES)).flatmap(
+    lambda k: st.tuples(st.just(k), st.just(OTHER_VALUES[k]) | _BAD_VALUES))
+
+# a config file: FAST with up to three fields redrawn or unknown keys added, or
+# text that is no config object; the argv around it adds a missing or a
+# directory config, an output path on a file, bad flags, values and verbs
+_CONFIG_TEXTS = (
+    st.lists(_BAD_FIELDS | st.tuples(st.sampled_from(["x", "M ", "verb"]), _BAD_VALUES),
+             max_size=3)
+    .map(lambda kv: json.dumps({**RunConfig(**FAST).to_dict(), **dict(kv)}))
+    | st.sampled_from(["", "{", "[1, 2]", "null", '"M"', "{\"M\": }", "\ufeff{}"])
+)
+_CONFIG_ARGS = st.sampled_from([["--config", "cfg.json"], ["--config", "missing.json"],
+                                ["--config", "."], []])
+_OPTION_ARGS = st.lists(st.sampled_from([["--out", "out"], ["--out", "cfg.json"],
+                                         ["--seed", "3"], ["--seed", "-1"], ["--seed", "x"],
+                                         ["--sweep", "h=1,0.5,0.25"], ["--sweep", "gamma"],
+                                         ["--bogus"], ["--seed"]]), max_size=2)
+_VERB_ARGS = st.sampled_from([["coeffs"], ["simulate"], ["bogus"], [], ["converge"],
+                              ["converge", "--study", "nope"], ["coeffs", "extra"]])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_CONFIG_TEXTS, _CONFIG_ARGS, _OPTION_ARGS, _VERB_ARGS)
+@example(RunConfig(**FAST).to_json(), ["--config", "cfg.json"], [["--out", "cfg.json"]],
+         ["coeffs"])
+@example(RunConfig(**FAST).to_json(), ["--config", "cfg.json"], [["--seed", "x"]], ["bogus"])
+@example(RunConfig(**FAST).to_json(), ["--config", "cfg.json"], [["--seed", "3"]], ["simulate"])
+def test_cli_main_never_exits_1(tmp_path_factory, text, config, options, verb):
+    # bad argv or config JSON is exit 2, never exit 1 or an escaping exception
+    work = tmp_path_factory.mktemp("argv")
+    (work / "cfg.json").write_text(text, encoding="utf-8")
+    argv = config + sum(options, []) + verb
+    cwd = os.getcwd()
+    os.chdir(work)              # without --out the verbs write to ./out
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli_main(argv)
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 2, 3)
 
 
 def test_term_budget_deviation_rate_carries_alpha():

@@ -1,9 +1,14 @@
-"""Package surface: every exported name resolves and the README quick start runs."""
+"""Package surface: every exported name resolves, the README quick start runs,
+and the grid-model paths start without scipy's linear algebra."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,3 +74,49 @@ def test_every_public_name_has_a_caller_or_is_an_oracle():
             for n in getattr(importlib.import_module(f"holisde.{info.name}"), "__all__", ())
             if n not in reads and n not in oracles]
     assert idle == []
+
+
+SCIPY_LINALG = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+TINY = dict(subgrid_n=16, n_modes=17, T=0.02, dt=1e-3, ensemble=8, n_fine=256,
+            model_kinds=("conventional_fd", "holistic"), chunk_size=4)
+
+
+def _cold(code: str, tmp_path: Path) -> list:
+    """Run `code` in a fresh interpreter, after writing the tiny config to
+    cfg.json under tmp_path; `loaded()` inside it lists the scipy linear
+    algebra modules imported so far.  Returns what the code printed, one
+    JSON value per line."""
+    from holisde import RunConfig
+
+    (tmp_path / "cfg.json").write_text(RunConfig(**TINY).to_json(), encoding="utf-8")
+    prelude = ("import json, sys\n"
+               f"loaded = lambda: [m for m in {SCIPY_LINALG!r} if m in sys.modules]\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(holisde.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", prelude + code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+def test_grid_model_verbs_load_no_scipy_linear_algebra(tmp_path):
+    # the import, compare and the weak-h study never build the coupled operator
+    weak_h = f"h={np.pi / 2},{np.pi / 4},{np.pi / 8}"
+    code = (
+        "import holisde\n"
+        "print(json.dumps(loaded()))\n"
+        "from holisde import cli\n"
+        "argv = ['--config', 'cfg.json', '--out', 'out']\n"
+        "print(json.dumps([cli.main(argv + ['compare'])] + loaded()))\n"
+        f"print(json.dumps([cli.main(argv + ['--sweep', '{weak_h}', "
+        "'converge', '--study', 'weak-h'])] + loaded()))\n"
+    )
+    assert _cold(code, tmp_path) == [[], [0], [0]]
+
+
+def test_coupling_gap_loads_scipy_on_first_use(tmp_path):
+    code = (
+        "from holisde import cli\n"
+        "print(json.dumps([cli.main(['--config', 'cfg.json', '--out', 'out', '--sweep', "
+        "'gamma=0.9,0.99,1', 'converge', '--study', 'coupling-gap'])] + loaded()))\n"
+    )
+    assert _cold(code, tmp_path) == [[0, *SCIPY_LINALG]]
