@@ -36,7 +36,6 @@ from .averaging import (
 from .dynamics import (
     CoupledElementSolver,
     FullSpdeSolver,
-    ModelTrajectory,
     NumericalAbort,
     SpdeConfig,
 )

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import spectral
-from .dynamics import NumericalAbort, initial_profile
+from .dynamics import NumericalAbort
 from .harness import (
     STUDIES,
     ConfigError,
@@ -117,20 +117,16 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
                 "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
-    U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    traj = simulate_models([model], spde, drivers, U0[:, None], store=True)[0]
+    states = simulate_models([model], spde, drivers, store=True)[:, 0, :, 0]     # (n_steps + 1, M)
     out = _out_dir(cfg, args)
     header = ["t"] + [f"U_{j+1}" for j in range(setup.grid.M)]
-    n_times = traj.times.size
+    n_times = path.times.size
     stride = max(1, n_times // 2000)
     # every stride-th row, and always the row at T
     kept = list(range(0, n_times, stride))
     if kept[-1] != n_times - 1:
         kept.append(n_times - 1)
-    rows = [
-        tuple([float(traj.times[i])] + [float(v) for v in traj.states[i, :, 0]])
-        for i in kept
-    ]
+    rows = [tuple([float(path.times[i])] + [float(v) for v in states[i]]) for i in kept]
     write_csv(out / f"trajectory_{kind}.csv", header, rows)
     write_manifest(cfg, out, {"command": "simulate", "model": kind})
     return 0

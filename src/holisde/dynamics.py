@@ -57,7 +57,6 @@ __all__ = [
     "BatchJob",
     "run_batches",
     "pool_width",
-    "ModelTrajectory",
     "NumericalAbort",
     "FullSpdeSolver",
     "CoupledElementSolver",
@@ -128,26 +127,6 @@ def initial_profile(spec: dict, L: float) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown initial profile {kind!r}")
 
 
-@dataclass(frozen=True)
-class ModelTrajectory:
-    """Time series of grid values produced by a discrete model.
-
-    states has the time axis first, then the grid (and, for a member batch,
-    the ensemble) axes.  provenance records which model and coupling
-    generated it.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    provenance: dict
-
-    def __post_init__(self):
-        if self.states.shape[0] != self.times.size:
-            raise ValueError("states length must match times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-
 def _check_finite(x: np.ndarray, member_axis: int, what: str, step: int) -> None:
     """Raise NumericalAbort naming the step and the first non-finite member."""
     if np.all(np.isfinite(x)):
@@ -192,9 +171,12 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
 
     Every job's state is split into near-equal member blocks of at most
     512 KiB where possible, never a block of one member unless R = 1, and all
-    blocks of all jobs run in one pool map, each its own time loop in place;
-    members are independent, so every field is bitwise that of stepping the
-    job's whole batch at once.  A block stops at its first non-finite step and
+    blocks of all jobs run in one pool map, each its own time loop in place.
+    Members are independent, and each solver's noise product puts them on
+    the GEMM's row axis (the reference's `tensordot`, the coupled solver's
+    `db^T load^T`), where OpenBLAS rounds a member's row alike at every
+    width above one, so every field is bitwise that of stepping the job's
+    whole batch at once.  A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
     member; its `job` is that job's index.  The runner waits on the pool, so
@@ -372,10 +354,12 @@ class CoupledElementSolver:
         db holds sqrt(q)-weighted global coefficients, (K+1,) or (K+1, R).
         The increment field is gamma times the restriction of the global
         increment to every element, weak-projected through Z^T M: the
-        precomputed load map gamma Z^T M basis, (nred, K+1).  The load is
-        written into `out` when one is given.
+        precomputed load map gamma Z^T M basis, (nred, K+1).  The product
+        (db^T load^T)^T keeps the members on the GEMM's row axis, so each
+        member's load is bitwise at every batch width above one; it is
+        written into a member-major `out` (R, nred) when one is given.
         """
-        return np.matmul(self.load, db, out=out)
+        return np.matmul(db.T, self.load.T, out=out).T
 
     def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise_rhs: np.ndarray,
                      cube: np.ndarray) -> None:
@@ -426,7 +410,7 @@ class CoupledElementSolver:
         """advance(db) steps members lo:hi of c in place with their own buffers
         and returns them, members first."""
         cb = c[:, lo:hi]
-        cube, load = np.empty(self.nodal_shape + (hi - lo,)), np.empty_like(cb)
+        cube, load = np.empty(self.nodal_shape + (hi - lo,)), np.empty((hi - lo, cb.shape[0]))
 
         def advance(db: np.ndarray) -> np.ndarray:
             self.step_reduced(cb, cfg, self.noise_rhs(db, load), cube)

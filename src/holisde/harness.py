@@ -450,7 +450,6 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     groups = []
     if todo:
         setup = build_setup(cfg)
-        U0 = initial_profile(spde.initial, setup.grid.L)(setup.grid.grid_points)
         grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
                                      deviation_alpha=cfg.deviation_alpha)
                        for kind in model_kinds]
@@ -463,14 +462,13 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
             path_seeds, deviation_seeds = member_streams(chunks[ci])
             path = sample_global_path(setup.spec, times, path_seeds)
             drivers = models.build_drivers(setup.grid, setup.proj, path, deviation_seeds)
-            U0b = np.repeat(U0[:, None], len(chunks[ci]), axis=1)
             try:
-                trajs = simulate_models(grid_models, spde, drivers, U0b) if grid_models else []
+                finals = simulate_models(grid_models, spde, drivers)[-1] if grid_models else []
             except NumericalAbort as exc:
                 abort = _replay_context(exc, ci, cfg)
                 break
             del drivers                         # before the next chunk's tables are drawn
-            outs[ci] = {kind: traj.states[-1] for kind, traj in zip(model_kinds, trajs)}
+            outs[ci] = dict(zip(model_kinds, finals))
             done.append(ci)
             if needs_reference:
                 jobs.append(BatchJob(fine, spde, path))
@@ -703,25 +701,18 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     Ms = [int(round(cfg.L / h)) for h in hs]
     if any(abs(m * h - cfg.L) > 1e-12 * cfg.L for m, h in zip(Ms, hs)):
         raise ConfigError(["sweep spacings must divide the domain length"])
-    R = cfg.ensemble
-    spde = cfg.spde()
-    times = spde.times()
-    seeds = member_seeds(cfg.master_seed, R)
-
-    base = replace(cfg, M=Ms[0])
-    setup0 = build_setup(base)
-    path = sample_global_path(setup0.spec, times, member_streams(seeds)[0])
-    ref = reference_grid_values(setup0.grid.L, setup0.spec, path, spde, cfg.n_fine)   # (n_fine, R)
+    spde, spec = cfg.spde(), cfg.qwiener()
+    seeds = member_seeds(cfg.master_seed, cfg.ensemble)
+    path = sample_global_path(spec, spde.times(), member_streams(seeds)[0])
+    ref = reference_grid_values(cfg.L, spec, path, spde, cfg.n_fine)       # (n_fine, R)
 
     mean_err, var_err = [], []
     for M in Ms:
         setup = build_setup(replace(cfg, M=M))
         drivers = models.build_drivers(setup.grid, setup.proj, path, member_streams(seeds)[1])
-        U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
-        traj = simulate_models([model], spde, drivers, np.repeat(U0[:, None], R, axis=1))[0]
-        U = traj.states[-1]                                   # (M, R)
+        U = simulate_models([model], spde, drivers)[-1, 0]                # (M, R)
         uref = at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)

@@ -23,8 +23,7 @@ alpha U^3) + dev U dbeta_check + noise with per-kind coefficients.
 `simulate_models` steps several kinds on a leading kind axis in one time
 loop, with the U-independent noise precomputed in blocks; a single kind
 is a batch of one.  `build_drivers` writes the driver tables of a member
-batch with a trailing member axis, and a single member steps as a batch of
-one, U0[:, None].
+batch with a trailing member axis, and a single member is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
 from .noise import ElementNoiseProjection, NoisePath
 from .spectral import CoupledOperator, expansion_fields
-from .dynamics import ModelTrajectory, NumericalAbort, SpdeConfig, _check_finite
+from .dynamics import NumericalAbort, SpdeConfig, _check_finite, initial_profile
 
 __all__ = [
     "ModelDrivers",
@@ -79,8 +78,7 @@ class ModelDrivers:
 
     slow and gridpoint are linear images of the global Brownian matrix, so
     every model in a comparison run shares the same randomness; deviation is
-    a fresh independent family drawn from each member's own seed.  The
-    trailing member axis r may be absent when tables are built by hand.
+    a fresh independent family drawn from each member's own seed.
     """
 
     grid: DomainGrid
@@ -159,21 +157,20 @@ def _kind_terms(model: DiscreteModel, cfg: SpdeConfig, drivers: ModelDrivers) ->
     return g2, g2 * coeffs.hat_alpha, dev, cfg.sigma * g, cfg.sigma * g2 / 4.0, dS
 
 
-def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers, ndim: int) -> tuple:
-    """(step, noise) of several kinds on a leading kind axis, state (K, M[, R]).
+def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
+    """(step, noise) of several kinds on a leading kind axis, state (K, M, R).
 
     noise(i0, i1) holds the U-independent increments of steps i0 .. i1 - 1,
-    time-major (B, K, M[, R]); step(U, dt, dchk, noise_i) is one Ito
-    Euler-Maruyama step, dchk the deviation increments (M[, R]).  The
+    time-major (B, K, M, R); step(U, dt, dchk, noise_i) is one Ito
+    Euler-Maruyama step, dchk the deviation increments (M, R).  The
     neighbours j -+ 1 are precomputed periodic indices.
     """
     parts = [_kind_terms(m, cfg, drivers) for m in models]
-    shape = (len(parts), -1) + (1,) * (ndim - 1)
-    wl, lin, dev = (np.reshape([p[i] for p in parts], shape) for i in range(3))
+    wl, lin, dev = (np.reshape([p[i] for p in parts], (len(parts), -1, 1)) for i in range(3))
     prev, nxt = np.roll(np.arange(drivers.grid.M), 1), np.roll(np.arange(drivers.grid.M), -1)
     h2, alpha = drivers.grid.h**2, cfg.alpha
 
-    def family(w, s, d):                                          # d is (M, B[, R])
+    def family(w, s, d):                                          # d is (M, B, R)
         return w * d + s * (d[prev] - 2.0 * d + d[nxt])
 
     def noise(i0, i1):
@@ -203,7 +200,7 @@ def reduced_slow_sde(
     equation is read off at the element centres.  Used to validate the
     derivation chain: its one-step drift differs from the gamma-expanded
     grid model only through the operator-versus-stencil difference, which
-    is O(gamma^3).
+    is O(gamma^3).  A one-member oracle: it reads member 0 of the tables.
     """
     g = cfg.gamma
     grid = op.grid
@@ -215,8 +212,8 @@ def reduced_slow_sde(
     s = stats.mean_second_moment
     cubic = 0.0 if linearize else (a * a * a)
     drift = l_centre + cfg.alpha * g * g * a - cfg.alpha * (cubic + 3.0 * g * g * a * s)
-    dS = drivers.slow[:, step]
-    dchk = drivers.deviation[:, step]
+    dS = drivers.slow[:, step, 0]
+    dchk = drivers.deviation[:, step, 0]
     noise = cfg.sigma * g * dS + cfg.alpha * g * g * (
         3.0 * np.sqrt(2.0 * coeffs.qj) * grid.centre_mode_value
     ) * a * dchk
@@ -230,18 +227,25 @@ def simulate_models(
     models,
     cfg: SpdeConfig,
     drivers: ModelDrivers,
-    U0: np.ndarray,
+    u0: Optional[np.ndarray] = None,
     store: bool = False,
-) -> list:
-    """One ModelTrajectory per model, all stepped from U0 (M[, R]) in one loop.
+) -> np.ndarray:
+    """States (n, K, M, R) of the K kinds `models`, stepped together in one loop.
 
-    Each kind's values are those of a run on its own.  Raises NumericalAbort
-    naming the kind, the first non-finite step and its first non-finite
-    member (column of U).
+    Every member starts from the grid profile u0 (M,) (default: cfg's
+    initial profile at the grid points), R is the tables' member count, and
+    n is 1, or n_steps + 1 with `store`.  Each kind's values are those of a
+    run on its own.  Raises ValueError unless u0 is (M,), and NumericalAbort
+    naming the kind, the first non-finite step and its first non-finite member.
     """
-    U0 = np.asarray(U0, dtype=float)
-    advance, noise = _stacked_kernel(models, cfg, drivers, U0.ndim)
-    U = np.repeat(U0[None], len(models), axis=0)
+    M, _, R = drivers.slow.shape
+    if u0 is None:
+        u0 = initial_profile(cfg.initial, drivers.grid.L)(drivers.grid.grid_points)
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (M,):
+        raise ValueError(f"u0 must be one grid profile of shape ({M},), got {u0.shape}")
+    advance, noise = _stacked_kernel(models, cfg, drivers)
+    U = np.broadcast_to(u0[:, None], (len(models), M, R)).copy()
     out = [U] if store else None
     for i in range(drivers.n_steps):
         if i % _BLOCK == 0:
@@ -252,9 +256,4 @@ def simulate_models(
             _check_finite(U[k], -1, f"{models[k].kind} model", i)
         if store:
             out.append(U)
-    times = np.concatenate([[0.0], np.cumsum(drivers.dt)])
-    states = np.asarray(out) if store else U[None, ...]
-    return [ModelTrajectory(times if store else times[-1:], states[:, k],
-                            {"model": m.kind, "gamma": cfg.gamma})
-            for k, m in enumerate(models)]
-
+    return np.asarray(out) if store else U[None]

@@ -221,22 +221,18 @@ def test_criterion_10_model_identity_gates():
     path0 = sample_global_path(spec, cfg0.times(), [41])
     co0 = averaged_coeffs(proj, eig0, 1.0, 0.0)
     d0 = build_drivers(grid, proj, path0, [43])
-    a_fd = simulate_models([DiscreteModel("conventional_fd")], cfg0, d0, U0[:, None],
-                           store=True)[0]
-    a_h = simulate_models([DiscreteModel("holistic", coeffs=co0)], cfg0, d0, U0[:, None],
-                          store=True)[0]
-    gate_a = np.array_equal(a_fd.states, a_h.states)
+    a_fd = simulate_models([DiscreteModel("conventional_fd")], cfg0, d0, U0, store=True)
+    a_h = simulate_models([DiscreteModel("holistic", coeffs=co0)], cfg0, d0, U0, store=True)
+    gate_a = np.array_equal(a_fd, a_h)
 
     # (b) the gamma-expanded model at gamma = 1 is the holistic stepper, bitwise
     cfg1 = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.1)
     path1 = sample_global_path(spec, cfg1.times(), [47])
     co = averaged_coeffs(proj, eig0, 1.0, 0.5)
     d1 = build_drivers(grid, proj, path1, [53])
-    b_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg1, d1, U0[:, None],
-                          store=True)[0]
-    b_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)], cfg1, d1, U0[:, None],
-                          store=True)[0]
-    gate_b = np.array_equal(b_h.states, b_g.states)
+    b_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg1, d1, U0, store=True)
+    b_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)], cfg1, d1, U0, store=True)
+    gate_b = np.array_equal(b_h, b_g)
 
     # (c) one-step drift gap of the reduced slow equation is O(gamma^3)
     a0 = 0.2 * np.sin(2.0 * np.pi * np.arange(grid.M) / grid.M) + 0.05
@@ -245,13 +241,13 @@ def test_criterion_10_model_identity_gates():
     M = grid.M
     for g in gammas:
         cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=g, dt=1e-3, T=1e-3)
-        tables = dict(slow=np.zeros((M, 1)), gridpoint=np.zeros((M, 1)),
-                      deviation=np.zeros((M, 1)))
+        tables = dict(slow=np.zeros((M, 1, 1)), gridpoint=np.zeros((M, 1, 1)),
+                      deviation=np.zeros((M, 1, 1)))
         drv = ModelDrivers(grid=grid, dt=np.full(1, cfg.dt), **tables)
         op = assemble_operator(grid, g)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
         u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],
-                             cfg, drv, a0.copy())[0].states[-1]
+                             cfg, drv, u0=a0)[-1, 0, :, 0]
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = float(np.polyfit(np.log(gammas), np.log(gaps), 1)[0])
     gate_c = slope >= 2.7

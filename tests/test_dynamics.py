@@ -441,9 +441,17 @@ def serial_coupling_gap(cfg, gammas):
     return ms, gap(det, one, whole_batch_reference(fine, det, one))[0]
 
 
-@pytest.mark.parametrize("workers", [None, 1, 8])
-def test_coupling_gap_study_matches_serial_oracle(solver_pool, workers):
-    cfg = harness.RunConfig(**GAP_CFG)
+# the gamma batches of 80 members on 2,040 reduced unknowns (n = 128) split
+# into three blocks of 26 or 27, widths that are not multiples of 8
+GAP_CFG_ODD = dict(GAP_CFG, subgrid_n=128)
+
+
+@pytest.mark.parametrize("workers, gap_cfg", [
+    *(pytest.param(w, GAP_CFG, id=str(w)) for w in (None, 1, 8)),
+    *(pytest.param(w, GAP_CFG_ODD, id=f"{w}-odd-blocks") for w in (None, 1, 8)),
+])
+def test_coupling_gap_study_matches_serial_oracle(solver_pool, workers, gap_cfg):
+    cfg = harness.RunConfig(**gap_cfg)
     gammas = np.array([0.9, 0.99, 1.0])
     ms, det = serial_coupling_gap(cfg, gammas)
     with solver_pool(workers):

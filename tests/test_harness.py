@@ -125,9 +125,8 @@ def test_single_member_matches_direct_simulation():
     path = sample_global_path(setup.spec, spde.times(), path_seeds)
     drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    traj = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers,
-                           U0[:, None])[0]
-    assert np.array_equal(stats.mean("holistic"), traj.states[-1][:, 0])
+    states = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)
+    assert np.array_equal(stats.mean("holistic"), states[-1, 0, :, 0])
 
 
 def _member_oracle(setup, times, ss, inc=None):
@@ -281,9 +280,7 @@ def serial_ensemble(cfg):
         path_seeds, deviation_seeds = member_streams(chunk)
         path = sample_global_path(setup.spec, spde.times(), path_seeds)
         drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
-        trajs = simulate_models(grid_models, spde, drivers,
-                                np.repeat(U0[:, None], len(chunk), axis=1))
-        out = {k: traj.states[-1] for k, traj in zip(kinds, trajs)}
+        out = dict(zip(kinds, simulate_models(grid_models, spde, drivers, U0)[-1]))
         fine = harness.reference_grid_values(setup.grid.L, setup.spec, path, spde, cfg.n_fine)
         out["reference"] = harness.at_grid_points(fine, cfg.M)
         for a, b in itertools.combinations(list(out), 2):

@@ -45,8 +45,8 @@ def _manual_drivers(grid, tables, dt):
 def test_fd_cubic_root_stationary(grid8, qspec, proj8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
     drv = _drivers(grid8, qspec, proj8, cfg)
-    U = np.ones((grid8.M, 1))
-    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U)[0].states[-1]
+    U = np.ones(grid8.M)
+    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U)[-1, 0, :, 0]
     assert np.array_equal(out, U)
 
 
@@ -58,10 +58,10 @@ def test_fd_discrete_decay_symbol():
         g = build_grid(2.0 * np.pi, M, 8)
         cfg = SpdeConfig(alpha=0.0, sigma=0.0, dt=1e-4, T=1e-3)
         U0 = np.sin(2.0 * np.pi * g.grid_points / g.L)
-        tables = {"slow": np.zeros((M, 1)), "deviation": np.zeros((M, 1)),
-                  "gridpoint": np.zeros((M, 1))}
+        tables = {"slow": np.zeros((M, 1, 1)), "deviation": np.zeros((M, 1, 1)),
+                  "gridpoint": np.zeros((M, 1, 1))}
         drv = _manual_drivers(g, tables, cfg.dt)
-        out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[0].states[-1]
+        out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[-1, 0, :, 0]
         symbol = 4.0 * np.sin(np.pi * g.h / g.L) ** 2 / g.h**2
         expected = (1.0 - cfg.dt * symbol) * U0
         assert np.allclose(out, expected, atol=1e-14)
@@ -74,10 +74,10 @@ def test_fd_hand_computed_step_m4():
     cfg = SpdeConfig(alpha=0.0, sigma=1.0, dt=0.01, T=0.01)
     U0 = np.array([0.5, -0.25, 0.0, 1.0])
     dW = np.array([0.02, -0.01, 0.03, 0.0])
-    tables = {"gridpoint": dW[:, None], "slow": np.zeros((4, 1)),
-              "deviation": np.zeros((4, 1))}
+    tables = {"gridpoint": dW[:, None, None], "slow": np.zeros((4, 1, 1)),
+              "deviation": np.zeros((4, 1, 1))}
     drv = _manual_drivers(g, tables, cfg.dt)
-    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[0].states[-1]
+    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[-1, 0, :, 0]
     lap = np.array([
         U0[3] - 2 * U0[0] + U0[1],
         U0[0] - 2 * U0[1] + U0[2],
@@ -97,10 +97,10 @@ def test_holistic_equals_fd_without_noise(grid8, qspec, proj8, eig0_8):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.05)
     co = _coeffs(proj8, eig0_8, sigma=0.0)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=5)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
-    t_fd = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0, store=True)[0]
-    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
-    assert np.array_equal(t_fd.states, t_h.states)
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    t_fd = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0, store=True)
+    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)
+    assert np.array_equal(t_fd, t_h)
 
 
 def test_holistic_drift_fixed_point(grid8):
@@ -110,11 +110,11 @@ def test_holistic_drift_fixed_point(grid8):
                         qj_truncation=np.zeros(grid8.M), alpha=1.0, sigma=0.5,
                         gamma=1.0, h=grid8.h)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01)
-    tables = {"slow": np.zeros((grid8.M, 1)), "gridpoint": np.zeros((grid8.M, 1)),
-              "deviation": np.zeros((grid8.M, 1))}
+    tables = {"slow": np.zeros((grid8.M, 1, 1)), "gridpoint": np.zeros((grid8.M, 1, 1)),
+              "deviation": np.zeros((grid8.M, 1, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.full(grid8.M, np.sqrt(hat))
-    out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[0].states[-1]
+    out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[-1, 0, :, 0]
     assert np.allclose(out, U0, atol=1e-15)
 
 
@@ -122,12 +122,12 @@ def test_holistic_uniform_noise_gets_no_stencil_correction(grid8, proj8, eig0_8)
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=0.0, sigma=1.0, dt=1e-3, T=0.01)
     delta = 0.37
-    tables = {"slow": np.full((grid8.M, 1), delta),
-              "gridpoint": np.zeros((grid8.M, 1)),
-              "deviation": np.zeros((grid8.M, 1))}
+    tables = {"slow": np.full((grid8.M, 1, 1), delta),
+              "gridpoint": np.zeros((grid8.M, 1, 1)),
+              "deviation": np.zeros((grid8.M, 1, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.zeros(grid8.M)
-    out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[0].states[-1]
+    out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[-1, 0, :, 0]
     # spatially uniform driver increments: only the direct sigma*dS term acts
     assert np.allclose(out, cfg.sigma * delta, atol=1e-15)
 
@@ -154,25 +154,25 @@ def test_intro_variant_uses_gridpoint_noise(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.02)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=9)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
-    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)
     t_i = simulate_models([DiscreteModel("holistic_intro", coeffs=co)], cfg, drv, U0,
-                          store=True)[0]
-    assert not np.array_equal(t_h.states, t_i.states)
+                          store=True)
+    assert not np.array_equal(t_h, t_i)
     # but they stay close: the drivers agree up to O(h)
-    assert np.max(np.abs(t_h.states[-1] - t_i.states[-1])) < 0.05
+    assert np.max(np.abs(t_h[-1] - t_i[-1])) < 0.05
 
 
 def test_deviation_alpha_flag_scales_term(grid8, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8, alpha=2.0)
     cfg = SpdeConfig(alpha=2.0, sigma=0.0, dt=1e-3, T=0.01)
-    tables = {"slow": np.zeros((grid8.M, 1)), "gridpoint": np.zeros((grid8.M, 1)),
-              "deviation": np.full((grid8.M, 1), 0.1)}
+    tables = {"slow": np.zeros((grid8.M, 1, 1)), "gridpoint": np.zeros((grid8.M, 1, 1)),
+              "deviation": np.full((grid8.M, 1, 1), 0.1)}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     U0 = np.full(grid8.M, 0.5)
-    out_plain = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[0].states[-1]
+    out_plain = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[-1, 0, :, 0]
     out_alpha = simulate_models([DiscreteModel("holistic", coeffs=co, deviation_alpha=True)],
-                                cfg, drv, U0)[0].states[-1]
+                                cfg, drv, U0)[-1, 0, :, 0]
     dev_plain = out_plain - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
     dev_alpha = out_alpha - U0 - cfg.dt * (co.hat_alpha * U0 - cfg.alpha * U0**3)
     assert np.allclose(dev_alpha, co.alpha * dev_plain, rtol=1e-10)
@@ -187,11 +187,11 @@ def test_gamma_reduced_truncated_equals_holistic_bitwise(grid8, qspec, proj8, ei
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.05)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=13)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
-    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    t_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)
     t_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],
-                          cfg, drv, U0, store=True)[0]
-    assert np.array_equal(t_h.states, t_g.states)
+                          cfg, drv, U0, store=True)
+    assert np.array_equal(t_h, t_g)
 
 
 def test_gamma_reduced_small_gamma_decouples(grid8, qspec, proj8, eig0_8):
@@ -199,9 +199,9 @@ def test_gamma_reduced_small_gamma_decouples(grid8, qspec, proj8, eig0_8):
     g = 1e-4
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=g, dt=1e-3, T=1e-3)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=17)
-    U0 = np.linspace(-0.5, 0.5, grid8.M)[:, None]
+    U0 = np.linspace(-0.5, 0.5, grid8.M)
     model = DiscreteModel("gamma_reduced", coeffs=co)
-    out = simulate_models([model], cfg, drv, U0)[0].states[-1]
+    out = simulate_models([model], cfg, drv, U0)[-1, 0, :, 0]
     pure_cubic = U0 + cfg.dt * (-cfg.alpha * U0**3)
     assert np.max(np.abs(out - pure_cubic)) < 5.0 * g
 
@@ -216,11 +216,11 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
     def one_step(tables, g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
         drv = _manual_drivers(grid8, tables, cfg.dt)
-        return simulate_models([model], cfg, drv, U0)[0].states[-1]
+        return simulate_models([model], cfg, drv, U0)[-1, 0, :, 0]
 
     # family gamma^1: uniform slow driver (stencil part cancels)
-    mags = [np.max(np.abs(one_step({"slow": np.full((M, 1), 0.3),
-                                    "deviation": np.zeros((M, 1))}, g)))
+    mags = [np.max(np.abs(one_step({"slow": np.full((M, 1, 1), 0.3),
+                                    "deviation": np.zeros((M, 1, 1))}, g)))
             for g in gammas]
     slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
     assert slope == pytest.approx(1.0, abs=1e-9)
@@ -229,9 +229,9 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
     U1 = np.full(M, 0.5)
     def dev_step(g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
-        drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1)),
-                                      "deviation": np.full((M, 1), 0.2)}, cfg.dt)
-        out = simulate_models([model], cfg, drv, U1)[0].states[-1]
+        drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1, 1)),
+                                      "deviation": np.full((M, 1, 1), 0.2)}, cfg.dt)
+        out = simulate_models([model], cfg, drv, U1)[-1, 0, :, 0]
         return np.max(np.abs(out - U1))
     mags = [dev_step(g) for g in gammas]
     slope = np.polyfit(np.log(gammas), np.log(mags), 1)[0]
@@ -243,9 +243,9 @@ def test_second_moment_regression_bound(grid8, qspec, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=1.0)
     drv = _drivers(grid8, qspec, proj8, cfg, seed=29)
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)[:, None]
-    traj = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)[0]
-    assert float(np.max(traj.states**2)) < 2.0
+    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
+    states = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0, store=True)
+    assert float(np.max(states**2)) < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,7 @@ def test_reduced_slow_zero_state_stays_zero(grid8, qspec, proj8, eig0_8):
     op = assemble_operator(grid8, 0.1)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=0.1, dt=1e-3, T=0.01)
     d = _drivers(grid8, qspec, proj8, cfg, seed=1)
-    drv = _manual_drivers(grid8, {"slow": d.slow[..., 0], "deviation": d.deviation[..., 0]},
-                          cfg.dt)
+    drv = _manual_drivers(grid8, {"slow": d.slow, "deviation": d.deviation}, cfg.dt)
     a = np.zeros(grid8.M)
     for i in range(5):
         a = reduced_slow_sde(a, cfg, op, stats, co, drv, i)
@@ -277,11 +276,11 @@ def test_reduced_slow_drift_gap_is_third_order(grid8, qspec, proj8, eig0_8):
     for g in gammas:
         cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=g, dt=1e-3, T=1e-3)
         op = assemble_operator(grid8, g)
-        tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1))}
+        tables = {"slow": np.zeros((grid8.M, 1, 1)), "deviation": np.zeros((grid8.M, 1, 1))}
         drv = _manual_drivers(grid8, tables, cfg.dt)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
         u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],
-                             cfg, drv, a0.copy())[0].states[-1]
+                             cfg, drv, a0.copy())[-1, 0, :, 0]
         gaps.append(np.max(np.abs(a1 - u1)) / cfg.dt)
     slope = np.polyfit(np.log(gammas), np.log(gaps), 1)[0]
     assert slope >= 2.7
@@ -293,7 +292,7 @@ def test_reduced_slow_linearized_decouples_in_dft_modes(grid8, qspec, proj8, eig
     stats = ou_stationary_stats(proj8, eig0_8, 0.5)
     op = assemble_operator(grid8, 0.2)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=0.2, dt=1e-3, T=1e-3)
-    tables = {"slow": np.zeros((grid8.M, 1)), "deviation": np.zeros((grid8.M, 1))}
+    tables = {"slow": np.zeros((grid8.M, 1, 1)), "deviation": np.zeros((grid8.M, 1, 1))}
     drv = _manual_drivers(grid8, tables, cfg.dt)
     M = grid8.M
     A = np.empty((M, M))
@@ -324,41 +323,44 @@ def test_model_kind_validation(proj8, eig0_8):
         DiscreteModel("holistic")  # missing coefficients
 
 
-def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8):
+@pytest.mark.parametrize("R", [1, 3])
+def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8, R):
+    # member R // 2 blows up: a batch of one names member 0, not a grid index
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
-    slow = _drivers(grid8, qspec, proj8, cfg).slow[..., 0]
-    blown = np.stack([slow, 1e200 * slow, slow], axis=-1)
+    slow = _drivers(grid8, qspec, proj8, cfg).slow
+    blown = np.concatenate([1e200 * slow if r == R // 2 else slow for r in range(R)], axis=-1)
     drivers = _manual_drivers(grid8, {"slow": blown}, cfg.dt)
     model = DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-        simulate_models([model], cfg, drivers, np.zeros((grid8.M, 3)))
-    assert err.value.member == 1
+        simulate_models([model], cfg, drivers, np.zeros(grid8.M))
+    assert err.value.member == R // 2
     assert err.value.step == 1
 
 
-@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("shape", [(8, 1), (8, 8)], ids=["M-by-1", "M-by-M"])
+def test_initial_state_must_be_one_grid_profile(grid8, shape):
+    # an (M, R) state would otherwise broadcast against the (K, M, R) state when M == R
+    cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
+    drivers = _manual_drivers(grid8, {"slow": np.zeros((grid8.M, 1, shape[1]))}, cfg.dt)
+    with pytest.raises(ValueError, match="one grid profile"):
+        simulate_models([DiscreteModel("conventional_fd")], cfg, drivers, np.zeros(shape))
+
+
+@pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("store", [True, False])
 def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, store):
     # 150 steps cross two precomputed driver blocks and end inside a third
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.15)
-    path = sample_global_path(qspec, cfg.times(), list(range(members or 1)))
-    drv = build_drivers(grid8, proj8, path, [s + 100 for s in range(members or 1)])
-    U0 = initial_profile(cfg.initial, grid8.L)(grid8.grid_points)
-    if members is None:         # a state without a member axis reads tables without one
-        drv = ModelDrivers(grid8, drv.dt, drv.slow[..., 0], drv.gridpoint[..., 0],
-                           drv.deviation[..., 0])
-    else:
-        U0 = np.repeat(U0[:, None], members, axis=1)
+    path = sample_global_path(qspec, cfg.times(), list(range(members)))
+    drv = build_drivers(grid8, proj8, path, [s + 100 for s in range(members)])
     models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
               DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
-    stacked = simulate_models(models, cfg, drv, U0, store=store)
-    for model, traj in zip(models, stacked):
-        alone = simulate_models([model], cfg, drv, U0, store=store)[0]
-        assert traj.provenance == alone.provenance
-        assert np.array_equal(traj.times, alone.times)
-        assert np.array_equal(traj.states, alone.states)
-    assert stacked[0].states.shape == (drv.n_steps + 1 if store else 1,) + U0.shape
+    stacked = simulate_models(models, cfg, drv, store=store)
+    for k, model in enumerate(models):
+        alone = simulate_models([model], cfg, drv, store=store)
+        assert np.array_equal(stacked[:, k:k + 1], alone)
+    assert stacked.shape == (drv.n_steps + 1 if store else 1, len(models), grid8.M, members)
 
 
 def test_stacked_abort_names_kind_step_and_member(grid8, qspec, proj8, eig0_8):
@@ -371,7 +373,7 @@ def test_stacked_abort_names_kind_step_and_member(grid8, qspec, proj8, eig0_8):
     models = [DiscreteModel("conventional_fd"),
               DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))]
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-        simulate_models(models, cfg, drivers, np.zeros((grid8.M, 3)))
+        simulate_models(models, cfg, drivers, np.zeros(grid8.M))
     assert "holistic model" in str(err.value)
     assert "conventional_fd" not in str(err.value)
     assert err.value.step == 1

@@ -42,9 +42,9 @@ def test_readme_quick_start_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     exec(compile(code, str(README), "exec"), scope)
-    traj, cfg, grid = scope["traj"], scope["cfg"], scope["grid"]
-    assert traj.states.shape == (cfg.n_steps + 1, grid.M, 1)
-    assert np.all(np.isfinite(traj.states))
+    states, cfg, grid = scope["states"], scope["cfg"], scope["grid"]
+    assert states.shape == (cfg.n_steps + 1, 1, grid.M, 1)
+    assert np.all(np.isfinite(states))
 
 
 def _reads(tree: ast.Module) -> set:
