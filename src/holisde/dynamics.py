@@ -68,7 +68,7 @@ class NumericalAbort(RuntimeError):
     """A solve produced non-finite values; carries replay diagnostics.
 
     `job` is the index of the aborting job in a `run_batches` call, None
-    outside one.
+    outside one; `fields` then holds the fields of the jobs before it.
     """
 
     def __init__(self, message: str, step: int | None = None, member: int | None = None, seed=None):
@@ -77,6 +77,7 @@ class NumericalAbort(RuntimeError):
         self.member = member
         self.seed = seed
         self.job = None
+        self.fields = []
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,10 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     whole batch at once.  A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
-    member; its `job` is that job's index.  The runner waits on the pool, so
-    a pool worker must not call it: with one worker per CPU, the nested wait
-    can deadlock.
+    member; its `job` is that job's index and its `fields` the finished
+    fields of the jobs before it, as a serial loop would have them.  The
+    runner waits on the pool, so a pool worker must not call it: with one
+    worker per CPU, the nested wait can deadlock.
     """
     if threading.current_thread().name.startswith(_WORKER):
         raise RuntimeError("run_batches must not be called from a solver pool worker")
@@ -217,11 +219,14 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     finally:
         stop.set()
     failed = [(j, a.step, a.member, a) for (j, *_), a in zip(blocks, aborts) if a is not None]
+    done = len(jobs)
     if failed:
-        j, *_, abort = min(failed, key=lambda f: f[:3])
-        abort.job = j
+        done, *_, abort = min(failed, key=lambda f: f[:3])
+    fields = [job.solver._batch_fields(state) for job, state in zip(jobs[:done], states)]
+    if failed:
+        abort.job, abort.fields = done, fields
         raise abort
-    return [job.solver._batch_fields(state) for job, state in zip(jobs, states)]
+    return fields
 
 
 # ---------------------------------------------------------------------------

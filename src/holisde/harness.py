@@ -6,9 +6,9 @@ is a deterministic image of the sampled Brownian coefficient matrices, and
 artifacts carry a manifest with the config hash.  Ensembles advance member
 batches in lock step (the state arrays grow a trailing member axis), which
 keeps the per-step work in BLAS instead of Python.  A batch's noise is one
-`NoisePath`, read by every solver and by `models.build_drivers`; paths and
-tables are drawn serially, in place, into whole-batch buffers, bitwise per
-member.
+`NoisePath`, read by every solver and by `models.build_drivers` (a
+`PathDraw` where no solver reads it); paths and tables are drawn serially,
+in place, into whole-batch buffers, bitwise per member.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .grid import DomainGrid, build_grid
 from .models import DiscreteModel, simulate_models
-from .noise import NoisePath, QWienerSpec, sample_global_path
+from .noise import NoisePath, PathDraw, QWienerSpec, sample_global_path
 
 __all__ = [
     "ConfigError",
@@ -407,6 +407,33 @@ def _replay_context(abort: NumericalAbort, chunk: int, cfg: RunConfig) -> Numeri
     return abort
 
 
+def _group_models(setup: RunSetup, grid_models, spde: SpdeConfig, paths: list,
+                  deviation_seeds: list) -> tuple[list, Optional[NumericalAbort]]:
+    """Final model states (K, M, R_c) of a group's chunks, up to the first abort.
+
+    The chunks' tables go into one buffer, stepped in one `simulate_models`
+    call; members are independent, so a chunk's finals are its column slice.
+    A later chunk may abort at an earlier step, so on an abort the chunks
+    step again one at a time on views of the buffer, and the finals of the
+    chunks before the first aborting one come back with its abort.
+    """
+    edges = np.cumsum([0] + [len(path) for path in paths]).tolist()
+    tables = np.empty((3, setup.grid.M, spde.n_steps, edges[-1]))
+    parts = [models.build_drivers(setup.grid, setup.proj, path, seeds, out=tables[..., lo:hi])
+             for path, seeds, lo, hi in zip(paths, deviation_seeds, edges, edges[1:])]
+    wide = replace(parts[0], slow=tables[0], gridpoint=tables[1], deviation=tables[2])
+    try:
+        U = simulate_models(grid_models, spde, wide)[-1]
+        return [U[..., lo:hi] for lo, hi in zip(edges, edges[1:])], None
+    except NumericalAbort:
+        finals = []
+        for drivers in parts:
+            try:
+                finals.append(simulate_models(grid_models, spde, drivers)[-1])
+            except NumericalAbort as abort:
+                return finals, abort
+
+
 def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStats:
     """Run the configured models over R common-random-number members.
 
@@ -417,14 +444,17 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     whole, and one that cannot be read or does not fit the chunk is
     recomputed.  The setup is built only if some chunk must be computed.
 
-    The chunks to compute go in groups of one chunk per solver pool worker:
-    each chunk's grid models step on the calling thread, its driver tables
-    released before the next chunk's are drawn, then the group's reference
-    batches step in one `run_batches` call.  So one chunk's path per worker
-    is in flight (at the default T = 1, 32 x 33 x 16,211 x 8 B, about
-    137 MB).  Values, flushed chunks and the abort raised are those of
-    computing the chunks one after another: the earliest aborting chunk's,
-    its models before its reference, with every chunk before it flushed.
+    The chunks to compute go in groups of one chunk per solver pool worker.
+    A group's driver tables are drawn into one (3, M, n_steps, members)
+    buffer and its grid models step in one call: at the default T = 1 about
+    100 MB per 32-member chunk, 200 MB for a group of two.  A chunk's path
+    (about 137 MB) is sampled only when a reference reads it, and its
+    batches then step in one `run_batches` call; otherwise each member's
+    increments are drawn into one reused row and mapped at once.  Values,
+    flushed chunks and the abort raised are those of computing the chunks
+    one after another: the earliest aborting chunk's, its models before its
+    reference, with every chunk before it flushed.  An abort in the wide
+    model call steps the group's chunks again one at a time to find it.
     """
     spde = cfg.spde()
     times = spde.times()
@@ -457,31 +487,26 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
         width = pool_width()
         groups = [todo[g : g + width] for g in range(0, len(todo), width)]
     for group in groups:
-        done, jobs, abort = [], [], None        # drops the last group's paths
-        for ci in group:
-            path_seeds, deviation_seeds = member_streams(chunks[ci])
-            path = sample_global_path(setup.spec, times, path_seeds)
-            drivers = models.build_drivers(setup.grid, setup.proj, path, deviation_seeds)
+        paths = None                            # the last group's, before the next are drawn
+        path_seeds, deviation_seeds = zip(*(member_streams(chunks[ci]) for ci in group))
+        paths = [sample_global_path(setup.spec, times, ps) if needs_reference
+                 else PathDraw(setup.spec, times, ps) for ps in path_seeds]
+        finals, abort = [[] for _ in group], None
+        if grid_models:
+            finals, abort = _group_models(setup, grid_models, spde, paths, deviation_seeds)
+        if abort is not None:
+            abort = _replay_context(abort, group[len(finals)], cfg)
+        done = group[:len(finals)]
+        for ci, U in zip(done, finals):
+            outs[ci] = dict(zip(model_kinds, U))
+        if needs_reference and done:
             try:
-                finals = simulate_models(grid_models, spde, drivers)[-1] if grid_models else []
+                fields = run_batches([BatchJob(fine, spde, path) for path in paths[:len(done)]])
             except NumericalAbort as exc:
-                abort = _replay_context(exc, ci, cfg)
-                break
-            del drivers                         # before the next chunk's tables are drawn
-            outs[ci] = dict(zip(model_kinds, finals))
-            done.append(ci)
-            if needs_reference:
-                jobs.append(BatchJob(fine, spde, path))
-        if jobs:
-            try:
-                finals = run_batches(jobs)
-            except NumericalAbort as exc:
-                # an earlier chunk's reference aborts before any later chunk;
-                # the chunks before it step again so that they can be flushed
-                abort = _replay_context(exc, done[exc.job], cfg)
+                # an earlier chunk's reference aborts before any later chunk
+                abort, fields = _replay_context(exc, done[exc.job], cfg), exc.fields
                 del done[exc.job :]
-                finals = run_batches(jobs[: exc.job])
-            for ci, u in zip(done, finals):
+            for ci, u in zip(done, fields):
                 outs[ci]["reference"] = at_grid_points(u, cfg.M)
         for ci in done:
             out = outs[ci]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
-from .noise import ElementNoiseProjection, NoisePath
+from .noise import ElementNoiseProjection, NoisePath, PathDraw
 from .spectral import CoupledOperator, expansion_fields
 from .dynamics import NumericalAbort, SpdeConfig, _check_finite, initial_profile
 
@@ -95,26 +95,29 @@ class ModelDrivers:
 _SCRATCH_BYTES = 2**19   # 512 KiB of member-major table scratch: L2 / 4, as in dynamics
 
 
-def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: NoisePath,
-                  deviation_seeds) -> ModelDrivers:
+def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: NoisePath | PathDraw,
+                  deviation_seeds, out: Optional[np.ndarray] = None) -> ModelDrivers:
     """Driver tables (M, n_steps, R) of a member batch's path and deviation seeds.
 
-    The time grid is the path's.  Members are written in place into a
-    member-major scratch of at most 512 KiB (or one member), one BLAS
-    product per map and member as on its own, so each column is bitwise that
-    member's tables whatever the batch; one transposing copy per block
-    follows.  Raises ValueError unless there is one seed per member.
+    The time grid is the path's; a `PathDraw` is mapped row by row as drawn,
+    so only one member's (K+1, n_steps) increments are held.  Members are
+    written in place into a member-major scratch of at most 512 KiB (or one
+    member), one BLAS product per map and member as on its own, so each
+    column is bitwise that member's tables whatever the batch; one
+    transposing copy per block follows, into `out` (3, M, n_steps, R) when
+    given (a column slice of a group's buffer), else into new tables.
+    Raises ValueError unless there is one seed per member.
     """
-    increments, dt = path.increments, path.dt
-    R, n, M = len(increments), dt.size, proj.slow_map.shape[0]
+    dt, R, M = path.dt, len(path), proj.slow_map.shape[0]
     if len(deviation_seeds) != R:
         raise ValueError(f"{len(deviation_seeds)} deviation seeds for {R} members")
-    tables = np.empty((3, M, n, R))
-    B = min(R, max(1, _SCRATCH_BYTES // (3 * M * n * 8)))
-    scratch = np.empty((B, 3, M, n))
+    tables = np.empty((3, M, dt.size, R)) if out is None else out
+    B = min(R, max(1, _SCRATCH_BYTES // (3 * M * dt.size * 8)))
+    scratch = np.empty((B, 3, M, dt.size))
+    members = zip(path.increments, deviation_seeds)
     for r0 in range(0, R, B):
         block = scratch[:min(B, R - r0)]
-        for member, inc, ss in zip(block, increments[r0:], deviation_seeds[r0:]):
+        for member, (inc, ss) in zip(block, members):     # block first: no member is skipped
             np.matmul(proj.slow_map, inc, out=member[0])
             np.matmul(proj.gridpoint_map, inc, out=member[1])
             np.random.default_rng(ss).standard_normal(out=member[2])
@@ -124,7 +127,9 @@ def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: NoisePat
     return ModelDrivers(grid=grid, dt=dt, slow=slow, gridpoint=gridpoint, deviation=deviation)
 
 
-_BLOCK = 64   # steps per precomputed noise block: a whole-run table would grow the RSS
+# steps per precomputed noise block, 512 KiB for four kinds of a two-chunk group
+# (M = 8, R = 64): a whole-run table would grow the RSS
+_BLOCK = 32
 
 
 def _deviation_coef(coeffs: AveragedCoeffs, grid: DomainGrid, deviation_alpha: bool) -> np.ndarray:
@@ -161,24 +166,50 @@ def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
     """(step, noise) of several kinds on a leading kind axis, state (K, M, R).
 
     noise(i0, i1) holds the U-independent increments of steps i0 .. i1 - 1,
-    time-major (B, K, M, R); step(U, dt, dchk, noise_i) is one Ito
-    Euler-Maruyama step, dchk the deviation increments (M, R).  The
-    neighbours j -+ 1 are precomputed periodic indices.
+    time-major (B, K, M, R), in one buffer; step(U, dt, dchk, noise_i) is
+    one Ito Euler-Maruyama step of U in place, through two scratch states,
+    dchk the deviation increments (M, R).  The coefficients are broadcast to
+    the state's shape once, so every product runs over contiguous operands;
+    the neighbours j -+ 1 are periodic indices.
     """
     parts = [_kind_terms(m, cfg, drivers) for m in models]
-    wl, lin, dev = (np.reshape([p[i] for p in parts], (len(parts), -1, 1)) for i in range(3))
-    prev, nxt = np.roll(np.arange(drivers.grid.M), 1), np.roll(np.arange(drivers.grid.M), -1)
+    M, _, R = drivers.slow.shape
+    buf = np.empty((_BLOCK, len(parts), M, R))
+    wl, lin, dev = (np.broadcast_to(np.reshape([p[i] for p in parts], (len(parts), -1, 1)),
+                                    buf.shape[1:]).copy() for i in range(3))
+    prev, nxt = np.roll(np.arange(M), 1), np.roll(np.arange(M), -1)
     h2, alpha = drivers.grid.h**2, cfg.alpha
 
-    def family(w, s, d):                                          # d is (M, B, R)
-        return w * d + s * (d[prev] - 2.0 * d + d[nxt])
-
     def noise(i0, i1):
-        return np.moveaxis(np.stack([family(w, s, d[:, i0:i1]) for *_, w, s, d in parts]), 2, 0)
+        for k, (*_, w, s, d) in enumerate(parts):
+            d = d[:, i0:i1]                                       # (M, B, R)
+            np.add(w * d, s * (d[prev] - 2.0 * d + d[nxt]),
+                   out=buf[:d.shape[1], k].transpose(1, 0, 2))
+        return buf
+
+    a, b = np.empty_like(wl), np.empty_like(wl)
 
     def step(U, dt, dchk, noise_i):
-        lap = (U.take(prev, axis=1) - 2.0 * U + U.take(nxt, axis=1)) / h2
-        return U + dt * (wl * lap + lin * U - alpha * (U * U * U)) + dev * U * dchk + noise_i
+        # U + dt (wl lap + lin U - alpha U U U) + dev U dchk + noise_i, term by term
+        U.take(prev, axis=1, out=a, mode="wrap")
+        np.multiply(2.0, U, out=b)
+        np.subtract(a, b, out=a)
+        U.take(nxt, axis=1, out=b, mode="wrap")
+        np.add(a, b, out=a)
+        np.divide(a, h2, out=a)                 # lap
+        np.multiply(wl, a, out=a)
+        np.multiply(lin, U, out=b)
+        np.add(a, b, out=a)
+        np.multiply(U, U, out=b)
+        np.multiply(b, U, out=b)
+        np.multiply(alpha, b, out=b)
+        np.subtract(a, b, out=a)
+        np.multiply(dt, a, out=a)
+        np.add(U, a, out=a)
+        np.multiply(dev, U, out=b)
+        np.multiply(b, dchk, out=b)
+        np.add(a, b, out=a)
+        np.add(a, noise_i, out=U)
 
     return step, noise
 
@@ -246,14 +277,14 @@ def simulate_models(
         raise ValueError(f"u0 must be one grid profile of shape ({M},), got {u0.shape}")
     advance, noise = _stacked_kernel(models, cfg, drivers)
     U = np.broadcast_to(u0[:, None], (len(models), M, R)).copy()
-    out = [U] if store else None
+    out = [U.copy()] if store else None
     for i in range(drivers.n_steps):
         if i % _BLOCK == 0:
             block = noise(i, i + _BLOCK)
-        U = advance(U, drivers.dt[i], drivers.deviation[:, i], block[i % _BLOCK])
+        advance(U, drivers.dt[i], drivers.deviation[:, i], block[i % _BLOCK])
         if not np.isfinite(U).all():
             k = int(np.argmin(np.isfinite(U).reshape(len(models), -1).all(axis=1)))
             _check_finite(U[k], -1, f"{models[k].kind} model", i)
         if store:
-            out.append(U)
+            out.append(U.copy())
     return np.asarray(out) if store else U[None]

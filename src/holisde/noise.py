@@ -9,7 +9,8 @@ with independent scalar Brownian motions beta_k and user-chosen variances
 q_k >= 0 decaying fast enough that sum_k k q_k stays bounded at the
 truncation.  Everything downstream (reference solver, coupled element
 system, driver tables) reads the *same* sampled Brownian coefficients, one
-(R, K+1, n_steps) `NoisePath` per member batch, so comparisons between
+(R, K+1, n_steps) `NoisePath` per member batch (its rows drawn one by one,
+a `PathDraw`, where only the driver tables read it), so comparisons between
 solvers are common-random-number comparisons: pathwise gaps measure method
 differences, not noise draws.
 
@@ -33,6 +34,7 @@ from .grid import DomainGrid
 __all__ = [
     "QWienerSpec",
     "NoisePath",
+    "PathDraw",
     "ElementNoiseProjection",
     "fourier_basis",
     "sample_global_path",
@@ -122,6 +124,9 @@ class NoisePath:
         if dw.ndim != 3 or dw.shape[2] != t.size - 1:
             raise ValueError("increments must be (members, modes, time steps)")
 
+    def __len__(self) -> int:
+        return len(self.increments)
+
     @property
     def n_steps(self) -> int:
         return self.increments.shape[2]
@@ -138,6 +143,13 @@ class NoisePath:
         return NoisePath(self.times[::factor], dw)
 
 
+def _draw(seed, sqrt_dt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One member's increments: `default_rng(seed)`'s standard normals times sqrt(dt), in out."""
+    np.random.default_rng(seed).standard_normal(out=out)
+    out *= sqrt_dt
+    return out
+
+
 def sample_global_path(spec: QWienerSpec, times: np.ndarray, seeds) -> NoisePath:
     """Draw the Brownian coefficient increments of every Fourier mode, one row per seed.
 
@@ -147,11 +159,30 @@ def sample_global_path(spec: QWienerSpec, times: np.ndarray, seeds) -> NoisePath
     (used for ensemble member spawning).  The time grid is validated once.
     """
     path = NoisePath(times, np.empty((len(seeds), spec.n_modes, np.size(times) - 1)))
-    dw = path.increments
-    for seed, row in zip(seeds, dw):
-        np.random.default_rng(seed).standard_normal(out=row)
-    dw *= np.sqrt(path.dt)
+    sqrt_dt = np.sqrt(path.dt)
+    for seed, row in zip(seeds, path.increments):
+        _draw(seed, sqrt_dt, row)
     return path
+
+
+@dataclass(frozen=True)
+class PathDraw:
+    """`sample_global_path(spec, times, seeds)` without its batch: iterating
+    `increments` draws each member's row, bitwise, into one reused buffer."""
+
+    spec: QWienerSpec
+    times: np.ndarray
+    seeds: list
+    dt = NoisePath.dt
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def increments(self):
+        sqrt_dt = np.sqrt(self.dt)
+        row = np.empty((self.spec.n_modes, sqrt_dt.size))
+        return (_draw(seed, sqrt_dt, row) for seed in self.seeds)
 
 
 @dataclass(frozen=True)

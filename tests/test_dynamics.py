@@ -477,6 +477,21 @@ def test_runner_raises_the_first_aborting_job(grid8, qspec):
     assert (err.value.step, err.value.member) == (4, 2)
 
 
+def test_runner_abort_keeps_the_finished_jobs_fields(qspec):
+    # the jobs before the first aborting one come back on the abort, as run alone
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
+    solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
+    paths = [sample_global_path(qspec, cfg.times(), [10 * j, 10 * j + 1]) for j in range(4)]
+    want = [solver.simulate(cfg, path) for path in paths[:2]]
+    paths[2].increments[1, :, 2] *= 1e200
+    paths[3].increments[0, :, 0] *= 1e200      # a later job's earlier abort does not count
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        run_batches([BatchJob(solver, cfg, path) for path in paths])
+    assert (err.value.job, err.value.step, err.value.member) == (2, 3, 1)
+    assert len(err.value.fields) == 2
+    assert all(np.array_equal(got, w) for got, w in zip(err.value.fields, want))
+
+
 def test_runner_refuses_to_run_on_a_pool_worker(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.002)
     job = BatchJob(FullSpdeSolver(2.0 * np.pi, 64, qspec), cfg, _batch(qspec, cfg, 2))

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import warnings
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -281,8 +282,9 @@ def serial_ensemble(cfg):
         path = sample_global_path(setup.spec, spde.times(), path_seeds)
         drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
         out = dict(zip(kinds, simulate_models(grid_models, spde, drivers, U0)[-1]))
-        fine = harness.reference_grid_values(setup.grid.L, setup.spec, path, spde, cfg.n_fine)
-        out["reference"] = harness.at_grid_points(fine, cfg.M)
+        if "reference" in cfg.model_kinds:
+            fine = harness.reference_grid_values(setup.grid.L, setup.spec, path, spde, cfg.n_fine)
+            out["reference"] = harness.at_grid_points(fine, cfg.M)
         for a, b in itertools.combinations(list(out), 2):
             out[f"gap:{a}-{b}"] = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))[None, :]
         for k, v in out.items():
@@ -311,6 +313,13 @@ def test_grouped_ensemble_matches_serial_oracle(monkeypatch, solver_pool, worker
         report = compare_models(cfg)
     assert_same_stats(got, want)
     assert report == want_report
+    # without a reference no chunk's path batch is sampled: members are drawn row by row
+    cfg = RunConfig(**{**GROUPED, "model_kinds": ("conventional_fd", "holistic")})
+    want = serial_ensemble(cfg)
+    with solver_pool(workers), monkeypatch.context() as m:
+        m.setattr(harness, "sample_global_path", lambda *a: pytest.fail("path batch sampled"))
+        got = run_ensemble(cfg)
+    assert_same_stats(got, want)
 
 
 def plant_blowups(monkeypatch, reference=(), model=()):
@@ -320,8 +329,8 @@ def plant_blowups(monkeypatch, reference=(), model=()):
     later; in `model`, it makes the tables non-finite at that step."""
     build, chunks = models.build_drivers, itertools.count()
 
-    def planted(grid, proj, path, deviation_seeds):
-        drivers, chunk = build(grid, proj, path, deviation_seeds), next(chunks)
+    def planted(grid, proj, path, deviation_seeds, out=None):
+        drivers, chunk = build(grid, proj, path, deviation_seeds, out), next(chunks)
         for member, step in [(m, i) for c, m, i in reference if c == chunk]:
             path.increments[member, :, step] *= 1e200
         for member, step in [(m, i) for c, m, i in model if c == chunk]:
@@ -336,7 +345,8 @@ def plant_blowups(monkeypatch, reference=(), model=()):
     ([(1, 2, 5)], [], (6, 4 + 2, "reference")),              # the second chunk of a group
     ([(0, 3, 5)], [(1, 1, 2)], (6, 3, "reference")),         # chunk 0's reference comes first
     ([(1, 3, 1)], [(1, 1, 4)], (4, 4 + 1, "model")),         # a chunk's models, then its reference
-], ids=["second-chunk", "earlier-chunk-reference", "models-first"])
+    ([], [(0, 2, 6), (1, 1, 3)], (6, 2, "model")),           # chunk 0's models, at a later step
+], ids=["second-chunk", "earlier-chunk-reference", "models-first", "earlier-chunk-model"])
 def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, model, want):
     cfg = RunConfig(**GROUPED)
     plant_blowups(monkeypatch, reference, model)
@@ -353,21 +363,48 @@ def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, 
 ])
 def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
                                             reference, model, chunk):
-    # four chunks in groups (0, 1) and (2, 3)
+    # four chunks in groups (0, 1) and (2, 3); a models-only abort also without a reference
+    kinds = [GROUPED["model_kinds"]] + ([] if reference else [("conventional_fd", "holistic")])
+    for i, cfg in enumerate(RunConfig(**{**GROUPED, "ensemble": 16, "model_kinds": k})
+                            for k in kinds):
+        clean, aborted = tmp_path / f"clean{i}", tmp_path / f"aborted{i}"
+        run_ensemble(cfg, out_dir=clean)
+        with monkeypatch.context() as m:
+            plant_blowups(m, reference, model)
+            with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericalAbort) as err:
+                run_ensemble(cfg, out_dir=aborted)
+        assert err.value.member == chunk * cfg.chunk_size + 1
+        flushed = sorted(p.name for p in (aborted / f"members_{cfg.digest()}").iterdir())
+        assert flushed == [f"chunk_{c:04d}.npz" for c in range(chunk)]
+        assert_same_payloads(clean / f"members_{cfg.digest()}", aborted / f"members_{cfg.digest()}")
+
+
+def assert_same_payloads(want_dir, got_dir):
+    """Every chunk file in got_dir holds the arrays of want_dir's, byte for byte
+    (the .npy members of the archives; the archives also stamp a write time)."""
+    for got in got_dir.iterdir():
+        with zipfile.ZipFile(got) as g, zipfile.ZipFile(want_dir / got.name) as w:
+            assert g.namelist() == w.namelist()
+            assert all(g.read(name) == w.read(name) for name in w.namelist())
+
+
+def test_reference_abort_steps_each_reference_once(tmp_path, monkeypatch, solver_pool):
+    # chunk 1's reference aborts: chunk 0's reference, stepped beside it, is kept and flushed
     cfg = RunConfig(**{**GROUPED, "ensemble": 16})
     run_ensemble(cfg, out_dir=tmp_path / "clean")
-    plant_blowups(monkeypatch, reference, model)
+    plant_blowups(monkeypatch, reference=[(1, 2, 5)])
+    stepped, run = [], harness.run_batches
+    monkeypatch.setattr(harness, "run_batches",
+                        lambda jobs: stepped.extend(job.path for job in jobs) or run(jobs))
     with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalAbort) as err:
         run_ensemble(cfg, out_dir=tmp_path / "aborted")
-    assert err.value.member == chunk * cfg.chunk_size + 1
-    flushed = sorted(p.name for p in (tmp_path / "aborted" / f"members_{cfg.digest()}").iterdir())
-    assert flushed == [f"chunk_{c:04d}.npz" for c in range(chunk)]
-    for name in flushed:
-        with np.load(tmp_path / "aborted" / f"members_{cfg.digest()}" / name) as got, \
-                np.load(tmp_path / "clean" / f"members_{cfg.digest()}" / name) as want:
-            assert got.files == want.files
-            assert all(np.array_equal(got[k], want[k]) for k in want.files)
+    assert (err.value.step, err.value.member) == (6, 4 + 2)
+    assert len(stepped) == 2 and stepped[0] is not stepped[1]
+    flushed = tmp_path / "aborted" / f"members_{cfg.digest()}"
+    assert [p.name for p in flushed.iterdir()] == ["chunk_0000.npz"]
+    assert_same_payloads(tmp_path / "clean" / f"members_{cfg.digest()}", flushed)
 
 
 def test_resume_recomputes_only_a_missing_chunk(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holisde.averaging import AveragedCoeffs, averaged_coeffs, ou_stationary_stats
 from holisde.dynamics import NumericalAbort, SpdeConfig, initial_profile
@@ -11,7 +14,7 @@ from holisde.models import (
     reduced_slow_sde,
     simulate_models,
 )
-from holisde.noise import NoisePath, sample_global_path
+from holisde.noise import NoisePath, PathDraw, sample_global_path
 from holisde.spectral import assemble_operator
 
 
@@ -316,6 +319,43 @@ def test_build_drivers_takes_a_batch_of_one(grid8, qspec, proj8):
     assert np.array_equal(one.slow[..., 0], proj8.slow_map @ two.increments[1])
 
 
+@pytest.mark.parametrize("members", [1, 3, 40])
+def test_drawn_rows_build_the_sampled_tables(grid8, qspec, proj8, members):
+    # 40 members of 200 steps fill three 512 KiB scratch blocks and part of a fourth
+    cfg = SpdeConfig(dt=1e-3, T=0.2)
+    seeds, dev_seeds = list(range(members)), [s + 100 for s in range(members)]
+    path = sample_global_path(qspec, cfg.times(), seeds)
+    draw = PathDraw(qspec, cfg.times(), seeds)
+    rows = [row.copy() for row in draw.increments]
+    assert len(draw) == len(path) == members
+    assert all(np.array_equal(row, want) for row, want in zip(rows, path.increments))
+    want = build_drivers(grid8, proj8, path, dev_seeds)
+    wide = np.full((3, grid8.M, cfg.n_steps, members + 2), np.nan)
+    got = build_drivers(grid8, proj8, draw, dev_seeds, out=wide[..., 1:-1])
+    for name in ("slow", "gridpoint", "deviation"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.shares_memory(getattr(got, name), wide)
+    assert np.isnan(wide[..., [0, -1]]).all()
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.sets(st.integers(1, 8)))
+def test_member_slices_step_as_the_whole_batch(grid8, qspec, proj8, eig0_8, cuts):
+    # wide grid-model stepping rests on this: 70 steps cross two precomputed noise blocks
+    co = _coeffs(proj8, eig0_8)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.07)
+    drv = build_drivers(grid8, proj8, PathDraw(qspec, cfg.times(), list(range(9))),
+                        list(range(100, 109)))
+    models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
+              DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
+    whole = simulate_models(models, cfg, drv, store=True)
+    edges = [0] + sorted(cuts) + [9]
+    for lo, hi in zip(edges, edges[1:]):
+        part = replace(drv, slow=drv.slow[..., lo:hi], gridpoint=drv.gridpoint[..., lo:hi],
+                       deviation=drv.deviation[..., lo:hi])
+        assert np.array_equal(simulate_models(models, cfg, part, store=True), whole[..., lo:hi])
+
+
 def test_model_kind_validation(proj8, eig0_8):
     with pytest.raises(ValueError):
         DiscreteModel("nope")
@@ -349,7 +389,7 @@ def test_initial_state_must_be_one_grid_profile(grid8, shape):
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("store", [True, False])
 def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, store):
-    # 150 steps cross two precomputed driver blocks and end inside a third
+    # 150 steps cross four precomputed noise blocks and end inside a fifth
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.15)
     path = sample_global_path(qspec, cfg.times(), list(range(members)))
