@@ -50,6 +50,10 @@ __all__ = [
 # fast-mode cutoff: keep every level with lambda <= LAMBDA_MAX_FACTOR / h^2
 LAMBDA_MAX_FACTOR = 400.0
 
+# Monte-Carlo Q_j oracle: lag horizon in decay times of the slowest mode, lag count
+MC_HORIZON_FACTOR = 6.0
+MC_LAGS = 60
+
 
 @dataclass(frozen=True)
 class FastModeStats:
@@ -91,23 +95,19 @@ def ou_stationary_stats(
     proj: ElementNoiseProjection,
     eig0: AnalyticEigenSystem,
     sigma: float,
-    lam_max: float | None = None,
 ) -> FastModeStats:
     """Stationary law of the fast modes driven through the projected noise.
 
-    Keeps every analytic level with lambda_k <= lam_max (default
-    400/h^2, about the first six distinct levels).  Each retained amplitude
+    Keeps every analytic level with lambda_k <= 400/h^2 (LAMBDA_MAX_FACTOR),
+    about the first six distinct levels.  Each retained amplitude
     solves d a = -lambda a dt + sigma sqrt(q^h) d beta, whose stationary
     variance sigma^2 q^h / (2 lambda) follows from the Lyapunov balance.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     grid = eig0.grid
-    if lam_max is None:
-        lam_max = LAMBDA_MAX_FACTOR / grid.h**2
+    lam_max = LAMBDA_MAX_FACTOR / grid.h**2
     keep = np.nonzero((eig0.levels >= 1) & (eig0.eigenvalues <= lam_max))[0]
-    if keep.size == 0:
-        raise ValueError("fast-mode cutoff excluded every mode; raise lam_max")
     lam = eig0.eigenvalues[keep]
     if np.any(lam <= 0):
         raise ValueError("fast modes must have positive relaxation rates")
@@ -218,9 +218,8 @@ def simulate_ou_ensemble(
     dt: float,
     n_steps: int,
     rng: np.random.Generator,
-    stationary_start: bool = True,
 ) -> np.ndarray:
-    """Exact-update OU ensemble; returns amplitudes (n_steps+1, n_paths, L).
+    """Exact-update OU ensemble from its stationary law; amplitudes (n_steps+1, n_paths, L).
 
     Uses the exact one-step law a' = rho a + sqrt(v (1 - rho^2)) xi so long
     runs carry no time-discretization bias.
@@ -231,10 +230,7 @@ def simulate_ou_ensemble(
     rho = np.exp(-lam * dt)
     s = np.sqrt(v * (1.0 - rho**2))
     out = np.empty((n_steps + 1, n_paths, lam.size))
-    if stationary_start:
-        out[0] = rng.standard_normal((n_paths, lam.size)) * np.sqrt(v)
-    else:
-        out[0] = 0.0
+    out[0] = rng.standard_normal((n_paths, lam.size)) * np.sqrt(v)
     for i in range(n_steps):
         out[i + 1] = rho * out[i] + s * rng.standard_normal((n_paths, lam.size))
     return out
@@ -247,31 +243,29 @@ def mc_qj_estimate(
     element: int = 0,
     n_paths: int = 10_000,
     seed: int = 0,
-    horizon_factor: float = 6.0,
-    n_lags: int = 60,
 ) -> tuple[float, float]:
     """Brute-force Q_j: time-integrated autocovariance of <eta^2, e_0>.
 
     Simulates the retained fast amplitudes of one element from their
     stationary law, forms g(t) = <eta^2(t) - E eta^2, e_0> by quadrature and
     integrates the ensemble average g(s) g(0) over s.  Returns (estimate,
-    standard error); the horizon covers horizon_factor decay times of the
-    slowest retained mode.
+    standard error); the horizon covers MC_HORIZON_FACTOR decay times of the
+    slowest retained mode in MC_LAGS steps.
     """
     j = grid.index(element)
     lam = stats.lam
     drive = stats.sigma**2 * stats.qh[j]
-    horizon = horizon_factor / (2.0 * lam.min())
-    dt = horizon / n_lags
+    horizon = MC_HORIZON_FACTOR / (2.0 * lam.min())
+    dt = horizon / MC_LAGS
     rng = np.random.default_rng(seed)
-    amps = simulate_ou_ensemble(lam, drive, n_paths, dt, n_lags, rng)
+    amps = simulate_ou_ensemble(lam, drive, n_paths, dt, MC_LAGS, rng)
 
     shapes = eig0.local_shapes[stats.mode_indices]
     e0 = eig0.local_shapes[0]
     mb = grid.mass_block
     w = np.einsum("lhi,ij,hj->l", shapes**2, mb, e0)      # <e_k^2, e_0>
     centred = amps**2 - stats.v[j][None, None, :]
-    g = centred @ w                                        # (n_lags+1, n_paths)
+    g = centred @ w                                        # (MC_LAGS+1, n_paths)
     prod = g * g[0][None, :]
     per_path = np.trapezoid(prod, dx=dt, axis=0)
     est = float(np.mean(per_path))

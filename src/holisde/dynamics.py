@@ -15,16 +15,16 @@ Two solvers share one sampled member batch of noise paths:
   the resolved form of the element-mode noise series: summed over all modes
   the series reproduces the restriction of W to the element.
 
-Each solver has one step, one noise method and one batched `simulate`
-that advances a NoisePath member batch in lock step, writing each step's
-weighted (K+1, R) increments into one buffer; a single run is a batch of one.
+Each solver has one step and one noise method, and `run_batches` advances
+a NoisePath member batch in lock step, writing each step's weighted
+(K+1, R) increments into one buffer; a single run is a batch of one.
 The reference steps a member-major state (R, n), so both FFTs run along
 the contiguous axis, and adds its noise in rfft space: the Fourier noise
 modes are exact DFT bins of the fine grid.  The coupled solver carries the
 members on a trailing axis, applies weak-load maps built once and writes its
 per-step arrays into buffers made once per member block.
 
-Both solvers step through one runner, `run_batches`: it splits every job's
+Both solvers step only through that runner: it splits every job's
 batch into L2-sized member blocks and steps all blocks of all jobs in place
 on a pool of one thread per usable CPU, each field bitwise as one
 whole-batch loop.  A block stops at its first non-finite step; the runner
@@ -168,7 +168,8 @@ class BatchJob:
 
 
 def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
-    """Each job's fields at the end of its paths, as its solver's `simulate` returns them.
+    """Each job's fields at the end of its paths: the reference's fine field
+    (n, R), the coupled solver's element fields (M, 2, n+1, R).
 
     Every job's state is split into near-equal member blocks of at most
     512 KiB where possible, never a block of one member unless R = 1, and all
@@ -286,15 +287,6 @@ class FullSpdeSolver:
         np.multiply(rhat, inv, out=rhat)
         np.fft.irfft(rhat, n=self.n, axis=-1, out=u)
 
-    def simulate(self, cfg: SpdeConfig, path: NoisePath,
-                 u0: Optional[np.ndarray] = None) -> np.ndarray:
-        """Fine field at the end of a member batch's paths, shape (n, R).
-
-        Every member starts from u0 (default: the configured initial profile)
-        and is driven by its row of `path`; a one-job `run_batches` call.
-        """
-        return run_batches([BatchJob(self, cfg, path, u0)])[0]
-
     # -- the runner's interface: whole-batch state, block step, result -------
 
     _what = "reference solve"
@@ -390,16 +382,6 @@ class CoupledElementSolver:
         np.add(rhs, weak, out=rhs)
         del uv, weak        # before the solve: a worker thread's arena keeps its high-water mark
         c[...] = self._semi_lu.solve(rhs)
-
-    def simulate(self, cfg: SpdeConfig, path: NoisePath,
-                 u0: Optional[ElementField] = None) -> np.ndarray:
-        """Element fields at the end of a member batch's paths, shape (M, 2, n+1, R).
-
-        Every member starts from the projection of u0 (default: the
-        configured initial profile) and is driven by its row of `path`; a
-        one-job `run_batches` call.
-        """
-        return run_batches([BatchJob(self, cfg, path, u0)])[0]
 
     # -- the runner's interface: whole-batch state, block step, result -------
 

@@ -3,7 +3,9 @@
 Every run is reproducible from (config file, master seed) alone: member
 seeds are spawned from the master seed, all noise consumed by the solvers
 is a deterministic image of the sampled Brownian coefficient matrices, and
-artifacts carry a manifest with the config hash.  Ensembles advance member
+artifacts carry a manifest with the config hash.  A weak-h member cannot
+yet be replayed from (config, seed, member index): each spacing reads a
+later `member_streams` spawn of the same seeds.  Ensembles advance member
 batches in lock step (the state arrays grow a trailing member axis), which
 keeps the per-step work in BLAS instead of Python.  A batch's noise is one
 `NoisePath`, read by every solver and by `models.build_drivers` (a
@@ -323,17 +325,6 @@ def member_streams(seeds) -> tuple[list, list]:
     """
     streams = [ss.spawn(3) for ss in seeds]
     return [s[0] for s in streams], [s[1] for s in streams]
-
-
-def reference_grid_values(L: float, spec: QWienerSpec, path: NoisePath, spde: SpdeConfig,
-                          n_fine: int) -> np.ndarray:
-    """Fine reference field u(x, T) for a member batch, shape (n_fine, R).
-
-    The fine solver advances all members in lock step from the same global
-    coefficients the models consume (common random numbers); a single run
-    is a batch of one.  `at_grid_points` reads off the grid values.
-    """
-    return FullSpdeSolver(L, n_fine, spec).simulate(spde, path)
 
 
 def at_grid_points(u: np.ndarray, M: int) -> np.ndarray:
@@ -676,8 +667,9 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     Shared Brownian coefficients make the gamma -> 1 distributional limit a
     trackable pathwise gap; the sigma = 0 run of the same configuration
     gives the pure discretization floor.  The reference never reads gamma,
-    so one reference batch serves every gamma; the coupled batches and the
-    sigma = 0 pair then step together in one `run_batches` call.
+    so one reference batch serves every gamma.  All batches step in one
+    `run_batches` call, in the serial order: the reference, the coupled
+    batches, then the sigma = 0 pair.
     """
     grid = cfg.grid()
     spec = cfg.qwiener()
@@ -686,18 +678,19 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     spde_det = cfg.spde(gamma=1.0, sigma=0.0)
     # the coupled solvers first, so that scipy's import and the LU factors
     # are allocated before the batch arrays and do not raise the peak
-    *solvers, det_solver = [_coupled_solver(grid, spec, s) for s in spdes + [spde_det]]
+    *solvers, det_solver = [CoupledElementSolver(spectral.assemble_operator(grid, s.gamma),
+                                                 spec, s.dt) for s in spdes + [spde_det]]
+    fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
     path = sample_global_path(spec, spde0.times(), member_streams(seeds)[0])
-    ref_nodes = _right_half_values(reference_grid_values(grid.L, spec, path, spde0, cfg.n_fine),
-                                   grid)
 
     # sigma = 0 silences the noise, so any one path serves as the batch of one
     one = NoisePath(path.times, path.increments[:1])
-    jobs = [BatchJob(solver, spde, path) for solver, spde in zip(solvers, spdes)]
-    jobs += [BatchJob(FullSpdeSolver(grid.L, cfg.n_fine, spec), spde_det, one),
-             BatchJob(det_solver, spde_det, one)]
-    *fields, det_ref, det_field = run_batches(jobs)
+    jobs = [BatchJob(fine, spde0, path)]
+    jobs += [BatchJob(solver, spde, path) for solver, spde in zip(solvers, spdes)]
+    jobs += [BatchJob(fine, spde_det, one), BatchJob(det_solver, spde_det, one)]
+    ref, *fields, det_ref, det_field = run_batches(jobs)
+    ref_nodes = _right_half_values(ref, grid)
     gaps = np.stack([_right_half_gap(f, ref_nodes, grid) for f in fields])
     det_gap = float(_right_half_gap(det_field, _right_half_values(det_ref, grid), grid)[0])
     mean_sq = np.mean(gaps**2, axis=1)
@@ -707,11 +700,6 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
         "det_gap": np.full(gammas.size, det_gap),
     }
     return gammas, metrics
-
-
-def _coupled_solver(grid: DomainGrid, spec: QWienerSpec, spde: SpdeConfig) -> CoupledElementSolver:
-    """The coupled element solver at coupling spde.gamma and step spde.dt."""
-    return CoupledElementSolver(spectral.assemble_operator(grid, spde.gamma), spec, spde.dt)
 
 
 def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
@@ -729,7 +717,7 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     spde, spec = cfg.spde(), cfg.qwiener()
     seeds = member_seeds(cfg.master_seed, cfg.ensemble)
     path = sample_global_path(spec, spde.times(), member_streams(seeds)[0])
-    ref = reference_grid_values(cfg.L, spec, path, spde, cfg.n_fine)       # (n_fine, R)
+    ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
 
     mean_err, var_err = [], []
     for M in Ms:

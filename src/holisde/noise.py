@@ -41,6 +41,9 @@ __all__ = [
     "project_to_element_modes",
 ]
 
+# coupled mode tuples with at most this squared norm on an element are masked out
+MIN_RESTRICTION_MASS = 1e-8
+
 
 def fourier_basis(x: np.ndarray, n_modes: int, L: float) -> np.ndarray:
     """Evaluate the first n_modes orthonormal Fourier modes on [0, L].
@@ -135,13 +138,6 @@ class NoisePath:
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def coarsen(self, factor: int) -> "NoisePath":
-        """Pairwise-sum refinement inverse: exact coarse paths from fine ones."""
-        if self.n_steps % factor:
-            raise ValueError("step count not divisible by coarsening factor")
-        dw = self.increments.reshape(self.increments.shape[:2] + (-1, factor)).sum(axis=3)
-        return NoisePath(self.times[::factor], dw)
-
 
 def _draw(seed, sqrt_dt: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One member's increments: `default_rng(seed)`'s standard normals times sqrt(dt), in out."""
@@ -216,7 +212,6 @@ def project_to_element_modes(
     spec: QWienerSpec,
     eig,
     grid: DomainGrid,
-    min_restriction_mass: float = 1e-8,
 ) -> ElementNoiseProjection:
     """Compute projection weights of the Fourier modes onto element modes.
 
@@ -234,7 +229,7 @@ def project_to_element_modes(
 
     weighted = shapes @ mb          # M_b symmetric: serves the norms and the weights
     norms2 = np.sum(weighted * shapes, axis=(2, 3)).T   # (M, n_modes)
-    mask = norms2 > min_restriction_mass
+    mask = norms2 > MIN_RESTRICTION_MASS
     safe = np.where(mask, norms2, 1.0)
     weights = np.matmul(weighted.transpose(1, 0, 2, 3).reshape(grid.M, shapes.shape[0], -1),
                         basis.transpose(1, 2, 3, 0).reshape(grid.M, -1, spec.n_modes))

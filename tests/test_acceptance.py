@@ -155,13 +155,17 @@ def test_criterion_07_coefficient_spacing_orders():
     qj_order = tab.orders["qj"]
     hat_ok = abs(hat_order - 2.0) <= 0.2
     qj_ok = abs(qj_order - 2.0) <= 0.3
+    # the family's algebra, with q^h = q h and lambda = (k pi / h)^2
+    derivation = ("v = sigma^2 q^h / (2 lambda) ~ h^3, lambda ~ h^-2, <e_k^2, e_0>^2 = 1/(2h): "
+                  "Q_j = sum v^2 / lambda / (2h) ~ h^7, hat_alpha - alpha ~ v / h ~ h^2")
     assert _report(7, "coefficient spacing orders", hat_ok and qj_ok,
                    f"hat_alpha order {hat_order:.3f} (want 2.0+-0.2); "
-                   f"Qj order {qj_order:.3f} (want 2.0+-0.3)", t0)
+                   f"Qj order {qj_order:.3f} (want 2.0+-0.3); {derivation}", t0)
     assert hat_order == pytest.approx(2.0, abs=0.2)
     # The deviation variance follows its closed form (validated against the
-    # Monte-Carlo oracle in criterion 6), which scales like h^7 under the
-    # frozen-intensity family; the 2.0 +- 0.3 band is asserted as specified.
+    # Monte-Carlo oracle in criterion 6, and at each spacing of this family in
+    # test_averaging), which scales like h^7 under the frozen-intensity
+    # family; the 2.0 +- 0.3 band is asserted as specified.
     assert qj_order == pytest.approx(2.0, abs=0.3)
 
 

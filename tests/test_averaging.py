@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from holisde import QWienerSpec, build_grid, eig_gamma0, project_to_element_modes
+from holisde.harness import fit_order
 from holisde.averaging import (
     averaged_coeffs,
     compute_qj,
@@ -129,6 +133,29 @@ def test_qj_closed_form_matches_mc_oracle(proj8, eig0_8, grid8):
     assert abs(est - qj[0]) < 3.0 * se
 
 
+def test_frozen_intensity_family_qj_matches_mc_oracle_at_every_spacing():
+    # criterion 07's coeff-h family (sigma = 0.5, M = 8, subgrid 32, 33 modes):
+    # the Monte-Carlo oracle follows the closed form at every spacing, so its
+    # fitted order is the family's h^7 as well
+    sigma, hs = 0.5, np.array([1.0, 0.5, 0.25, 0.125])
+    grid = build_grid(8.0, 8, 32)                         # the coarsest spacing, h = 1
+    eig0 = eig_gamma0(grid, 6)
+    stats = ou_stationary_stats(project_to_element_modes(QWienerSpec.from_decay(33, 3.0),
+                                                         eig0, grid), eig0, sigma)
+    q_jl, levels = stats.qh, eig0.levels[stats.mode_indices].astype(float)
+    est = []
+    for h in hs:
+        grid_h = build_grid(8.0 * h, 8, 32)
+        lam, qh = (levels * np.pi / h) ** 2, q_jl * h
+        # the oracle reads only the per-mode rates, intensities and variances
+        family = replace(stats, lam=lam, qh=qh, v=sigma**2 * qh / (2.0 * lam[None, :]))
+        e, se = mc_qj_estimate(family, eig_gamma0(grid_h, 6), grid_h, n_paths=10_000,
+                               seed=int(1000 * h) + 3)
+        assert abs(e - qj_from_tables(q_jl, levels, sigma, h)[0]) < 3.0 * se
+        est.append(e)
+    assert fit_order(hs, np.array(est)) == pytest.approx(7.0, abs=0.3)
+
+
 def test_coefficients_deterministic(proj8, eig0_8):
     a = averaged_coeffs(proj8, eig0_8, 1.0, 0.5)
     b = averaged_coeffs(proj8, eig0_8, 1.0, 0.5)
@@ -156,5 +183,3 @@ def test_fast_set_excludes_zero_rate(proj8, eig0_8, grid8):
 def test_lam_max_cutoff(proj8, eig0_8, grid8):
     stats = _stats(proj8, eig0_8)
     assert np.all(stats.lam <= 400.0 / grid8.h**2)
-    with pytest.raises(ValueError):
-        ou_stationary_stats(proj8, eig0_8, 0.5, lam_max=0.5)

@@ -39,6 +39,11 @@ def slow_fast_decompose(state, eig):
     return a, ElementField(fast, grid)
 
 
+def simulate(solver, cfg, path, u0=None):
+    """One job's final field, stepped by the block runner."""
+    return run_batches([BatchJob(solver, cfg, path, u0)])[0]
+
+
 def _quiet_path(spec, cfg, seed=0):
     return sample_global_path(spec, cfg.times(), [seed])
 
@@ -121,7 +126,7 @@ def test_zero_state_is_fixed_point(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01,
                      initial={"kind": "zero"})
     solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
-    u = solver.simulate(cfg, _quiet_path(qspec, cfg))
+    u = simulate(solver, cfg, _quiet_path(qspec, cfg))
     assert np.all(u[..., 0] == 0.0)
 
 
@@ -130,7 +135,7 @@ def test_cubic_roots_are_stationary(qspec, ustar):
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.02,
                      initial={"kind": "constant", "amplitude": ustar})
     solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
-    u = solver.simulate(cfg, _quiet_path(qspec, cfg))
+    u = simulate(solver, cfg, _quiet_path(qspec, cfg))
     assert np.allclose(u[..., 0], ustar, atol=1e-12)
 
 
@@ -143,7 +148,7 @@ def test_coupled_insulated_constants_are_stationary(grid8, qspec):
     vals = np.repeat(consts[:, None, None], 2, axis=1)
     vals = np.repeat(vals, grid8.subgrid_n + 1, axis=2)
     u0 = ElementField(vals, grid8)
-    u = solver.simulate(cfg, _quiet_path(qspec, cfg), u0=u0)
+    u = simulate(solver, cfg, _quiet_path(qspec, cfg), u0=u0)
     assert np.allclose(u[..., 0], vals, atol=1e-10)
 
 
@@ -153,8 +158,8 @@ def test_coupled_full_coupling_tracks_reference(grid8, qspec):
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     fine = FullSpdeSolver(grid8.L, 2048, qspec)
     path = _quiet_path(qspec, cfg, seed=21)
-    u = solver.simulate(cfg, path)
-    ref = fine.simulate(cfg, path)
+    u = simulate(solver, cfg, path)
+    ref = simulate(fine, cfg, path)
     # compare right-half centre values against the reference at grid points
     centres = u[..., 0][:, 0, -1]
     stride = 2048 // grid8.M
@@ -188,7 +193,7 @@ def test_fast_mode_relaxation_rate(grid8, qspec):
     vals = np.broadcast_to(eig0.local_shapes[1], (grid8.M, 2, grid8.subgrid_n + 1)).copy()
     u0 = ElementField(vals, grid8)
     start = op.field_from_reduced(op.reduce(u0)).values
-    end = solver.simulate(cfg, _quiet_path(qspec, cfg), u0=u0)[..., 0]
+    end = simulate(solver, cfg, _quiet_path(qspec, cfg), u0=u0)[..., 0]
     lam1 = np.pi**2 / grid8.h**2
     e0 = np.einsum("mhi,ij,mhj->", start, grid8.mass_block, start)
     e1 = np.einsum("mhi,ij,mhj->", end, grid8.mass_block, end)
@@ -234,8 +239,8 @@ def test_trajectory_determinism(grid8, qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.4, gamma=0.8, dt=1e-3, T=0.02)
     op = assemble_operator(grid8, 0.8)
     solver = CoupledElementSolver(op, qspec, cfg.dt)
-    u1 = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=33))
-    u2 = solver.simulate(cfg, _quiet_path(qspec, cfg, seed=33))
+    u1 = simulate(solver, cfg, _quiet_path(qspec, cfg, seed=33))
+    u2 = simulate(solver, cfg, _quiet_path(qspec, cfg, seed=33))
     assert np.array_equal(u1[..., 0], u2[..., 0])
 
 
@@ -249,7 +254,7 @@ def test_linear_mode_variance_calibration(qspec):
     solver = FullSpdeSolver(L, 128, qspec)
     R = 48
     path = sample_global_path(qspec, cfg.times(), [1000 + r for r in range(R)])
-    finals = solver.simulate(cfg, path).T           # (R, n)
+    finals = simulate(solver, cfg, path).T          # (R, n)
     coeff = (finals @ np.sin(solver.x)) * (L / solver.n) * np.sqrt(2.0 / L)
     k = 1                                            # sin(2 pi x / L) mode
     kappa2 = (2.0 * np.pi / L) ** 2
@@ -352,13 +357,13 @@ def test_reference_reciprocal_is_the_implicit_division(qspec):
         rhat = np.fft.rfft(u + cfg.dt * (cfg.alpha * (u - u * u * u)), axis=-1)
         rhat[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
         u = np.fft.irfft(rhat / denom, n=solver.n, axis=-1)
-    assert np.array_equal(solver.simulate(cfg, path), u.T)
+    assert np.array_equal(simulate(solver, cfg, path), u.T)
 
 
 def test_reference_simulate_batch_shape(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
     solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
-    u = solver.simulate(cfg, _batch(qspec, cfg, 3))
+    u = simulate(solver, cfg, _batch(qspec, cfg, 3))
     assert u.shape == (64, 3)
 
 
@@ -370,7 +375,7 @@ def test_abort_names_first_nonfinite_member(grid8, qspec):
                CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt))
     for solver in solvers:
         with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-            solver.simulate(cfg, path)
+            simulate(solver, cfg, path)
         assert err.value.member == 1
         assert err.value.step == 1
 
@@ -384,7 +389,7 @@ def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, solver_pool, 
     rows, step = [], solver.step
     monkeypatch.setattr(solver, "step", lambda u, *args: (rows.append(len(u)), step(u, *args)))
     with solver_pool(workers):
-        got = solver.simulate(cfg, path)
+        got = simulate(solver, cfg, path)
     assert np.array_equal(got, want)
     assert sorted(rows) == [2] * 2 * cfg.n_steps + [3] * cfg.n_steps
 
@@ -398,7 +403,7 @@ def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatc
     pool = ThreadPoolExecutor(2)
     monkeypatch.setattr(dynamics, "_pool", interrupted_wait(pool))
     with pytest.raises(Interrupted):
-        solver.simulate(cfg, path)
+        simulate(solver, cfg, path)
     pool.shutdown(wait=True)
     assert sum(rows) < BLOCKED_R * cfg.n_steps // 4      # member steps taken
 
@@ -412,7 +417,7 @@ def test_coupled_job_stops_when_the_caller_stops_waiting(grid8, qspec, monkeypat
     pool = ThreadPoolExecutor(2)
     monkeypatch.setattr(dynamics, "_pool", interrupted_wait(pool))
     with pytest.raises(Interrupted):
-        solver.simulate(cfg, path)
+        simulate(solver, cfg, path)
     pool.shutdown(wait=True)
     assert len(steps) < cfg.n_steps // 4
 
@@ -460,6 +465,27 @@ def test_coupling_gap_study_matches_serial_oracle(solver_pool, workers, gap_cfg)
     assert np.array_equal(got["det_gap"], np.full(3, det))
 
 
+def test_coupling_gap_study_makes_one_runner_call(monkeypatch):
+    # the reference, then the gamma batches, then the sigma = 0 pair: the serial order
+    cfg = harness.RunConfig(**GAP_CFG)
+    gammas = np.array([0.9, 0.99, 1.0])
+    with monkeypatch.context() as m:        # oracle: the reference alone, then the rest
+        m.setattr(harness, "run_batches",
+                  lambda jobs: run_batches(jobs[:1]) + run_batches(jobs[1:]))
+        want = harness.convergence_study(cfg, "coupling-gap", gammas).metrics
+    calls = []
+    for module in (harness, dynamics):
+        monkeypatch.setattr(module, "run_batches",
+                            lambda jobs: calls.append(jobs) or run_batches(jobs))
+    got = harness.convergence_study(cfg, "coupling-gap", gammas).metrics
+    assert len(calls) == 1
+    assert [(type(job.solver).__name__, len(job.path)) for job in calls[0]] == (
+        [("FullSpdeSolver", cfg.ensemble)] + [("CoupledElementSolver", cfg.ensemble)] * 3
+        + [("FullSpdeSolver", 1), ("CoupledElementSolver", 1)])
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
 def test_runner_raises_the_first_aborting_job(grid8, qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
     solver = CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt)
@@ -470,7 +496,7 @@ def test_runner_raises_the_first_aborting_job(grid8, qspec):
     with np.errstate(all="ignore"):
         for path, want in ((first, (4, 2)), (second, (1, 1))):      # one job at a time
             with pytest.raises(NumericalAbort) as err:
-                solver.simulate(cfg, path)
+                simulate(solver, cfg, path)
             assert (err.value.step, err.value.member) == want
         with pytest.raises(NumericalAbort) as err:
             run_batches([BatchJob(solver, cfg, first), BatchJob(solver, cfg, second)])
@@ -482,7 +508,7 @@ def test_runner_abort_keeps_the_finished_jobs_fields(qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
     solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
     paths = [sample_global_path(qspec, cfg.times(), [10 * j, 10 * j + 1]) for j in range(4)]
-    want = [solver.simulate(cfg, path) for path in paths[:2]]
+    want = [simulate(solver, cfg, path) for path in paths[:2]]
     paths[2].increments[1, :, 2] *= 1e200
     paths[3].increments[0, :, 0] *= 1e200      # a later job's earlier abort does not count
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
@@ -511,11 +537,11 @@ def test_blocked_abort_names_earliest_step_then_member(qspec):
     with np.errstate(all="ignore"):
         assert whole_batch_reference(solver, cfg, path) == (2, 2)
         with pytest.raises(NumericalAbort) as err:
-            solver.simulate(cfg, path)
+            simulate(solver, cfg, path)
     assert (err.value.step, err.value.member) == (2, 2)
     path.increments[2] = _quiet_path(qspec, cfg, seed=2).increments[0]
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-        solver.simulate(cfg, path)
+        simulate(solver, cfg, path)
     assert (err.value.step, err.value.member) == (2, 5)
 
 

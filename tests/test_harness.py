@@ -29,7 +29,8 @@ from holisde.harness import (
     write_csv,
     write_manifest,
 )
-from holisde.dynamics import NumericalAbort, initial_profile
+from holisde.dynamics import (BatchJob, FullSpdeSolver, NumericalAbort, initial_profile,
+                              run_batches)
 from holisde.grid import build_grid
 from holisde.models import DiscreteModel, build_drivers, simulate_models
 from holisde.noise import NoisePath, sample_global_path
@@ -283,7 +284,8 @@ def serial_ensemble(cfg):
         drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
         out = dict(zip(kinds, simulate_models(grid_models, spde, drivers, U0)[-1]))
         if "reference" in cfg.model_kinds:
-            fine = harness.reference_grid_values(setup.grid.L, setup.spec, path, spde, cfg.n_fine)
+            solver = FullSpdeSolver(setup.grid.L, cfg.n_fine, setup.spec)
+            fine = run_batches([BatchJob(solver, spde, path)])[0]
             out["reference"] = harness.at_grid_points(fine, cfg.M)
         for a, b in itertools.combinations(list(out), 2):
             out[f"gap:{a}-{b}"] = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))[None, :]

@@ -115,18 +115,6 @@ def test_zero_spectrum_gives_zero_field():
     assert np.all(incr == 0.0)
 
 
-def test_coarsen_is_exact_pairwise_sum(qspec):
-    t = np.linspace(0.0, 1.0, 41)
-    fine = sample_global_path(qspec, t, [11, 12])
-    coarse = fine.coarsen(4)
-    assert coarse.n_steps == 10
-    assert coarse.increments.shape == (2, qspec.n_modes, 10)
-    assert np.array_equal(coarse.times, t[::4])
-    for r in range(2):
-        assert np.array_equal(coarse.increments[r],
-                              fine.increments[r].reshape(qspec.n_modes, 10, 4).sum(axis=2))
-
-
 def test_projection_weights_against_dense_quadrature(grid8, qspec, eig0_8, proj8):
     # oracle: Simpson quadrature of the analytic integrand at 20x resolution
     from scipy.integrate import simpson

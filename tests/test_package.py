@@ -17,6 +17,7 @@ import holisde
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -48,31 +49,47 @@ def test_readme_quick_start_runs():
 
 
 def _reads(tree: ast.Module) -> set:
-    """Names and attributes a module reads, each top-level def or class not
-    counting reads of its own name."""
+    """Names and attributes a module reads, each def or class, at any depth,
+    not counting reads of its own name inside itself."""
     reads = set()
-    for stmt in tree.body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                if name != own:
-                    reads.add(name)
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in own:
+                reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
     return reads
 
 
 def test_every_public_name_has_a_caller_or_is_an_oracle():
     # a public name read only by its own unit test does not belong in the
     # package; the acceptance suite's imports are the oracles it may keep
-    oracles = {a.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+    acceptance = ast.parse(ACCEPTANCE.read_text())
+    oracles = {a.name for node in ast.walk(acceptance)
                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("holisde")
                for a in node.names}
     src = Path(holisde.__file__).parent
-    reads = set().union(*(_reads(ast.parse(p.read_text())) for p in src.glob("*.py")
-                          if p.name != "__init__.py"))
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))
+             if p.name != "__init__.py"}
+    reads = set().union(*map(_reads, trees.values()))
     idle = [f"{info.name}.{n}" for info in pkgutil.iter_modules(holisde.__path__)
             for n in getattr(importlib.import_module(f"holisde.{info.name}"), "__all__", ())
             if n not in reads and n not in oracles]
+    # public methods and properties of public classes, matched by attribute
+    # name: a read elsewhere in the package, in the acceptance suite or in
+    # the benchmark counts, a read inside the method's own body does not
+    reads |= _reads(acceptance).union(*(_reads(ast.parse(p.read_text()))
+                                        for p in PERFBENCH.glob("*.py")))
+    idle += [f"{module}.{cls.name}.{f.name}" for module, tree in trees.items()
+             for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name[0] != "_"
+             for f in cls.body if isinstance(f, ast.FunctionDef) and f.name[0] != "_"
+             and f.name not in reads]
     assert idle == []
 
 
