@@ -82,9 +82,6 @@ class AveragedCoeffs:
     qj: np.ndarray            # (M,)
     qj_truncation: np.ndarray  # (M,) size of the last retained level's terms
     alpha: float
-    sigma: float
-    gamma: float
-    h: float
 
     def __post_init__(self):
         if np.any(self.qj < -1e-15):
@@ -159,7 +156,6 @@ def averaged_coeffs(
     eig0: AnalyticEigenSystem,
     alpha: float,
     sigma: float,
-    gamma: float = 1.0,
 ) -> AveragedCoeffs:
     """Bundle hat_alpha_j and Q_j for a model run (recomputed, never typed in)."""
     grid = eig0.grid
@@ -171,9 +167,6 @@ def averaged_coeffs(
         qj=qj,
         qj_truncation=bound,
         alpha=float(alpha),
-        sigma=float(sigma),
-        gamma=float(gamma),
-        h=grid.h,
     )
 
 

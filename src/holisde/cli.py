@@ -24,7 +24,6 @@ from .harness import (
     convergence_study,
     compare_models,
     member_seeds,
-    member_streams,
     write_csv,
     write_manifest,
 )
@@ -60,8 +59,8 @@ def _load_config(args) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _out_dir(cfg: RunConfig, args) -> Path:
-    out = Path(cfg.out_dir or args.out or "out")
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out_dir or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -78,7 +77,7 @@ def cmd_eig_sweep(cfg: RunConfig, args) -> int:
         for k in range(eig.n_computed):
             rows.append((float(g), k, float(eig.eigenvalues[k]),
                          eig.multiplicity(k), float(eig.residuals[k])))
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     write_csv(out / "eig_sweep.csv", ["gamma", "k", "lambda", "multiplicity", "residual"], rows)
     write_manifest(cfg, out, {"command": "eig-sweep"})
     return 0
@@ -87,7 +86,7 @@ def cmd_eig_sweep(cfg: RunConfig, args) -> int:
 def cmd_expansion_check(cfg: RunConfig, args) -> int:
     gammas = cfg.sweep_values if cfg.sweep_axis == "gamma" else (0.2, 0.1, 0.05, 0.025)
     table = convergence_study(cfg, "expansion", gammas)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     write_csv(out / "expansion.csv", ["gamma", "remainder"],
               [(r["value"], r["remainder"]) for r in table.rows()])
     write_manifest(cfg, out, {"command": "expansion-check", "orders": table.orders})
@@ -101,7 +100,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
         (j + 1, float(coeffs.hat_alpha[j]), float(coeffs.qj[j]), float(coeffs.qj_truncation[j]))
         for j in range(cfg.M)
     ]
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     write_csv(out / "coeffs.csv", ["j", "hat_alpha", "Qj", "truncation_bound"], rows)
     write_manifest(cfg, out, {"command": "coeffs"})
     return 0
@@ -111,14 +110,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     """Member 0 of the configured ensemble, stepped by one model and stored."""
     setup = build_setup(cfg)
     spde = cfg.spde()
-    path_seeds, deviation_seeds = member_streams(member_seeds(cfg.master_seed, 1))
-    path = sample_global_path(setup.spec, spde.times(), path_seeds)
-    drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
+    path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, [0], 0))
+    drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1))
     kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
                 "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
     states = simulate_models([model], spde, drivers, store=True)[:, 0, :, 0]     # (n_steps + 1, M)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     header = ["t"] + [f"U_{j+1}" for j in range(setup.grid.M)]
     n_times = path.times.size
     stride = max(1, n_times // 2000)
@@ -134,7 +132,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     report = compare_models(cfg)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     (out / "compare.json").write_text(json.dumps(report, sort_keys=True, indent=2),
                                       encoding="utf-8")
     write_manifest(cfg, out, {"command": "compare"})
@@ -146,8 +144,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 def cmd_converge(cfg: RunConfig, args) -> int:
     study = args.study
-    table = convergence_study(cfg, study, cfg.sweep_values or None)
-    out = _out_dir(cfg, args)
+    table = convergence_study(cfg, study)
+    out = _out_dir(cfg)
     names = list(table.metrics)
     rows = [tuple([r["value"]] + [r[n] for n in names]) for r in table.rows()]
     write_csv(out / f"converge_{study}.csv", [table.axis] + names, rows)

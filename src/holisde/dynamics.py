@@ -120,11 +120,6 @@ def initial_profile(spec: dict, L: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: np.full_like(np.asarray(x, dtype=float), amp)
     if kind == "sine":
         return lambda x: amp * np.sin(2.0 * np.pi * mode * np.asarray(x) / L)
-    if kind == "mix":
-        return lambda x: amp * (
-            np.sin(2.0 * np.pi * mode * np.asarray(x) / L)
-            + 0.5 * np.cos(4.0 * np.pi * mode * np.asarray(x) / L)
-        )
     raise ValueError(f"unknown initial profile {kind!r}")
 
 

@@ -1,16 +1,16 @@
 """Monte-Carlo harness: configs, ensembles, convergence studies, reports.
 
-Every run is reproducible from (config file, master seed) alone: member
-seeds are spawned from the master seed, all noise consumed by the solvers
-is a deterministic image of the sampled Brownian coefficient matrices, and
-artifacts carry a manifest with the config hash.  A weak-h member cannot
-yet be replayed from (config, seed, member index): each spacing reads a
-later `member_streams` spawn of the same seeds.  Ensembles advance member
-batches in lock step (the state arrays grow a trailing member axis), which
-keeps the per-step work in BLAS instead of Python.  A batch's noise is one
-`NoisePath`, read by every solver and by `models.build_drivers` (a
-`PathDraw` where no solver reads it); paths and tables are drawn serially,
-in place, into whole-batch buffers, bitwise per member.
+Every run is reproducible from (config file, master seed) alone, and every
+member from (config, master seed, member index): `member_seeds` names each
+member's seed by its index and a stream (see its table), all noise consumed
+by the solvers is a deterministic image of the sampled Brownian coefficient
+matrices, and artifacts carry a manifest with the config hash.  Ensembles
+advance member batches in lock step (the state arrays grow a trailing
+member axis), which keeps the per-step work in BLAS instead of Python.
+A batch's noise is one `NoisePath`, read by every solver and by
+`models.build_drivers` (a `PathDraw` where no solver reads it); paths and
+tables are drawn serially, in place, into whole-batch buffers, bitwise per
+member.
 """
 
 from __future__ import annotations
@@ -296,7 +296,6 @@ def fit_order(x: np.ndarray, y: np.ndarray) -> float:
 class RunSetup:
     """Prebuilt immutable inputs shared by every ensemble member."""
 
-    cfg: RunConfig
     grid: DomainGrid
     spec: QWienerSpec
     proj: noise.ElementNoiseProjection
@@ -308,23 +307,27 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     spec = cfg.qwiener()
     eig0 = spectral.eig_gamma0(grid, cfg.n_levels)
     proj = noise.project_to_element_modes(spec, eig0, grid)
-    coeffs = averaging.averaged_coeffs(proj, eig0, cfg.alpha, cfg.sigma, cfg.gamma)
-    return RunSetup(cfg=cfg, grid=grid, spec=spec, proj=proj, coeffs=coeffs)
+    coeffs = averaging.averaged_coeffs(proj, eig0, cfg.alpha, cfg.sigma)
+    return RunSetup(grid=grid, spec=spec, proj=proj, coeffs=coeffs)
 
 
-def member_seeds(master_seed: int, n: int) -> list:
-    """Independent, replayable per-member seed trees."""
-    return np.random.SeedSequence(master_seed).spawn(n)
+def member_seeds(master_seed: int, members, stream: int) -> list:
+    """The seeds of one stream for the given member indices.
 
+    Member m's seed is `SeedSequence(master_seed, spawn_key=(m, stream))`,
+    a pure function of its arguments, so any member replays alone.  Streams:
 
-def member_streams(seeds) -> tuple[list, list]:
-    """(path seeds, deviation seeds) of a member batch, one child of each per member.
+        0       the Brownian coefficient paths (every study and ensemble)
+        1       the deviation tables of `run_ensemble` and `simulate`
+        3k + 4  the deviation tables at the weak-h study's k-th spacing,
+                coarsest first (k = 0, 1, ...)
 
-    Every call spawns three children per member (the third unused), which
-    advances the member's spawn counter: a later call gets other children.
+    numpy names a spawned child by its parent's key plus (i,), so these are
+    the seeds of spawning one tree per member from the master seed and then
+    three children from a member's tree per use: stream 3c + j is child j
+    of the c-th use, and every stream draws bitwise what that child drew.
     """
-    streams = [ss.spawn(3) for ss in seeds]
-    return [s[0] for s in streams], [s[1] for s in streams]
+    return [np.random.SeedSequence(master_seed, spawn_key=(m, stream)) for m in members]
 
 
 def at_grid_points(u: np.ndarray, M: int) -> np.ndarray:
@@ -428,12 +431,13 @@ def _group_models(setup: RunSetup, grid_models, spde: SpdeConfig, paths: list,
 def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStats:
     """Run the configured models over R common-random-number members.
 
-    Observables: final grid values per model, their squares, and pairwise
-    final-time gaps between models.  Member chunks are flushed to disk as
-    they finish (when out_dir is given) and picked up on resume, keyed by
-    the config digest; a chunk file is renamed into place only once written
-    whole, and one that cannot be read or does not fit the chunk is
-    recomputed.  The setup is built only if some chunk must be computed.
+    Observables: final grid values per model and pairwise final-time gaps
+    between models.  A chunk is a range of member indices, seeded by them.
+    Chunks are flushed to disk as they finish (when out_dir is given) and
+    picked up on resume, keyed by the config digest; a chunk file is renamed
+    into place only once written whole, and one that cannot be read or does
+    not fit the chunk is recomputed.  The setup is built only if some chunk
+    must be computed.
 
     The chunks to compute go in groups of one chunk per solver pool worker.
     A group's driver tables are drawn into one (3, M, n_steps, members)
@@ -450,7 +454,6 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     spde = cfg.spde()
     times = spde.times()
     R = cfg.ensemble
-    seeds = member_seeds(cfg.master_seed, R)
     needs_reference = "reference" in cfg.model_kinds
     model_kinds = [k for k in dict.fromkeys(cfg.model_kinds) if k != "reference"]
 
@@ -462,7 +465,7 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     names = model_kinds + (["reference"] if needs_reference else [])
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     keys = names + [f"gap:{a}-{b}" for a, b in pairs]
-    chunks = [seeds[i : i + cfg.chunk_size] for i in range(0, R, cfg.chunk_size)]
+    chunks = [range(lo, min(lo + cfg.chunk_size, R)) for lo in range(0, R, cfg.chunk_size)]
     caches = [flush_dir / f"chunk_{ci:04d}.npz" if flush_dir else None
               for ci in range(len(chunks))]
     outs = [_load_chunk(cache, keys, len(chunk)) if cache is not None else None
@@ -479,7 +482,8 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
         groups = [todo[g : g + width] for g in range(0, len(todo), width)]
     for group in groups:
         paths = None                            # the last group's, before the next are drawn
-        path_seeds, deviation_seeds = zip(*(member_streams(chunks[ci]) for ci in group))
+        path_seeds = [member_seeds(cfg.master_seed, chunks[ci], 0) for ci in group]
+        deviation_seeds = [member_seeds(cfg.master_seed, chunks[ci], 1) for ci in group]
         paths = [sample_global_path(setup.spec, times, ps) if needs_reference
                  else PathDraw(setup.spec, times, ps) for ps in path_seeds]
         finals, abort = [[] for _ in group], None
@@ -681,8 +685,8 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     *solvers, det_solver = [CoupledElementSolver(spectral.assemble_operator(grid, s.gamma),
                                                  spec, s.dt) for s in spdes + [spde_det]]
     fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
-    seeds = member_seeds(cfg.master_seed, cfg.ensemble)
-    path = sample_global_path(spec, spde0.times(), member_streams(seeds)[0])
+    path = sample_global_path(spec, spde0.times(),
+                              member_seeds(cfg.master_seed, range(cfg.ensemble), 0))
 
     # sigma = 0 silences the noise, so any one path serves as the batch of one
     one = NoisePath(path.times, path.increments[:1])
@@ -715,14 +719,15 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     if any(abs(m * h - cfg.L) > 1e-12 * cfg.L for m, h in zip(Ms, hs)):
         raise ConfigError(["sweep spacings must divide the domain length"])
     spde, spec = cfg.spde(), cfg.qwiener()
-    seeds = member_seeds(cfg.master_seed, cfg.ensemble)
-    path = sample_global_path(spec, spde.times(), member_streams(seeds)[0])
+    members = range(cfg.ensemble)
+    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, members, 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
 
     mean_err, var_err = [], []
-    for M in Ms:
+    for k, M in enumerate(Ms):
         setup = build_setup(replace(cfg, M=M))
-        drivers = models.build_drivers(setup.grid, setup.proj, path, member_streams(seeds)[1])
+        deviation_seeds = member_seeds(cfg.master_seed, members, 3 * k + 4)
+        drivers = models.build_drivers(setup.grid, setup.proj, path, deviation_seeds)
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
         U = simulate_models([model], spde, drivers)[-1, 0]                # (M, R)
@@ -773,18 +778,12 @@ def compare_models(cfg: RunConfig) -> dict:
         m = stats.mean(kind)
         v = stats.var(kind)
         se_m = stats.stderr(kind)
-        gap_key = None
-        for key in stats.observables:
-            if key.startswith("gap:") and {kind, "reference"} == set(key[4:].split("-")):
-                gap_key = key
         report["models"][kind] = {
             "mean_error_rms": float(np.sqrt(np.mean((m - ref_mean) ** 2))),
             "mean_error_ci": float(3.0 * np.sqrt(np.mean(se_m**2))),
             "var_error_rms": float(np.sqrt(np.mean((v - ref_var) ** 2))),
             "var_error_rel": float(np.mean(np.abs(v - ref_var) / np.maximum(ref_var, 1e-300))),
-            "pathwise_gap_mean": (
-                float(stats.mean(gap_key)[0]) if gap_key else None
-            ),
+            "pathwise_gap_mean": float(stats.mean(f"gap:{kind}-reference")[0]),
         }
     report["term_budget"] = _holistic_term_budget(cfg)
     if cfg.sigma == 0.0:

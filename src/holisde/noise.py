@@ -151,8 +151,9 @@ def sample_global_path(spec: QWienerSpec, times: np.ndarray, seeds) -> NoisePath
 
     Deterministic in (seed, times): row r is `default_rng(seeds[r])`'s standard
     normals scaled by sqrt(dt), bitwise whatever else is in the batch or
-    consumes it afterwards.  A seed may be an int or a numpy SeedSequence
-    (used for ensemble member spawning).  The time grid is validated once.
+    consumes it afterwards.  A seed may be an int or a numpy SeedSequence;
+    ensembles and studies pass `harness.member_seeds(master_seed, members, 0)`,
+    the path stream of its table.  The time grid is validated once.
     """
     path = NoisePath(times, np.empty((len(seeds), spec.n_modes, np.size(times) - 1)))
     sqrt_dt = np.sqrt(path.dt)

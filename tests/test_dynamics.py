@@ -431,8 +431,8 @@ def serial_coupling_gap(cfg, gammas):
     """Oracle: the coupling-gap study's (ms_gap, det_gap) with every batch
     stepped whole, one after another on the calling thread."""
     grid, spec, spde0 = cfg.grid(), cfg.qwiener(), cfg.spde()
-    seeds = harness.member_seeds(cfg.master_seed, cfg.ensemble)
-    path = sample_global_path(spec, spde0.times(), harness.member_streams(seeds)[0])
+    path = sample_global_path(spec, spde0.times(),
+                              harness.member_seeds(cfg.master_seed, range(cfg.ensemble), 0))
     fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
 
     def gap(spde, path, ref):

@@ -24,7 +24,6 @@ from holisde.harness import (
     convergence_study,
     fit_order,
     member_seeds,
-    member_streams,
     run_ensemble,
     write_csv,
     write_manifest,
@@ -123,18 +122,17 @@ def test_single_member_matches_direct_simulation():
     stats = run_ensemble(cfg)
     setup = build_setup(cfg)
     spde = cfg.spde()
-    path_seeds, deviation_seeds = member_streams(member_seeds(cfg.master_seed, 1))
-    path = sample_global_path(setup.spec, spde.times(), path_seeds)
-    drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
+    path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, [0], 0))
+    drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1))
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
     states = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)
     assert np.array_equal(stats.mean("holistic"), states[-1, 0, :, 0])
 
 
-def _member_oracle(setup, times, ss, inc=None):
-    """One member's path increments (unless given), slow, gridpoint and deviation
+def _member_oracle(setup, times, master_seed, m, inc=None):
+    """Member m's path increments (unless given), slow, gridpoint and deviation
     tables and deviation seed, drawn and mapped on its own with fresh temporaries."""
-    (path_ss,), (dev_ss,) = member_streams([ss])
+    (path_ss,), (dev_ss,) = (member_seeds(master_seed, [m], stream) for stream in (0, 1))
     sqrt_dt = np.sqrt(np.diff(times))[None, :]
     if inc is None:
         inc = np.random.default_rng(path_ss).standard_normal((setup.spec.n_modes, times.size - 1))
@@ -151,7 +149,8 @@ def test_batch_driver_columns_are_member_tables():
     per_block = models._SCRATCH_BYTES // (3 * M * n * 8)
     assert 2 * per_block < 30 < 3 * per_block    # two whole scratch blocks and a remainder
     for R, given in itertools.product((1, 3, 30), (False, True)):
-        path_seeds, deviation_seeds = member_streams(member_seeds(cfg.master_seed, R))
+        path_seeds, deviation_seeds = (member_seeds(cfg.master_seed, range(R), stream)
+                                       for stream in (0, 1))
         path = sample_global_path(setup.spec, times, [100 + r for r in range(R)] if given
                                   else path_seeds)
         with pytest.raises(ValueError):
@@ -163,10 +162,9 @@ def test_batch_driver_columns_are_member_tables():
         assert path.increments.flags.c_contiguous
         for a, b in itertools.combinations(tables + [path.increments], 2):
             assert not np.shares_memory(a, b)
-        # fresh seed trees: member_streams advances a tree's spawn counter
-        for r, ss in enumerate(member_seeds(cfg.master_seed, R)):
+        for r in range(R):
             inc, slow, gridpoint, dev, dev_ss = _member_oracle(
-                setup, times, ss, path.increments[r] if given else None)
+                setup, times, cfg.master_seed, r, path.increments[r] if given else None)
             assert np.array_equal(path.increments[r], inc)
             for table, want in zip(tables, (slow, gridpoint, dev)):
                 assert np.array_equal(table[..., r], want)
@@ -176,12 +174,58 @@ def test_batch_driver_columns_are_member_tables():
                 assert np.array_equal(getattr(one, name)[..., 0], want)
 
 
-def test_member_replay_is_bitwise(tmp_path):
+def test_member_seeds_draw_what_spawned_children_drew():
+    # stream 3c + j of member m is child j of the c-th spawn(3) on member m's
+    # tree spawned from the master seed: the seeding the streams replaced
+    master, R = 2024, 5
+    trees = np.random.SeedSequence(master).spawn(R)
+    for c in range(4):
+        children = [tree.spawn(3) for tree in trees]
+        for j in range(3):
+            for m, ss in enumerate(member_seeds(master, range(R), 3 * c + j)):
+                want = np.random.default_rng(children[m][j]).standard_normal(8)
+                assert np.array_equal(np.random.default_rng(ss).standard_normal(8), want)
+
+
+def _replay_member(cfg, m, deviation_stream, kinds):
+    """Final grid values (K, M) of member m, rebuilt alone as a batch of one from
+    the config, the master seed, the member index and its deviation stream."""
+    setup, spde = build_setup(cfg), cfg.spde()
+    path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, [m], 0))
+    drivers = build_drivers(setup.grid, setup.proj, path,
+                            member_seeds(cfg.master_seed, [m], deviation_stream))
+    grid_models = [DiscreteModel(k, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
+                   for k in kinds]
+    return simulate_models(grid_models, spde, drivers)[-1, ..., 0]
+
+
+def test_member_replay_is_bitwise(tmp_path, monkeypatch):
     cfg = RunConfig(**FAST)
-    stats1 = run_ensemble(cfg)
+    stats1 = run_ensemble(cfg, out_dir=tmp_path)
     stats2 = run_ensemble(cfg)
     for name in stats1.observables:
         assert np.array_equal(stats1.mean(name), stats2.mean(name))
+    # a member of a flushed chunk, from (config, seed, member index) alone
+    flushed = tmp_path / f"members_{cfg.digest()}"
+    for m in (0, 5, cfg.ensemble - 1):
+        with np.load(flushed / f"chunk_{m // cfg.chunk_size:04d}.npz") as chunk:
+            want = np.stack([chunk[kind][:, m % cfg.chunk_size] for kind in cfg.model_kinds])
+        assert np.array_equal(_replay_member(cfg, m, 1, cfg.model_kinds), want)
+    # a weak-h member at the k-th spacing, from (config, seed, member index, k) alone
+    finals, simulate = [], harness.simulate_models
+
+    def recording(*args):
+        states = simulate(*args)
+        finals.append(states[-1, 0])
+        return states
+
+    monkeypatch.setattr(harness, "simulate_models", recording)
+    convergence_study(cfg, "weak-h", (np.pi / 2, np.pi / 4, np.pi / 8))
+    assert [U.shape[0] for U in finals] == [4, 8, 16]
+    for k, U in enumerate(finals):
+        for m in (0, 5, cfg.ensemble - 1):
+            got = _replay_member(replace(cfg, M=U.shape[0]), m, 3 * k + 4, ["holistic"])
+            assert np.array_equal(got[0], U[:, m])
 
 
 def test_gamma_reduced_at_full_coupling_matches_holistic():
@@ -275,13 +319,12 @@ def serial_ensemble(cfg):
     grid_models = [DiscreteModel(k, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
                    for k in kinds]
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
-    seeds = member_seeds(cfg.master_seed, cfg.ensemble)
     samples = {}
     for lo in range(0, cfg.ensemble, cfg.chunk_size):
-        chunk = seeds[lo : lo + cfg.chunk_size]
-        path_seeds, deviation_seeds = member_streams(chunk)
-        path = sample_global_path(setup.spec, spde.times(), path_seeds)
-        drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
+        chunk = range(lo, min(lo + cfg.chunk_size, cfg.ensemble))
+        path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, chunk, 0))
+        drivers = build_drivers(setup.grid, setup.proj, path,
+                                member_seeds(cfg.master_seed, chunk, 1))
         out = dict(zip(kinds, simulate_models(grid_models, spde, drivers, U0)[-1]))
         if "reference" in cfg.model_kinds:
             solver = FullSpdeSolver(setup.grid.L, cfg.n_fine, setup.spec)
@@ -583,6 +626,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert cli_main(["--config", str(cfgp), "--out", str(tmp_path / "out")] + argv) == 2
         assert "config error: " in capsys.readouterr().err
     cases = [({"initial": {"kind": "bogus"}}, "simulate"),
+             ({"initial": {"kind": "mix"}}, "simulate"),
              ({"n_levels": 0}, "coeffs"),
              ({"kmax": 0}, "eig-sweep"),
              ({"q_list": [1.0] * 16}, "coeffs"),

@@ -110,8 +110,7 @@ def test_holistic_drift_fixed_point(grid8):
     # sigma = 0 run with externally supplied coefficients: U = sqrt(hat/alpha)
     hat = 0.81
     co = AveragedCoeffs(hat_alpha=np.full(grid8.M, hat), qj=np.zeros(grid8.M),
-                        qj_truncation=np.zeros(grid8.M), alpha=1.0, sigma=0.5,
-                        gamma=1.0, h=grid8.h)
+                        qj_truncation=np.zeros(grid8.M), alpha=1.0)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01)
     tables = {"slow": np.zeros((grid8.M, 1, 1)), "gridpoint": np.zeros((grid8.M, 1, 1)),
               "deviation": np.zeros((grid8.M, 1, 1))}

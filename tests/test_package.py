@@ -93,6 +93,18 @@ def test_every_public_name_has_a_caller_or_is_an_oracle():
     assert idle == []
 
 
+def test_no_module_spawns_seeds():
+    # `SeedSequence.spawn` advances a hidden counter, so a seed would depend on
+    # how often it was asked for before; `harness.member_seeds` names each
+    # member's seed by its index and stream instead
+    src = Path(holisde.__file__).parent
+    calls = [f"{p.name}:{node.lineno}" for p in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "spawn"]
+    assert calls == []
+
+
 SCIPY_LINALG = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
 TINY = dict(subgrid_n=16, n_modes=17, T=0.02, dt=1e-3, ensemble=8, n_fine=256,
             model_kinds=("conventional_fd", "holistic"), chunk_size=4)
