@@ -105,9 +105,7 @@ def ou_stationary_stats(
     grid = eig0.grid
     lam_max = LAMBDA_MAX_FACTOR / grid.h**2
     keep = np.nonzero((eig0.levels >= 1) & (eig0.eigenvalues <= lam_max))[0]
-    lam = eig0.eigenvalues[keep]
-    if np.any(lam <= 0):
-        raise ValueError("fast modes must have positive relaxation rates")
+    lam = eig0.eigenvalues[keep]                         # (k pi / h)^2 > 0 for k >= 1
     qh = proj.qh[:, keep]
     v = sigma**2 * qh / (2.0 * lam[None, :])
 

@@ -9,7 +9,7 @@ advance member batches in lock step (the state arrays grow a trailing
 member axis), which keeps the per-step work in BLAS instead of Python.
 A batch's noise is one `NoisePath`, read by every solver and by
 `models.build_drivers` (a `PathDraw` where no solver reads it); paths and
-tables are drawn serially, in place, into whole-batch buffers, bitwise per
+tables are drawn serially, in place, into batch or group buffers, bitwise per
 member.
 """
 
@@ -712,32 +712,43 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     One reference ensemble (independent of h) serves every spacing; grid
     values are read at the fine nodes that coincide with each X_j.  Errors
     are RMS over grid points of the CRN-paired mean gap and of the
-    variance gap at the final time.
+    variance gap at the final time.  The model steps in member groups of
+    `run_ensemble`'s width, pool_width() * chunk_size, so the study holds
+    the path batch and one group's driver tables; members are independent,
+    so finals and abort (earliest step, then lowest member) are the batch's.
     """
     hs = np.asarray(sorted(hs, reverse=True))
     Ms = [int(round(cfg.L / h)) for h in hs]
     if any(abs(m * h - cfg.L) > 1e-12 * cfg.L for m, h in zip(Ms, hs)):
         raise ConfigError(["sweep spacings must divide the domain length"])
     spde, spec = cfg.spde(), cfg.qwiener()
-    members = range(cfg.ensemble)
-    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, members, 0))
+    R, width = cfg.ensemble, pool_width() * cfg.chunk_size
+    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, range(R), 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
 
     mean_err, var_err = [], []
     for k, M in enumerate(Ms):
         setup = build_setup(replace(cfg, M=M))
-        deviation_seeds = member_seeds(cfg.master_seed, members, 3 * k + 4)
-        drivers = models.build_drivers(setup.grid, setup.proj, path, deviation_seeds)
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
-        U = simulate_models([model], spde, drivers)[-1, 0]                # (M, R)
+        U, aborts = np.empty((M, R)), []
+        for lo in range(0, R, width):
+            group = NoisePath(path.times, path.increments[lo:lo + width])    # a view
+            seeds = member_seeds(cfg.master_seed, range(lo, lo + len(group)), 3 * k + 4)
+            try:
+                U[:, lo:lo + width] = simulate_models(
+                    [model], spde, models.build_drivers(setup.grid, setup.proj, group, seeds))[-1, 0]
+            except NumericalAbort as exc:
+                exc.member += lo
+                aborts.append(exc.with_traceback(None))    # its frames hold the group's tables
+        if aborts:
+            raise min(aborts, key=lambda a: (a.step, a.member))
         uref = at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)
                                         - np.var(uref, axis=1, ddof=1)) ** 2)))
     metrics = {"mean_gap": np.asarray(mean_err), "var_gap": np.asarray(var_err)}
-    combined = metrics["mean_gap"] + metrics["var_gap"]
-    metrics["combined"] = combined
+    metrics["combined"] = metrics["mean_gap"] + metrics["var_gap"]
     return hs, metrics
 
 

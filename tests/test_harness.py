@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import tracemalloc
 import warnings
 import zipfile
 from dataclasses import replace
@@ -450,6 +451,105 @@ def test_reference_abort_steps_each_reference_once(tmp_path, monkeypatch, solver
     flushed = tmp_path / "aborted" / f"members_{cfg.digest()}"
     assert [p.name for p in flushed.iterdir()] == ["chunk_0000.npz"]
     assert_same_payloads(tmp_path / "clean" / f"members_{cfg.digest()}", flushed)
+
+
+WEAK_H = (np.pi / 2, np.pi / 4, np.pi / 8)     # M = 4, 8, 16
+
+
+def whole_batch_weak_h(cfg, hs):
+    """Oracle: the weak-h study's metrics with each spacing's model stepped in
+    one call over the whole ensemble, its tables built for every member."""
+    spde, spec = cfg.spde(), cfg.qwiener()
+    members = range(cfg.ensemble)
+    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, members, 0))
+    ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
+    mean_err, var_err = [], []
+    for k, h in enumerate(sorted(hs, reverse=True)):
+        M = int(round(cfg.L / h))
+        setup = build_setup(replace(cfg, M=M))
+        drivers = models.build_drivers(setup.grid, setup.proj, path,
+                                       member_seeds(cfg.master_seed, members, 3 * k + 4))
+        model = DiscreteModel("holistic", coeffs=setup.coeffs,
+                              deviation_alpha=cfg.deviation_alpha)
+        U = simulate_models([model], spde, drivers)[-1, 0]
+        uref = harness.at_grid_points(ref, M)
+        mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
+        var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)
+                                        - np.var(uref, axis=1, ddof=1)) ** 2)))
+    mean_gap, var_gap = np.asarray(mean_err), np.asarray(var_err)
+    return {"mean_gap": mean_gap, "var_gap": var_gap, "combined": mean_gap + var_gap}
+
+
+@pytest.mark.parametrize("workers, groups", [(1, [4, 4, 2]), (2, [8, 2]), (8, [10])])
+def test_grouped_weak_h_matches_whole_batch_oracle(monkeypatch, solver_pool, workers, groups):
+    # 10 members in groups of workers * chunk_size = 4, 8 and 32 members
+    cfg = RunConfig(**{**FAST, "ensemble": 10})
+    want = whole_batch_weak_h(cfg, WEAK_H)
+    sizes, build = [], models.build_drivers
+    monkeypatch.setattr(models, "build_drivers",
+                        lambda grid, proj, path, *a, **kw:
+                        sizes.append(len(path)) or build(grid, proj, path, *a, **kw))
+    with solver_pool(workers):
+        got = convergence_study(cfg, "weak-h", WEAK_H).metrics
+    assert sizes == groups * len(WEAK_H)
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def plant_member_blowups(monkeypatch, plants):
+    """Make member m's driver tables non-finite at step i for each (m, i) in
+    `plants`, in whatever batch or group it is built: the member is read from
+    its deviation seed's spawn key, not from the call order."""
+    build = models.build_drivers
+
+    def planted(grid, proj, path, deviation_seeds, out=None):
+        drivers = build(grid, proj, path, deviation_seeds, out)
+        for col, ss in enumerate(deviation_seeds):
+            for step in [i for m, i in plants if m == ss.spawn_key[0]]:
+                for table in (drivers.slow, drivers.gridpoint, drivers.deviation):
+                    table[:, step, col] = np.inf
+        return drivers
+
+    monkeypatch.setattr(models, "build_drivers", planted)
+
+
+@pytest.mark.parametrize("plants, want", [
+    ([(3, 6), (9, 2)], (2, 9)),       # the later group blows up at an earlier step
+    ([(9, 4), (5, 4)], (4, 5)),       # both at one step: the lower member
+], ids=["later-group-earlier-step", "same-step"])
+def test_grouped_weak_h_abort_is_the_whole_batch_abort(monkeypatch, solver_pool, plants, want):
+    # groups of members 0-7 and 8-9 on two workers
+    cfg = RunConfig(**{**FAST, "ensemble": 10})
+    plant_member_blowups(monkeypatch, plants)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbort) as oracle:
+            whole_batch_weak_h(cfg, WEAK_H)
+        with solver_pool(2), pytest.raises(NumericalAbort) as err:
+            convergence_study(cfg, "weak-h", WEAK_H)
+    assert (oracle.value.step, oracle.value.member) == want
+    assert (err.value.step, err.value.member) == want
+    assert str(err.value) == str(oracle.value)
+
+
+def test_grouped_weak_h_holds_one_group_of_tables(solver_pool):
+    # 32 members in 4 groups of 8 on two workers; tracemalloc counts numpy's buffers
+    cfg = RunConfig(**{**FAST, "ensemble": 32, "T": 0.1})
+
+    def traced_peak(study):
+        tracemalloc.start()
+        try:
+            study(cfg, WEAK_H)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with solver_pool(2):
+        harness._study_weak_h(cfg, WEAK_H)           # one-time allocations, untraced
+        got = traced_peak(harness._study_weak_h)
+        want = traced_peak(whole_batch_weak_h)
+    finest_tables = 3 * 16 * cfg.spde().n_steps * cfg.ensemble * 8
+    assert got <= want - finest_tables / 2, (got, want, finest_tables)
 
 
 def test_resume_recomputes_only_a_missing_chunk(tmp_path, monkeypatch):
