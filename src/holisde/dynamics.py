@@ -15,21 +15,14 @@ Two solvers share one sampled member batch of noise paths:
   the resolved form of the element-mode noise series: summed over all modes
   the series reproduces the restriction of W to the element.
 
-Each solver has one step and one noise method, and `run_batches` advances
-a NoisePath member batch in lock step, writing each step's weighted
-(K+1, R) increments into one buffer; a single run is a batch of one.
-The reference steps a member-major state (R, n), so both FFTs run along
-the contiguous axis, and adds its noise in rfft space: the Fourier noise
-modes are exact DFT bins of the fine grid.  The coupled solver carries the
-members on a trailing axis, applies weak-load maps built once and writes its
-per-step arrays into buffers made once per member block.
-
-Both solvers step only through that runner: it splits every job's
-batch into L2-sized member blocks and steps all blocks of all jobs in place
-on a pool of one thread per usable CPU, each field bitwise as one
-whole-batch loop.  A block stops at its first non-finite step; the runner
-raises NumericalAbort naming the step and the first non-finite member of the
-first aborting job, as one serial loop over the jobs would.
+Each solver has one step and one noise method, and steps only through
+`run_batches`, which advances NoisePath member batches in lock step, in
+L2-sized member blocks on a pool of one thread per usable CPU; a single run
+is a batch of one.  The reference steps a member-major state (R, n), so both
+FFTs run along the contiguous axis, and adds its noise in rfft space: the
+Fourier noise modes are exact DFT bins of the fine grid.  The coupled solver
+carries the members on a trailing axis, applies weak-load maps built once
+and writes its per-step arrays into buffers made once per member block.
 
 This module imports no scipy: the coupled solver gets its sparse LU factor
 from `CoupledOperator.semi_implicit_lu`, so scipy's linear algebra loads
@@ -69,6 +62,9 @@ class NumericalAbort(RuntimeError):
 
     `job` is the index of the aborting job in a `run_batches` call, None
     outside one; `fields` then holds the fields of the jobs before it.
+    From `models.simulate_models`, `record` is each kind's and member's
+    first non-finite step, (K, R), n_steps if none, and `states` its states,
+    an aborted member's column zeroed there and stepped on.
     """
 
     def __init__(self, message: str, step: int | None = None, member: int | None = None, seed=None):
@@ -78,6 +74,7 @@ class NumericalAbort(RuntimeError):
         self.seed = seed
         self.job = None
         self.fields = []
+        self.record = self.states = None
 
 
 @dataclass(frozen=True)
@@ -121,15 +118,6 @@ def initial_profile(spec: dict, L: float) -> Callable[[np.ndarray], np.ndarray]:
     if kind == "sine":
         return lambda x: amp * np.sin(2.0 * np.pi * mode * np.asarray(x) / L)
     raise ValueError(f"unknown initial profile {kind!r}")
-
-
-def _check_finite(x: np.ndarray, member_axis: int, what: str, step: int) -> None:
-    """Raise NumericalAbort naming the step and the first non-finite member."""
-    if np.all(np.isfinite(x)):
-        return
-    bad = np.moveaxis(~np.isfinite(x), member_axis, 0).reshape(x.shape[member_axis], -1)
-    raise NumericalAbort(f"non-finite values in {what}", step=step,
-                         member=int(np.argmax(bad.any(axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +188,15 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
         sq = solver.sqrt_q[:, None]
         db = np.empty((sq.size, hi - lo))
         with np.errstate(**err):
-            try:
-                for i in range(path.n_steps):
-                    if stop.is_set():
-                        break
-                    np.multiply(sq, path.increments[lo:hi, :, i].T, out=db)
-                    _check_finite(advance(db), 0, solver._what, i)
-            except NumericalAbort as abort:
-                abort.member += lo
-                return abort
+            for i in range(path.n_steps):
+                if stop.is_set():
+                    break
+                np.multiply(sq, path.increments[lo:hi, :, i].T, out=db)
+                u = advance(db)
+                if not np.isfinite(u).all():      # name the block's first non-finite member
+                    finite = np.isfinite(u).reshape(hi - lo, -1).all(axis=1)
+                    return NumericalAbort(f"non-finite values in {solver._what}", i,
+                                          lo + int(np.argmin(finite)))
 
     try:
         aborts = list(_pool().map(run, *zip(*blocks)))

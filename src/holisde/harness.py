@@ -6,16 +6,15 @@ member's seed by its index and a stream (see its table), all noise consumed
 by the solvers is a deterministic image of the sampled Brownian coefficient
 matrices, and artifacts carry a manifest with the config hash.  Ensembles
 advance member batches in lock step (the state arrays grow a trailing
-member axis), which keeps the per-step work in BLAS instead of Python.
-A batch's noise is one `NoisePath`, read by every solver and by
-`models.build_drivers` (a `PathDraw` where no solver reads it); paths and
-tables are drawn serially, in place, into batch or group buffers, bitwise per
-member.
+member axis), which keeps the per-step work in BLAS instead of Python;
+ensembles and the weak-h study step grid models through one member-group
+helper, `_group_models`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import numbers
@@ -393,41 +392,53 @@ def _load_chunk(cache: Path, keys: list, n_members: int) -> Optional[dict]:
     return out
 
 
-def _replay_context(abort: NumericalAbort, chunk: int, cfg: RunConfig) -> NumericalAbort:
-    """An abort in member chunk `chunk`, renamed to the member's index in the
-    ensemble, with the master seed."""
-    abort.member += chunk * cfg.chunk_size
-    abort.seed = cfg.master_seed
-    return abort
+def _chunk_groups(chunks: list) -> list:
+    """Member chunks in groups of one chunk per solver pool worker."""
+    width = pool_width()
+    return [chunks[g:g + width] for g in range(0, len(chunks), width)]
 
 
-def _group_models(setup: RunSetup, grid_models, spde: SpdeConfig, paths: list,
-                  deviation_seeds: list) -> tuple[list, Optional[NumericalAbort]]:
-    """Final model states (K, M, R_c) of a group's chunks, up to the first abort.
+def _group_models(cfg: RunConfig, setup: RunSetup, grid_models, spde: SpdeConfig, paths: list,
+                  chunks: list, stream: int) -> tuple[list, Optional[NumericalAbort]]:
+    """Final model states (K, M, R_c) of a group's member chunks, and at most one abort.
 
-    The chunks' tables go into one buffer, stepped in one `simulate_models`
-    call; members are independent, so a chunk's finals are its column slice.
-    A later chunk may abort at an earlier step, so on an abort the chunks
-    step again one at a time on views of the buffer, and the finals of the
-    chunks before the first aborting one come back with its abort.
+    The chunks' tables (deviation seeds of `stream`) go into one buffer,
+    stepped in one `simulate_models` call.  The abort, read off the kernel's
+    record, is the one a serial loop over the chunks would raise: the first
+    chunk with a non-finite member, its earliest step, first kind and lowest
+    member, named by its index in the ensemble, with the chunks' finals before it.
     """
-    edges = np.cumsum([0] + [len(path) for path in paths]).tolist()
+    edges = np.cumsum([0] + [len(chunk) for chunk in chunks]).tolist()
+    spans = list(zip(edges, edges[1:]))
     tables = np.empty((3, setup.grid.M, spde.n_steps, edges[-1]))
-    parts = [models.build_drivers(setup.grid, setup.proj, path, seeds, out=tables[..., lo:hi])
-             for path, seeds, lo, hi in zip(paths, deviation_seeds, edges, edges[1:])]
-    wide = replace(parts[0], slow=tables[0], gridpoint=tables[1], deviation=tables[2])
+    for path, chunk, (lo, hi) in zip(paths, chunks, spans):
+        seeds = member_seeds(cfg.master_seed, chunk, stream)
+        drivers = models.build_drivers(setup.grid, setup.proj, path, seeds, out=tables[..., lo:hi])
+    wide = replace(drivers, slow=tables[0], gridpoint=tables[1], deviation=tables[2])
     try:
         U = simulate_models(grid_models, spde, wide)[-1]
-        return [U[..., lo:hi] for lo, hi in zip(edges, edges[1:])], None
-    except NumericalAbort:
-        finals = []
-        for drivers in parts:
-            try:
-                finals.append(simulate_models(grid_models, spde, drivers)[-1])
-            except NumericalAbort as abort:
-                return finals, abort
+        return [U[..., lo:hi] for lo, hi in spans], None
+    except NumericalAbort as exc:
+        U, record = exc.states[-1], exc.record
+    c = next(c for c, (lo, hi) in enumerate(spans) if record[:, lo:hi].min() < spde.n_steps)
+    abort = models._first_abort(grid_models, record[:, slice(*spans[c])])
+    abort.member = chunks[c][abort.member]
+    return [U[..., lo:hi] for lo, hi in spans[:c]], abort
 
 
+def _names_master_seed(run):
+    """`run(cfg, ...)`, naming cfg's master seed on any abort it raises."""
+    @functools.wraps(run)
+    def seeded(cfg: RunConfig, *args, **kwargs):
+        try:
+            return run(cfg, *args, **kwargs)
+        except NumericalAbort as abort:
+            abort.seed = cfg.master_seed
+            raise
+    return seeded
+
+
+@_names_master_seed
 def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStats:
     """Run the configured models over R common-random-number members.
 
@@ -439,17 +450,12 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     not fit the chunk is recomputed.  The setup is built only if some chunk
     must be computed.
 
-    The chunks to compute go in groups of one chunk per solver pool worker.
-    A group's driver tables are drawn into one (3, M, n_steps, members)
-    buffer and its grid models step in one call: at the default T = 1 about
-    100 MB per 32-member chunk, 200 MB for a group of two.  A chunk's path
-    (about 137 MB) is sampled only when a reference reads it, and its
-    batches then step in one `run_batches` call; otherwise each member's
-    increments are drawn into one reused row and mapped at once.  Values,
-    flushed chunks and the abort raised are those of computing the chunks
-    one after another: the earliest aborting chunk's, its models before its
-    reference, with every chunk before it flushed.  An abort in the wide
-    model call steps the group's chunks again one at a time to find it.
+    The chunks to compute go in groups of one chunk per solver pool worker:
+    `_group_models` steps a group's grid models, then its reference batches
+    (paths are sampled only for them) step in one `run_batches` call.  Values,
+    flushed chunks and the abort raised are those of computing the chunks one
+    after another: the first chunk with a non-finite member, its models before
+    its reference, with every chunk before it flushed.  No batch steps twice.
     """
     spde = cfg.spde()
     times = spde.times()
@@ -471,26 +477,21 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     outs = [_load_chunk(cache, keys, len(chunk)) if cache is not None else None
             for cache, chunk in zip(caches, chunks)]
     todo = [ci for ci, out in enumerate(outs) if out is None]
-    groups = []
     if todo:
         setup = build_setup(cfg)
         grid_models = [DiscreteModel(kind=kind, coeffs=setup.coeffs,
                                      deviation_alpha=cfg.deviation_alpha)
                        for kind in model_kinds]
         fine = FullSpdeSolver(setup.grid.L, cfg.n_fine, setup.spec) if needs_reference else None
-        width = pool_width()
-        groups = [todo[g : g + width] for g in range(0, len(todo), width)]
-    for group in groups:
+    for group in _chunk_groups(todo):
         paths = None                            # the last group's, before the next are drawn
-        path_seeds = [member_seeds(cfg.master_seed, chunks[ci], 0) for ci in group]
-        deviation_seeds = [member_seeds(cfg.master_seed, chunks[ci], 1) for ci in group]
+        members = [chunks[ci] for ci in group]
+        path_seeds = [member_seeds(cfg.master_seed, chunk, 0) for chunk in members]
         paths = [sample_global_path(setup.spec, times, ps) if needs_reference
                  else PathDraw(setup.spec, times, ps) for ps in path_seeds]
         finals, abort = [[] for _ in group], None
         if grid_models:
-            finals, abort = _group_models(setup, grid_models, spde, paths, deviation_seeds)
-        if abort is not None:
-            abort = _replay_context(abort, group[len(finals)], cfg)
+            finals, abort = _group_models(cfg, setup, grid_models, spde, paths, members, 1)
         done = group[:len(finals)]
         for ci, U in zip(done, finals):
             outs[ci] = dict(zip(model_kinds, U))
@@ -499,7 +500,8 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
                 fields = run_batches([BatchJob(fine, spde, path) for path in paths[:len(done)]])
             except NumericalAbort as exc:
                 # an earlier chunk's reference aborts before any later chunk
-                abort, fields = _replay_context(exc, done[exc.job], cfg), exc.fields
+                exc.member = chunks[done[exc.job]][exc.member]
+                abort, fields = exc, exc.fields
                 del done[exc.job :]
             for ci, u in zip(done, fields):
                 outs[ci]["reference"] = at_grid_points(u, cfg.M)
@@ -542,6 +544,7 @@ class ConvergenceTable:
         return out
 
 
+@_names_master_seed
 def convergence_study(cfg: RunConfig, study: str, values=None) -> ConvergenceTable:
     """Run one of the named convergence studies.
 
@@ -712,37 +715,33 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     One reference ensemble (independent of h) serves every spacing; grid
     values are read at the fine nodes that coincide with each X_j.  Errors
     are RMS over grid points of the CRN-paired mean gap and of the
-    variance gap at the final time.  The model steps in member groups of
-    `run_ensemble`'s width, pool_width() * chunk_size, so the study holds
-    the path batch and one group's driver tables; members are independent,
-    so finals and abort (earliest step, then lowest member) are the batch's.
+    variance gap at the final time.  The model steps in `run_ensemble`'s
+    member groups through `_group_models`, so the study holds the path batch
+    and one group's tables, and raises at the first aborting group.
     """
     hs = np.asarray(sorted(hs, reverse=True))
     Ms = [int(round(cfg.L / h)) for h in hs]
     if any(abs(m * h - cfg.L) > 1e-12 * cfg.L for m, h in zip(Ms, hs)):
         raise ConfigError(["sweep spacings must divide the domain length"])
     spde, spec = cfg.spde(), cfg.qwiener()
-    R, width = cfg.ensemble, pool_width() * cfg.chunk_size
+    R = cfg.ensemble
     path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, range(R), 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
+    groups = _chunk_groups([range(lo, min(lo + cfg.chunk_size, R))
+                            for lo in range(0, R, cfg.chunk_size)])
 
     mean_err, var_err = [], []
     for k, M in enumerate(Ms):
         setup = build_setup(replace(cfg, M=M))
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
-        U, aborts = np.empty((M, R)), []
-        for lo in range(0, R, width):
-            group = NoisePath(path.times, path.increments[lo:lo + width])    # a view
-            seeds = member_seeds(cfg.master_seed, range(lo, lo + len(group)), 3 * k + 4)
-            try:
-                U[:, lo:lo + width] = simulate_models(
-                    [model], spde, models.build_drivers(setup.grid, setup.proj, group, seeds))[-1, 0]
-            except NumericalAbort as exc:
-                exc.member += lo
-                aborts.append(exc.with_traceback(None))    # its frames hold the group's tables
-        if aborts:
-            raise min(aborts, key=lambda a: (a.step, a.member))
+        U = np.empty((M, R))
+        for chunks in groups:
+            paths = [NoisePath(path.times, path.increments[c.start:c.stop]) for c in chunks]
+            finals, abort = _group_models(cfg, setup, [model], spde, paths, chunks, 3 * k + 4)
+            if abort is not None:
+                raise abort
+            U[:, chunks[0].start:chunks[-1].stop] = np.concatenate(finals, axis=-1)[0]
         uref = at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)

@@ -20,10 +20,8 @@ Four models evolve the vector (U_1 .. U_M) of grid values:
 
 All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
 alpha U^3) + dev U dbeta_check + noise with per-kind coefficients.
-`simulate_models` steps several kinds on a leading kind axis in one time
-loop, with the U-independent noise precomputed in blocks; a single kind
-is a batch of one.  `build_drivers` writes the driver tables of a member
-batch with a trailing member axis, and a single member is a batch of one.
+`simulate_models` steps several kinds and members in one time loop from
+the tables `build_drivers` writes; a single kind or member is a batch of one.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
 from .noise import ElementNoiseProjection, NoisePath, PathDraw
 from .spectral import CoupledOperator, expansion_fields
-from .dynamics import NumericalAbort, SpdeConfig, _check_finite, initial_profile
+from .dynamics import NumericalAbort, SpdeConfig, initial_profile
 
 __all__ = [
     "ModelDrivers",
@@ -250,8 +248,14 @@ def reduced_slow_sde(
     ) * a * dchk
     out = a + dt * drift + noise
     if not np.all(np.isfinite(out)):
-        raise NumericalAbort("non-finite values in reduced slow equation")
+        raise NumericalAbort("non-finite values in reduced slow equation", step=step, member=0)
     return out
+
+
+def _first_abort(models, record: np.ndarray) -> NumericalAbort:
+    """The abort at a (K, R) record's earliest step, first kind, lowest member."""
+    k, r = np.unravel_index(np.argmin(record), record.shape)
+    return NumericalAbort(f"non-finite values in {models[k].kind} model", int(record[k, r]), int(r))
 
 
 def simulate_models(
@@ -266,8 +270,9 @@ def simulate_models(
     Every member starts from the grid profile u0 (M,) (default: cfg's
     initial profile at the grid points), R is the tables' member count, and
     n is 1, or n_steps + 1 with `store`.  Each kind's values are those of a
-    run on its own.  Raises ValueError unless u0 is (M,), and NumericalAbort
-    naming the kind, the first non-finite step and its first non-finite member.
+    run on its own.  Raises ValueError unless u0 is (M,).  A member gone
+    non-finite in a kind is recorded and zeroed, and all step to the end;
+    then NumericalAbort names the earliest step, first kind, lowest member.
     """
     M, _, R = drivers.slow.shape
     if u0 is None:
@@ -278,13 +283,20 @@ def simulate_models(
     advance, noise = _stacked_kernel(models, cfg, drivers)
     U = np.broadcast_to(u0[:, None], (len(models), M, R)).copy()
     out = [U.copy()] if store else None
+    record = np.full((len(models), R), drivers.n_steps)
     for i in range(drivers.n_steps):
         if i % _BLOCK == 0:
             block = noise(i, i + _BLOCK)
         advance(U, drivers.dt[i], drivers.deviation[:, i], block[i % _BLOCK])
         if not np.isfinite(U).all():
-            k = int(np.argmin(np.isfinite(U).reshape(len(models), -1).all(axis=1)))
-            _check_finite(U[k], -1, f"{models[k].kind} model", i)
+            bad = ~np.isfinite(U).all(axis=1)
+            record[bad & (record > i)] = i
+            np.copyto(U, 0.0, where=bad[:, None])
         if store:
             out.append(U.copy())
-    return np.asarray(out) if store else U[None]
+    states = np.asarray(out) if store else U[None]
+    if record.min() < drivers.n_steps:
+        abort = _first_abort(models, record)
+        abort.record, abort.states = record, states
+        raise abort
+    return states

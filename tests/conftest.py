@@ -50,20 +50,21 @@ def rng():
 def solver_pool(monkeypatch):
     """solver_pool(workers): a context that runs the solver blocks on a pool of
     `workers` threads (None: the default pool), switching threads every
-    microsecond."""
+    microsecond; the pool is restored on exit, so a test may use several."""
 
     @contextlib.contextmanager
     def use(workers):
-        if workers is not None:
-            pool = ThreadPoolExecutor(workers)
-            monkeypatch.setattr(dynamics, "_pool", lambda: pool)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(interval)
+        with monkeypatch.context() as m:
             if workers is not None:
-                pool.shutdown(wait=True)
+                pool = ThreadPoolExecutor(workers)
+                m.setattr(dynamics, "_pool", lambda: pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                yield
+            finally:
+                sys.setswitchinterval(interval)
+                if workers is not None:
+                    pool.shutdown(wait=True)
 
     return use

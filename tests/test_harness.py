@@ -212,18 +212,20 @@ def test_member_replay_is_bitwise(tmp_path, monkeypatch):
         with np.load(flushed / f"chunk_{m // cfg.chunk_size:04d}.npz") as chunk:
             want = np.stack([chunk[kind][:, m % cfg.chunk_size] for kind in cfg.model_kinds])
         assert np.array_equal(_replay_member(cfg, m, 1, cfg.model_kinds), want)
-    # a weak-h member at the k-th spacing, from (config, seed, member index, k) alone
-    finals, simulate = [], harness.simulate_models
+    # a weak-h member at the k-th spacing, from (config, seed, member index, k) alone;
+    # each spacing's members step in one or more groups, whatever the pool's width
+    finals, simulate = {}, harness.simulate_models
 
     def recording(*args):
         states = simulate(*args)
-        finals.append(states[-1, 0])
+        finals.setdefault(states.shape[2], []).append(states[-1, 0])
         return states
 
     monkeypatch.setattr(harness, "simulate_models", recording)
     convergence_study(cfg, "weak-h", (np.pi / 2, np.pi / 4, np.pi / 8))
-    assert [U.shape[0] for U in finals] == [4, 8, 16]
-    for k, U in enumerate(finals):
+    assert list(finals) == [4, 8, 16]
+    for k, U in enumerate(np.concatenate(groups, axis=-1) for groups in finals.values()):
+        assert U.shape[1] == cfg.ensemble
         for m in (0, 5, cfg.ensemble - 1):
             got = _replay_member(replace(cfg, M=U.shape[0]), m, 3 * k + 4, ["holistic"])
             assert np.array_equal(got[0], U[:, m])
@@ -238,14 +240,15 @@ def test_gamma_reduced_at_full_coupling_matches_holistic():
 
 
 def test_abort_names_step_member_and_seed():
-    for kinds in (FAST["model_kinds"], ("reference",)):
-        cfg = RunConfig(**{**FAST, "model_kinds": kinds,
-                           "initial": {"kind": "constant", "amplitude": 1e200}})
+    # every ensemble and study abort names the master seed
+    cfg = RunConfig(**{**FAST, "master_seed": 7, "initial": {"kind": "constant", "amplitude": 1e200}})
+    for run in (lambda: run_ensemble(cfg),
+                lambda: run_ensemble(replace(cfg, model_kinds=("reference",))),
+                lambda: convergence_study(cfg, "weak-h", WEAK_H),
+                lambda: convergence_study(cfg, "coupling-gap", (0.25, 0.5, 1.0))):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
-            run_ensemble(cfg)
-        assert err.value.step == 0
-        assert err.value.member == 0
-        assert err.value.seed == cfg.master_seed
+            run()
+        assert (err.value.step, err.value.member, err.value.seed) == (0, 0, 7)
 
 
 def test_stderr_shrinks_with_ensemble_size():
@@ -394,14 +397,16 @@ def plant_blowups(monkeypatch, reference=(), model=()):
     ([], [(0, 2, 6), (1, 1, 3)], (6, 2, "model")),           # chunk 0's models, at a later step
 ], ids=["second-chunk", "earlier-chunk-reference", "models-first", "earlier-chunk-model"])
 def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, model, want):
+    # one chunk per group, then groups of two: the abort does not depend on the width
     cfg = RunConfig(**GROUPED)
-    plant_blowups(monkeypatch, reference, model)
-    with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalAbort) as err:
-        run_ensemble(cfg)
-    step, member, solve = want
-    assert (err.value.step, err.value.member, err.value.seed) == (step, member, cfg.master_seed)
-    assert solve in str(err.value)
+    for workers in (1, 2):
+        with monkeypatch.context() as m, solver_pool(workers), \
+                np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
+            plant_blowups(m, reference, model)
+            run_ensemble(cfg)
+        step, member, solve = want
+        assert (err.value.step, err.value.member, err.value.seed) == (step, member, cfg.master_seed)
+        assert solve in str(err.value)
 
 
 @pytest.mark.parametrize("reference, model, chunk", [
@@ -409,21 +414,24 @@ def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, 
 ])
 def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
                                             reference, model, chunk):
-    # four chunks in groups (0, 1) and (2, 3); a models-only abort also without a reference
+    # four chunks, one per group or in groups (0, 1) and (2, 3); a models-only abort
+    # also without a reference
     kinds = [GROUPED["model_kinds"]] + ([] if reference else [("conventional_fd", "holistic")])
     for i, cfg in enumerate(RunConfig(**{**GROUPED, "ensemble": 16, "model_kinds": k})
                             for k in kinds):
-        clean, aborted = tmp_path / f"clean{i}", tmp_path / f"aborted{i}"
-        run_ensemble(cfg, out_dir=clean)
-        with monkeypatch.context() as m:
-            plant_blowups(m, reference, model)
-            with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(NumericalAbort) as err:
-                run_ensemble(cfg, out_dir=aborted)
-        assert err.value.member == chunk * cfg.chunk_size + 1
-        flushed = sorted(p.name for p in (aborted / f"members_{cfg.digest()}").iterdir())
-        assert flushed == [f"chunk_{c:04d}.npz" for c in range(chunk)]
-        assert_same_payloads(clean / f"members_{cfg.digest()}", aborted / f"members_{cfg.digest()}")
+        clean = tmp_path / f"clean{i}" / f"members_{cfg.digest()}"
+        run_ensemble(cfg, out_dir=clean.parent)
+        for workers in (1, 2):
+            aborted = tmp_path / f"aborted{i}-{workers}" / f"members_{cfg.digest()}"
+            with monkeypatch.context() as m:
+                plant_blowups(m, reference, model)
+                with solver_pool(workers), np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(NumericalAbort) as err:
+                    run_ensemble(cfg, out_dir=aborted.parent)
+            assert err.value.member == chunk * cfg.chunk_size + 1
+            assert sorted(p.name for p in aborted.iterdir()) == [f"chunk_{c:04d}.npz"
+                                                                 for c in range(chunk)]
+            assert_same_payloads(clean, aborted)
 
 
 def assert_same_payloads(want_dir, got_dir):
@@ -436,42 +444,72 @@ def assert_same_payloads(want_dir, got_dir):
 
 
 def test_reference_abort_steps_each_reference_once(tmp_path, monkeypatch, solver_pool):
-    # chunk 1's reference aborts: chunk 0's reference, stepped beside it, is kept and flushed
+    # chunk 1's reference aborts: chunk 0's reference, stepped before or beside it, is
+    # kept and flushed
     cfg = RunConfig(**{**GROUPED, "ensemble": 16})
     run_ensemble(cfg, out_dir=tmp_path / "clean")
-    plant_blowups(monkeypatch, reference=[(1, 2, 5)])
-    stepped, run = [], harness.run_batches
-    monkeypatch.setattr(harness, "run_batches",
-                        lambda jobs: stepped.extend(job.path for job in jobs) or run(jobs))
-    with solver_pool(2), np.errstate(over="ignore", invalid="ignore"), \
+    for workers in (1, 2):
+        stepped, run = [], harness.run_batches
+        with monkeypatch.context() as m, solver_pool(workers), \
+                np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as err:
+            plant_blowups(m, reference=[(1, 2, 5)])
+            m.setattr(harness, "run_batches",
+                      lambda jobs: stepped.extend(job.path for job in jobs) or run(jobs))
+            run_ensemble(cfg, out_dir=tmp_path / f"aborted{workers}")
+        assert (err.value.step, err.value.member) == (6, 4 + 2)
+        assert len(stepped) == 2 and stepped[0] is not stepped[1]
+        flushed = tmp_path / f"aborted{workers}" / f"members_{cfg.digest()}"
+        assert [p.name for p in flushed.iterdir()] == ["chunk_0000.npz"]
+        assert_same_payloads(tmp_path / "clean" / f"members_{cfg.digest()}", flushed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_models_abort_steps_each_group_once(monkeypatch, solver_pool, workers):
+    # chunk 2 of four blows up: one simulate_models call per group up to its own,
+    # with no second stepping of the aborting group's chunks
+    cfg = RunConfig(**{**GROUPED, "ensemble": 16, "model_kinds": ("conventional_fd", "holistic")})
+    plant_blowups(monkeypatch, model=[(2, 1, 5)])
+    widths, simulate = [], harness.simulate_models
+    monkeypatch.setattr(harness, "simulate_models",
+                        lambda models, spde, drivers: widths.append(drivers.slow.shape[-1])
+                        or simulate(models, spde, drivers))
+    with solver_pool(workers), np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalAbort) as err:
-        run_ensemble(cfg, out_dir=tmp_path / "aborted")
-    assert (err.value.step, err.value.member) == (6, 4 + 2)
-    assert len(stepped) == 2 and stepped[0] is not stepped[1]
-    flushed = tmp_path / "aborted" / f"members_{cfg.digest()}"
-    assert [p.name for p in flushed.iterdir()] == ["chunk_0000.npz"]
-    assert_same_payloads(tmp_path / "clean" / f"members_{cfg.digest()}", flushed)
+        run_ensemble(cfg)
+    assert (err.value.step, err.value.member) == (5, 2 * 4 + 1)
+    assert widths == [4 * workers] * (2 // workers + 1)
 
 
 WEAK_H = (np.pi / 2, np.pi / 4, np.pi / 8)     # M = 4, 8, 16
 
 
-def whole_batch_weak_h(cfg, hs):
-    """Oracle: the weak-h study's metrics with each spacing's model stepped in
-    one call over the whole ensemble, its tables built for every member."""
+def serial_weak_h(cfg, hs, chunk_size=None):
+    """Oracle: the weak-h study's metrics with each spacing's model stepped over
+    member chunks of `chunk_size` (default: the whole ensemble), one call per
+    chunk after another, each chunk's tables built alone; an abort is the first
+    aborting chunk's, naming the member's index in the ensemble."""
     spde, spec = cfg.spde(), cfg.qwiener()
-    members = range(cfg.ensemble)
-    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, members, 0))
+    R = cfg.ensemble
+    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, range(R), 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
     mean_err, var_err = [], []
     for k, h in enumerate(sorted(hs, reverse=True)):
         M = int(round(cfg.L / h))
         setup = build_setup(replace(cfg, M=M))
-        drivers = models.build_drivers(setup.grid, setup.proj, path,
-                                       member_seeds(cfg.master_seed, members, 3 * k + 4))
         model = DiscreteModel("holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
-        U = simulate_models([model], spde, drivers)[-1, 0]
+        U = []
+        for lo in range(0, R, chunk_size or R):
+            members = range(lo, min(lo + (chunk_size or R), R))
+            drivers = models.build_drivers(
+                setup.grid, setup.proj, NoisePath(path.times, path.increments[lo:members.stop]),
+                member_seeds(cfg.master_seed, members, 3 * k + 4))
+            try:
+                U.append(simulate_models([model], spde, drivers)[-1, 0])
+            except NumericalAbort as exc:
+                exc.member += lo
+                raise
+        U = np.concatenate(U, axis=-1)
         uref = harness.at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)
@@ -482,16 +520,20 @@ def whole_batch_weak_h(cfg, hs):
 
 @pytest.mark.parametrize("workers, groups", [(1, [4, 4, 2]), (2, [8, 2]), (8, [10])])
 def test_grouped_weak_h_matches_whole_batch_oracle(monkeypatch, solver_pool, workers, groups):
-    # 10 members in groups of workers * chunk_size = 4, 8 and 32 members
+    # 10 members in chunks of 4, 4 and 2, stepped in groups of `workers` chunks
     cfg = RunConfig(**{**FAST, "ensemble": 10})
-    want = whole_batch_weak_h(cfg, WEAK_H)
-    sizes, build = [], models.build_drivers
+    want = serial_weak_h(cfg, WEAK_H)
+    sizes, widths, build, simulate = [], [], models.build_drivers, harness.simulate_models
     monkeypatch.setattr(models, "build_drivers",
                         lambda grid, proj, path, *a, **kw:
                         sizes.append(len(path)) or build(grid, proj, path, *a, **kw))
+    monkeypatch.setattr(harness, "simulate_models",
+                        lambda models, spde, drivers: widths.append(drivers.slow.shape[-1])
+                        or simulate(models, spde, drivers))
     with solver_pool(workers):
         got = convergence_study(cfg, "weak-h", WEAK_H).metrics
-    assert sizes == groups * len(WEAK_H)
+    assert sizes == [4, 4, 2] * len(WEAK_H)
+    assert widths == groups * len(WEAK_H)
     assert list(got) == list(want)
     for name in want:
         assert np.array_equal(got[name], want[name]), name
@@ -515,21 +557,23 @@ def plant_member_blowups(monkeypatch, plants):
 
 
 @pytest.mark.parametrize("plants, want", [
-    ([(3, 6), (9, 2)], (2, 9)),       # the later group blows up at an earlier step
-    ([(9, 4), (5, 4)], (4, 5)),       # both at one step: the lower member
-], ids=["later-group-earlier-step", "same-step"])
-def test_grouped_weak_h_abort_is_the_whole_batch_abort(monkeypatch, solver_pool, plants, want):
-    # groups of members 0-7 and 8-9 on two workers
+    ([(3, 6), (9, 2)], (6, 3)),       # the earlier chunk, though a later one aborts earlier
+    ([(9, 4), (5, 4)], (4, 5)),       # both at one step: the earlier chunk
+    ([(3, 6), (5, 2)], (6, 3)),       # the same, with both chunks in one group of two
+], ids=["later-group-earlier-step", "same-step", "later-chunk-earlier-step"])
+def test_grouped_weak_h_abort_is_the_serial_loops(monkeypatch, solver_pool, plants, want):
+    # chunks of members 0-3, 4-7 and 8-9, one per group or in groups of two
     cfg = RunConfig(**{**FAST, "ensemble": 10})
     plant_member_blowups(monkeypatch, plants)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalAbort) as oracle:
-            whole_batch_weak_h(cfg, WEAK_H)
-        with solver_pool(2), pytest.raises(NumericalAbort) as err:
-            convergence_study(cfg, "weak-h", WEAK_H)
-    assert (oracle.value.step, oracle.value.member) == want
-    assert (err.value.step, err.value.member) == want
-    assert str(err.value) == str(oracle.value)
+            serial_weak_h(cfg, WEAK_H, cfg.chunk_size)
+        assert (oracle.value.step, oracle.value.member) == want
+        for workers in (1, 2):
+            with solver_pool(workers), pytest.raises(NumericalAbort) as err:
+                convergence_study(cfg, "weak-h", WEAK_H)
+            assert (err.value.step, err.value.member, err.value.seed) == want + (cfg.master_seed,)
+            assert str(err.value) == str(oracle.value)
 
 
 def test_grouped_weak_h_holds_one_group_of_tables(solver_pool):
@@ -547,7 +591,7 @@ def test_grouped_weak_h_holds_one_group_of_tables(solver_pool):
     with solver_pool(2):
         harness._study_weak_h(cfg, WEAK_H)           # one-time allocations, untraced
         got = traced_peak(harness._study_weak_h)
-        want = traced_peak(whole_batch_weak_h)
+        want = traced_peak(serial_weak_h)
     finest_tables = 3 * 16 * cfg.spde().n_steps * cfg.ensemble * 8
     assert got <= want - finest_tables / 2, (got, want, finest_tables)
 

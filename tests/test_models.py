@@ -268,6 +268,17 @@ def test_reduced_slow_zero_state_stays_zero(grid8, qspec, proj8, eig0_8):
     assert np.all(a == 0.0)
 
 
+def test_reduced_slow_abort_names_step_and_member(grid8, qspec, proj8, eig0_8):
+    co = _coeffs(proj8, eig0_8)
+    stats = ou_stationary_stats(proj8, eig0_8, 0.5)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.1, dt=1e-3, T=0.01)
+    drv = _drivers(grid8, qspec, proj8, cfg)
+    drv.slow[:, 3] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        reduced_slow_sde(np.zeros(grid8.M), cfg, assemble_operator(grid8, 0.1), stats, co, drv, 3)
+    assert (err.value.step, err.value.member) == (3, 0)
+
+
 def test_reduced_slow_drift_gap_is_third_order(grid8, qspec, proj8, eig0_8):
     # drift-only one-step comparison against the gamma-expanded grid model
     co = _coeffs(proj8, eig0_8, sigma=0.5)
@@ -374,6 +385,29 @@ def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8, R):
         simulate_models([model], cfg, drivers, np.zeros(grid8.M))
     assert err.value.member == R // 2
     assert err.value.step == 1
+
+
+def test_abort_records_each_member_and_keeps_the_others(grid8, qspec, proj8, eig0_8):
+    # member 2 of 5 goes non-finite at step 40 in every kind; the rest step on untouched
+    co = _coeffs(proj8, eig0_8)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.07)
+    drv = build_drivers(grid8, proj8, sample_global_path(qspec, cfg.times(), list(range(5))),
+                        list(range(100, 105)))
+    models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co)]
+    clean = simulate_models(models, cfg, drv, store=True)
+    for table in (drv.slow, drv.gridpoint, drv.deviation):
+        table[:, 40, 2] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
+        simulate_models(models, cfg, drv, store=True)
+    assert (err.value.step, err.value.member) == (40, 2)
+    want = np.full((2, 5), drv.n_steps)
+    want[:, 2] = 40
+    assert np.array_equal(err.value.record, want)
+    others = [0, 1, 3, 4]
+    assert np.array_equal(err.value.states[..., others], clean[..., others])
+    assert np.array_equal(err.value.states[:41, ..., 2], clean[:41, ..., 2])
+    assert np.all(err.value.states[41, :, :, 2] == 0.0)
+    assert np.isfinite(err.value.states).all()
 
 
 @pytest.mark.parametrize("shape", [(8, 1), (8, 8)], ids=["M-by-1", "M-by-M"])
