@@ -415,7 +415,8 @@ def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, 
 def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
                                             reference, model, chunk):
     # four chunks, one per group or in groups (0, 1) and (2, 3); a models-only abort
-    # also without a reference
+    # also without a reference.  Each group up to the aborting chunk's steps its
+    # models in one call: none steps again to find the abort.
     kinds = [GROUPED["model_kinds"]] + ([] if reference else [("conventional_fd", "holistic")])
     for i, cfg in enumerate(RunConfig(**{**GROUPED, "ensemble": 16, "model_kinds": k})
                             for k in kinds):
@@ -423,12 +424,16 @@ def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
         run_ensemble(cfg, out_dir=clean.parent)
         for workers in (1, 2):
             aborted = tmp_path / f"aborted{i}-{workers}" / f"members_{cfg.digest()}"
+            widths, simulate = [], harness.simulate_models
             with monkeypatch.context() as m:
                 plant_blowups(m, reference, model)
+                m.setattr(harness, "simulate_models", lambda models, spde, drivers:
+                          widths.append(drivers.slow.shape[-1]) or simulate(models, spde, drivers))
                 with solver_pool(workers), np.errstate(over="ignore", invalid="ignore"), \
                         pytest.raises(NumericalAbort) as err:
                     run_ensemble(cfg, out_dir=aborted.parent)
             assert err.value.member == chunk * cfg.chunk_size + 1
+            assert widths == [4 * workers] * (chunk // workers + 1)
             assert sorted(p.name for p in aborted.iterdir()) == [f"chunk_{c:04d}.npz"
                                                                  for c in range(chunk)]
             assert_same_payloads(clean, aborted)
@@ -461,23 +466,6 @@ def test_reference_abort_steps_each_reference_once(tmp_path, monkeypatch, solver
         flushed = tmp_path / f"aborted{workers}" / f"members_{cfg.digest()}"
         assert [p.name for p in flushed.iterdir()] == ["chunk_0000.npz"]
         assert_same_payloads(tmp_path / "clean" / f"members_{cfg.digest()}", flushed)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_models_abort_steps_each_group_once(monkeypatch, solver_pool, workers):
-    # chunk 2 of four blows up: one simulate_models call per group up to its own,
-    # with no second stepping of the aborting group's chunks
-    cfg = RunConfig(**{**GROUPED, "ensemble": 16, "model_kinds": ("conventional_fd", "holistic")})
-    plant_blowups(monkeypatch, model=[(2, 1, 5)])
-    widths, simulate = [], harness.simulate_models
-    monkeypatch.setattr(harness, "simulate_models",
-                        lambda models, spde, drivers: widths.append(drivers.slow.shape[-1])
-                        or simulate(models, spde, drivers))
-    with solver_pool(workers), np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalAbort) as err:
-        run_ensemble(cfg)
-    assert (err.value.step, err.value.member) == (5, 2 * 4 + 1)
-    assert widths == [4 * workers] * (2 // workers + 1)
 
 
 WEAK_H = (np.pi / 2, np.pi / 4, np.pi / 8)     # M = 4, 8, 16
