@@ -20,9 +20,14 @@ Each solver has one step and one noise method, and steps only through
 L2-sized member blocks on a pool of one thread per usable CPU; a single run
 is a batch of one.  The reference steps a member-major state (R, n), so both
 FFTs run along the contiguous axis, and adds its noise in rfft space: the
-Fourier noise modes are exact DFT bins of the fine grid.  The coupled solver
-carries the members on a trailing axis, applies weak-load maps built once
-and writes its per-step arrays into buffers made once per member block.
+Fourier noise modes are exact DFT bins of the fine grid.  At alpha = 0 the
+step is diagonal in those bins, so the runner steps the spectrum instead:
+one rfft per member block, one irfft per batch at the end, none per step.
+That skips an irfft-rfft round trip per step and moves the fields by round-off
+(criterion 09's gaps by 5.2e-11 relative); every alpha != 0 step stays
+bitwise `step`'s.  The coupled solver carries the members on a trailing
+axis, applies weak-load maps built once and writes its per-step arrays into
+buffers made once per member block.
 
 This module imports no scipy: the coupled solver gets its sparse LU factor
 from `CoupledOperator.semi_implicit_lu`, so scipy's linear algebra loads
@@ -154,9 +159,10 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     """Each job's fields at the end of its paths: the reference's fine field
     (n, R), the coupled solver's element fields (M, 2, n+1, R).
 
-    Every job's state is split into near-equal member blocks of at most
-    512 KiB where possible, never a block of one member unless R = 1, and all
-    blocks of all jobs run in one pool map, each its own time loop in place.
+    Every job's members are split into near-equal blocks of at most 512 KiB
+    of field (the solver's `_member_bytes` per member) where possible, never
+    a block of one member unless R = 1, and all blocks of all jobs run in
+    one pool map, each its own time loop in place.
     Members are independent, and each solver's noise product puts them on
     the GEMM's row axis (the reference's `tensordot`, the coupled solver's
     `db^T load^T`), where OpenBLAS rounds a member's row alike at every
@@ -175,7 +181,7 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     for j, job in enumerate(jobs):
         state = job.solver._batch_state(job.cfg, job.path, job.u0)
         R = len(job.path.increments)
-        n_blocks = max(1, min(-(-state.nbytes // 2**19), R // 2))    # 512 KiB blocks: L2 / 4
+        n_blocks = max(1, min(-(-R * job.solver._member_bytes // 2**19), R // 2))  # L2 / 4
         edges = [R * b // n_blocks for b in range(n_blocks + 1)]
         blocks += [(j, lo, hi, job.solver._block_stepper(job.cfg, state, lo, hi))
                    for lo, hi in zip(edges[:-1], edges[1:])]
@@ -226,6 +232,12 @@ class FullSpdeSolver:
     noise enters as rfft bins: basis_hat holds the rfft of every sampled
     noise mode up to the highest bin any mode reaches (aliased modes fold
     onto their bins exactly).
+
+    With alpha = 0 there is no reaction, so `step` is (rfft(u) + sigma
+    dw_hat) inv, diagonal in the bins, and `run_batches` steps each block's
+    spectrum through the same add and multiply, with no FFT per step.  Its
+    fields then differ from `step`'s by the skipped round trips, at most
+    n_steps 2 log2(n) eps relative; alpha != 0 always steps through `step`.
     """
 
     def __init__(self, L: float, n_fine: int, spec: QWienerSpec):
@@ -240,6 +252,7 @@ class FullSpdeSolver:
         self.sqrt_q = np.sqrt(spec.q)
         m = np.arange(self.n // 2 + 1)
         self.symbol = 2.0 * (1.0 - np.cos(2.0 * np.pi * m / self.n)) / self.delta**2
+        self._member_bytes = 8 * self.n                    # a member's row of the field
 
     def noise_increment(self, db: np.ndarray) -> np.ndarray:
         """Leading rfft bins of the fine-grid noise increment.
@@ -274,16 +287,29 @@ class FullSpdeSolver:
 
     _what = "reference solve"
 
-    def _batch_state(self, cfg: SpdeConfig, path: NoisePath,
-                     u0: Optional[np.ndarray]) -> np.ndarray:
+    def _batch_state(self, cfg: SpdeConfig, path: NoisePath, u0: Optional[np.ndarray]) -> tuple:
+        """The field (R, n) and, at alpha = 0, a buffer for its spectrum (R, n // 2 + 1)."""
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        return np.repeat(np.asarray(u0, dtype=float)[None, :], len(path.increments), axis=0)
+        u = np.repeat(np.asarray(u0, dtype=float)[None, :], len(path.increments), axis=0)
+        return u, (np.empty((len(u), self.n // 2 + 1), dtype=complex) if cfg.alpha == 0 else None)
 
-    def _block_stepper(self, cfg: SpdeConfig, u: np.ndarray, lo: int, hi: int):
-        """advance(db) steps members lo:hi of u in place with their own buffers
-        and returns them, members first."""
+    def _block_stepper(self, cfg: SpdeConfig, state: tuple, lo: int, hi: int):
+        """advance(db) steps members lo:hi of the state in place with their own
+        buffers and returns them, members first: the field through `step`, or
+        at alpha = 0 the spectrum, which `step` leaves diagonal in the rfft
+        bins, so the block takes one rfft here and none per step."""
+        u, uhat = state
         ub, inv = u[lo:hi], 1.0 / (1.0 + cfg.dt * self.symbol)
+        if uhat is not None:
+            vb = np.fft.rfft(ub, axis=-1, out=uhat[lo:hi])
+
+            def advance(db: np.ndarray) -> np.ndarray:
+                dw_hat = self.noise_increment(db)
+                vb[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
+                return np.multiply(vb, inv, out=vb)
+
+            return advance
         scratch, rhat = np.empty_like(ub), np.empty((hi - lo, inv.size), dtype=complex)
 
         def advance(db: np.ndarray) -> np.ndarray:
@@ -292,7 +318,10 @@ class FullSpdeSolver:
 
         return advance
 
-    def _batch_fields(self, u: np.ndarray) -> np.ndarray:
+    def _batch_fields(self, state: tuple) -> np.ndarray:
+        u, uhat = state
+        if uhat is not None:
+            np.fft.irfft(uhat, n=self.n, axis=-1, out=u)
         return u.T
 
 
@@ -317,6 +346,7 @@ class CoupledElementSolver:
         nodes = np.mod(grid.all_nodes(), grid.L)
         basis = fourier_basis(nodes, spec.n_modes, grid.L).reshape(spec.n_modes, -1)
         self.load = op.gamma * (op.ZtM @ basis.T)                  # (nred, K+1)
+        self._member_bytes = 8 * self.load.shape[0]               # a member's reduced state
         self.nodal_shape = (grid.M, 2, grid.subgrid_n + 1)
         self.sqrt_q = np.sqrt(spec.q)
         self._semi_lu = op.semi_implicit_lu(self.dt)

@@ -716,8 +716,9 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     values are read at the fine nodes that coincide with each X_j.  Errors
     are RMS over grid points of the CRN-paired mean gap and of the
     variance gap at the final time.  The model steps in `run_ensemble`'s
-    member groups through `_group_models`, so the study holds the path batch
-    and one group's tables, and raises at the first aborting group.
+    member groups through `_group_models`, so the study holds the path batch,
+    the reference's grid-point rows (not its fine field) and one group's
+    tables, and raises at the first aborting group.
     """
     hs = np.asarray(sorted(hs, reverse=True))
     Ms = [int(round(cfg.L / h)) for h in hs]
@@ -727,11 +728,13 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     R = cfg.ensemble
     path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, range(R), 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
+    urefs = [at_grid_points(ref, M) for M in Ms]
+    del ref
     groups = _chunk_groups([range(lo, min(lo + cfg.chunk_size, R))
                             for lo in range(0, R, cfg.chunk_size)])
 
     mean_err, var_err = [], []
-    for k, M in enumerate(Ms):
+    for k, (M, uref) in enumerate(zip(Ms, urefs)):
         setup = build_setup(replace(cfg, M=M))
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
@@ -742,7 +745,6 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
             if abort is not None:
                 raise abort
             U[:, chunks[0].start:chunks[-1].stop] = np.concatenate(finals, axis=-1)[0]
-        uref = at_grid_points(ref, M)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)
                                         - np.var(uref, axis=1, ddof=1)) ** 2)))

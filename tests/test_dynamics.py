@@ -1,5 +1,6 @@
 import re
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,9 @@ def test_heat_decay_oracle(qspec):
     dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[0, :, :1])
     solver.step(v, cfg, dw_hat, *workspace(solver, cfg, 1))
     factor = v[0, 10] / u[0, 10]
+    assert abs(factor - np.exp(-kappa2 * cfg.dt)) < 5.0 * cfg.dt**2
+    # the same factor per step through the runner, which steps alpha = 0 in rfft space
+    factor = (simulate(solver, cfg, path, u[0])[10, 0] / u[0, 10]) ** (1.0 / cfg.n_steps)
     assert abs(factor - np.exp(-kappa2 * cfg.dt)) < 5.0 * cfg.dt**2
 
 
@@ -394,6 +398,36 @@ def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, solver_pool, 
     assert sorted(rows) == [2] * 2 * cfg.n_steps + [3] * cfg.n_steps
 
 
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("n_fine, blocks", [(64, 1), (BLOCKED_N, 3)])
+def test_linear_reference_steps_in_fourier_space(qspec, monkeypatch, solver_pool,
+                                                 n_fine, blocks, workers):
+    # at alpha = 0 the runner steps each block's spectrum: one rfft per block,
+    # one irfft per job, no transform per step
+    cfg = SpdeConfig(alpha=0.0, sigma=0.5, dt=1e-3, T=0.004)
+    solver = FullSpdeSolver(2.0 * np.pi, n_fine, qspec)
+    path = _batch(qspec, cfg, BLOCKED_R)
+    want = whole_batch_reference(solver, cfg, path)
+    # The oracle's steps differ from the runner's only by one irfft-rfft round
+    # trip per step.  Each transform errs by at most about log2(n) eps times
+    # the field's 2-norm, and the factor 1 / (1 + dt symbol) <= 1 only damps
+    # what earlier steps left, so a member's final fields differ by at most
+    # n_steps 2 log2(n) eps times its largest 2-norm over the steps.
+    u0 = initial_profile(cfg.initial, solver.L)(solver.x)
+    norms = [np.full(BLOCKED_R, np.linalg.norm(u0))]
+    norms += [np.linalg.norm(whole_batch_reference(solver, replace(cfg, T=k * cfg.dt), path),
+                             axis=0) for k in range(1, cfg.n_steps + 1)]
+    tol = cfg.n_steps * 2 * np.log2(n_fine) * np.finfo(float).eps * np.max(norms, axis=0)
+    calls = []
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, _name=name, _fft=getattr(np.fft, name), **kw:
+                            calls.append(_name) or _fft(*a, **kw))
+    with solver_pool(workers):
+        got = simulate(solver, cfg, path)
+    assert sorted(calls) == ["irfft"] + ["rfft"] * blocks
+    assert np.all(np.linalg.norm(got - want, axis=0) <= tol)
+
+
 def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatch):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.2)
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
@@ -527,22 +561,22 @@ def test_runner_refuses_to_run_on_a_pool_worker(qspec):
 
 
 def test_blocked_abort_names_earliest_step_then_member(qspec):
-    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
-    path = _batch(qspec, cfg, BLOCKED_R)
-    # a huge increment at step k - 1 overflows the cube at step k; members
-    # 1, 2 and 5 sit in the first, second and third block
-    for member, k in ((1, 4), (2, 2), (5, 2)):
-        path.increments[member, :, k - 1] *= 1e200
-    with np.errstate(all="ignore"):
-        assert whole_batch_reference(solver, cfg, path) == (2, 2)
-        with pytest.raises(NumericalAbort) as err:
-            simulate(solver, cfg, path)
-    assert (err.value.step, err.value.member) == (2, 2)
-    path.increments[2] = _quiet_path(qspec, cfg, seed=2).increments[0]
-    with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
-        simulate(solver, cfg, path)
-    assert (err.value.step, err.value.member) == (2, 5)
+    # members 1, 2 and 5 sit in the first, second and third block; a huge
+    # increment at step k - 1 overflows the cube at step k, and with no cube
+    # (alpha = 0) nothing overflows, so an infinite one aborts at step k - 1
+    for alpha, scale, step in ((1.0, 1e200, 2), (0.0, np.inf, 1)):
+        cfg = SpdeConfig(alpha=alpha, sigma=0.5, dt=1e-3, T=0.006)
+        path = _batch(qspec, cfg, BLOCKED_R)
+        for member, k in ((1, 4), (2, 2), (5, 2)):
+            path.increments[member, :, k - 1] *= scale
+        for want in ((step, 2), (step, 5)):
+            with np.errstate(all="ignore"):
+                assert whole_batch_reference(solver, cfg, path) == want
+                with pytest.raises(NumericalAbort) as err:
+                    simulate(solver, cfg, path)
+            assert (err.value.step, err.value.member) == want
+            path.increments[2] = _quiet_path(qspec, cfg, seed=2).increments[0]
 
 
 @pytest.mark.parametrize("members", [None, 3])
