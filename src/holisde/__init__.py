@@ -10,7 +10,6 @@ a Monte-Carlo harness for every convergence claim.
 
 from .grid import DomainGrid, ElementField, build_grid, inner_product, seminorm
 from .noise import (
-    NoisePath,
     QWienerSpec,
     fourier_basis,
     project_to_element_modes,

@@ -110,21 +110,23 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     """Member 0 of the configured ensemble, stepped by one model and stored."""
     setup = build_setup(cfg)
     spde = cfg.spde()
-    path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, [0], 0))
-    drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1))
+    path = sample_global_path(setup.spec, spde.dt, spde.n_steps,
+                              member_seeds(cfg.master_seed, [0], 0))
+    drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1),
+                            spde.dt)
     kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
                 "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
     states = simulate_models([model], spde, drivers, store=True)[:, 0, :, 0]     # (n_steps + 1, M)
     out = _out_dir(cfg)
     header = ["t"] + [f"U_{j+1}" for j in range(setup.grid.M)]
-    n_times = path.times.size
-    stride = max(1, n_times // 2000)
+    times = spde.times()
+    stride = max(1, times.size // 2000)
     # every stride-th row, and always the row at T
-    kept = list(range(0, n_times, stride))
-    if kept[-1] != n_times - 1:
-        kept.append(n_times - 1)
-    rows = [tuple([float(path.times[i])] + [float(v) for v in states[i]]) for i in kept]
+    kept = list(range(0, times.size, stride))
+    if kept[-1] != times.size - 1:
+        kept.append(times.size - 1)
+    rows = [tuple([float(times[i])] + [float(v) for v in states[i]]) for i in kept]
     write_csv(out / f"trajectory_{kind}.csv", header, rows)
     write_manifest(cfg, out, {"command": "simulate", "model": kind})
     return 0

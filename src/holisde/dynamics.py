@@ -16,7 +16,8 @@ Two solvers share one sampled member batch of noise paths:
   the series reproduces the restriction of W to the element.
 
 Each solver has one step and one noise method, and steps only through
-`run_batches`, which advances NoisePath member batches in lock step, in
+`run_batches`, which advances member batches of Brownian increments
+(R, K+1, n_steps) in lock step with `SpdeConfig.dt`, the one time step, in
 L2-sized member blocks on a pool of one thread per usable CPU; a single run
 is a batch of one.  The reference steps a member-major state (R, n), so both
 FFTs run along the contiguous axis, and adds its noise in rfft space: the
@@ -47,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import ElementField
-from .noise import NoisePath, QWienerSpec, fourier_basis
+from .noise import QWienerSpec, fourier_basis
 from .spectral import CoupledOperator
 
 __all__ = [
@@ -131,6 +132,7 @@ def initial_profile(spec: dict, L: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 _WORKER = "holisde-solver"
+_L2_BUDGET = 2**19    # bytes of a member block here and of a table scratch in models: L2 / 4
 
 
 @functools.cache
@@ -147,11 +149,12 @@ def pool_width() -> int:
 @dataclass(frozen=True)
 class BatchJob:
     """One member batch for `run_batches`: every member starts from u0
-    (default: cfg's initial profile) and is driven by its row of `path`."""
+    (default: cfg's initial profile) and is driven by its row of `path`,
+    the (R, K+1, cfg.n_steps) increments of `noise.sample_global_path`."""
 
     solver: FullSpdeSolver | CoupledElementSolver
     cfg: SpdeConfig
-    path: NoisePath
+    path: np.ndarray
     u0: Optional[np.ndarray | ElementField] = None
 
 
@@ -173,15 +176,20 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     member; its `job` is that job's index and its `fields` the finished
     fields of the jobs before it, as a serial loop would have them.  The
     runner waits on the pool, so a pool worker must not call it: with one
-    worker per CPU, the nested wait can deadlock.
+    worker per CPU, the nested wait can deadlock.  Raises ValueError for a
+    path that is not 3-D or does not hold its config's n_steps steps.
     """
     if threading.current_thread().name.startswith(_WORKER):
         raise RuntimeError("run_batches must not be called from a solver pool worker")
+    for job in jobs:
+        if job.path.ndim != 3 or job.path.shape[2] != job.cfg.n_steps:
+            raise ValueError(f"a path must be (members, modes, {job.cfg.n_steps} steps), "
+                             f"got shape {job.path.shape}")
     states, blocks = [], []
     for j, job in enumerate(jobs):
-        state = job.solver._batch_state(job.cfg, job.path, job.u0)
-        R = len(job.path.increments)
-        n_blocks = max(1, min(-(-R * job.solver._member_bytes // 2**19), R // 2))  # L2 / 4
+        R = len(job.path)
+        state = job.solver._batch_state(job.cfg, R, job.u0)
+        n_blocks = max(1, min(-(-R * job.solver._member_bytes // _L2_BUDGET), R // 2))
         edges = [R * b // n_blocks for b in range(n_blocks + 1)]
         blocks += [(j, lo, hi, job.solver._block_stepper(job.cfg, state, lo, hi))
                    for lo, hi in zip(edges[:-1], edges[1:])]
@@ -194,10 +202,10 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
         sq = solver.sqrt_q[:, None]
         db = np.empty((sq.size, hi - lo))
         with np.errstate(**err):
-            for i in range(path.n_steps):
+            for i in range(path.shape[2]):
                 if stop.is_set():
                     break
-                np.multiply(sq, path.increments[lo:hi, :, i].T, out=db)
+                np.multiply(sq, path[lo:hi, :, i].T, out=db)
                 u = advance(db)
                 if not np.isfinite(u).all():      # name the block's first non-finite member
                     finite = np.isfinite(u).reshape(hi - lo, -1).all(axis=1)
@@ -287,11 +295,11 @@ class FullSpdeSolver:
 
     _what = "reference solve"
 
-    def _batch_state(self, cfg: SpdeConfig, path: NoisePath, u0: Optional[np.ndarray]) -> tuple:
+    def _batch_state(self, cfg: SpdeConfig, R: int, u0: Optional[np.ndarray]) -> tuple:
         """The field (R, n) and, at alpha = 0, a buffer for its spectrum (R, n // 2 + 1)."""
         if u0 is None:
             u0 = initial_profile(cfg.initial, self.L)(self.x)
-        u = np.repeat(np.asarray(u0, dtype=float)[None, :], len(path.increments), axis=0)
+        u = np.repeat(np.asarray(u0, dtype=float)[None, :], R, axis=0)
         return u, (np.empty((len(u), self.n // 2 + 1), dtype=complex) if cfg.alpha == 0 else None)
 
     def _block_stepper(self, cfg: SpdeConfig, state: tuple, lo: int, hi: int):
@@ -400,11 +408,10 @@ class CoupledElementSolver:
 
     _what = "coupled element solve"
 
-    def _batch_state(self, cfg: SpdeConfig, path: NoisePath,
-                     u0: Optional[ElementField]) -> np.ndarray:
+    def _batch_state(self, cfg: SpdeConfig, R: int, u0: Optional[ElementField]) -> np.ndarray:
         if abs(cfg.dt - self.dt) > 1e-14 * self.dt:
             raise ValueError("config dt differs from the factorized step size")
-        return np.repeat(self.initial_reduced(cfg, u0)[:, None], len(path.increments), axis=1)
+        return np.repeat(self.initial_reduced(cfg, u0)[:, None], R, axis=1)
 
     def _block_stepper(self, cfg: SpdeConfig, c: np.ndarray, lo: int, hi: int):
         """advance(db) steps members lo:hi of c in place with their own buffers

@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .grid import DomainGrid, build_grid
 from .models import DiscreteModel, simulate_models
-from .noise import NoisePath, PathDraw, QWienerSpec, sample_global_path
+from .noise import PathDraw, QWienerSpec, sample_global_path
 
 __all__ = [
     "ConfigError",
@@ -211,6 +211,8 @@ class RunConfig:
                 errors += _sweep_errors(self.sweep_axis, self.sweep_values)
             if len(self.sweep_values) < 3:
                 errors.append("sweeps need at least 3 values")
+        if not errors and self.T / self.dt_value <= 0.5:      # round(T / dt) < 1, no overflow
+            errors.append(f"T = {self.T:g} holds no time step of dt = {self.dt_value:g}")
         if errors:
             raise ConfigError(errors)
 
@@ -413,7 +415,8 @@ def _group_models(cfg: RunConfig, setup: RunSetup, grid_models, spde: SpdeConfig
     tables = np.empty((3, setup.grid.M, spde.n_steps, edges[-1]))
     for path, chunk, (lo, hi) in zip(paths, chunks, spans):
         seeds = member_seeds(cfg.master_seed, chunk, stream)
-        drivers = models.build_drivers(setup.grid, setup.proj, path, seeds, out=tables[..., lo:hi])
+        drivers = models.build_drivers(setup.grid, setup.proj, path, seeds, spde.dt,
+                                       out=tables[..., lo:hi])
     wide = replace(drivers, slow=tables[0], gridpoint=tables[1], deviation=tables[2])
     try:
         U = simulate_models(grid_models, spde, wide)[-1]
@@ -458,7 +461,6 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     its reference, with every chunk before it flushed.  No batch steps twice.
     """
     spde = cfg.spde()
-    times = spde.times()
     R = cfg.ensemble
     needs_reference = "reference" in cfg.model_kinds
     model_kinds = [k for k in dict.fromkeys(cfg.model_kinds) if k != "reference"]
@@ -487,8 +489,8 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
         paths = None                            # the last group's, before the next are drawn
         members = [chunks[ci] for ci in group]
         path_seeds = [member_seeds(cfg.master_seed, chunk, 0) for chunk in members]
-        paths = [sample_global_path(setup.spec, times, ps) if needs_reference
-                 else PathDraw(setup.spec, times, ps) for ps in path_seeds]
+        draw = sample_global_path if needs_reference else PathDraw
+        paths = [draw(setup.spec, spde.dt, spde.n_steps, ps) for ps in path_seeds]
         finals, abort = [[] for _ in group], None
         if grid_models:
             finals, abort = _group_models(cfg, setup, grid_models, spde, paths, members, 1)
@@ -688,11 +690,11 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     *solvers, det_solver = [CoupledElementSolver(spectral.assemble_operator(grid, s.gamma),
                                                  spec, s.dt) for s in spdes + [spde_det]]
     fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
-    path = sample_global_path(spec, spde0.times(),
+    path = sample_global_path(spec, spde0.dt, spde0.n_steps,
                               member_seeds(cfg.master_seed, range(cfg.ensemble), 0))
 
     # sigma = 0 silences the noise, so any one path serves as the batch of one
-    one = NoisePath(path.times, path.increments[:1])
+    one = path[:1]
     jobs = [BatchJob(fine, spde0, path)]
     jobs += [BatchJob(solver, spde, path) for solver, spde in zip(solvers, spdes)]
     jobs += [BatchJob(fine, spde_det, one), BatchJob(det_solver, spde_det, one)]
@@ -726,7 +728,8 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
         raise ConfigError(["sweep spacings must divide the domain length"])
     spde, spec = cfg.spde(), cfg.qwiener()
     R = cfg.ensemble
-    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, range(R), 0))
+    path = sample_global_path(spec, spde.dt, spde.n_steps,
+                              member_seeds(cfg.master_seed, range(R), 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
     urefs = [at_grid_points(ref, M) for M in Ms]
     del ref
@@ -740,7 +743,7 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
                               deviation_alpha=cfg.deviation_alpha)
         U = np.empty((M, R))
         for chunks in groups:
-            paths = [NoisePath(path.times, path.increments[c.start:c.stop]) for c in chunks]
+            paths = [path[c.start:c.stop] for c in chunks]
             finals, abort = _group_models(cfg, setup, [model], spde, paths, chunks, 3 * k + 4)
             if abort is not None:
                 raise abort
@@ -774,8 +777,12 @@ def compare_models(cfg: RunConfig) -> dict:
     Emits per-gridpoint mean/variance errors with Monte-Carlo confidence
     intervals plus a per-term variance budget of the holistic noise terms,
     computed in closed form from the driver covariances.  Findings are
-    reported, not asserted.
+    reported, not asserted.  The intervals need at least 2 members; fewer
+    is a ConfigError.
     """
+    if cfg.ensemble < 2:
+        raise ConfigError([f"compare needs an ensemble of at least 2 members for its "
+                           f"confidence intervals, got {cfg.ensemble}"])
     kinds = tuple(k for k in cfg.model_kinds if k != "reference")
     run_cfg = replace(cfg, model_kinds=kinds + ("reference",))
     stats = run_ensemble(run_cfg)

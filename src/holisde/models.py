@@ -19,9 +19,10 @@ Four models evolve the vector (U_1 .. U_M) of grid values:
   them bitwise.
 
 All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
-alpha U^3) + dev U dbeta_check + noise with per-kind coefficients.
-`simulate_models` steps several kinds and members in one time loop from
-the tables `build_drivers` writes; a single kind or member is a batch of one.
+alpha U^3) + dev U dbeta_check + noise with per-kind coefficients, dt the
+`SpdeConfig`'s, which also scales the paths.  `simulate_models` steps
+several kinds and members in one time loop from the tables `build_drivers`
+writes; a single kind or member is a batch of one.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 
 from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
-from .noise import ElementNoiseProjection, NoisePath, PathDraw
+from .noise import ElementNoiseProjection, PathDraw
 from .spectral import CoupledOperator, expansion_fields
-from .dynamics import NumericalAbort, SpdeConfig, initial_profile
+from .dynamics import _L2_BUDGET, NumericalAbort, SpdeConfig, initial_profile
 
 __all__ = [
     "ModelDrivers",
@@ -80,7 +81,6 @@ class ModelDrivers:
     """
 
     grid: DomainGrid
-    dt: np.ndarray
     slow: np.ndarray
     gridpoint: np.ndarray
     deviation: np.ndarray
@@ -90,29 +90,27 @@ class ModelDrivers:
         return self.slow.shape[1]
 
 
-_SCRATCH_BYTES = 2**19   # 512 KiB of member-major table scratch: L2 / 4, as in dynamics
-
-
-def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: NoisePath | PathDraw,
-                  deviation_seeds, out: Optional[np.ndarray] = None) -> ModelDrivers:
+def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarray | PathDraw,
+                  deviation_seeds, dt: float, out: Optional[np.ndarray] = None) -> ModelDrivers:
     """Driver tables (M, n_steps, R) of a member batch's path and deviation seeds.
 
-    The time grid is the path's; a `PathDraw` is mapped row by row as drawn,
-    so only one member's (K+1, n_steps) increments are held.  Members are
-    written in place into a member-major scratch of at most 512 KiB (or one
-    member), one BLAS product per map and member as on its own, so each
-    column is bitwise that member's tables whatever the batch; one
-    transposing copy per block follows, into `out` (3, M, n_steps, R) when
-    given (a column slice of a group's buffer), else into new tables.
+    The path's increments (R, K+1, n_steps) were drawn at step dt, which
+    scales the deviation increments too; a `PathDraw` is mapped row by row
+    as drawn, so only one member's (K+1, n_steps) increments are held.
+    Members are written in place into a member-major scratch of at most
+    512 KiB (or one member), one BLAS product per map and member as on its
+    own, so each column is bitwise that member's tables whatever the batch;
+    one transposing copy per block follows, into `out` (3, M, n_steps, R)
+    when given (a column slice of a group's buffer), else into new tables.
     Raises ValueError unless there is one seed per member.
     """
-    dt, R, M = path.dt, len(path), proj.slow_map.shape[0]
+    (R, _, n_steps), M = path.shape, proj.slow_map.shape[0]
     if len(deviation_seeds) != R:
         raise ValueError(f"{len(deviation_seeds)} deviation seeds for {R} members")
-    tables = np.empty((3, M, dt.size, R)) if out is None else out
-    B = min(R, max(1, _SCRATCH_BYTES // (3 * M * dt.size * 8)))
-    scratch = np.empty((B, 3, M, dt.size))
-    members = zip(path.increments, deviation_seeds)
+    tables = np.empty((3, M, n_steps, R)) if out is None else out
+    B = min(R, max(1, _L2_BUDGET // (3 * M * n_steps * 8)))
+    scratch = np.empty((B, 3, M, n_steps))
+    members = zip(path, deviation_seeds)
     for r0 in range(0, R, B):
         block = scratch[:min(B, R - r0)]
         for member, (inc, ss) in zip(block, members):     # block first: no member is skipped
@@ -122,7 +120,7 @@ def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: NoisePat
         block[:, 2] *= np.sqrt(dt)
         tables[..., r0:r0 + len(block)] = block.transpose(1, 2, 3, 0)
     slow, gridpoint, deviation = tables
-    return ModelDrivers(grid=grid, dt=dt, slow=slow, gridpoint=gridpoint, deviation=deviation)
+    return ModelDrivers(grid=grid, slow=slow, gridpoint=gridpoint, deviation=deviation)
 
 
 # steps per precomputed noise block, 512 KiB for four kinds of a two-chunk group
@@ -233,7 +231,6 @@ def reduced_slow_sde(
     """
     g = cfg.gamma
     grid = op.grid
-    dt = drivers.dt[step]
     F1, F2, _ = expansion_fields(np.asarray(a, dtype=float), grid)
     vals = a[:, None, None] + g * F1 + g * g * F2
     c = op.reduce(ElementField(vals, grid))
@@ -246,7 +243,7 @@ def reduced_slow_sde(
     noise = cfg.sigma * g * dS + cfg.alpha * g * g * (
         3.0 * np.sqrt(2.0 * coeffs.qj) * grid.centre_mode_value
     ) * a * dchk
-    out = a + dt * drift + noise
+    out = a + cfg.dt * drift + noise
     if not np.all(np.isfinite(out)):
         raise NumericalAbort("non-finite values in reduced slow equation", step=step, member=0)
     return out
@@ -270,11 +267,14 @@ def simulate_models(
     Every member starts from the grid profile u0 (M,) (default: cfg's
     initial profile at the grid points), R is the tables' member count, and
     n is 1, or n_steps + 1 with `store`.  Each kind's values are those of a
-    run on its own.  Raises ValueError unless u0 is (M,).  A member gone
+    run on its own.  Raises ValueError unless u0 is (M,) and the tables hold
+    cfg.n_steps steps, each stepped with cfg.dt.  A member gone
     non-finite in a kind is recorded and zeroed, and all step to the end;
     then NumericalAbort names the earliest step, first kind, lowest member.
     """
-    M, _, R = drivers.slow.shape
+    M, n_steps, R = drivers.slow.shape
+    if n_steps != cfg.n_steps:
+        raise ValueError(f"driver tables hold {n_steps} steps, the config {cfg.n_steps}")
     if u0 is None:
         u0 = initial_profile(cfg.initial, drivers.grid.L)(drivers.grid.grid_points)
     u0 = np.asarray(u0, dtype=float)
@@ -283,11 +283,11 @@ def simulate_models(
     advance, noise = _stacked_kernel(models, cfg, drivers)
     U = np.broadcast_to(u0[:, None], (len(models), M, R)).copy()
     out = [U.copy()] if store else None
-    record = np.full((len(models), R), drivers.n_steps)
-    for i in range(drivers.n_steps):
+    record = np.full((len(models), R), n_steps)
+    for i in range(n_steps):
         if i % _BLOCK == 0:
             block = noise(i, i + _BLOCK)
-        advance(U, drivers.dt[i], drivers.deviation[:, i], block[i % _BLOCK])
+        advance(U, cfg.dt, drivers.deviation[:, i], block[i % _BLOCK])
         if not np.isfinite(U).all():
             bad = ~np.isfinite(U).all(axis=1)
             record[bad & (record > i)] = i
@@ -295,7 +295,7 @@ def simulate_models(
         if store:
             out.append(U.copy())
     states = np.asarray(out) if store else U[None]
-    if record.min() < drivers.n_steps:
+    if record.min() < n_steps:
         abort = _first_abort(models, record)
         abort.record, abort.states = record, states
         raise abort

@@ -9,10 +9,11 @@ with independent scalar Brownian motions beta_k and user-chosen variances
 q_k >= 0 decaying fast enough that sum_k k q_k stays bounded at the
 truncation.  Everything downstream (reference solver, coupled element
 system, driver tables) reads the *same* sampled Brownian coefficients, one
-(R, K+1, n_steps) `NoisePath` per member batch (its rows drawn one by one,
-a `PathDraw`, where only the driver tables read it), so comparisons between
-solvers are common-random-number comparisons: pathwise gaps measure method
-differences, not noise draws.
+(R, K+1, n_steps) increments array per member batch, scaled by the
+sqrt(dt) of the run's `SpdeConfig`, which owns the time step (its rows
+drawn one by one, a `PathDraw`, where only the driver tables read it), so
+comparisons between solvers are common-random-number comparisons: pathwise
+gaps measure method differences, not noise draws.
 
 Per-element drivers are obtained by projecting W onto element modes: for
 element j and mode shape e_{j,l} (unit L^2(I_j) norm) the projection
@@ -33,7 +34,6 @@ from .grid import DomainGrid
 
 __all__ = [
     "QWienerSpec",
-    "NoisePath",
     "PathDraw",
     "ElementNoiseProjection",
     "fourier_basis",
@@ -105,80 +105,49 @@ class QWienerSpec:
         return self.q.size
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Sampled Brownian increments of every Fourier coefficient, for a member batch.
-
-    increments[r, k, i] ~ N(0, t_{i+1} - t_i), independent across r, k and i;
-    a single path is a batch of one.  Coefficient paths beta_k(t_i) are
-    recovered exactly by cumulative summation; no re-sampling happens downstream.
-    """
-
-    times: np.ndarray
-    increments: np.ndarray        # (R, K+1, n_steps)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        dw = np.asarray(self.increments, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "increments", dw)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        if dw.ndim != 3 or dw.shape[2] != t.size - 1:
-            raise ValueError("increments must be (members, modes, time steps)")
-
-    def __len__(self) -> int:
-        return len(self.increments)
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[2]
-
-    @property
-    def dt(self) -> np.ndarray:
-        return np.diff(self.times)
-
-
-def _draw(seed, sqrt_dt: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _draw(seed, sqrt_dt: float, out: np.ndarray) -> np.ndarray:
     """One member's increments: `default_rng(seed)`'s standard normals times sqrt(dt), in out."""
     np.random.default_rng(seed).standard_normal(out=out)
     out *= sqrt_dt
     return out
 
 
-def sample_global_path(spec: QWienerSpec, times: np.ndarray, seeds) -> NoisePath:
-    """Draw the Brownian coefficient increments of every Fourier mode, one row per seed.
+def sample_global_path(spec: QWienerSpec, dt: float, n_steps: int, seeds) -> np.ndarray:
+    """Brownian increments (R, K+1, n_steps) of every Fourier coefficient, one row per seed.
 
-    Deterministic in (seed, times): row r is `default_rng(seeds[r])`'s standard
-    normals scaled by sqrt(dt), bitwise whatever else is in the batch or
-    consumes it afterwards.  A seed may be an int or a numpy SeedSequence;
-    ensembles and studies pass `harness.member_seeds(master_seed, members, 0)`,
-    the path stream of its table.  The time grid is validated once.
+    Entries are independent N(0, dt); a single path is a batch of one.  Row r
+    is `default_rng(seeds[r])`'s standard normals scaled by sqrt(dt), bitwise
+    whatever else is in the batch or consumes it afterwards.  A seed may be
+    an int or a numpy SeedSequence; ensembles and studies pass
+    `harness.member_seeds(master_seed, members, 0)`, the path stream of its table.
     """
-    path = NoisePath(times, np.empty((len(seeds), spec.n_modes, np.size(times) - 1)))
-    sqrt_dt = np.sqrt(path.dt)
-    for seed, row in zip(seeds, path.increments):
+    path = np.empty((len(seeds), spec.n_modes, n_steps))
+    sqrt_dt = np.sqrt(dt)
+    for seed, row in zip(seeds, path):
         _draw(seed, sqrt_dt, row)
     return path
 
 
 @dataclass(frozen=True)
 class PathDraw:
-    """`sample_global_path(spec, times, seeds)` without its batch: iterating
-    `increments` draws each member's row, bitwise, into one reused buffer."""
+    """`sample_global_path(spec, dt, n_steps, seeds)` without its batch: iterating
+    draws each member's row, bitwise, into one reused buffer."""
 
     spec: QWienerSpec
-    times: np.ndarray
+    dt: float
+    n_steps: int
     seeds: list
-    dt = NoisePath.dt
 
     def __len__(self) -> int:
         return len(self.seeds)
 
     @property
-    def increments(self):
+    def shape(self) -> tuple:
+        return len(self.seeds), self.spec.n_modes, self.n_steps
+
+    def __iter__(self):
         sqrt_dt = np.sqrt(self.dt)
-        row = np.empty((self.spec.n_modes, sqrt_dt.size))
+        row = np.empty(self.shape[1:])
         return (_draw(seed, sqrt_dt, row) for seed in self.seeds)
 
 

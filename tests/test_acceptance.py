@@ -222,18 +222,18 @@ def test_criterion_10_model_identity_gates():
 
     # (a) sigma = 0: holistic is bitwise the conventional scheme
     cfg0 = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.1)
-    path0 = sample_global_path(spec, cfg0.times(), [41])
+    path0 = sample_global_path(spec, cfg0.dt, cfg0.n_steps, [41])
     co0 = averaged_coeffs(proj, eig0, 1.0, 0.0)
-    d0 = build_drivers(grid, proj, path0, [43])
+    d0 = build_drivers(grid, proj, path0, [43], cfg0.dt)
     a_fd = simulate_models([DiscreteModel("conventional_fd")], cfg0, d0, U0, store=True)
     a_h = simulate_models([DiscreteModel("holistic", coeffs=co0)], cfg0, d0, U0, store=True)
     gate_a = np.array_equal(a_fd, a_h)
 
     # (b) the gamma-expanded model at gamma = 1 is the holistic stepper, bitwise
     cfg1 = SpdeConfig(alpha=1.0, sigma=0.5, gamma=1.0, dt=1e-3, T=0.1)
-    path1 = sample_global_path(spec, cfg1.times(), [47])
+    path1 = sample_global_path(spec, cfg1.dt, cfg1.n_steps, [47])
     co = averaged_coeffs(proj, eig0, 1.0, 0.5)
-    d1 = build_drivers(grid, proj, path1, [53])
+    d1 = build_drivers(grid, proj, path1, [53], cfg1.dt)
     b_h = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg1, d1, U0, store=True)
     b_g = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)], cfg1, d1, U0, store=True)
     gate_b = np.array_equal(b_h, b_g)
@@ -247,7 +247,7 @@ def test_criterion_10_model_identity_gates():
         cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=g, dt=1e-3, T=1e-3)
         tables = dict(slow=np.zeros((M, 1, 1)), gridpoint=np.zeros((M, 1, 1)),
                       deviation=np.zeros((M, 1, 1)))
-        drv = ModelDrivers(grid=grid, dt=np.full(1, cfg.dt), **tables)
+        drv = ModelDrivers(grid=grid, **tables)
         op = assemble_operator(grid, g)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
         u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],

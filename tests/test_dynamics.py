@@ -18,7 +18,7 @@ from holisde.dynamics import (
     run_batches,
 )
 from holisde.grid import ElementField, inner_product, seminorm
-from holisde.noise import NoisePath, QWienerSpec, fourier_basis, sample_global_path
+from holisde.noise import QWienerSpec, fourier_basis, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
 
@@ -46,11 +46,11 @@ def simulate(solver, cfg, path, u0=None):
 
 
 def _quiet_path(spec, cfg, seed=0):
-    return sample_global_path(spec, cfg.times(), [seed])
+    return sample_global_path(spec, cfg.dt, cfg.n_steps, [seed])
 
 
 def _batch(spec, cfg, members):
-    return sample_global_path(spec, cfg.times(), range(members))
+    return sample_global_path(spec, cfg.dt, cfg.n_steps, range(members))
 
 
 def workspace(solver, cfg, members):
@@ -68,7 +68,7 @@ def whole_batch_reference(solver, cfg, path):
     """Oracle: step the whole batch as one block with the solver's step, (n, R),
     gathering each step's increments member by member."""
     u0 = initial_profile(cfg.initial, solver.L)(solver.x)
-    rows = list(path.increments)
+    rows = list(path)
     u = np.repeat(u0[None, :], len(rows), axis=0)
     work = workspace(solver, cfg, len(rows))
     for i in range(cfg.n_steps):
@@ -82,10 +82,10 @@ def whole_batch_reference(solver, cfg, path):
 def whole_batch_coupled(solver, cfg, path):
     """Oracle: step the whole batch as one block with the solver's step_reduced,
     (M, 2, n+1, R)."""
-    c = np.repeat(solver.initial_reduced(cfg)[:, None], len(path.increments), axis=1)
+    c = np.repeat(solver.initial_reduced(cfg)[:, None], len(path), axis=1)
     cube = cube_buffer(solver, c)
     for i in range(cfg.n_steps):
-        db = solver.sqrt_q[:, None] * path.increments[:, :, i].T
+        db = solver.sqrt_q[:, None] * path[:, :, i].T
         solver.step_reduced(c, cfg, solver.noise_rhs(db), cube)
     return (solver.op.Z @ c).reshape(solver.nodal_shape + (-1,))
 
@@ -117,7 +117,7 @@ def test_heat_decay_oracle(qspec):
     u = np.sin(2.0 * np.pi * solver.x / L)[None, :]
     kappa2 = (2.0 * np.pi / L) ** 2
     v = u.copy()
-    dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[0, :, :1])
+    dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path[0, :, :1])
     solver.step(v, cfg, dw_hat, *workspace(solver, cfg, 1))
     factor = v[0, 10] / u[0, 10]
     assert abs(factor - np.exp(-kappa2 * cfg.dt)) < 5.0 * cfg.dt**2
@@ -178,7 +178,7 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     path = _quiet_path(qspec, cfg, seed=4)
     u0 = ElementField(np.sin(grid8.all_nodes()), grid8)
     c = op.reduce(u0)
-    solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path.increments[0, :, 0]),
+    solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path[0, :, 0]),
                         cube_buffer(solver, c))
     vals = op.field_from_reduced(c).values
     centres = vals[:, 0, -1]
@@ -257,7 +257,7 @@ def test_linear_mode_variance_calibration(qspec):
                      initial={"kind": "zero"})
     solver = FullSpdeSolver(L, 128, qspec)
     R = 48
-    path = sample_global_path(qspec, cfg.times(), [1000 + r for r in range(R)])
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, [1000 + r for r in range(R)])
     finals = simulate(solver, cfg, path).T          # (R, n)
     coeff = (finals @ np.sin(solver.x)) * (L / solver.n) * np.sqrt(2.0 / L)
     k = 1                                            # sin(2 pi x / L) mode
@@ -282,8 +282,8 @@ def test_slow_amplitude_stays_small_on_slow_timescale(grid8, qspec):
         c = solver.initial_reduced(cfg)
         cube = cube_buffer(solver, c)
         max_amp = 0.0
-        for i in range(path.n_steps):
-            solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]),
+        for i in range(cfg.n_steps):
+            solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path[0, :, i]),
                                 cube)
             if i % 20 == 0:
                 field = solver.op.field_from_reduced(c)
@@ -307,14 +307,14 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
         solver = CoupledElementSolver(op, qspec, cfg.dt)
         acc, count = 0.0, 0
         for r in range(4):
-            path = sample_global_path(qspec, cfg.times(), [500 + r])
+            path = sample_global_path(qspec, cfg.dt, cfg.n_steps, [500 + r])
             c = solver.initial_reduced(cfg)
             cube = cube_buffer(solver, c)
-            for i in range(path.n_steps):
+            for i in range(cfg.n_steps):
                 solver.step_reduced(c, cfg,
-                                    solver.noise_rhs(solver.sqrt_q * path.increments[0, :, i]),
+                                    solver.noise_rhs(solver.sqrt_q * path[0, :, i]),
                                     cube)
-                if i > path.n_steps // 2 and i % 40 == 0:
+                if i > cfg.n_steps // 2 and i % 40 == 0:
                     field = solver.op.field_from_reduced(c)
                     _, fast = slow_fast_decompose(field, eig0)
                     acc += inner_product(fast, fast)
@@ -357,7 +357,7 @@ def test_reference_reciprocal_is_the_implicit_division(qspec):
     u = np.repeat(initial_profile(cfg.initial, solver.L)(solver.x)[None, :], 3, axis=0)
     denom = 1.0 + cfg.dt * solver.symbol
     for i in range(cfg.n_steps):
-        dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path.increments[:, :, i].T)
+        dw_hat = solver.noise_increment(solver.sqrt_q[:, None] * path[:, :, i].T)
         rhat = np.fft.rfft(u + cfg.dt * (cfg.alpha * (u - u * u * u)), axis=-1)
         rhat[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
         u = np.fft.irfft(rhat / denom, n=solver.n, axis=-1)
@@ -374,7 +374,7 @@ def test_reference_simulate_batch_shape(qspec):
 def test_abort_names_first_nonfinite_member(grid8, qspec):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
     path = _batch(qspec, cfg, 3)
-    path.increments[1] *= 1e200
+    path[1] *= 1e200
     solvers = (FullSpdeSolver(grid8.L, 64, qspec),
                CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt))
     for solver in solvers:
@@ -465,7 +465,7 @@ def serial_coupling_gap(cfg, gammas):
     """Oracle: the coupling-gap study's (ms_gap, det_gap) with every batch
     stepped whole, one after another on the calling thread."""
     grid, spec, spde0 = cfg.grid(), cfg.qwiener(), cfg.spde()
-    path = sample_global_path(spec, spde0.times(),
+    path = sample_global_path(spec, spde0.dt, spde0.n_steps,
                               harness.member_seeds(cfg.master_seed, range(cfg.ensemble), 0))
     fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
 
@@ -476,7 +476,7 @@ def serial_coupling_gap(cfg, gammas):
 
     ref = whole_batch_reference(fine, spde0, path)
     ms = np.mean(np.stack([gap(cfg.spde(gamma=g), path, ref) for g in gammas]) ** 2, axis=1)
-    det, one = cfg.spde(gamma=1.0, sigma=0.0), NoisePath(path.times, path.increments[:1])
+    det, one = cfg.spde(gamma=1.0, sigma=0.0), path[:1]
     return ms, gap(det, one, whole_batch_reference(fine, det, one))[0]
 
 
@@ -525,8 +525,8 @@ def test_runner_raises_the_first_aborting_job(grid8, qspec):
     solver = CoupledElementSolver(assemble_operator(grid8, 1.0), qspec, cfg.dt)
     first, second = _batch(qspec, cfg, 3), _batch(qspec, cfg, 3)
     # a huge increment at step k - 1 overflows the cube at step k
-    first.increments[2, :, 3] *= 1e200
-    second.increments[1, :, 0] *= 1e200
+    first[2, :, 3] *= 1e200
+    second[1, :, 0] *= 1e200
     with np.errstate(all="ignore"):
         for path, want in ((first, (4, 2)), (second, (1, 1))):      # one job at a time
             with pytest.raises(NumericalAbort) as err:
@@ -541,10 +541,10 @@ def test_runner_abort_keeps_the_finished_jobs_fields(qspec):
     # the jobs before the first aborting one come back on the abort, as run alone
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.006)
     solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
-    paths = [sample_global_path(qspec, cfg.times(), [10 * j, 10 * j + 1]) for j in range(4)]
+    paths = [sample_global_path(qspec, cfg.dt, cfg.n_steps, [10 * j, 10 * j + 1]) for j in range(4)]
     want = [simulate(solver, cfg, path) for path in paths[:2]]
-    paths[2].increments[1, :, 2] *= 1e200
-    paths[3].increments[0, :, 0] *= 1e200      # a later job's earlier abort does not count
+    paths[2][1, :, 2] *= 1e200
+    paths[3][0, :, 0] *= 1e200      # a later job's earlier abort does not count
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
         run_batches([BatchJob(solver, cfg, path) for path in paths])
     assert (err.value.job, err.value.step, err.value.member) == (2, 3, 1)
@@ -569,14 +569,14 @@ def test_blocked_abort_names_earliest_step_then_member(qspec):
         cfg = SpdeConfig(alpha=alpha, sigma=0.5, dt=1e-3, T=0.006)
         path = _batch(qspec, cfg, BLOCKED_R)
         for member, k in ((1, 4), (2, 2), (5, 2)):
-            path.increments[member, :, k - 1] *= scale
+            path[member, :, k - 1] *= scale
         for want in ((step, 2), (step, 5)):
             with np.errstate(all="ignore"):
                 assert whole_batch_reference(solver, cfg, path) == want
                 with pytest.raises(NumericalAbort) as err:
                     simulate(solver, cfg, path)
             assert (err.value.step, err.value.member) == want
-            path.increments[2] = _quiet_path(qspec, cfg, seed=2).increments[0]
+            path[2] = _quiet_path(qspec, cfg, seed=2)[0]
 
 
 @pytest.mark.parametrize("members", [None, 3])

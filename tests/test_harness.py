@@ -33,7 +33,7 @@ from holisde.dynamics import (BatchJob, FullSpdeSolver, NumericalAbort, initial_
                               run_batches)
 from holisde.grid import build_grid
 from holisde.models import DiscreteModel, build_drivers, simulate_models
-from holisde.noise import NoisePath, sample_global_path
+from holisde.noise import sample_global_path
 
 FAST = dict(
     subgrid_n=16, n_modes=17, T=0.02, dt=1e-3, ensemble=8, n_fine=256,
@@ -123,54 +123,55 @@ def test_single_member_matches_direct_simulation():
     stats = run_ensemble(cfg)
     setup = build_setup(cfg)
     spde = cfg.spde()
-    path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, [0], 0))
-    drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1))
+    path = sample_global_path(setup.spec, spde.dt, spde.n_steps,
+                              member_seeds(cfg.master_seed, [0], 0))
+    drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1),
+                            spde.dt)
     U0 = initial_profile(cfg.initial, setup.grid.L)(setup.grid.grid_points)
     states = simulate_models([DiscreteModel("holistic", coeffs=setup.coeffs)], spde, drivers, U0)
     assert np.array_equal(stats.mean("holistic"), states[-1, 0, :, 0])
 
 
-def _member_oracle(setup, times, master_seed, m, inc=None):
+def _member_oracle(setup, spde, master_seed, m, inc=None):
     """Member m's path increments (unless given), slow, gridpoint and deviation
     tables and deviation seed, drawn and mapped on its own with fresh temporaries."""
     (path_ss,), (dev_ss,) = (member_seeds(master_seed, [m], stream) for stream in (0, 1))
-    sqrt_dt = np.sqrt(np.diff(times))[None, :]
+    sqrt_dt, n = np.sqrt(spde.dt), spde.n_steps
     if inc is None:
-        inc = np.random.default_rng(path_ss).standard_normal((setup.spec.n_modes, times.size - 1))
+        inc = np.random.default_rng(path_ss).standard_normal((setup.spec.n_modes, n))
         inc = inc * sqrt_dt
-    dev = np.random.default_rng(dev_ss).standard_normal((setup.grid.M, times.size - 1)) * sqrt_dt
+    dev = np.random.default_rng(dev_ss).standard_normal((setup.grid.M, n)) * sqrt_dt
     return inc, setup.proj.slow_map @ inc, setup.proj.gridpoint_map @ inc, dev, dev_ss
 
 
 def test_batch_driver_columns_are_member_tables():
     cfg = RunConfig(**{**FAST, "T": 0.2})    # 200 steps: 38,400 B of tables per member
-    setup = build_setup(cfg)
-    times = cfg.spde().times()
-    M, n = setup.grid.M, times.size - 1
-    per_block = models._SCRATCH_BYTES // (3 * M * n * 8)
+    setup, spde = build_setup(cfg), cfg.spde()
+    M, n = setup.grid.M, spde.n_steps
+    per_block = models._L2_BUDGET // (3 * M * n * 8)
     assert 2 * per_block < 30 < 3 * per_block    # two whole scratch blocks and a remainder
     for R, given in itertools.product((1, 3, 30), (False, True)):
         path_seeds, deviation_seeds = (member_seeds(cfg.master_seed, range(R), stream)
                                        for stream in (0, 1))
-        path = sample_global_path(setup.spec, times, [100 + r for r in range(R)] if given
+        path = sample_global_path(setup.spec, spde.dt, n, [100 + r for r in range(R)] if given
                                   else path_seeds)
         with pytest.raises(ValueError):
-            build_drivers(setup.grid, setup.proj, path, deviation_seeds[1:])
-        drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds)
+            build_drivers(setup.grid, setup.proj, path, deviation_seeds[1:], spde.dt)
+        drivers = build_drivers(setup.grid, setup.proj, path, deviation_seeds, spde.dt)
         tables = [drivers.slow, drivers.gridpoint, drivers.deviation]
         assert all(t.shape == (M, n, R) for t in tables)
-        assert path.increments.shape == (R, setup.spec.n_modes, n)
-        assert path.increments.flags.c_contiguous
-        for a, b in itertools.combinations(tables + [path.increments], 2):
+        assert path.shape == (R, setup.spec.n_modes, n)
+        assert path.flags.c_contiguous
+        for a, b in itertools.combinations(tables + [path], 2):
             assert not np.shares_memory(a, b)
         for r in range(R):
             inc, slow, gridpoint, dev, dev_ss = _member_oracle(
-                setup, times, cfg.master_seed, r, path.increments[r] if given else None)
-            assert np.array_equal(path.increments[r], inc)
+                setup, spde, cfg.master_seed, r, path[r] if given else None)
+            assert np.array_equal(path[r], inc)
             for table, want in zip(tables, (slow, gridpoint, dev)):
                 assert np.array_equal(table[..., r], want)
-            one = build_drivers(setup.grid, setup.proj,      # a batch of one
-                                NoisePath(times, path.increments[r:r + 1]), [dev_ss])
+            one = build_drivers(setup.grid, setup.proj, path[r:r + 1], [dev_ss],  # a batch of one
+                                spde.dt)
             for name, want in zip(("slow", "gridpoint", "deviation"), (slow, gridpoint, dev)):
                 assert np.array_equal(getattr(one, name)[..., 0], want)
 
@@ -192,9 +193,10 @@ def _replay_member(cfg, m, deviation_stream, kinds):
     """Final grid values (K, M) of member m, rebuilt alone as a batch of one from
     the config, the master seed, the member index and its deviation stream."""
     setup, spde = build_setup(cfg), cfg.spde()
-    path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, [m], 0))
+    path = sample_global_path(setup.spec, spde.dt, spde.n_steps,
+                              member_seeds(cfg.master_seed, [m], 0))
     drivers = build_drivers(setup.grid, setup.proj, path,
-                            member_seeds(cfg.master_seed, [m], deviation_stream))
+                            member_seeds(cfg.master_seed, [m], deviation_stream), spde.dt)
     grid_models = [DiscreteModel(k, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
                    for k in kinds]
     return simulate_models(grid_models, spde, drivers)[-1, ..., 0]
@@ -326,9 +328,10 @@ def serial_ensemble(cfg):
     samples = {}
     for lo in range(0, cfg.ensemble, cfg.chunk_size):
         chunk = range(lo, min(lo + cfg.chunk_size, cfg.ensemble))
-        path = sample_global_path(setup.spec, spde.times(), member_seeds(cfg.master_seed, chunk, 0))
+        path = sample_global_path(setup.spec, spde.dt, spde.n_steps,
+                                  member_seeds(cfg.master_seed, chunk, 0))
         drivers = build_drivers(setup.grid, setup.proj, path,
-                                member_seeds(cfg.master_seed, chunk, 1))
+                                member_seeds(cfg.master_seed, chunk, 1), spde.dt)
         out = dict(zip(kinds, simulate_models(grid_models, spde, drivers, U0)[-1]))
         if "reference" in cfg.model_kinds:
             solver = FullSpdeSolver(setup.grid.L, cfg.n_fine, setup.spec)
@@ -378,10 +381,10 @@ def plant_blowups(monkeypatch, reference=(), model=()):
     later; in `model`, it makes the tables non-finite at that step."""
     build, chunks = models.build_drivers, itertools.count()
 
-    def planted(grid, proj, path, deviation_seeds, out=None):
-        drivers, chunk = build(grid, proj, path, deviation_seeds, out), next(chunks)
+    def planted(grid, proj, path, deviation_seeds, dt, out=None):
+        drivers, chunk = build(grid, proj, path, deviation_seeds, dt, out), next(chunks)
         for member, step in [(m, i) for c, m, i in reference if c == chunk]:
-            path.increments[member, :, step] *= 1e200
+            path[member, :, step] *= 1e200
         for member, step in [(m, i) for c, m, i in model if c == chunk]:
             for table in (drivers.slow, drivers.gridpoint, drivers.deviation):
                 table[:, step, member] = np.inf
@@ -478,7 +481,8 @@ def serial_weak_h(cfg, hs, chunk_size=None):
     aborting chunk's, naming the member's index in the ensemble."""
     spde, spec = cfg.spde(), cfg.qwiener()
     R = cfg.ensemble
-    path = sample_global_path(spec, spde.times(), member_seeds(cfg.master_seed, range(R), 0))
+    path = sample_global_path(spec, spde.dt, spde.n_steps,
+                              member_seeds(cfg.master_seed, range(R), 0))
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
     mean_err, var_err = [], []
     for k, h in enumerate(sorted(hs, reverse=True)):
@@ -490,8 +494,8 @@ def serial_weak_h(cfg, hs, chunk_size=None):
         for lo in range(0, R, chunk_size or R):
             members = range(lo, min(lo + (chunk_size or R), R))
             drivers = models.build_drivers(
-                setup.grid, setup.proj, NoisePath(path.times, path.increments[lo:members.stop]),
-                member_seeds(cfg.master_seed, members, 3 * k + 4))
+                setup.grid, setup.proj, path[lo:members.stop],
+                member_seeds(cfg.master_seed, members, 3 * k + 4), spde.dt)
             try:
                 U.append(simulate_models([model], spde, drivers)[-1, 0])
             except NumericalAbort as exc:
@@ -533,8 +537,8 @@ def plant_member_blowups(monkeypatch, plants):
     its deviation seed's spawn key, not from the call order."""
     build = models.build_drivers
 
-    def planted(grid, proj, path, deviation_seeds, out=None):
-        drivers = build(grid, proj, path, deviation_seeds, out)
+    def planted(grid, proj, path, deviation_seeds, dt, out=None):
+        drivers = build(grid, proj, path, deviation_seeds, dt, out)
         for col, ss in enumerate(deviation_seeds):
             for step in [i for m, i in plants if m == ss.spawn_key[0]]:
                 for table in (drivers.slow, drivers.gridpoint, drivers.deviation):
@@ -762,7 +766,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
              ({"n_levels": 0}, "coeffs"),
              ({"kmax": 0}, "eig-sweep"),
              ({"q_list": [1.0] * 16}, "coeffs"),
-             ({"chunk_size": 0}, "compare")]
+             ({"chunk_size": 0}, "compare"),
+             ({"T": 1e-9}, "compare"),
+             ({"ensemble": 1}, "compare")]
     for override, verb in cases:
         bad.write_text(json.dumps({**json.loads(RunConfig(**FAST).to_json()), **override}),
                        encoding="utf-8")

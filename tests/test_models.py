@@ -14,7 +14,7 @@ from holisde.models import (
     reduced_slow_sde,
     simulate_models,
 )
-from holisde.noise import NoisePath, PathDraw, sample_global_path
+from holisde.noise import PathDraw, sample_global_path
 from holisde.spectral import assemble_operator
 
 
@@ -24,16 +24,14 @@ def _coeffs(proj8, eig0_8, alpha=1.0, sigma=0.5):
 
 def _drivers(grid, qspec, proj, cfg, seed=0, dev_seed=1):
     """Driver tables of a batch of one, (M, n_steps, 1)."""
-    path = sample_global_path(qspec, cfg.times(), [seed])
-    return build_drivers(grid, proj, path, [dev_seed])
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, [seed])
+    return build_drivers(grid, proj, path, [dev_seed], cfg.dt)
 
 
-def _manual_drivers(grid, tables, dt):
-    n = tables["slow"].shape[1]
+def _manual_drivers(grid, tables):
     zeros = np.zeros_like(tables["slow"])
     return ModelDrivers(
         grid=grid,
-        dt=np.full(n, dt),
         slow=tables.get("slow", zeros),
         gridpoint=tables.get("gridpoint", zeros),
         deviation=tables.get("deviation", zeros),
@@ -59,11 +57,11 @@ def test_fd_discrete_decay_symbol():
     errs = []
     for M in (8, 16, 32):
         g = build_grid(2.0 * np.pi, M, 8)
-        cfg = SpdeConfig(alpha=0.0, sigma=0.0, dt=1e-4, T=1e-3)
+        cfg = SpdeConfig(alpha=0.0, sigma=0.0, dt=1e-4, T=1e-4)
         U0 = np.sin(2.0 * np.pi * g.grid_points / g.L)
         tables = {"slow": np.zeros((M, 1, 1)), "deviation": np.zeros((M, 1, 1)),
                   "gridpoint": np.zeros((M, 1, 1))}
-        drv = _manual_drivers(g, tables, cfg.dt)
+        drv = _manual_drivers(g, tables)
         out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[-1, 0, :, 0]
         symbol = 4.0 * np.sin(np.pi * g.h / g.L) ** 2 / g.h**2
         expected = (1.0 - cfg.dt * symbol) * U0
@@ -79,7 +77,7 @@ def test_fd_hand_computed_step_m4():
     dW = np.array([0.02, -0.01, 0.03, 0.0])
     tables = {"gridpoint": dW[:, None, None], "slow": np.zeros((4, 1, 1)),
               "deviation": np.zeros((4, 1, 1))}
-    drv = _manual_drivers(g, tables, cfg.dt)
+    drv = _manual_drivers(g, tables)
     out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U0)[-1, 0, :, 0]
     lap = np.array([
         U0[3] - 2 * U0[0] + U0[1],
@@ -111,10 +109,10 @@ def test_holistic_drift_fixed_point(grid8):
     hat = 0.81
     co = AveragedCoeffs(hat_alpha=np.full(grid8.M, hat), qj=np.zeros(grid8.M),
                         qj_truncation=np.zeros(grid8.M), alpha=1.0)
-    cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=0.01)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
     tables = {"slow": np.zeros((grid8.M, 1, 1)), "gridpoint": np.zeros((grid8.M, 1, 1)),
               "deviation": np.zeros((grid8.M, 1, 1))}
-    drv = _manual_drivers(grid8, tables, cfg.dt)
+    drv = _manual_drivers(grid8, tables)
     U0 = np.full(grid8.M, np.sqrt(hat))
     out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[-1, 0, :, 0]
     assert np.allclose(out, U0, atol=1e-15)
@@ -122,12 +120,12 @@ def test_holistic_drift_fixed_point(grid8):
 
 def test_holistic_uniform_noise_gets_no_stencil_correction(grid8, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8)
-    cfg = SpdeConfig(alpha=0.0, sigma=1.0, dt=1e-3, T=0.01)
+    cfg = SpdeConfig(alpha=0.0, sigma=1.0, dt=1e-3, T=1e-3)
     delta = 0.37
     tables = {"slow": np.full((grid8.M, 1, 1), delta),
               "gridpoint": np.zeros((grid8.M, 1, 1)),
               "deviation": np.zeros((grid8.M, 1, 1))}
-    drv = _manual_drivers(grid8, tables, cfg.dt)
+    drv = _manual_drivers(grid8, tables)
     U0 = np.zeros(grid8.M)
     out = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[-1, 0, :, 0]
     # spatially uniform driver increments: only the direct sigma*dS term acts
@@ -139,8 +137,8 @@ def test_holistic_noise_stencil_variance(grid8, qspec, proj8, eig0_8):
     # closed form from the driver covariance
     sigma = 0.8
     cfg = SpdeConfig(alpha=0.0, sigma=sigma, dt=1e-3, T=4.0)
-    path = sample_global_path(qspec, cfg.times(), [3])
-    slow = proj8.slow_map @ path.increments[0]         # (M, N)
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, [3])
+    slow = proj8.slow_map @ path[0]                    # (M, N)
     sten = np.roll(slow, 1, axis=0) - 2.0 * slow + np.roll(slow, -1, axis=0)
     term = (sigma / 4.0) * sten
     emp = np.var(term, axis=1, ddof=1) / cfg.dt
@@ -148,7 +146,7 @@ def test_holistic_noise_stencil_variance(grid8, qspec, proj8, eig0_8):
     cov = W @ W.T
     S = np.roll(np.eye(grid8.M), 1, axis=1) - 2 * np.eye(grid8.M) + np.roll(np.eye(grid8.M), -1, axis=1)
     pred = (sigma / 4.0) ** 2 * np.diag(S @ cov @ S.T)
-    se = pred * np.sqrt(2.0 / (path.n_steps - 1))
+    se = pred * np.sqrt(2.0 / (cfg.n_steps - 1))
     assert np.all(np.abs(emp - pred) < 4.0 * se)
 
 
@@ -167,10 +165,10 @@ def test_intro_variant_uses_gridpoint_noise(grid8, qspec, proj8, eig0_8):
 
 def test_deviation_alpha_flag_scales_term(grid8, proj8, eig0_8):
     co = _coeffs(proj8, eig0_8, alpha=2.0)
-    cfg = SpdeConfig(alpha=2.0, sigma=0.0, dt=1e-3, T=0.01)
+    cfg = SpdeConfig(alpha=2.0, sigma=0.0, dt=1e-3, T=1e-3)
     tables = {"slow": np.zeros((grid8.M, 1, 1)), "gridpoint": np.zeros((grid8.M, 1, 1)),
               "deviation": np.full((grid8.M, 1, 1), 0.1)}
-    drv = _manual_drivers(grid8, tables, cfg.dt)
+    drv = _manual_drivers(grid8, tables)
     U0 = np.full(grid8.M, 0.5)
     out_plain = simulate_models([DiscreteModel("holistic", coeffs=co)], cfg, drv, U0)[-1, 0, :, 0]
     out_alpha = simulate_models([DiscreteModel("holistic", coeffs=co, deviation_alpha=True)],
@@ -217,7 +215,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
 
     def one_step(tables, g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
-        drv = _manual_drivers(grid8, tables, cfg.dt)
+        drv = _manual_drivers(grid8, tables)
         return simulate_models([model], cfg, drv, U0)[-1, 0, :, 0]
 
     # family gamma^1: uniform slow driver (stencil part cancels)
@@ -232,7 +230,7 @@ def test_gamma_reduced_term_families_have_tagged_orders(grid8, qspec, proj8, eig
     def dev_step(g):
         cfg = SpdeConfig(alpha=0.0, sigma=1.0, gamma=g, dt=1e-3, T=1e-3)
         drv = _manual_drivers(grid8, {"slow": np.zeros((M, 1, 1)),
-                                      "deviation": np.full((M, 1, 1), 0.2)}, cfg.dt)
+                                      "deviation": np.full((M, 1, 1), 0.2)})
         out = simulate_models([model], cfg, drv, U1)[-1, 0, :, 0]
         return np.max(np.abs(out - U1))
     mags = [dev_step(g) for g in gammas]
@@ -261,7 +259,7 @@ def test_reduced_slow_zero_state_stays_zero(grid8, qspec, proj8, eig0_8):
     op = assemble_operator(grid8, 0.1)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=0.1, dt=1e-3, T=0.01)
     d = _drivers(grid8, qspec, proj8, cfg, seed=1)
-    drv = _manual_drivers(grid8, {"slow": d.slow, "deviation": d.deviation}, cfg.dt)
+    drv = _manual_drivers(grid8, {"slow": d.slow, "deviation": d.deviation})
     a = np.zeros(grid8.M)
     for i in range(5):
         a = reduced_slow_sde(a, cfg, op, stats, co, drv, i)
@@ -290,7 +288,7 @@ def test_reduced_slow_drift_gap_is_third_order(grid8, qspec, proj8, eig0_8):
         cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=g, dt=1e-3, T=1e-3)
         op = assemble_operator(grid8, g)
         tables = {"slow": np.zeros((grid8.M, 1, 1)), "deviation": np.zeros((grid8.M, 1, 1))}
-        drv = _manual_drivers(grid8, tables, cfg.dt)
+        drv = _manual_drivers(grid8, tables)
         a1 = reduced_slow_sde(a0.copy(), cfg, op, stats, co, drv, 0)
         u1 = simulate_models([DiscreteModel("gamma_reduced", coeffs=co)],
                              cfg, drv, a0.copy())[-1, 0, :, 0]
@@ -306,7 +304,7 @@ def test_reduced_slow_linearized_decouples_in_dft_modes(grid8, qspec, proj8, eig
     op = assemble_operator(grid8, 0.2)
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, gamma=0.2, dt=1e-3, T=1e-3)
     tables = {"slow": np.zeros((grid8.M, 1, 1)), "deviation": np.zeros((grid8.M, 1, 1))}
-    drv = _manual_drivers(grid8, tables, cfg.dt)
+    drv = _manual_drivers(grid8, tables)
     M = grid8.M
     A = np.empty((M, M))
     for j in range(M):
@@ -321,12 +319,12 @@ def test_reduced_slow_linearized_decouples_in_dft_modes(grid8, qspec, proj8, eig
 
 def test_build_drivers_takes_a_batch_of_one(grid8, qspec, proj8):
     cfg = SpdeConfig(dt=1e-3, T=0.01)
-    two = sample_global_path(qspec, cfg.times(), [0, 1])
+    two = sample_global_path(qspec, cfg.dt, cfg.n_steps, [0, 1])
     with pytest.raises(ValueError):
-        build_drivers(grid8, proj8, two, [1])          # one deviation seed per member
-    one = build_drivers(grid8, proj8, NoisePath(two.times, two.increments[1:]), [1])
+        build_drivers(grid8, proj8, two, [1], cfg.dt)  # one deviation seed per member
+    one = build_drivers(grid8, proj8, two[1:], [1], cfg.dt)
     assert one.slow.shape == (grid8.M, cfg.n_steps, 1)
-    assert np.array_equal(one.slow[..., 0], proj8.slow_map @ two.increments[1])
+    assert np.array_equal(one.slow[..., 0], proj8.slow_map @ two[1])
 
 
 @pytest.mark.parametrize("members", [1, 3, 40])
@@ -334,14 +332,14 @@ def test_drawn_rows_build_the_sampled_tables(grid8, qspec, proj8, members):
     # 40 members of 200 steps fill three 512 KiB scratch blocks and part of a fourth
     cfg = SpdeConfig(dt=1e-3, T=0.2)
     seeds, dev_seeds = list(range(members)), [s + 100 for s in range(members)]
-    path = sample_global_path(qspec, cfg.times(), seeds)
-    draw = PathDraw(qspec, cfg.times(), seeds)
-    rows = [row.copy() for row in draw.increments]
-    assert len(draw) == len(path) == members
-    assert all(np.array_equal(row, want) for row, want in zip(rows, path.increments))
-    want = build_drivers(grid8, proj8, path, dev_seeds)
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, seeds)
+    draw = PathDraw(qspec, cfg.dt, cfg.n_steps, seeds)
+    rows = [row.copy() for row in draw]
+    assert len(draw) == len(path) == members and draw.shape == path.shape
+    assert all(np.array_equal(row, want) for row, want in zip(rows, path))
+    want = build_drivers(grid8, proj8, path, dev_seeds, cfg.dt)
     wide = np.full((3, grid8.M, cfg.n_steps, members + 2), np.nan)
-    got = build_drivers(grid8, proj8, draw, dev_seeds, out=wide[..., 1:-1])
+    got = build_drivers(grid8, proj8, draw, dev_seeds, cfg.dt, out=wide[..., 1:-1])
     for name in ("slow", "gridpoint", "deviation"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
         assert np.shares_memory(getattr(got, name), wide)
@@ -354,8 +352,8 @@ def test_member_slices_step_as_the_whole_batch(grid8, qspec, proj8, eig0_8, cuts
     # wide grid-model stepping rests on this: 70 steps cross two precomputed noise blocks
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.07)
-    drv = build_drivers(grid8, proj8, PathDraw(qspec, cfg.times(), list(range(9))),
-                        list(range(100, 109)))
+    drv = build_drivers(grid8, proj8, PathDraw(qspec, cfg.dt, cfg.n_steps, list(range(9))),
+                        list(range(100, 109)), cfg.dt)
     models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
               DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
     whole = simulate_models(models, cfg, drv, store=True)
@@ -379,7 +377,7 @@ def test_abort_names_first_nonfinite_member(grid8, qspec, proj8, eig0_8, R):
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.005)
     slow = _drivers(grid8, qspec, proj8, cfg).slow
     blown = np.concatenate([1e200 * slow if r == R // 2 else slow for r in range(R)], axis=-1)
-    drivers = _manual_drivers(grid8, {"slow": blown}, cfg.dt)
+    drivers = _manual_drivers(grid8, {"slow": blown})
     model = DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
         simulate_models([model], cfg, drivers, np.zeros(grid8.M))
@@ -391,8 +389,8 @@ def test_abort_records_each_member_and_keeps_the_others(grid8, qspec, proj8, eig
     # member 2 of 5 goes non-finite at step 40 in every kind; the rest step on untouched
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.07)
-    drv = build_drivers(grid8, proj8, sample_global_path(qspec, cfg.times(), list(range(5))),
-                        list(range(100, 105)))
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, list(range(5)))
+    drv = build_drivers(grid8, proj8, path, list(range(100, 105)), cfg.dt)
     models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co)]
     clean = simulate_models(models, cfg, drv, store=True)
     for table in (drv.slow, drv.gridpoint, drv.deviation):
@@ -414,7 +412,7 @@ def test_abort_records_each_member_and_keeps_the_others(grid8, qspec, proj8, eig
 def test_initial_state_must_be_one_grid_profile(grid8, shape):
     # an (M, R) state would otherwise broadcast against the (K, M, R) state when M == R
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
-    drivers = _manual_drivers(grid8, {"slow": np.zeros((grid8.M, 1, shape[1]))}, cfg.dt)
+    drivers = _manual_drivers(grid8, {"slow": np.zeros((grid8.M, 1, shape[1]))})
     with pytest.raises(ValueError, match="one grid profile"):
         simulate_models([DiscreteModel("conventional_fd")], cfg, drivers, np.zeros(shape))
 
@@ -425,8 +423,8 @@ def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, stor
     # 150 steps cross four precomputed noise blocks and end inside a fifth
     co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.15)
-    path = sample_global_path(qspec, cfg.times(), list(range(members)))
-    drv = build_drivers(grid8, proj8, path, [s + 100 for s in range(members)])
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, list(range(members)))
+    drv = build_drivers(grid8, proj8, path, [s + 100 for s in range(members)], cfg.dt)
     models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
               DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
     stacked = simulate_models(models, cfg, drv, store=store)
@@ -442,7 +440,7 @@ def test_stacked_abort_names_kind_step_and_member(grid8, qspec, proj8, eig0_8):
     d = _drivers(grid8, qspec, proj8, cfg)
     slow = np.concatenate([d.slow, 1e200 * d.slow, d.slow], axis=-1)
     gridpoint = np.repeat(d.gridpoint, 3, axis=-1)
-    drivers = _manual_drivers(grid8, {"slow": slow, "gridpoint": gridpoint}, cfg.dt)
+    drivers = _manual_drivers(grid8, {"slow": slow, "gridpoint": gridpoint})
     models = [DiscreteModel("conventional_fd"),
               DiscreteModel("holistic", coeffs=_coeffs(proj8, eig0_8))]
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from holisde.dynamics import BatchJob, FullSpdeSolver, SpdeConfig, run_batches
 from holisde.grid import build_grid
+from holisde.models import DiscreteModel, build_drivers, simulate_models
 from holisde.noise import (
-    NoisePath,
     QWienerSpec,
     fourier_basis,
     project_to_element_modes,
@@ -70,48 +71,50 @@ def test_fourier_basis_orthonormal():
 
 
 def test_sample_path_deterministic(qspec):
-    t = np.linspace(0.0, 1.0, 101)
-    p1 = sample_global_path(qspec, t, [99])
-    p2 = sample_global_path(qspec, t, [99])
-    assert p1.increments.shape == (1, qspec.n_modes, 100)
-    assert np.array_equal(p1.increments, p2.increments)
-    p3 = sample_global_path(qspec, t, [100])
-    assert not np.array_equal(p1.increments, p3.increments)
+    dt = 0.01
+    p1 = sample_global_path(qspec, dt, 100, [99])
+    p2 = sample_global_path(qspec, dt, 100, [99])
+    assert p1.shape == (1, qspec.n_modes, 100)
+    assert np.array_equal(p1, p2)
+    p3 = sample_global_path(qspec, dt, 100, [100])
+    assert not np.array_equal(p1, p3)
     # a row is its seed's draw whatever else is in the batch
-    batch = sample_global_path(qspec, t, [100, 99])
-    assert np.array_equal(batch.increments, np.concatenate([p3.increments, p1.increments]))
-    want = np.random.default_rng(99).standard_normal((qspec.n_modes, 100)) * np.sqrt(np.diff(t))
-    assert np.array_equal(p1.increments[0], want)
+    batch = sample_global_path(qspec, dt, 100, [100, 99])
+    assert np.array_equal(batch, np.concatenate([p3, p1]))
+    want = np.random.default_rng(99).standard_normal((qspec.n_modes, 100)) * np.sqrt(dt)
+    assert np.array_equal(p1[0], want)
 
 
-def test_sample_path_rejects_bad_times(qspec):
-    with pytest.raises(ValueError):
-        sample_global_path(qspec, np.array([0.0, 0.5, 0.5, 1.0]), [1])
-    t = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):     # one path without its member axis
-        NoisePath(t, np.zeros((qspec.n_modes, 4)))
-    with pytest.raises(ValueError):
-        NoisePath(t, np.zeros((1, qspec.n_modes, 5)))
+def test_sample_path_rejects_bad_times(qspec, grid8, proj8):
+    # a path's shape is checked where it is stepped: 3-D, with the config's step count
+    cfg = SpdeConfig(dt=0.25, T=1.0)
+    solver = FullSpdeSolver(2.0 * np.pi, 64, qspec)
+    for bad in (np.zeros((qspec.n_modes, 4)),      # one path without its member axis
+                np.zeros((1, qspec.n_modes, 5)), np.zeros((1, qspec.n_modes, 3))):
+        with pytest.raises(ValueError, match="path"):
+            run_batches([BatchJob(solver, cfg, bad)])
+    for n_steps in (3, 5):
+        drivers = build_drivers(grid8, proj8, np.zeros((1, qspec.n_modes, n_steps)), [0], cfg.dt)
+        with pytest.raises(ValueError, match="steps"):
+            simulate_models([DiscreteModel("conventional_fd")], cfg, drivers)
 
 
 def test_increment_variance_band(qspec):
     # 3-sigma chi^2 band around Var = dt for 1e5 increments
     dt = 0.01
-    t = dt * np.arange(100_001)
-    path = sample_global_path(qspec, t, [7])
+    path = sample_global_path(qspec, dt, 100_000, [7])
     for k in (0, 3, 11):
-        v = np.var(path.increments[0, k], ddof=1)
+        v = np.var(path[0, k], ddof=1)
         assert 0.0094 <= v <= 0.0106
 
 
 def test_zero_spectrum_gives_zero_field():
     q = np.zeros(9)
     spec = QWienerSpec(q)
-    t = np.linspace(0.0, 1.0, 11)
-    path = sample_global_path(spec, t, [5])
+    path = sample_global_path(spec, 0.1, 10, [5])
     x = np.linspace(0.0, 1.0, 33)
     basis = fourier_basis(x, spec.n_modes, 1.0)
-    incr = np.tensordot(np.sqrt(spec.q) * path.increments[0, :, 0], basis, axes=(0, 0))
+    incr = np.tensordot(np.sqrt(spec.q) * path[0, :, 0], basis, axes=(0, 0))
     assert np.all(incr == 0.0)
 
 
@@ -186,10 +189,9 @@ def test_gridvalue_driver_correlation_formula(grid8, qspec, proj8):
     q = qspec.q
     corr = np.sum(q * w * ex) / np.sqrt(np.sum(q * w**2) * np.sum(q * ex**2))
     # Monte-Carlo confirmation on sampled increments
-    t = np.linspace(0.0, 1.0, 20_001)
-    path = sample_global_path(qspec, t, [17])
-    a = (np.sqrt(q) * w) @ path.increments[0]
-    b = (np.sqrt(q) * ex) @ path.increments[0]
+    path = sample_global_path(qspec, 5e-5, 20_000, [17])
+    a = (np.sqrt(q) * w) @ path[0]
+    b = (np.sqrt(q) * ex) @ path[0]
     mc = np.corrcoef(a, b)[0, 1]
     assert mc == pytest.approx(corr, abs=0.02)
     assert corr > 0.9  # already high at h = L/8
@@ -197,9 +199,8 @@ def test_gridvalue_driver_correlation_formula(grid8, qspec, proj8):
 
 def test_neighbour_driver_correlation_matches_prediction(grid8, qspec, proj8):
     pred = predicted_driver_correlation(proj8, 2, 0, 3, 0)
-    t = np.linspace(0.0, 1.0, 20_001)
-    path = sample_global_path(qspec, t, [23])
-    d = (proj8.weights[:, 0, :] * np.sqrt(qspec.q)) @ path.increments[0]
+    path = sample_global_path(qspec, 5e-5, 20_000, [23])
+    d = (proj8.weights[:, 0, :] * np.sqrt(qspec.q)) @ path[0]
     mc = np.corrcoef(d[2], d[3])[0, 1]
     assert 0.0 < pred < 1.0
     assert mc == pytest.approx(pred, abs=0.02)
