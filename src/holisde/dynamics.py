@@ -28,12 +28,12 @@ That skips an irfft-rfft round trip per step and moves the fields by round-off
 (criterion 09's gaps by 5.2e-11 relative); every alpha != 0 step stays
 bitwise `step`'s.  The coupled solver carries the members on a trailing
 axis, applies weak-load maps built once and writes its per-step arrays into
-buffers made once per member block.
+buffers made once per member block, and solves by static condensation.
 
-This module imports no scipy: the coupled solver gets its sparse LU factor
-from `CoupledOperator.semi_implicit_lu`, so scipy's linear algebra loads
-only where `spectral` builds the coupled operator, and the reference and
-grid-model paths start without it.
+This module imports no scipy: the coupled solver gets its dense blocks
+from `spectral.condense`, so scipy's linear algebra loads only where
+`spectral` builds the coupled operator, and the reference and grid-model
+paths start without it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .grid import ElementField
 from .noise import QWienerSpec, fourier_basis
-from .spectral import CoupledOperator
+from .spectral import CoupledOperator, condense
 
 __all__ = [
     "SpdeConfig",
@@ -166,11 +166,10 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     of field (the solver's `_member_bytes` per member) where possible, never
     a block of one member unless R = 1, and all blocks of all jobs run in
     one pool map, each its own time loop in place.
-    Members are independent, and each solver's noise product puts them on
-    the GEMM's row axis (the reference's `tensordot`, the coupled solver's
-    `db^T load^T`), where OpenBLAS rounds a member's row alike at every
-    width above one, so every field is bitwise that of stepping the job's
-    whole batch at once.  A block stops at its first non-finite step and
+    Members are independent; each noise product puts them on the GEMM's row
+    axis (`tensordot`, `db^T load^T`), where OpenBLAS rounds a row alike at
+    every width above one, and the condensed solve pads them to a multiple
+    of 8 columns, so every field is bitwise that of stepping the whole batch.  A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
     member; its `job` is that job's index and its `fields` the finished
@@ -341,9 +340,9 @@ class FullSpdeSolver:
 class CoupledElementSolver:
     """Semi-implicit stepper for the gamma-coupled element system.
 
-    Works in the reduced coordinates of the constraint basis, so the value
-    coupling conditions are enforced exactly by construction; the flux
-    condition is the natural condition of the Galerkin form.
+    Works in the reduced coordinates of the constraint basis, in `condense`'s
+    order, so the value coupling conditions are enforced exactly by
+    construction; the flux condition is the natural condition of the Galerkin form.
     """
 
     def __init__(self, op: CoupledOperator, spec: QWienerSpec, dt: float):
@@ -351,20 +350,22 @@ class CoupledElementSolver:
         self.dt = float(dt)
         grid = op.grid
         self.grid = grid
+        self.perm, self.inv, self.W, self.coupling, self.schur_inv = condense(
+            op.M_red + self.dt * op.K_red, op.Z, grid.M)
+        self.Z, self.ZtM = op.Z[:, self.perm], op.ZtM[self.perm]
         nodes = np.mod(grid.all_nodes(), grid.L)
         basis = fourier_basis(nodes, spec.n_modes, grid.L).reshape(spec.n_modes, -1)
-        self.load = op.gamma * (op.ZtM @ basis.T)                  # (nred, K+1)
+        self.load = op.gamma * (self.ZtM @ basis.T)                # (nred, K+1)
         self._member_bytes = 8 * self.load.shape[0]               # a member's reduced state
         self.nodal_shape = (grid.M, 2, grid.subgrid_n + 1)
         self.sqrt_q = np.sqrt(spec.q)
-        self._semi_lu = op.semi_implicit_lu(self.dt)
 
     def initial_reduced(self, cfg: SpdeConfig, u0: Optional[ElementField] = None) -> np.ndarray:
-        """Project initial data onto the constrained subspace."""
+        """Project initial data onto the constrained subspace, (nred,)."""
         if u0 is None:
             f = initial_profile(cfg.initial, self.grid.L)
             u0 = ElementField(f(self.grid.all_nodes()), self.grid)
-        return self.op.reduce(u0)
+        return self.op.reduce(u0)[self.perm]
 
     def noise_rhs(self, db: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Reduced weak load of the element noise increment (without sigma).
@@ -379,30 +380,36 @@ class CoupledElementSolver:
         """
         return np.matmul(db.T, self.load.T, out=out).T
 
-    def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise_rhs: np.ndarray,
-                     cube: np.ndarray) -> None:
-        """One step in reduced coordinates, in place; c may be (nred,) or (nred, R).
+    def workspace(self, R: int) -> np.ndarray:
+        """A zeroed nodal cube (M, 2, n+1, P) for `step_reduced`, P = R up to a multiple of 8."""
+        return np.zeros(self.nodal_shape + (-(-R // 8) * 8,))
 
-        c <- (M_red + dt K_red)^-1 (M_red c + dt weak_rhs(reaction) + sigma noise_rhs),
-        with the reaction alpha (gamma^2 u - u u u) of the nodal field u = Z c.
-        cube is a nodal (M, 2, n+1[, R]) buffer; the reaction and the right-hand
-        side are written over the sparse products they start from.
+    def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise: np.ndarray,
+                     cube: np.ndarray) -> None:
+        """One step in the solver's coordinates, in place; c is (nred, R).
+
+        c <- A^-1 (ZtM (u + dt alpha (gamma^2 - u u) u) + noise) for u = Z c,
+        A = M_red + dt K_red = ZtM Z + dt K_red and `noise` the weak noise load
+        with sigma: y = A_II^-1 b_I, x_C = S^-1 (b_C - A_CI y), x_I = y - W x_C.
+        cube is `workspace(R)`: the products run on P columns, members and zeros,
+        as OpenBLAS rounds a column alike only at widths of one remainder mod 8.
         """
-        op = self.op
-        uv = (op.Z @ c).reshape(cube.shape)
-        np.multiply(uv, uv, out=cube)
-        np.multiply(cube, uv, out=cube)
-        np.multiply(cfg.gamma**2, uv, out=uv)
-        np.subtract(uv, cube, out=uv)
-        np.multiply(cfg.alpha, uv, out=uv)
-        weak = op.weak_rhs(uv)
-        np.multiply(cfg.dt, weak, out=weak)
-        rhs = op.M_red @ c
-        np.add(rhs, weak, out=rhs)
-        np.multiply(cfg.sigma, noise_rhs, out=weak)
-        np.add(rhs, weak, out=rhs)
-        del uv, weak        # before the solve: a worker thread's arena keeps its high-water mark
-        c[...] = self._semi_lu.solve(rhs)
+        R, P, n = c.shape[1], cube.shape[-1], len(self.W)
+        u, r = (self.Z @ c).reshape(self.nodal_shape + (R,)), cube[..., :R]
+        np.multiply(u, u, out=r)
+        np.subtract(cfg.gamma**2, r, out=r)
+        np.multiply(r, u, out=r)
+        np.multiply(cfg.dt * cfg.alpha, r, out=r)
+        np.add(u, r, out=r)
+        b = self.ZtM @ cube.reshape(-1, P)
+        np.add(b[:, :R], noise, out=b[:, :R])
+        y = cube.reshape(-1, P)[:n]                 # the interior solve, in the spent cube
+        np.matmul(self.inv, b[:n].reshape(self.grid.M, -1, P), out=y.reshape(self.grid.M, -1, P))
+        np.subtract(b[n:], self.coupling @ y, out=b[n:])
+        x_c = self.schur_inv @ b[n:]
+        np.matmul(self.W, x_c, out=b[:n])
+        c[n:] = x_c[:, :R]
+        np.subtract(y[:, :R], b[:n, :R], out=c[:n])
 
     # -- the runner's interface: whole-batch state, block step, result -------
 
@@ -410,20 +417,20 @@ class CoupledElementSolver:
 
     def _batch_state(self, cfg: SpdeConfig, R: int, u0: Optional[ElementField]) -> np.ndarray:
         if abs(cfg.dt - self.dt) > 1e-14 * self.dt:
-            raise ValueError("config dt differs from the factorized step size")
+            raise ValueError("config dt differs from the condensed step size")
         return np.repeat(self.initial_reduced(cfg, u0)[:, None], R, axis=1)
 
     def _block_stepper(self, cfg: SpdeConfig, c: np.ndarray, lo: int, hi: int):
         """advance(db) steps members lo:hi of c in place with their own buffers
-        and returns them, members first."""
-        cb = c[:, lo:hi]
-        cube, load = np.empty(self.nodal_shape + (hi - lo,)), np.empty((hi - lo, cb.shape[0]))
+        and returns them, members first; db is scaled by sigma in place."""
+        cb, cube, load = c[:, lo:hi], self.workspace(hi - lo), np.empty((hi - lo, len(c)))
 
         def advance(db: np.ndarray) -> np.ndarray:
+            np.multiply(cfg.sigma, db, out=db)
             self.step_reduced(cb, cfg, self.noise_rhs(db, load), cube)
             return cb.T
 
         return advance
 
     def _batch_fields(self, c: np.ndarray) -> np.ndarray:
-        return (self.op.Z @ c).reshape(self.nodal_shape + (-1,))
+        return (self.Z @ c).reshape(self.nodal_shape + (-1,))

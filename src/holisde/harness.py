@@ -211,8 +211,8 @@ class RunConfig:
                 errors += _sweep_errors(self.sweep_axis, self.sweep_values)
             if len(self.sweep_values) < 3:
                 errors.append("sweeps need at least 3 values")
-        if not errors and self.T / self.dt_value <= 0.5:      # round(T / dt) < 1, no overflow
-            errors.append(f"T = {self.T:g} holds no time step of dt = {self.dt_value:g}")
+        if not errors and not 0.5 < self.T / self.dt_value < np.inf:   # round(T / dt) >= 1, finite
+            errors.append(f"T = {self.T:g} holds no finite count of dt = {self.dt_value:g} steps")
         if errors:
             raise ConfigError(errors)
 
@@ -685,10 +685,9 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     spde0 = cfg.spde()
     spdes = [cfg.spde(gamma=float(g)) for g in gammas]
     spde_det = cfg.spde(gamma=1.0, sigma=0.0)
-    # the coupled solvers first, so that scipy's import and the LU factors
-    # are allocated before the batch arrays and do not raise the peak
-    *solvers, det_solver = [CoupledElementSolver(spectral.assemble_operator(grid, s.gamma),
-                                                 spec, s.dt) for s in spdes + [spde_det]]
+    # one coupled solver per distinct gamma, before the batch arrays; gamma = 1's steps sigma = 0
+    solvers = {g: CoupledElementSolver(spectral.assemble_operator(grid, g), spec, spde0.dt)
+               for g in dict.fromkeys([s.gamma for s in spdes] + [spde_det.gamma])}
     fine = FullSpdeSolver(grid.L, cfg.n_fine, spec)
     path = sample_global_path(spec, spde0.dt, spde0.n_steps,
                               member_seeds(cfg.master_seed, range(cfg.ensemble), 0))
@@ -696,8 +695,8 @@ def _study_coupling_gap(cfg: RunConfig, gammas: np.ndarray) -> tuple:
     # sigma = 0 silences the noise, so any one path serves as the batch of one
     one = path[:1]
     jobs = [BatchJob(fine, spde0, path)]
-    jobs += [BatchJob(solver, spde, path) for solver, spde in zip(solvers, spdes)]
-    jobs += [BatchJob(fine, spde_det, one), BatchJob(det_solver, spde_det, one)]
+    jobs += [BatchJob(solvers[spde.gamma], spde, path) for spde in spdes]
+    jobs += [BatchJob(fine, spde_det, one), BatchJob(solvers[spde_det.gamma], spde_det, one)]
     ref, *fields, det_ref, det_field = run_batches(jobs)
     ref_nodes = _right_half_values(ref, grid)
     gaps = np.stack([_right_half_gap(f, ref_nodes, grid) for f in fields])

@@ -102,11 +102,12 @@ def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarr
     own, so each column is bitwise that member's tables whatever the batch;
     one transposing copy per block follows, into `out` (3, M, n_steps, R)
     when given (a column slice of a group's buffer), else into new tables.
-    Raises ValueError unless there is one seed per member.
+    Raises ValueError unless there is one seed per member and at least one step.
     """
     (R, _, n_steps), M = path.shape, proj.slow_map.shape[0]
-    if len(deviation_seeds) != R:
-        raise ValueError(f"{len(deviation_seeds)} deviation seeds for {R} members")
+    if len(deviation_seeds) != R or n_steps < 1:
+        raise ValueError(f"need one deviation seed per member and a step, got "
+                         f"{len(deviation_seeds)} seeds, {R} members, {n_steps} steps")
     tables = np.empty((3, M, n_steps, R)) if out is None else out
     B = min(R, max(1, _L2_BUDGET // (3 * M * n_steps * 8)))
     scratch = np.empty((B, 3, M, n_steps))

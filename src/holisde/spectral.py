@@ -28,8 +28,8 @@ normalized constant at k = 0.
 
 This module is the package's only user of scipy's linear algebra, and it
 imports scipy's sparse and dense linear algebra inside the functions that
-assemble, factor or diagonalize the coupled operator (`_constraint_basis`,
-`assemble_operator`, `CoupledOperator._lu` and `semi_implicit_lu`,
+assemble, factor, condense or diagonalize the coupled operator
+(`_constraint_basis`, `assemble_operator`, `CoupledOperator._lu`, `condense`,
 `eig_gamma`).  Loading those modules costs about 0.3 s and 23 MiB, and the
 grid-model paths (the closed-form gamma = 0 eigensystem, the reference, the
 models) never touch them, so `import holisde` does not pay for them.
@@ -54,6 +54,7 @@ __all__ = [
     "AnalyticEigenSystem",
     "GroundModeExpansion",
     "assemble_operator",
+    "condense",
     "eig_gamma",
     "eig_gamma0",
     "expand_ground_mode",
@@ -141,12 +142,6 @@ class CoupledOperator:
             self._mass_lu = splu(self.M_red)
         return self._mass_lu
 
-    def semi_implicit_lu(self, dt: float) -> spla.SuperLU:
-        """Sparse LU factor of M_red + dt K_red, the semi-implicit step's matrix."""
-        from scipy.sparse.linalg import splu
-
-        return splu((self.M_red + dt * self.K_red).tocsc())
-
     # -- coordinate maps ----------------------------------------------------
 
     def field_from_reduced(self, c: np.ndarray) -> ElementField:
@@ -154,11 +149,7 @@ class CoupledOperator:
 
     def reduce(self, u: ElementField) -> np.ndarray:
         """H-projection of a nodal field onto the constrained subspace."""
-        return self._lu().solve(self.weak_rhs(u.values))
-
-    def weak_rhs(self, u_values: np.ndarray) -> np.ndarray:
-        """Z^T M u for a nodal field (M, 2, n+1[, R]) -> reduced load (nred[, R])."""
-        return self.ZtM @ u_values.reshape((self.grid.ndof,) + u_values.shape[3:])
+        return self._lu().solve(self.ZtM @ u.values.reshape(self.grid.ndof))
 
     # -- operator action ----------------------------------------------------
 
@@ -187,6 +178,37 @@ def assemble_operator(grid: DomainGrid, gamma: float) -> CoupledOperator:
     M_red = (ZtM @ Z).tocsc()
     return CoupledOperator(grid=grid, gamma=float(gamma), Z=Z, K_red=K_red, M_red=M_red,
                            ZtM=ZtM.tocsr())
+
+
+def condense(A: sp.spmatrix, Z: sp.spmatrix, M: int) -> tuple:
+    """Static condensation of a reduced matrix A on M elements, in dense pieces.
+
+    A coordinate whose Z column is one nodal value is interior to that node's
+    element; the rest are the centre values.  Returns perm (the interiors by
+    element, then the centres), the inverse of the (m, m) interior block all
+    elements share, W = A_II^-1 A_IC, the sparse A_CI and S^-1 = (A_CC -
+    A_CI W)^-1.  Raises ValueError if an interior entry couples two elements,
+    or if an element's interior block differs from the first's.
+    """
+    from scipy.sparse.linalg import splu        # SuperLU: the mass LU loads its code anyway
+
+    Z = Z.tocsc()
+    single = np.diff(Z.indptr) == 1             # interiors by element, centres in column order
+    perm = np.lexsort((Z.indices[Z.indptr[:-1]] // (Z.shape[0] // M) * single, ~single))
+    n = np.count_nonzero(single)
+    m = n // M
+    P = A.tocsr()[perm][:, perm]
+    Q = P[:n, :n].tocoo()
+    if np.any((Q.row // m != Q.col // m) & (Q.data != 0)):
+        raise ValueError("an interior entry couples two elements")
+    blocks = np.zeros((M, m, m))              # what couples two elements is zero here
+    np.add.at(blocks, (Q.row // m, Q.row % m, Q.col % m), Q.data)
+    if np.any(blocks != blocks[0]):
+        raise ValueError("the elements' interior blocks differ")
+    inv = np.ascontiguousarray(splu(P[:m, :m].tocsc()).solve(np.eye(m)))
+    W = (inv @ P[:n, n:].toarray().reshape(M, m, M)).reshape(n, M)
+    schur_inv = splu(P.tocsc()).solve(np.eye(len(perm))[:, n:])[n:]    # S^-1 = (A^-1)_CC
+    return perm, inv, W, P[n:, :n], np.ascontiguousarray(schur_inv)
 
 
 def _cluster(eigenvalues: np.ndarray, grid: DomainGrid) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ from holisde.dynamics import (
     initial_profile,
     run_batches,
 )
-from holisde.grid import ElementField, inner_product, seminorm
+from holisde.grid import ElementField, build_grid, inner_product, seminorm
 from holisde.noise import QWienerSpec, fourier_basis, sample_global_path
 from holisde.spectral import assemble_operator, eig_gamma, eig_gamma0
 
@@ -59,11 +59,6 @@ def workspace(solver, cfg, members):
             1.0 / (1.0 + cfg.dt * solver.symbol))
 
 
-def cube_buffer(solver, c):
-    """The nodal work buffer of CoupledElementSolver.step_reduced for a reduced state c."""
-    return np.empty(solver.nodal_shape + c.shape[1:])
-
-
 def whole_batch_reference(solver, cfg, path):
     """Oracle: step the whole batch as one block with the solver's step, (n, R),
     gathering each step's increments member by member."""
@@ -79,15 +74,19 @@ def whole_batch_reference(solver, cfg, path):
     return u.T
 
 
+def coupled_noise(solver, cfg, path, i):
+    """The weak noise load, sigma included, of step i of a (R, K+1, n_steps) path."""
+    return solver.noise_rhs(cfg.sigma * (solver.sqrt_q[:, None] * path[:, :, i].T))
+
+
 def whole_batch_coupled(solver, cfg, path):
     """Oracle: step the whole batch as one block with the solver's step_reduced,
     (M, 2, n+1, R)."""
     c = np.repeat(solver.initial_reduced(cfg)[:, None], len(path), axis=1)
-    cube = cube_buffer(solver, c)
+    cube = solver.workspace(len(path))
     for i in range(cfg.n_steps):
-        db = solver.sqrt_q[:, None] * path[:, :, i].T
-        solver.step_reduced(c, cfg, solver.noise_rhs(db), cube)
-    return (solver.op.Z @ c).reshape(solver.nodal_shape + (-1,))
+        solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), cube)
+    return solver._batch_fields(c)
 
 
 class Interrupted(Exception):
@@ -177,15 +176,37 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     path = _quiet_path(qspec, cfg, seed=4)
     u0 = ElementField(np.sin(grid8.all_nodes()), grid8)
-    c = op.reduce(u0)
-    solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path[0, :, 0]),
-                        cube_buffer(solver, c))
-    vals = op.field_from_reduced(c).values
+    c = solver.initial_reduced(cfg, u0)[:, None]
+    solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, 0), solver.workspace(1))
+    vals = solver._batch_fields(c)[..., 0]
     centres = vals[:, 0, -1]
     assert np.max(np.abs(centres - vals[:, 1, 0])) <= 1e-9     # centre copies agree
     # coupling value conditions hold after the step
     rhs = 0.4 * centres + 0.6 * np.roll(centres, -1)
     assert np.allclose(vals[:, 1, -1], rhs, atol=1e-9)
+
+
+@pytest.mark.parametrize("M, subgrid_n, gamma", [(3, 8, 0.0), (8, 16, 0.5), (8, 32, 1.0),
+                                                (5, 64, 0.9)])
+def test_condensed_step_matches_splu(qspec, M, subgrid_n, gamma):
+    # oracle: M_red c + dt ZtM(reaction) + noise solved by SuperLU in the unpermuted order
+    from scipy.sparse.linalg import splu
+
+    grid = build_grid(2.0 * np.pi, M, subgrid_n)
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=gamma, dt=1e-3, T=0.01)
+    op = assemble_operator(grid, gamma)
+    solver = CoupledElementSolver(op, qspec, cfg.dt)
+    lu = splu((op.M_red + cfg.dt * op.K_red).tocsc())
+    rng = np.random.default_rng(M * subgrid_n)
+    for R in (1, 2, 64):
+        c = rng.standard_normal((op.n_reduced, R))
+        noise = rng.standard_normal((op.n_reduced, R))
+        u = op.Z @ c
+        weak = op.ZtM @ (cfg.alpha * (cfg.gamma**2 * u - u * u * u))
+        want = lu.solve(op.M_red @ c + cfg.dt * weak + noise)
+        got = c[solver.perm]
+        solver.step_reduced(got, cfg, noise[solver.perm], solver.workspace(R))
+        assert np.max(np.abs(got - want[solver.perm])) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fast_mode_relaxation_rate(grid8, qspec):
@@ -279,14 +300,13 @@ def test_slow_amplitude_stays_small_on_slow_timescale(grid8, qspec):
         solver = CoupledElementSolver(op, qspec, cfg.dt)
         path = _quiet_path(qspec, cfg, seed=8)
         eig = eig_gamma(op, 2)
-        c = solver.initial_reduced(cfg)
-        cube = cube_buffer(solver, c)
+        c = solver.initial_reduced(cfg)[:, None]
+        cube = solver.workspace(1)
         max_amp = 0.0
         for i in range(cfg.n_steps):
-            solver.step_reduced(c, cfg, solver.noise_rhs(solver.sqrt_q * path[0, :, i]),
-                                cube)
+            solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), cube)
             if i % 20 == 0:
-                field = solver.op.field_from_reduced(c)
+                field = ElementField(solver._batch_fields(c)[..., 0], grid8)
                 a, _ = slow_fast_decompose(field, eig)
                 max_amp = max(max_amp, np.max(np.abs(a)))
         results[g] = max_amp / g
@@ -308,14 +328,12 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
         acc, count = 0.0, 0
         for r in range(4):
             path = sample_global_path(qspec, cfg.dt, cfg.n_steps, [500 + r])
-            c = solver.initial_reduced(cfg)
-            cube = cube_buffer(solver, c)
+            c = solver.initial_reduced(cfg)[:, None]
+            cube = solver.workspace(1)
             for i in range(cfg.n_steps):
-                solver.step_reduced(c, cfg,
-                                    solver.noise_rhs(solver.sqrt_q * path[0, :, i]),
-                                    cube)
+                solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), cube)
                 if i > cfg.n_steps // 2 and i % 40 == 0:
-                    field = solver.op.field_from_reduced(c)
+                    field = ElementField(solver._batch_fields(c)[..., 0], grid8)
                     _, fast = slow_fast_decompose(field, eig0)
                     acc += inner_product(fast, fast)
                     count += 1
@@ -593,12 +611,13 @@ def test_coupled_maps_match_einsum_oracle(grid8, qspec, members):
 
     u = rng.standard_normal(grid8.all_nodes().shape + tail)
     want = oracle_load(u)
-    assert np.max(np.abs(op.weak_rhs(u) - want)) <= 1e-13 * np.max(np.abs(want))
+    got = op.ZtM @ u.reshape((grid8.ndof,) + tail)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     db = rng.standard_normal((qspec.n_modes,) + tail)
     db *= solver.sqrt_q.reshape((-1,) + (1,) * len(tail))
     basis = fourier_basis(np.mod(grid8.all_nodes(), grid8.L), qspec.n_modes, grid8.L)
-    want = op.gamma * oracle_load(np.einsum("k...,kmhi->mhi...", db, basis))
+    want = op.gamma * oracle_load(np.einsum("k...,kmhi->mhi...", db, basis))[solver.perm]
     assert np.max(np.abs(solver.noise_rhs(db) - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -176,6 +176,12 @@ def test_batch_driver_columns_are_member_tables():
                 assert np.array_equal(getattr(one, name)[..., 0], want)
 
 
+def test_build_drivers_refuses_a_path_of_no_steps():
+    setup = build_setup(RunConfig(**FAST))
+    with pytest.raises(ValueError, match=", 0 steps"):
+        build_drivers(setup.grid, setup.proj, np.zeros((1, setup.spec.n_modes, 0)), [0], 1e-3)
+
+
 def test_member_seeds_draw_what_spawned_children_drew():
     # stream 3c + j of member m is child j of the c-th spawn(3) on member m's
     # tree spawned from the master seed: the seeding the streams replaced
@@ -800,8 +806,10 @@ def test_cli_coeff_h_grid_beyond_the_element_bound_exits_2(tmp_path, capsys, mon
     ({"master_seed": -1}, None),
     ({}, "gamma=1.5,1.2,1.1"),
     ({}, "h=0,-1,2"),
+    ({"dt": 1e-320}, None),         # T / dt overflows to inf
 ], ids=["int-as-string", "float-as-string", "fractional-int", "sweep-value", "directory",
-        "nan", "zero-elements", "negative-seed", "gamma-above-one", "h-not-positive"])
+        "nan", "zero-elements", "negative-seed", "gamma-above-one", "h-not-positive",
+        "step-count-not-finite"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
     cfgp = tmp_path
     if override is not None:
