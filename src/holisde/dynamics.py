@@ -27,13 +27,15 @@ one rfft per member block, one irfft per batch at the end, none per step.
 That skips an irfft-rfft round trip per step and moves the fields by round-off
 (criterion 09's gaps by 5.2e-11 relative); every alpha != 0 step stays
 bitwise `step`'s.  The coupled solver carries the members on a trailing
-axis, applies weak-load maps built once and writes its per-step arrays into
-buffers made once per member block, and solves by static condensation.
+axis, writes its per-step arrays into buffers made once per member block,
+and solves by static condensation per half-element: one inverse of the
+interior block serves all 2M halves, which meet only in the M centre values.
 
-This module imports no scipy: the coupled solver gets its dense blocks
-from `spectral.condense`, so scipy's linear algebra loads only where
-`spectral` builds the coupled operator, and the reference and grid-model
-paths start without it.
+This module imports no scipy: the coupled solver builds its blocks from the
+grid's half-element mass and stiffness matrices in numpy, so scipy's linear
+algebra loads only where `spectral` builds its sparse operator (`eig_gamma`,
+`reduce`, `apply_reduced`), and the reference, grid-model and coupled
+stepping paths start without it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .grid import ElementField
 from .noise import QWienerSpec, fourier_basis
-from .spectral import CoupledOperator, condense
+from .spectral import CoupledOperator
 
 __all__ = [
     "SpdeConfig",
@@ -101,6 +103,8 @@ class SpdeConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
+        if not np.isfinite(self.T / self.dt):
+            raise ValueError(f"T / dt = {self.T / self.dt} is not a finite step count")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
 
@@ -166,10 +170,12 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     of field (the solver's `_member_bytes` per member) where possible, never
     a block of one member unless R = 1, and all blocks of all jobs run in
     one pool map, each its own time loop in place.
-    Members are independent; each noise product puts them on the GEMM's row
-    axis (`tensordot`, `db^T load^T`), where OpenBLAS rounds a row alike at
-    every width above one, and the condensed solve pads them to a multiple
-    of 8 columns, so every field is bitwise that of stepping the whole batch.  A block stops at its first non-finite step and
+    Members are independent; the reference's noise product puts them on the
+    GEMM's row axis (`tensordot`), where OpenBLAS rounds a row alike at
+    every width above one, and the coupled solver's products run on them
+    padded to a multiple of 8 columns, where it rounds a column alike at
+    every width, so every field is bitwise that of stepping the whole batch.
+    A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
     member; its `job` is that job's index and its `fields` the finished
@@ -337,79 +343,131 @@ class FullSpdeSolver:
 # ---------------------------------------------------------------------------
 
 
+def _end_map(M: int, gamma: float) -> np.ndarray:
+    """The value conditions as a map E, (4M, M), from the M centre values to
+    node 0 of every half, element by element, then to node n of every half."""
+    E, j = np.zeros((2, M, 2, M)), np.arange(M)
+    E[1, j, 0, j] = E[0, j, 1, j] = 1.0               # the two copies of the centre
+    E[0, j, 0, j] = E[1, j, 1, j] = 1.0 - gamma       # u_j(X_{j -+ 1}) ...
+    E[0, j, 0, j - 1] += gamma                        # ... + gamma u_{j -+ 1}(X_{j -+ 1})
+    E[1, j, 1, (j + 1) % M] += gamma
+    return E.reshape(4 * M, M)
+
+
+def _condensed(mb: np.ndarray, B: np.ndarray, E: np.ndarray) -> tuple:
+    """Static condensation of A x = Z^T (I x mb) u, A = Z^T (I x B) Z, by half-element.
+
+    A half's n - 1 interior nodes couple only to its two end nodes, which E
+    gives from the centre values, so one inverse of the interior block B_II
+    serves all 2M halves.  With G = B_II^-1 B_Ie, the interior response to
+    the ends, each half's nodal values u give through T, (n + 1, n + 1),
+      t = (mb_e - G^T mb_I) u  (two rows),  y = B_II^-1 mb_I u  (n - 1 rows);
+    the centres are x_C = S^-1 E^T t, S = sum over halves of E^T (B_ee - B_eI G) E,
+    through `centre` (M, 4M), and the interiors x_I = y - G E x_C through
+    `correct`, ((n - 1) 2M, M), node by node.
+    """
+    n, M = len(B) - 1, E.shape[-1]
+    e, i, E3 = [0, n], slice(1, n), E.reshape(2, -1, M)
+    inv = np.linalg.inv(B[i, i])
+    G = inv @ B[i, e]
+    T = np.vstack([mb[e] - G.T @ mb[i], inv @ mb[i]])
+    S = np.einsum("ehj,ef,fhk->jk", E3, B[np.ix_(e, e)] - B[e, i] @ G, E3)
+    return T, np.linalg.inv(S) @ E.T, np.einsum("ie,ehj->ihj", G, E3).reshape(-1, M)
+
+
 class CoupledElementSolver:
     """Semi-implicit stepper for the gamma-coupled element system.
 
-    Works in the reduced coordinates of the constraint basis, in `condense`'s
-    order, so the value coupling conditions are enforced exactly by
-    construction; the flux condition is the natural condition of the Galerkin form.
+    Works in the reduced coordinates of the constraint basis, every element's
+    interior nodes (left half, then right half) first and the M centre values
+    last, so the value coupling conditions are enforced exactly by
+    construction; the flux condition is the natural condition of the Galerkin
+    form.  The solve is `_condensed`'s, built from the grid's half-element
+    mass and stiffness matrices and the coupling strength alone.
     """
 
     def __init__(self, op: CoupledOperator, spec: QWienerSpec, dt: float):
-        self.op = op
         self.dt = float(dt)
-        grid = op.grid
-        self.grid = grid
-        self.perm, self.inv, self.W, self.coupling, self.schur_inv = condense(
-            op.M_red + self.dt * op.K_red, op.Z, grid.M)
-        self.Z, self.ZtM = op.Z[:, self.perm], op.ZtM[self.perm]
-        nodes = np.mod(grid.all_nodes(), grid.L)
-        basis = fourier_basis(nodes, spec.n_modes, grid.L).reshape(spec.n_modes, -1)
-        self.load = op.gamma * (self.ZtM @ basis.T)                # (nred, K+1)
-        self._member_bytes = 8 * self.load.shape[0]               # a member's reduced state
-        self.nodal_shape = (grid.M, 2, grid.subgrid_n + 1)
+        grid = self.grid = op.grid
+        M, n = grid.M, grid.subgrid_n
+        mb, kb = grid.mass_block, grid.stiffness_block
+        self.ends = _end_map(M, op.gamma)
+        self.T, self.centre, self.correct = _condensed(mb, mb + self.dt * kb, self.ends)
+        self._projection = _condensed(mb, mb, self.ends)
+        basis = fourier_basis(np.mod(grid.all_nodes(), grid.L), spec.n_modes, grid.L)
+        # gamma times the noise modes at every node, node by node: (n+1) 2M rows
+        self.basis = op.gamma * basis.reshape(spec.n_modes, -1, n + 1).T.reshape(-1, spec.n_modes)
+        self._member_bytes = 8 * M * (2 * n - 1)                  # a member's reduced state
         self.sqrt_q = np.sqrt(spec.q)
+
+    def _nodal(self, x: np.ndarray) -> np.ndarray:
+        """The element fields (M, 2, n+1, R) of node-by-node values (n+1, 2M, R)."""
+        return x.reshape(len(x), self.grid.M, 2, -1).transpose(1, 2, 0, 3)
 
     def initial_reduced(self, cfg: SpdeConfig, u0: Optional[ElementField] = None) -> np.ndarray:
         """Project initial data onto the constrained subspace, (nred,)."""
         if u0 is None:
-            f = initial_profile(cfg.initial, self.grid.L)
-            u0 = ElementField(f(self.grid.all_nodes()), self.grid)
-        return self.op.reduce(u0)[self.perm]
+            u0 = ElementField(initial_profile(cfg.initial, self.grid.L)(self.grid.all_nodes()),
+                              self.grid)
+        T, centre, correct = self._projection
+        y = T @ u0.values.reshape(2 * self.grid.M, -1).T
+        x_c = centre @ y[:2].ravel()
+        return np.concatenate([(y[2:] - (correct @ x_c).reshape(len(y) - 2, -1)).T.ravel(), x_c])
 
     def noise_rhs(self, db: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Reduced weak load of the element noise increment (without sigma).
-
-        db holds sqrt(q)-weighted global coefficients, (K+1,) or (K+1, R).
-        The increment field is gamma times the restriction of the global
-        increment to every element, weak-projected through Z^T M: the
-        precomputed load map gamma Z^T M basis, (nred, K+1).  The product
-        (db^T load^T)^T keeps the members on the GEMM's row axis, so each
-        member's load is bitwise at every batch width above one; it is
-        written into a member-major `out` (R, nred) when one is given.
+        """The element noise increment (without sigma), (M, 2, n+1, R) or,
+        for db (K+1,), (M, 2, n+1): gamma times the global increment at
+        every element node, for sqrt(q)-weighted global coefficients db
+        (K+1, R).  It is one product with db padded to P columns, into a
+        node-by-node buffer `out` (n+1, 2M, P) when one is given.
         """
-        return np.matmul(db.T, self.load.T, out=out).T
+        if db.ndim == 1:
+            return self.noise_rhs(db[:, None])[..., 0]
+        R, P = db.shape[1], -(-db.shape[1] // 8) * 8
+        if P > R:
+            db = np.hstack([db, np.zeros((len(db), P - R))])
+        if out is None:
+            out = np.empty((self.grid.subgrid_n + 1, 2 * self.grid.M, P))
+        np.matmul(self.basis, db, out=out.reshape(-1, P))
+        return self._nodal(out[..., :R])
 
-    def workspace(self, R: int) -> np.ndarray:
-        """A zeroed nodal cube (M, 2, n+1, P) for `step_reduced`, P = R up to a multiple of 8."""
-        return np.zeros(self.nodal_shape + (-(-R // 8) * 8,))
+    def workspace(self, R: int) -> tuple:
+        """Zeroed buffers for `step_reduced` on R members: the nodal values and
+        T's product, node by node (n+1, 2M, P), and the centres (M, P).  Every
+        product runs on these P columns, the members and zeros up to a
+        multiple of 8, as OpenBLAS rounds a column alike only at widths of one
+        remainder mod 8, so a member steps bitwise alike at every batch width."""
+        n, M, P = self.grid.subgrid_n, self.grid.M, -(-R // 8) * 8
+        return np.zeros((n + 1, 2 * M, P)), np.zeros((n + 1, 2 * M, P)), np.zeros((M, P))
 
     def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise: np.ndarray,
-                     cube: np.ndarray) -> None:
+                     work: tuple) -> None:
         """One step in the solver's coordinates, in place; c is (nred, R).
 
-        c <- A^-1 (ZtM (u + dt alpha (gamma^2 - u u) u) + noise) for u = Z c,
-        A = M_red + dt K_red = ZtM Z + dt K_red and `noise` the weak noise load
-        with sigma: y = A_II^-1 b_I, x_C = S^-1 (b_C - A_CI y), x_I = y - W x_C.
-        cube is `workspace(R)`: the products run on P columns, members and zeros,
-        as OpenBLAS rounds a column alike only at widths of one remainder mod 8.
+        c <- A^-1 ZtM (u + dt alpha (gamma^2 - u u) u + noise) for u = Z c,
+        A = M_red + dt K_red and `noise` the element noise increment with
+        sigma, (M, 2, n+1, R), through `_condensed`'s pieces.  work is
+        `workspace(R)`.
         """
-        R, P, n = c.shape[1], cube.shape[-1], len(self.W)
-        u, r = (self.Z @ c).reshape(self.nodal_shape + (R,)), cube[..., :R]
-        np.multiply(u, u, out=r)
-        np.subtract(cfg.gamma**2, r, out=r)
-        np.multiply(r, u, out=r)
-        np.multiply(cfg.dt * cfg.alpha, r, out=r)
-        np.add(u, r, out=r)
-        b = self.ZtM @ cube.reshape(-1, P)
-        np.add(b[:, :R], noise, out=b[:, :R])
-        y = cube.reshape(-1, P)[:n]                 # the interior solve, in the spent cube
-        np.matmul(self.inv, b[:n].reshape(self.grid.M, -1, P), out=y.reshape(self.grid.M, -1, P))
-        np.subtract(b[n:], self.coupling @ y, out=b[n:])
-        x_c = self.schur_inv @ b[n:]
-        np.matmul(self.W, x_c, out=b[:n])
-        c[n:] = x_c[:, :R]
-        np.subtract(y[:, :R], b[:n, :R], out=c[:n])
+        u, y, x_c = work
+        n, M, R, P = self.grid.subgrid_n, self.grid.M, c.shape[1], u.shape[-1]
+        interior, centres = c[:-M].reshape(2 * M, n - 1, R).transpose(1, 0, 2), c[-M:]
+        x_c[:, :R] = centres
+        np.matmul(self.ends, x_c, out=y[:2].reshape(-1, P))
+        u[::n] = y[:2]
+        u[1:n, :, :R] = interior
+        np.multiply(u, u, out=y)                        # y: scratch until T's product
+        np.subtract(cfg.gamma**2, y, out=y)
+        np.multiply(y, u, out=y)
+        np.multiply(cfg.dt * cfg.alpha, y, out=y)
+        np.add(u, y, out=u)
+        np.add(u[..., :R], noise.transpose(2, 0, 1, 3).reshape(n + 1, 2 * M, R), out=u[..., :R])
+        np.matmul(self.T, u.reshape(n + 1, -1), out=y.reshape(n + 1, -1))
+        np.matmul(self.centre, y[:2].reshape(-1, P), out=x_c)
+        fix = u[: n - 1]                                 # spent: the interior corrections
+        np.matmul(self.correct, x_c, out=fix.reshape(-1, P))
+        np.subtract(y[2:, :, :R], fix[..., :R], out=interior)
+        centres[:] = x_c[:, :R]
 
     # -- the runner's interface: whole-batch state, block step, result -------
 
@@ -422,15 +480,22 @@ class CoupledElementSolver:
 
     def _block_stepper(self, cfg: SpdeConfig, c: np.ndarray, lo: int, hi: int):
         """advance(db) steps members lo:hi of c in place with their own buffers
-        and returns them, members first; db is scaled by sigma in place."""
-        cb, cube, load = c[:, lo:hi], self.workspace(hi - lo), np.empty((hi - lo, len(c)))
+        and returns them, members first; sigma db goes to a padded buffer."""
+        cb, work = c[:, lo:hi], self.workspace(hi - lo)
+        db_pad, noise = np.zeros((len(self.sqrt_q), work[-1].shape[1])), np.empty_like(work[0])
 
         def advance(db: np.ndarray) -> np.ndarray:
-            np.multiply(cfg.sigma, db, out=db)
-            self.step_reduced(cb, cfg, self.noise_rhs(db, load), cube)
+            np.multiply(cfg.sigma, db, out=db_pad[:, : hi - lo])
+            self.step_reduced(cb, cfg, self.noise_rhs(db_pad, noise)[..., : hi - lo], work)
             return cb.T
 
         return advance
 
     def _batch_fields(self, c: np.ndarray) -> np.ndarray:
-        return (self.Z @ c).reshape(self.nodal_shape + (-1,))
+        """The element fields (M, 2, n+1, R) of reduced states c, (nred, R)."""
+        M, n, R = self.grid.M, self.grid.subgrid_n, c.shape[1]
+        u, _, x_c = self.workspace(R)
+        u[1:n, :, :R] = c[:-M].reshape(2 * M, n - 1, R).transpose(1, 0, 2)
+        x_c[:, :R] = c[-M:]
+        u[::n] = (self.ends @ x_c).reshape(2, 2 * M, -1)
+        return self._nodal(u[..., :R])

@@ -26,19 +26,20 @@ eigenvalue k^2 pi^2 / h^2 with one mode for odd k (the odd sine), three for
 even k (cosine, sine, and the centre-kinked sine in |x - X_j|), and the
 normalized constant at k = 0.
 
-This module is the package's only user of scipy's linear algebra, and it
-imports scipy's sparse and dense linear algebra inside the functions that
-assemble, factor, condense or diagonalize the coupled operator
-(`_constraint_basis`, `assemble_operator`, `CoupledOperator._lu`, `condense`,
-`eig_gamma`).  Loading those modules costs about 0.3 s and 23 MiB, and the
-grid-model paths (the closed-form gamma = 0 eigensystem, the reference, the
-models) never touch them, so `import holisde` does not pay for them.
+`assemble_operator` only checks gamma: the sparse pair, Z and ZtM are built
+with scipy on first use and cached, and the mass LU on first solve.  So the
+coupled solver, which builds its element blocks from the grid's half-element
+matrices in numpy, and the grid-model paths (the closed-form gamma = 0
+eigensystem, the reference, the models) never load scipy's linear algebra;
+`eig_gamma`, `reduce`, `apply_reduced` and `field_from_reduced` load it
+inside the call.  Loading it costs about 0.2-0.3 s and 25 MiB of peak memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+import functools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -54,7 +55,6 @@ __all__ = [
     "AnalyticEigenSystem",
     "GroundModeExpansion",
     "assemble_operator",
-    "condense",
     "eig_gamma",
     "eig_gamma0",
     "expand_ground_mode",
@@ -118,29 +118,40 @@ class CoupledOperator:
     """Assembled coupled operator at a fixed coupling strength.
 
     Holds the constraint injection Z, the reduced Galerkin pair and the
-    weak load map ZtM = Z^T (I x M_b) from nodal values to reduced loads;
-    the operator action L u is the weak second derivative: solve
-    M_red c' = -K_red c and map back through Z.
+    weak load map ZtM = Z^T (I x M_b) from nodal values to reduced loads,
+    all sparse and built together on first access; the operator action L u
+    is the weak second derivative: solve M_red c' = -K_red c and map back
+    through Z.
     """
 
     grid: DomainGrid
     gamma: float
-    Z: sp.csr_matrix
-    K_red: sp.csc_matrix
-    M_red: sp.csc_matrix
-    ZtM: sp.csr_matrix
-    _mass_lu: Optional[spla.SuperLU] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def _sparse(self) -> tuple:
+        import scipy.sparse as sp
+
+        mb, kb = self.grid.mass_block, self.grid.stiffness_block
+        Mg = sp.block_diag([sp.csr_matrix(mb)] * (2 * self.grid.M), format="csr")
+        Kg = sp.block_diag([sp.csr_matrix(kb)] * (2 * self.grid.M), format="csr")
+        Z = _constraint_basis(self.grid, self.gamma)
+        ZtM = Z.T @ Mg
+        return Z, (Z.T @ Kg @ Z).tocsc(), (ZtM @ Z).tocsc(), ZtM.tocsr()
+
+    Z = property(lambda self: self._sparse[0])
+    K_red = property(lambda self: self._sparse[1])
+    M_red = property(lambda self: self._sparse[2])
+    ZtM = property(lambda self: self._sparse[3])
 
     @property
     def n_reduced(self) -> int:
-        return self.K_red.shape[0]
+        return self.grid.M * (2 * self.grid.subgrid_n - 1)
 
+    @functools.cached_property
     def _lu(self) -> spla.SuperLU:
-        if self._mass_lu is None:
-            from scipy.sparse.linalg import splu
+        from scipy.sparse.linalg import splu
 
-            self._mass_lu = splu(self.M_red)
-        return self._mass_lu
+        return splu(self.M_red)
 
     # -- coordinate maps ----------------------------------------------------
 
@@ -149,13 +160,13 @@ class CoupledOperator:
 
     def reduce(self, u: ElementField) -> np.ndarray:
         """H-projection of a nodal field onto the constrained subspace."""
-        return self._lu().solve(self.ZtM @ u.values.reshape(self.grid.ndof))
+        return self._lu.solve(self.ZtM @ u.values.reshape(self.grid.ndof))
 
     # -- operator action ----------------------------------------------------
 
     def apply_reduced(self, c: np.ndarray) -> np.ndarray:
         """Reduced coordinates of L u for u = Z c."""
-        return -self._lu().solve(self.K_red @ c)
+        return -self._lu.solve(self.K_red @ c)
 
     def apply(self, u: ElementField) -> ElementField:
         """L u for a field (projected onto the constrained subspace first)."""
@@ -163,52 +174,11 @@ class CoupledOperator:
 
 
 def assemble_operator(grid: DomainGrid, gamma: float) -> CoupledOperator:
-    """Build the reduced Galerkin pair for coupling strength gamma in [0, 1]."""
+    """The coupled operator for coupling strength gamma in [0, 1]; its
+    sparse matrices are built on first use."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"coupling gamma must lie in [0, 1], got {gamma}")
-    import scipy.sparse as sp
-
-    M = grid.M
-    mb, kb = grid.mass_block, grid.stiffness_block
-    Mg = sp.block_diag([sp.csr_matrix(mb)] * (2 * M), format="csr")
-    Kg = sp.block_diag([sp.csr_matrix(kb)] * (2 * M), format="csr")
-    Z = _constraint_basis(grid, gamma)
-    ZtM = Z.T @ Mg
-    K_red = (Z.T @ Kg @ Z).tocsc()
-    M_red = (ZtM @ Z).tocsc()
-    return CoupledOperator(grid=grid, gamma=float(gamma), Z=Z, K_red=K_red, M_red=M_red,
-                           ZtM=ZtM.tocsr())
-
-
-def condense(A: sp.spmatrix, Z: sp.spmatrix, M: int) -> tuple:
-    """Static condensation of a reduced matrix A on M elements, in dense pieces.
-
-    A coordinate whose Z column is one nodal value is interior to that node's
-    element; the rest are the centre values.  Returns perm (the interiors by
-    element, then the centres), the inverse of the (m, m) interior block all
-    elements share, W = A_II^-1 A_IC, the sparse A_CI and S^-1 = (A_CC -
-    A_CI W)^-1.  Raises ValueError if an interior entry couples two elements,
-    or if an element's interior block differs from the first's.
-    """
-    from scipy.sparse.linalg import splu        # SuperLU: the mass LU loads its code anyway
-
-    Z = Z.tocsc()
-    single = np.diff(Z.indptr) == 1             # interiors by element, centres in column order
-    perm = np.lexsort((Z.indices[Z.indptr[:-1]] // (Z.shape[0] // M) * single, ~single))
-    n = np.count_nonzero(single)
-    m = n // M
-    P = A.tocsr()[perm][:, perm]
-    Q = P[:n, :n].tocoo()
-    if np.any((Q.row // m != Q.col // m) & (Q.data != 0)):
-        raise ValueError("an interior entry couples two elements")
-    blocks = np.zeros((M, m, m))              # what couples two elements is zero here
-    np.add.at(blocks, (Q.row // m, Q.row % m, Q.col % m), Q.data)
-    if np.any(blocks != blocks[0]):
-        raise ValueError("the elements' interior blocks differ")
-    inv = np.ascontiguousarray(splu(P[:m, :m].tocsc()).solve(np.eye(m)))
-    W = (inv @ P[:n, n:].toarray().reshape(M, m, M)).reshape(n, M)
-    schur_inv = splu(P.tocsc()).solve(np.eye(len(perm))[:, n:])[n:]    # S^-1 = (A^-1)_CC
-    return perm, inv, W, P[n:, :n], np.ascontiguousarray(schur_inv)
+    return CoupledOperator(grid=grid, gamma=float(gamma))
 
 
 def _cluster(eigenvalues: np.ndarray, grid: DomainGrid) -> list[tuple[int, int]]:
@@ -328,7 +298,7 @@ def eig_gamma(op: CoupledOperator, kmax: int) -> EigenSystem:
     res = np.empty(nk)
     for k in range(nk):
         r = op.K_red @ V[:, k] - lam[k] * (op.M_red @ V[:, k])
-        rr = op._lu().solve(r)
+        rr = op._lu.solve(r)
         res[k] = np.sqrt(max(float(rr @ r), 0.0))
     return EigenSystem(
         gamma=op.gamma,

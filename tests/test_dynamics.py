@@ -75,7 +75,7 @@ def whole_batch_reference(solver, cfg, path):
 
 
 def coupled_noise(solver, cfg, path, i):
-    """The weak noise load, sigma included, of step i of a (R, K+1, n_steps) path."""
+    """The element noise increment, sigma included, of step i of a (R, K+1, n_steps) path."""
     return solver.noise_rhs(cfg.sigma * (solver.sqrt_q[:, None] * path[:, :, i].T))
 
 
@@ -83,9 +83,9 @@ def whole_batch_coupled(solver, cfg, path):
     """Oracle: step the whole batch as one block with the solver's step_reduced,
     (M, 2, n+1, R)."""
     c = np.repeat(solver.initial_reduced(cfg)[:, None], len(path), axis=1)
-    cube = solver.workspace(len(path))
+    work = solver.workspace(len(path))
     for i in range(cfg.n_steps):
-        solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), cube)
+        solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), work)
     return solver._batch_fields(c)
 
 
@@ -186,10 +186,18 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     assert np.allclose(vals[:, 1, -1], rhs, atol=1e-9)
 
 
-@pytest.mark.parametrize("M, subgrid_n, gamma", [(3, 8, 0.0), (8, 16, 0.5), (8, 32, 1.0),
-                                                (5, 64, 0.9)])
+def solver_order(grid):
+    """The solver's order of the reduced coordinates: each element's interior
+    nodes (left half, then right half), then the M centre values."""
+    n = grid.subgrid_n
+    cols = np.arange(grid.M * (2 * n - 1)).reshape(grid.M, -1)
+    return np.concatenate([np.delete(cols, n - 1, axis=1).ravel(), cols[:, n - 1]])
+
+
+@pytest.mark.parametrize("M, subgrid_n, gamma", [(3, 8, 0.0), (3, 64, 1.0), (4, 8, 0.3),
+                                                (8, 16, 0.5), (8, 32, 1.0), (5, 64, 0.9)])
 def test_condensed_step_matches_splu(qspec, M, subgrid_n, gamma):
-    # oracle: M_red c + dt ZtM(reaction) + noise solved by SuperLU in the unpermuted order
+    # oracle: M_red c + ZtM (dt reaction + noise) solved by SuperLU in the unpermuted order
     from scipy.sparse.linalg import splu
 
     grid = build_grid(2.0 * np.pi, M, subgrid_n)
@@ -197,16 +205,42 @@ def test_condensed_step_matches_splu(qspec, M, subgrid_n, gamma):
     op = assemble_operator(grid, gamma)
     solver = CoupledElementSolver(op, qspec, cfg.dt)
     lu = splu((op.M_red + cfg.dt * op.K_red).tocsc())
+    perm = solver_order(grid)
     rng = np.random.default_rng(M * subgrid_n)
     for R in (1, 2, 64):
         c = rng.standard_normal((op.n_reduced, R))
-        noise = rng.standard_normal((op.n_reduced, R))
+        noise = rng.standard_normal((M, 2, subgrid_n + 1, R))
         u = op.Z @ c
-        weak = op.ZtM @ (cfg.alpha * (cfg.gamma**2 * u - u * u * u))
-        want = lu.solve(op.M_red @ c + cfg.dt * weak + noise)
-        got = c[solver.perm]
-        solver.step_reduced(got, cfg, noise[solver.perm], solver.workspace(R))
-        assert np.max(np.abs(got - want[solver.perm])) <= 1e-13 * np.max(np.abs(want))
+        weak = op.ZtM @ (cfg.dt * cfg.alpha * (cfg.gamma**2 * u - u * u * u)
+                         + noise.reshape(grid.ndof, R))
+        want = lu.solve(op.M_red @ c + weak)
+        got = c[perm]
+        solver.step_reduced(got, cfg, noise, solver.workspace(R))
+        assert np.max(np.abs(got - want[perm])) <= 1e-13 * np.max(np.abs(want))
+        fields = (op.Z @ got[np.argsort(perm)]).reshape(M, 2, subgrid_n + 1, R)
+        assert np.max(np.abs(solver._batch_fields(got) - fields)) <= 1e-15 * np.max(np.abs(got))
+    u0 = ElementField(rng.standard_normal(grid.all_nodes().shape), grid)
+    want = op.reduce(u0)[perm]
+    assert np.max(np.abs(solver.initial_reduced(cfg, u0) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.6, 1.0])
+def test_half_blocks_rebuild_the_reduced_matrix(grid8, gamma):
+    # oracle: the sparse Galerkin matrix, in the solver's order, from the
+    # half-element block and the value conditions alone
+    dt, n, M = 1e-3, grid8.subgrid_n, grid8.M
+    op = assemble_operator(grid8, gamma)
+    perm = solver_order(grid8)
+    want = (op.M_red + dt * op.K_red).toarray()[np.ix_(perm, perm)]
+    B = grid8.mass_block + dt * grid8.stiffness_block
+    E = dynamics._end_map(M, gamma).reshape(2, 2 * M, M)
+    m = 2 * M * (n - 1)
+    A = np.zeros_like(want)
+    A[:m, :m] = np.kron(np.eye(2 * M), B[1:n, 1:n])
+    A[:m, m:] = np.einsum("ie,ehj->hij", B[1:n, [0, n]], E).reshape(m, M)
+    A[m:, :m] = A[:m, m:].T
+    A[m:, m:] = np.einsum("ehj,ef,fhk->jk", E, B[np.ix_([0, n], [0, n])], E)
+    assert np.max(np.abs(A - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_fast_mode_relaxation_rate(grid8, qspec):
@@ -269,6 +303,16 @@ def test_trajectory_determinism(grid8, qspec):
     assert np.array_equal(u1[..., 0], u2[..., 0])
 
 
+def test_coupled_member_replays_bitwise_as_a_batch_of_one(grid8, qspec):
+    # every coupled product runs on the members padded to a multiple of 8 columns
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.9, dt=1e-3, T=0.01)
+    solver = CoupledElementSolver(assemble_operator(grid8, 0.9), qspec, cfg.dt)
+    path = _batch(qspec, cfg, 11)
+    whole = simulate(solver, cfg, path)
+    for r in (0, 5, 10):
+        assert np.array_equal(simulate(solver, cfg, path[r : r + 1])[..., 0], whole[..., r])
+
+
 def test_linear_mode_variance_calibration(qspec):
     # alpha = 0: each Fourier mode is an OU process; the simulated stationary
     # variance of a low mode must match sigma^2 q_k / (2 kappa^2) within MC error
@@ -301,10 +345,10 @@ def test_slow_amplitude_stays_small_on_slow_timescale(grid8, qspec):
         path = _quiet_path(qspec, cfg, seed=8)
         eig = eig_gamma(op, 2)
         c = solver.initial_reduced(cfg)[:, None]
-        cube = solver.workspace(1)
+        work = solver.workspace(1)
         max_amp = 0.0
         for i in range(cfg.n_steps):
-            solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), cube)
+            solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), work)
             if i % 20 == 0:
                 field = ElementField(solver._batch_fields(c)[..., 0], grid8)
                 a, _ = slow_fast_decompose(field, eig)
@@ -329,9 +373,9 @@ def test_fast_moment_matches_stationary_ou_as_coupling_vanishes(grid8, qspec):
         for r in range(4):
             path = sample_global_path(qspec, cfg.dt, cfg.n_steps, [500 + r])
             c = solver.initial_reduced(cfg)[:, None]
-            cube = solver.workspace(1)
+            work = solver.workspace(1)
             for i in range(cfg.n_steps):
-                solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), cube)
+                solver.step_reduced(c, cfg, coupled_noise(solver, cfg, path, i), work)
                 if i > cfg.n_steps // 2 and i % 40 == 0:
                     field = ElementField(solver._batch_fields(c)[..., 0], grid8)
                     _, fast = slow_fast_decompose(field, eig0)
@@ -348,6 +392,8 @@ def test_config_validation():
         SpdeConfig(dt=-1.0)
     with pytest.raises(ValueError):
         SpdeConfig(gamma=1.5)
+    with pytest.raises(ValueError, match="finite step count"):
+        SpdeConfig(dt=1e-320, T=1.0)
     with pytest.raises(ValueError):
         initial_profile({"kind": "nope"}, 1.0)
 
@@ -617,7 +663,7 @@ def test_coupled_maps_match_einsum_oracle(grid8, qspec, members):
     db = rng.standard_normal((qspec.n_modes,) + tail)
     db *= solver.sqrt_q.reshape((-1,) + (1,) * len(tail))
     basis = fourier_basis(np.mod(grid8.all_nodes(), grid8.L), qspec.n_modes, grid8.L)
-    want = op.gamma * oracle_load(np.einsum("k...,kmhi->mhi...", db, basis))[solver.perm]
+    want = op.gamma * np.einsum("k...,kmhi->mhi...", db, basis)
     assert np.max(np.abs(solver.noise_rhs(db) - want)) <= 1e-13 * np.max(np.abs(want))
 
 

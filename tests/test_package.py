@@ -142,10 +142,21 @@ def test_grid_model_verbs_load_no_scipy_linear_algebra(tmp_path):
     assert _cold(code, tmp_path) == [[], [0], [0]]
 
 
-def test_coupling_gap_loads_scipy_on_first_use(tmp_path):
+def test_coupling_gap_loads_no_scipy_linear_algebra(tmp_path):
+    # the coupled solver builds its blocks from the half-element matrices in numpy
     code = (
         "from holisde import cli\n"
         "print(json.dumps([cli.main(['--config', 'cfg.json', '--out', 'out', '--sweep', "
         "'gamma=0.9,0.99,1', 'converge', '--study', 'coupling-gap'])] + loaded()))\n"
     )
-    assert _cold(code, tmp_path) == [[0, *SCIPY_LINALG]]
+    assert _cold(code, tmp_path) == [[0]]
+
+
+def test_eig_sweep_loads_scipy_on_first_use(tmp_path):
+    code = (
+        "from holisde import cli\n"
+        "print(json.dumps(loaded()))\n"
+        "print(json.dumps([cli.main(['--config', 'cfg.json', '--out', 'out', '--sweep', "
+        "'gamma=0,0.5,1', 'eig-sweep'])] + loaded()))\n"
+    )
+    assert _cold(code, tmp_path) == [[], [0, *SCIPY_LINALG]]

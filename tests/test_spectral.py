@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from holisde.grid import ElementField, build_grid, inner_product, seminorm
-from holisde.spectral import (assemble_operator, condense, eig_gamma, eig_gamma0,
+from holisde.spectral import (assemble_operator, eig_gamma, eig_gamma0,
                               expand_ground_mode)
 
 
@@ -36,24 +36,6 @@ def test_assemble_rejects_bad_gamma(grid8):
         assemble_operator(grid8, -0.1)
     with pytest.raises(ValueError):
         assemble_operator(grid8, 1.2)
-
-
-@pytest.mark.parametrize("gamma", [0.0, 0.6, 1.0])
-def test_condense_refuses_coupled_or_unequal_interiors(grid8, gamma):
-    op = assemble_operator(grid8, gamma)
-    A = (op.M_red + 1e-3 * op.K_red).tolil()
-    perm, inv, *_ = condense(A, op.Z, grid8.M)
-    m = inv.shape[0]
-    assert sorted(perm) == list(range(op.n_reduced)) and len(perm) == grid8.M * (m + 1)
-    for i, j in ((perm[0], perm[m]), (perm[m - 1], perm[3 * m])):    # elements 0-1 and 0-3
-        bad = A.copy()
-        bad[i, j] = bad[j, i] = 1e-3
-        with pytest.raises(ValueError, match="couples two elements"):
-            condense(bad, op.Z, grid8.M)
-    bad = A.copy()
-    bad[perm[2 * m], perm[2 * m]] *= 1.0 + 1e-12   # element 2's block alone
-    with pytest.raises(ValueError, match="blocks differ"):
-        condense(bad, op.Z, grid8.M)
 
 
 def test_gamma0_constraints_are_insulating(grid8, rng):
