@@ -28,14 +28,11 @@ That skips an irfft-rfft round trip per step and moves the fields by round-off
 (criterion 09's gaps by 5.2e-11 relative); every alpha != 0 step stays
 bitwise `step`'s.  The coupled solver carries the members on a trailing
 axis, writes its per-step arrays into buffers made once per member block,
-and solves by static condensation per half-element: one inverse of the
-interior block serves all 2M halves, which meet only in the M centre values.
-
-This module imports no scipy: the coupled solver builds its blocks from the
-grid's half-element mass and stiffness matrices in numpy, so scipy's linear
-algebra loads only where `spectral` builds its sparse operator (`eig_gamma`,
-`reduce`, `apply_reduced`), and the reference, grid-model and coupled
-stepping paths start without it.
+and solves by `spectral`'s static condensation per half-element: one
+inverse of the interior block serves all 2M halves, which meet only in the M
+centre values.  It projects its initial data by `CoupledOperator.reduce` and
+rebuilds its fields by `field_from_reduced`, in the operator's one reduced
+order.  This module, like `spectral` outside `eig_gamma`, imports no scipy.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import numpy as np
 
 from .grid import ElementField
 from .noise import QWienerSpec, fourier_basis
-from .spectral import CoupledOperator
+from .spectral import CoupledOperator, _condensed
 
 __all__ = [
     "SpdeConfig",
@@ -171,10 +168,11 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     a block of one member unless R = 1, and all blocks of all jobs run in
     one pool map, each its own time loop in place.
     Members are independent; the reference's noise product puts them on the
-    GEMM's row axis (`tensordot`), where OpenBLAS rounds a row alike at
-    every width above one, and the coupled solver's products run on them
-    padded to a multiple of 8 columns, where it rounds a column alike at
-    every width, so every field is bitwise that of stepping the whole batch.
+    GEMM's row axis (`tensordot`, one member padded to two), where OpenBLAS
+    rounds a row alike at every width above one, and the coupled solver's
+    products run on them padded to a multiple of 8 columns, where it rounds
+    a column alike at every width, so every field is bitwise that of
+    stepping the whole batch.
     A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
@@ -271,8 +269,14 @@ class FullSpdeSolver:
         """Leading rfft bins of the fine-grid noise increment.
 
         db holds sqrt(q)-weighted coefficients, (K+1,) or (K+1, R); the
-        result is (nb,) or (R, nb).
+        result is (nb,) or (R, nb).  A single member is padded to two, as the
+        GEMM rounds a row alike at every width above one, so a one-member
+        batch steps bitwise as that member of any wider batch.
         """
+        if db.ndim == 1:
+            return self.noise_increment(db[:, None])[0]
+        if db.shape[1] == 1:
+            return self.noise_increment(np.hstack([db, np.zeros_like(db)]))[:1]
         return np.tensordot(db, self.basis_hat, axes=(0, 0))
 
     def step(self, u: np.ndarray, cfg: SpdeConfig, dw_hat: np.ndarray, scratch: np.ndarray,
@@ -343,76 +347,35 @@ class FullSpdeSolver:
 # ---------------------------------------------------------------------------
 
 
-def _end_map(M: int, gamma: float) -> np.ndarray:
-    """The value conditions as a map E, (4M, M), from the M centre values to
-    node 0 of every half, element by element, then to node n of every half."""
-    E, j = np.zeros((2, M, 2, M)), np.arange(M)
-    E[1, j, 0, j] = E[0, j, 1, j] = 1.0               # the two copies of the centre
-    E[0, j, 0, j] = E[1, j, 1, j] = 1.0 - gamma       # u_j(X_{j -+ 1}) ...
-    E[0, j, 0, j - 1] += gamma                        # ... + gamma u_{j -+ 1}(X_{j -+ 1})
-    E[1, j, 1, (j + 1) % M] += gamma
-    return E.reshape(4 * M, M)
-
-
-def _condensed(mb: np.ndarray, B: np.ndarray, E: np.ndarray) -> tuple:
-    """Static condensation of A x = Z^T (I x mb) u, A = Z^T (I x B) Z, by half-element.
-
-    A half's n - 1 interior nodes couple only to its two end nodes, which E
-    gives from the centre values, so one inverse of the interior block B_II
-    serves all 2M halves.  With G = B_II^-1 B_Ie, the interior response to
-    the ends, each half's nodal values u give through T, (n + 1, n + 1),
-      t = (mb_e - G^T mb_I) u  (two rows),  y = B_II^-1 mb_I u  (n - 1 rows);
-    the centres are x_C = S^-1 E^T t, S = sum over halves of E^T (B_ee - B_eI G) E,
-    through `centre` (M, 4M), and the interiors x_I = y - G E x_C through
-    `correct`, ((n - 1) 2M, M), node by node.
-    """
-    n, M = len(B) - 1, E.shape[-1]
-    e, i, E3 = [0, n], slice(1, n), E.reshape(2, -1, M)
-    inv = np.linalg.inv(B[i, i])
-    G = inv @ B[i, e]
-    T = np.vstack([mb[e] - G.T @ mb[i], inv @ mb[i]])
-    S = np.einsum("ehj,ef,fhk->jk", E3, B[np.ix_(e, e)] - B[e, i] @ G, E3)
-    return T, np.linalg.inv(S) @ E.T, np.einsum("ie,ehj->ihj", G, E3).reshape(-1, M)
-
-
 class CoupledElementSolver:
     """Semi-implicit stepper for the gamma-coupled element system.
 
-    Works in the reduced coordinates of the constraint basis, every element's
-    interior nodes (left half, then right half) first and the M centre values
-    last, so the value coupling conditions are enforced exactly by
-    construction; the flux condition is the natural condition of the Galerkin
-    form.  The solve is `_condensed`'s, built from the grid's half-element
-    mass and stiffness matrices and the coupling strength alone.
+    Works in the operator's reduced coordinates, every element's interior
+    nodes (left half, then right half) first and the M centre values last,
+    so the value coupling conditions are enforced exactly by construction;
+    the flux condition is the natural condition of the Galerkin form.  The
+    solve is `_condensed`'s with B = mb + dt kb, built from the grid's
+    half-element mass and stiffness matrices and the coupling strength alone.
     """
 
     def __init__(self, op: CoupledOperator, spec: QWienerSpec, dt: float):
-        self.dt = float(dt)
+        self.dt, self.op, self.ends = float(dt), op, op.ends
         grid = self.grid = op.grid
-        M, n = grid.M, grid.subgrid_n
-        mb, kb = grid.mass_block, grid.stiffness_block
-        self.ends = _end_map(M, op.gamma)
-        self.T, self.centre, self.correct = _condensed(mb, mb + self.dt * kb, self.ends)
-        self._projection = _condensed(mb, mb, self.ends)
+        n, mb = grid.subgrid_n, grid.mass_block
+        self.T, self.centre, self.correct = _condensed(mb, mb + self.dt * grid.stiffness_block,
+                                                       self.ends)
         basis = fourier_basis(np.mod(grid.all_nodes(), grid.L), spec.n_modes, grid.L)
         # gamma times the noise modes at every node, node by node: (n+1) 2M rows
         self.basis = op.gamma * basis.reshape(spec.n_modes, -1, n + 1).T.reshape(-1, spec.n_modes)
-        self._member_bytes = 8 * M * (2 * n - 1)                  # a member's reduced state
+        self._member_bytes = 8 * op.n_reduced                      # a member's reduced state
         self.sqrt_q = np.sqrt(spec.q)
-
-    def _nodal(self, x: np.ndarray) -> np.ndarray:
-        """The element fields (M, 2, n+1, R) of node-by-node values (n+1, 2M, R)."""
-        return x.reshape(len(x), self.grid.M, 2, -1).transpose(1, 2, 0, 3)
 
     def initial_reduced(self, cfg: SpdeConfig, u0: Optional[ElementField] = None) -> np.ndarray:
         """Project initial data onto the constrained subspace, (nred,)."""
         if u0 is None:
             u0 = ElementField(initial_profile(cfg.initial, self.grid.L)(self.grid.all_nodes()),
                               self.grid)
-        T, centre, correct = self._projection
-        y = T @ u0.values.reshape(2 * self.grid.M, -1).T
-        x_c = centre @ y[:2].ravel()
-        return np.concatenate([(y[2:] - (correct @ x_c).reshape(len(y) - 2, -1)).T.ravel(), x_c])
+        return self.op.reduce(u0)
 
     def noise_rhs(self, db: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The element noise increment (without sigma), (M, 2, n+1, R) or,
@@ -426,10 +389,11 @@ class CoupledElementSolver:
         R, P = db.shape[1], -(-db.shape[1] // 8) * 8
         if P > R:
             db = np.hstack([db, np.zeros((len(db), P - R))])
+        n, M = self.grid.subgrid_n, self.grid.M
         if out is None:
-            out = np.empty((self.grid.subgrid_n + 1, 2 * self.grid.M, P))
+            out = np.empty((n + 1, 2 * M, P))
         np.matmul(self.basis, db, out=out.reshape(-1, P))
-        return self._nodal(out[..., :R])
+        return out[..., :R].reshape(n + 1, M, 2, R).transpose(1, 2, 0, 3)
 
     def workspace(self, R: int) -> tuple:
         """Zeroed buffers for `step_reduced` on R members: the nodal values and
@@ -493,9 +457,4 @@ class CoupledElementSolver:
 
     def _batch_fields(self, c: np.ndarray) -> np.ndarray:
         """The element fields (M, 2, n+1, R) of reduced states c, (nred, R)."""
-        M, n, R = self.grid.M, self.grid.subgrid_n, c.shape[1]
-        u, _, x_c = self.workspace(R)
-        u[1:n, :, :R] = c[:-M].reshape(2 * M, n - 1, R).transpose(1, 0, 2)
-        x_c[:, :R] = c[-M:]
-        u[::n] = (self.ends @ x_c).reshape(2, 2 * M, -1)
-        return self._nodal(u[..., :R])
+        return self.op.field_from_reduced(c)

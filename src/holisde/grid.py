@@ -137,11 +137,6 @@ class DomainGrid:
         self.mass_block
         return self._stiff_block
 
-    @property
-    def ndof(self) -> int:
-        """Stacked nodal values over all elements."""
-        return self.M * 2 * (self.subgrid_n + 1)
-
 
 def build_grid(L: float, M: int, subgrid_n: int) -> DomainGrid:
     """Validated grid constructor.
@@ -178,10 +173,6 @@ class ElementField:
         expected = (self.grid.M, 2, self.grid.subgrid_n + 1)
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
-
-    @classmethod
-    def from_stacked(cls, vec: np.ndarray, grid: DomainGrid) -> "ElementField":
-        return cls(vec.reshape(grid.M, 2, grid.subgrid_n + 1).copy(), grid)
 
 
 def _check_same_grid(u: ElementField, v: ElementField) -> DomainGrid:

@@ -213,6 +213,12 @@ class RunConfig:
                 errors.append("sweeps need at least 3 values")
         if not errors and not 0.5 < self.T / self.dt_value < np.inf:   # round(T / dt) >= 1, finite
             errors.append(f"T = {self.T:g} holds no finite count of dt = {self.dt_value:g} steps")
+        elif not errors:          # one member's noise path, (K+1, n_steps) floats, must fit in RAM
+            steps = round(self.T / self.dt_value)
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if 8 * (self.n_modes if self.q_list is None else len(self.q_list)) * steps > memory:
+                errors.append(f"{steps} steps of dt = {self.dt_value:g}: one member's noise path "
+                              f"would not fit in the {memory / (1 << 30):.3g} GiB of physical memory")
         if errors:
             raise ConfigError(errors)
 

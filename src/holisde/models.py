@@ -234,8 +234,7 @@ def reduced_slow_sde(
     grid = op.grid
     F1, F2, _ = expansion_fields(np.asarray(a, dtype=float), grid)
     vals = a[:, None, None] + g * F1 + g * g * F2
-    c = op.reduce(ElementField(vals, grid))
-    l_centre = (op.Z @ op.apply_reduced(c)).reshape(grid.M, 2, -1)[:, 0, -1]
+    l_centre = op.apply(ElementField(vals, grid)).values[:, 0, -1]
     s = stats.mean_second_moment
     cubic = 0.0 if linearize else (a * a * a)
     drift = l_centre + cfg.alpha * g * g * a - cfg.alpha * (cubic + 3.0 * g * g * a * s)

@@ -11,43 +11,42 @@ plus value continuity across the duplicated centre node.  At gamma = 0 the
 elements are insulated from each other; at gamma = 1 the conditions reduce to
 interelement continuity and the stack reproduces the periodic Laplacian.
 
-Discretely, the value conditions are *essential*: they eliminate the three
-boundary/centre dofs of every element, giving a sparse injection Z from free
-coefficients into nodal space.  The operator is then the Galerkin pair
-(K_red, M_red) = (Z^T K Z, Z^T M Z) built from the per-half quadratic
-stiffness/mass blocks.  The flux condition is the *natural* condition of this
-quadratic form: collecting the boundary terms of sum_j int u_j' v_j' over
-test fields satisfying the value conditions reproduces exactly the flux
-balance above.  Self-adjointness and the energy identity
-< -L u, u > = sum_j |u_j|_1^2 therefore hold structurally, to round-off.
+Discretely, the value conditions are *essential*: they give both end nodes
+and both centre copies of every half-element from the M centre values, so
+the free (reduced) coordinates are every element's interior nodes (left
+half, then right half), element by element, then the M centre values.  The
+operator is the Galerkin pair (K_red, M_red) = (Z^T K Z, Z^T M Z) of the
+per-half quadratic stiffness/mass blocks, Z the injection of reduced
+coordinates into nodal values.  The flux condition is the *natural*
+condition of this quadratic form: collecting the boundary terms of
+sum_j int u_j' v_j' over test fields satisfying the value conditions
+reproduces exactly the flux balance above.  Self-adjointness and the energy
+identity < -L u, u > = sum_j |u_j|_1^2 therefore hold structurally, to
+round-off.
+
+Neither Z nor the pair is stored.  A half's interior nodes couple only to
+its own two end nodes, so every reduced solve is a static condensation per
+half-element (`_condensed`): one inverse of the half block's interior serves
+all 2M halves, which meet only in the M centre values.  `reduce`,
+`apply_reduced` and the coupled solver's step solve that way in numpy;
+only `eig_gamma` builds the dense pair, inside the call, and it alone
+loads scipy (`scipy.linalg`, about 0.2 s and 21 MiB of peak memory).
 
 The decoupled operator (gamma = 0) has a closed-form eigensystem per element:
 eigenvalue k^2 pi^2 / h^2 with one mode for odd k (the odd sine), three for
 even k (cosine, sine, and the centre-kinked sine in |x - X_j|), and the
 normalized constant at k = 0.
-
-`assemble_operator` only checks gamma: the sparse pair, Z and ZtM are built
-with scipy on first use and cached, and the mass LU on first solve.  So the
-coupled solver, which builds its element blocks from the grid's half-element
-matrices in numpy, and the grid-model paths (the closed-form gamma = 0
-eigensystem, the reference, the models) never load scipy's linear algebra;
-`eig_gamma`, `reduce`, `apply_reduced` and `field_from_reduced` load it
-inside the call.  Loading it costs about 0.2-0.3 s and 25 MiB of peak memory.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
 
-from .grid import DomainGrid, ElementField
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+from .grid import DomainGrid, ElementField, seminorm
 
 __all__ = [
     "CoupledOperator",
@@ -64,109 +63,108 @@ __all__ = [
 CLUSTER_RTOL = 1e-6
 
 
-def _constraint_basis(grid: DomainGrid, gamma: float) -> sp.csr_matrix:
-    """Injection Z from free coefficients into stacked nodal values.
+def _end_map(M: int, gamma: float) -> np.ndarray:
+    """The value conditions as a map E, (4M, M), from the M centre values to
+    node 0 of every half, element by element, then to node n of every half."""
+    E, j = np.zeros((2, M, 2, M)), np.arange(M)
+    E[1, j, 0, j] = E[0, j, 1, j] = 1.0               # the two copies of the centre
+    E[0, j, 0, j] = E[1, j, 1, j] = 1.0 - gamma       # u_j(X_{j -+ 1}) ...
+    E[0, j, 0, j - 1] += gamma                        # ... + gamma u_{j -+ 1}(X_{j -+ 1})
+    E[1, j, 1, (j + 1) % M] += gamma
+    return E.reshape(4 * M, M)
 
-    Per element the free dofs are the interior nodes of both halves plus one
-    centre copy; the eliminated dofs (left endpoint, right endpoint, second
-    centre copy) are rebuilt from the value conditions.
+
+def _condensed(W: np.ndarray, B: np.ndarray, E: np.ndarray) -> tuple:
+    """Static condensation of A x = Z^T (I x W) u, A = Z^T (I x B) Z, by half-element.
+
+    A half's n - 1 interior nodes couple only to its two end nodes, which E
+    gives from the centre values, so one inverse of the interior block B_II
+    serves all 2M halves.  With G = B_II^-1 B_Ie, the interior response to
+    the ends, each half's nodal values u give through T, (n + 1, n + 1),
+      t = (W_e - G^T W_I) u  (two rows),  y = B_II^-1 W_I u  (n - 1 rows);
+    the centres are x_C = S^-1 E^T t, S = sum over halves of E^T (B_ee - B_eI G) E,
+    through `centre` (M, 4M), and the interiors x_I = y - G E x_C through
+    `correct`, ((n - 1) 2M, M), node by node.  W = mb gives the coupled
+    step (B = mb + dt kb) and the H-projection (B = mb); W = kb with B = mb
+    gives the weak second derivative.
     """
-    import scipy.sparse as sp
+    n, M = len(B) - 1, E.shape[-1]
+    e, i, E3 = [0, n], slice(1, n), E.reshape(2, -1, M)
+    inv = np.linalg.inv(B[i, i])
+    G = inv @ B[i, e]
+    T = np.vstack([W[e] - G.T @ W[i], inv @ W[i]])
+    S = np.einsum("ehj,ef,fhk->jk", E3, B[np.ix_(e, e)] - B[e, i] @ G, E3)
+    return T, np.linalg.inv(S) @ E.T, np.einsum("ie,ehj->ihj", G, E3).reshape(-1, M)
 
-    M, n = grid.M, grid.subgrid_n
-    S = 2 * (n + 1)      # nodal dofs per element
-    F = 2 * n - 1        # free dofs per element
-    gp = 1.0 - gamma
-    rows, cols, vals = [], [], []
-    for j in range(M):
-        base, fb = j * S, j * F
-        centre = fb + n - 1                      # free column of u_j(X_j)
-        centre_m = ((j - 1) % M) * F + n - 1
-        centre_p = ((j + 1) % M) * F + n - 1
-        # left half nodes 1..n are free (node n is the centre)
-        for i in range(1, n + 1):
-            rows.append(base + i)
-            cols.append(fb + i - 1)
-            vals.append(1.0)
-        # right half interior nodes 1..n-1 are free
-        for i in range(1, n):
-            rows.append(base + n + 1 + i)
-            cols.append(fb + n + i - 1)
-            vals.append(1.0)
-        # centre continuity: right-half copy of the centre
-        rows.append(base + n + 1)
-        cols.append(centre)
-        vals.append(1.0)
-        # value coupling at both element endpoints
-        rows.append(base)                        # u_j(X_{j-1})
-        cols.append(centre)
-        vals.append(gp)
-        rows.append(base)
-        cols.append(centre_m)
-        vals.append(gamma)
-        rows.append(base + S - 1)                # u_j(X_{j+1})
-        cols.append(centre)
-        vals.append(gp)
-        rows.append(base + S - 1)
-        cols.append(centre_p)
-        vals.append(gamma)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(M * S, M * F))
+
+def _galerkin(B: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The dense reduced matrix Z^T (I x B) Z of a half-element block B: each
+    half's interiors couple to themselves through B_II and to the centres
+    through B_Ie and the value conditions E; the centres to each other
+    through B_ee."""
+    n, M = len(B) - 1, E.shape[-1]
+    m, e, i, E3 = 2 * M * (n - 1), [0, n], slice(1, n), E.reshape(2, -1, M)
+    A = np.zeros((m + M, m + M))
+    A[:m, :m] = np.kron(np.eye(2 * M), B[i, i])
+    A[:m, m:] = np.einsum("ie,ehj->hij", B[i, e], E3).reshape(m, M)
+    A[m:, :m] = A[:m, m:].T
+    A[m:, m:] = np.einsum("ehj,ef,fhk->jk", E3, B[np.ix_(e, e)], E3)
+    return A
 
 
 @dataclass
 class CoupledOperator:
     """Assembled coupled operator at a fixed coupling strength.
 
-    Holds the constraint injection Z, the reduced Galerkin pair and the
-    weak load map ZtM = Z^T (I x M_b) from nodal values to reduced loads,
-    all sparse and built together on first access; the operator action L u
-    is the weak second derivative: solve M_red c' = -K_red c and map back
-    through Z.
+    Holds the value conditions `ends` (E, from `_end_map`); the operator
+    action L u is the weak second derivative, M_red c' = -K_red c, solved
+    per half-element by `_condensed`.
     """
 
     grid: DomainGrid
     gamma: float
 
     @functools.cached_property
-    def _sparse(self) -> tuple:
-        import scipy.sparse as sp
-
-        mb, kb = self.grid.mass_block, self.grid.stiffness_block
-        Mg = sp.block_diag([sp.csr_matrix(mb)] * (2 * self.grid.M), format="csr")
-        Kg = sp.block_diag([sp.csr_matrix(kb)] * (2 * self.grid.M), format="csr")
-        Z = _constraint_basis(self.grid, self.gamma)
-        ZtM = Z.T @ Mg
-        return Z, (Z.T @ Kg @ Z).tocsc(), (ZtM @ Z).tocsc(), ZtM.tocsr()
-
-    Z = property(lambda self: self._sparse[0])
-    K_red = property(lambda self: self._sparse[1])
-    M_red = property(lambda self: self._sparse[2])
-    ZtM = property(lambda self: self._sparse[3])
+    def ends(self) -> np.ndarray:
+        return _end_map(self.grid.M, self.gamma)
 
     @property
     def n_reduced(self) -> int:
         return self.grid.M * (2 * self.grid.subgrid_n - 1)
 
-    @functools.cached_property
-    def _lu(self) -> spla.SuperLU:
-        from scipy.sparse.linalg import splu
-
-        return splu(self.M_red)
-
     # -- coordinate maps ----------------------------------------------------
 
-    def field_from_reduced(self, c: np.ndarray) -> ElementField:
-        return ElementField.from_stacked(self.Z @ c, self.grid)
+    def field_from_reduced(self, c: np.ndarray) -> ElementField | np.ndarray:
+        """The element field Z c of reduced coordinates c, (nred,), or for c
+        (nred, R) the element fields (M, 2, n+1, R): two slice fills and the
+        end map, whose product runs on the members padded to a multiple of 8
+        columns, so a member's field is bitwise alike at every R."""
+        if c.ndim == 1:
+            return ElementField(self.field_from_reduced(c[:, None])[..., 0], self.grid)
+        M, n, R = self.grid.M, self.grid.subgrid_n, c.shape[1]
+        x_c = np.zeros((M, -(-R // 8) * 8))
+        x_c[:, :R] = c[-M:]
+        u = np.empty((n + 1, 2 * M, R))
+        u[1:n] = c[:-M].reshape(2 * M, n - 1, R).transpose(1, 0, 2)
+        u[::n] = (self.ends @ x_c)[:, :R].reshape(2, 2 * M, R)
+        return u.reshape(n + 1, M, 2, R).transpose(1, 2, 0, 3)
+
+    def _solve(self, W: np.ndarray, u: ElementField) -> np.ndarray:
+        """x of M_red x = Z^T (I x W) u, by `_condensed` with B = mb."""
+        T, centre, correct = _condensed(W, self.grid.mass_block, self.ends)
+        y = T @ u.values.reshape(2 * self.grid.M, -1).T
+        x_c = centre @ y[:2].ravel()
+        return np.concatenate([(y[2:] - (correct @ x_c).reshape(len(y) - 2, -1)).T.ravel(), x_c])
 
     def reduce(self, u: ElementField) -> np.ndarray:
         """H-projection of a nodal field onto the constrained subspace."""
-        return self._lu.solve(self.ZtM @ u.values.reshape(self.grid.ndof))
+        return self._solve(self.grid.mass_block, u)
 
     # -- operator action ----------------------------------------------------
 
     def apply_reduced(self, c: np.ndarray) -> np.ndarray:
-        """Reduced coordinates of L u for u = Z c."""
-        return -self._lu.solve(self.K_red @ c)
+        """Reduced coordinates of L u for u = Z c: -M_red^-1 K_red c."""
+        return -self._solve(self.grid.stiffness_block, self.field_from_reduced(c))
 
     def apply(self, u: ElementField) -> ElementField:
         """L u for a field (projected onto the constrained subspace first)."""
@@ -174,8 +172,7 @@ class CoupledOperator:
 
 
 def assemble_operator(grid: DomainGrid, gamma: float) -> CoupledOperator:
-    """The coupled operator for coupling strength gamma in [0, 1]; its
-    sparse matrices are built on first use."""
+    """The coupled operator for coupling strength gamma in [0, 1]."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"coupling gamma must lie in [0, 1], got {gamma}")
     return CoupledOperator(grid=grid, gamma=float(gamma))
@@ -266,18 +263,19 @@ def _fix_signs(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
 def eig_gamma(op: CoupledOperator, kmax: int) -> EigenSystem:
     """Lowest kmax eigenpairs of -L at coupling gamma.
 
-    Solves the generalized symmetric problem K_red v = lambda M_red v; the
-    eigenfields come back H-orthonormal, signs fixed deterministically, and
-    every pair carries its residual ||L e + lambda e||_0.
+    Solves the generalized symmetric problem K_red v = lambda M_red v, the
+    dense pair assembled here from the half blocks and the value conditions;
+    the eigenfields come back H-orthonormal, signs fixed deterministically,
+    and every pair carries its residual ||L e + lambda e||_0, with L the
+    condensed `apply_reduced`, so it also checks the pair against it.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     import scipy.linalg as sla
 
-    A = op.K_red.toarray()
-    B = op.M_red.toarray()
-    A = 0.5 * (A + A.T)
-    B = 0.5 * (B + B.T)
+    # eigh reads the lower triangles, so the pair needs no symmetrizing
+    A = _galerkin(op.grid.stiffness_block, op.ends)
+    B = _galerkin(op.grid.mass_block, op.ends)
     try:
         if kmax < A.shape[0]:
             lam, V = sla.eigh(A, B, subset_by_index=[0, kmax - 1])
@@ -289,17 +287,9 @@ def eig_gamma(op: CoupledOperator, kmax: int) -> EigenSystem:
             f"(n={A.shape[0]}, cond(M)~{np.linalg.cond(B):.2e})"
         ) from exc
     lam = np.where(np.abs(lam) < 1e-12 * max(abs(lam[-1]), 1.0), 0.0, lam)
-
-    nk = lam.size
-    fields = (op.Z @ V).T.reshape(nk, op.grid.M, 2, op.grid.subgrid_n + 1).copy()
-    fields = _fix_signs(fields, op.grid)
-
-    # residuals of the reduced pencil, measured in the H-norm
-    res = np.empty(nk)
-    for k in range(nk):
-        r = op.K_red @ V[:, k] - lam[k] * (op.M_red @ V[:, k])
-        rr = op._lu.solve(r)
-        res[k] = np.sqrt(max(float(rr @ r), 0.0))
+    fields = _fix_signs(op.field_from_reduced(V).transpose(3, 0, 1, 2).copy(), op.grid)
+    res = np.array([seminorm(op.field_from_reduced(op.apply_reduced(v) + lk * v))
+                    for v, lk in zip(V.T, lam)])
     return EigenSystem(
         gamma=op.gamma,
         grid=op.grid,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import holisde
-from holisde import dynamics, harness
+from holisde import dynamics, harness, spectral
 from holisde.dynamics import (
     BatchJob,
     CoupledElementSolver,
@@ -186,61 +186,70 @@ def test_coupled_step_function_projects_state(grid8, qspec):
     assert np.allclose(vals[:, 1, -1], rhs, atol=1e-9)
 
 
-def solver_order(grid):
-    """The solver's order of the reduced coordinates: each element's interior
-    nodes (left half, then right half), then the M centre values."""
-    n = grid.subgrid_n
-    cols = np.arange(grid.M * (2 * n - 1)).reshape(grid.M, -1)
-    return np.concatenate([np.delete(cols, n - 1, axis=1).ravel(), cols[:, n - 1]])
+def injection(grid, gamma):
+    """Oracle Z, (M 2 (n+1), nred): the nodal values of reduced coordinates in
+    the solver's order (each half's interior nodes, element by element, then
+    the M centre values), written from the value conditions."""
+    M, n = grid.M, grid.subgrid_n
+    m = 2 * M * (n - 1)
+    Z = np.zeros((M, 2, n + 1, m + M))
+    Z[:, :, 1:n, :m] = np.eye(m).reshape(M, 2, n - 1, m)
+    for j in range(M):
+        Z[j, 0, n, m + j] = Z[j, 1, 0, m + j] = 1.0         # both copies of u_j(X_j)
+        Z[j, 0, 0, m + j] = Z[j, 1, n, m + j] = 1.0 - gamma  # u_j(X_{j-+1}) = gamma' u_j(X_j)
+        Z[j, 0, 0, m + (j - 1) % M] += gamma                 #   + gamma u_{j-+1}(X_{j-+1})
+        Z[j, 1, n, m + (j + 1) % M] += gamma
+    return Z.reshape(-1, m + M)
+
+
+def galerkin(grid, Z, block):
+    """Oracle Z^T (I x block) Z, block a half-element matrix."""
+    return Z.T @ np.kron(np.eye(2 * grid.M), block) @ Z
 
 
 @pytest.mark.parametrize("M, subgrid_n, gamma", [(3, 8, 0.0), (3, 64, 1.0), (4, 8, 0.3),
                                                 (8, 16, 0.5), (8, 32, 1.0), (5, 64, 0.9)])
 def test_condensed_step_matches_splu(qspec, M, subgrid_n, gamma):
-    # oracle: M_red c + ZtM (dt reaction + noise) solved by SuperLU in the unpermuted order
-    from scipy.sparse.linalg import splu
-
+    # oracle: M_red c + Z^T (I x mb) (dt reaction + noise) solved densely
     grid = build_grid(2.0 * np.pi, M, subgrid_n)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=gamma, dt=1e-3, T=0.01)
-    op = assemble_operator(grid, gamma)
-    solver = CoupledElementSolver(op, qspec, cfg.dt)
-    lu = splu((op.M_red + cfg.dt * op.K_red).tocsc())
-    perm = solver_order(grid)
+    solver = CoupledElementSolver(assemble_operator(grid, gamma), qspec, cfg.dt)
+    Z = injection(grid, gamma)
+    ZtM = Z.T @ np.kron(np.eye(2 * M), grid.mass_block)
+    A = galerkin(grid, Z, grid.mass_block + cfg.dt * grid.stiffness_block)
     rng = np.random.default_rng(M * subgrid_n)
     for R in (1, 2, 64):
-        c = rng.standard_normal((op.n_reduced, R))
+        c = rng.standard_normal((len(Z.T), R))
         noise = rng.standard_normal((M, 2, subgrid_n + 1, R))
-        u = op.Z @ c
-        weak = op.ZtM @ (cfg.dt * cfg.alpha * (cfg.gamma**2 * u - u * u * u)
-                         + noise.reshape(grid.ndof, R))
-        want = lu.solve(op.M_red @ c + weak)
-        got = c[perm]
+        u = Z @ c
+        weak = ZtM @ (u + cfg.dt * cfg.alpha * (cfg.gamma**2 * u - u * u * u)
+                      + noise.reshape(len(Z), R))
+        want = np.linalg.solve(A, weak)
+        got = c.copy()
         solver.step_reduced(got, cfg, noise, solver.workspace(R))
-        assert np.max(np.abs(got - want[perm])) <= 1e-13 * np.max(np.abs(want))
-        fields = (op.Z @ got[np.argsort(perm)]).reshape(M, 2, subgrid_n + 1, R)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        fields = (Z @ got).reshape(M, 2, subgrid_n + 1, R)
         assert np.max(np.abs(solver._batch_fields(got) - fields)) <= 1e-15 * np.max(np.abs(got))
     u0 = ElementField(rng.standard_normal(grid.all_nodes().shape), grid)
-    want = op.reduce(u0)[perm]
+    want = np.linalg.solve(ZtM @ Z, ZtM @ u0.values.ravel())
     assert np.max(np.abs(solver.initial_reduced(cfg, u0) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.6, 1.0])
 def test_half_blocks_rebuild_the_reduced_matrix(grid8, gamma):
-    # oracle: the sparse Galerkin matrix, in the solver's order, from the
-    # half-element block and the value conditions alone
-    dt, n, M = 1e-3, grid8.subgrid_n, grid8.M
+    # eig_gamma's dense pair, from the half-element block and the value
+    # conditions alone, against Z^T (I x B) Z
+    # and the operator's condensed action against -M_red^-1 K_red c
     op = assemble_operator(grid8, gamma)
-    perm = solver_order(grid8)
-    want = (op.M_red + dt * op.K_red).toarray()[np.ix_(perm, perm)]
-    B = grid8.mass_block + dt * grid8.stiffness_block
-    E = dynamics._end_map(M, gamma).reshape(2, 2 * M, M)
-    m = 2 * M * (n - 1)
-    A = np.zeros_like(want)
-    A[:m, :m] = np.kron(np.eye(2 * M), B[1:n, 1:n])
-    A[:m, m:] = np.einsum("ie,ehj->hij", B[1:n, [0, n]], E).reshape(m, M)
-    A[m:, :m] = A[:m, m:].T
-    A[m:, m:] = np.einsum("ehj,ef,fhk->jk", E, B[np.ix_([0, n], [0, n])], E)
-    assert np.max(np.abs(A - want)) <= 1e-14 * np.max(np.abs(want))
+    Z = injection(grid8, gamma)
+    for B in (grid8.mass_block, grid8.stiffness_block, grid8.mass_block + 1e-3 * grid8.stiffness_block):
+        want = galerkin(grid8, Z, B)
+        assert np.max(np.abs(spectral._galerkin(B, op.ends) - want)) <= 1e-14 * np.max(np.abs(want))
+    c = np.random.default_rng(5).standard_normal(len(Z.T))
+    want = -np.linalg.solve(galerkin(grid8, Z, grid8.mass_block),
+                            galerkin(grid8, Z, grid8.stiffness_block) @ c)
+    assert np.max(np.abs(op.apply_reduced(c) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(op.field_from_reduced(c).values.ravel() - Z @ c)) <= 1e-15 * np.max(np.abs(c))
 
 
 def test_fast_mode_relaxation_rate(grid8, qspec):
@@ -311,6 +320,16 @@ def test_coupled_member_replays_bitwise_as_a_batch_of_one(grid8, qspec):
     whole = simulate(solver, cfg, path)
     for r in (0, 5, 10):
         assert np.array_equal(simulate(solver, cfg, path[r : r + 1])[..., 0], whole[..., r])
+
+
+def test_reference_member_replays_bitwise_as_a_batch_of_one(qspec):
+    # a one-member noise product is padded to two members, whose GEMM rounds a row alike
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.01)
+    solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
+    path = _batch(qspec, cfg, 11)
+    whole = simulate(solver, cfg, path)
+    for r in (0, 5, 10):
+        assert np.array_equal(simulate(solver, cfg, path[r : r + 1])[:, 0], whole[:, r])
 
 
 def test_linear_mode_variance_calibration(qspec):
@@ -645,25 +664,13 @@ def test_blocked_abort_names_earliest_step_then_member(qspec):
 
 @pytest.mark.parametrize("members", [None, 3])
 def test_coupled_maps_match_einsum_oracle(grid8, qspec, members):
-    op = assemble_operator(grid8, 0.7)
-    solver = CoupledElementSolver(op, qspec, 1e-3)
+    solver = CoupledElementSolver(assemble_operator(grid8, 0.7), qspec, 1e-3)
     rng = np.random.default_rng(8)
     tail = () if members is None else (members,)
-    mb = grid8.mass_block
-
-    def oracle_load(u):                                   # Z^T (I x M_b) u
-        mu = np.einsum("ij,mhj...->mhi...", mb, u)
-        return op.Z.T @ mu.reshape((grid8.ndof,) + u.shape[3:])
-
-    u = rng.standard_normal(grid8.all_nodes().shape + tail)
-    want = oracle_load(u)
-    got = op.ZtM @ u.reshape((grid8.ndof,) + tail)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
     db = rng.standard_normal((qspec.n_modes,) + tail)
     db *= solver.sqrt_q.reshape((-1,) + (1,) * len(tail))
     basis = fourier_basis(np.mod(grid8.all_nodes(), grid8.L), qspec.n_modes, grid8.L)
-    want = op.gamma * np.einsum("k...,kmhi->mhi...", db, basis)
+    want = 0.7 * np.einsum("k...,kmhi->mhi...", db, basis)
     assert np.max(np.abs(solver.noise_rhs(db) - want)) <= 1e-13 * np.max(np.abs(want))
 
 

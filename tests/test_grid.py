@@ -124,9 +124,3 @@ def test_quadrature_convergence_under_refinement():
     errs = [abs(ip_value(n) - fine) for n in (8, 16, 32)]
     assert errs[1] <= errs[0] / 4.0
     assert errs[2] <= errs[1] / 4.0
-
-
-def test_stacked_roundtrip(grid8, rng):
-    u = ElementField(rng.standard_normal((grid8.M, 2, grid8.subgrid_n + 1)), grid8)
-    v = ElementField.from_stacked(u.values.reshape(-1), grid8)
-    assert np.array_equal(u.values, v.values)

@@ -807,9 +807,10 @@ def test_cli_coeff_h_grid_beyond_the_element_bound_exits_2(tmp_path, capsys, mon
     ({}, "gamma=1.5,1.2,1.1"),
     ({}, "h=0,-1,2"),
     ({"dt": 1e-320}, None),         # T / dt overflows to inf
+    ({"dt": 1e-12, "ensemble": 4}, None),
 ], ids=["int-as-string", "float-as-string", "fractional-int", "sweep-value", "directory",
         "nan", "zero-elements", "negative-seed", "gamma-above-one", "h-not-positive",
-        "step-count-not-finite"])
+        "step-count-not-finite", "path-exceeds-memory"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
     cfgp = tmp_path
     if override is not None:
@@ -817,8 +818,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
         cfgp.write_text(json.dumps({**RunConfig(**FAST).to_dict(), **override}), encoding="utf-8")
     argv = ["--config", str(cfgp), "--out", str(tmp_path / "out")]
     argv += ["--sweep", sweep] if sweep else []
-    assert cli_main(argv + ["compare"]) == 2
-    assert "config error: " in capsys.readouterr().err
+    for verb in ("compare", "simulate"):
+        assert cli_main(argv + [verb]) == 2
+        assert "config error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", [
