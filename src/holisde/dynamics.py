@@ -48,7 +48,7 @@ import numpy as np
 
 from .grid import ElementField
 from .noise import QWienerSpec, fourier_basis
-from .spectral import CoupledOperator, _condensed
+from .spectral import CoupledOperator, _condensed, _gemm_width
 
 __all__ = [
     "SpdeConfig",
@@ -170,8 +170,8 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     Members are independent; the reference's noise product puts them on the
     GEMM's row axis (`tensordot`, one member padded to two), where OpenBLAS
     rounds a row alike at every width above one, and the coupled solver's
-    products run on them padded to a multiple of 8 columns, where it rounds
-    a column alike at every width, so every field is bitwise that of
+    products run on them padded to `_gemm_width` columns, where it rounds a
+    column alike at every width, so every field is bitwise that of
     stepping the whole batch.
     A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
@@ -268,13 +268,11 @@ class FullSpdeSolver:
     def noise_increment(self, db: np.ndarray) -> np.ndarray:
         """Leading rfft bins of the fine-grid noise increment.
 
-        db holds sqrt(q)-weighted coefficients, (K+1,) or (K+1, R); the
-        result is (nb,) or (R, nb).  A single member is padded to two, as the
-        GEMM rounds a row alike at every width above one, so a one-member
-        batch steps bitwise as that member of any wider batch.
+        db holds sqrt(q)-weighted coefficients (K+1, R); the result is
+        (R, nb).  A single member is padded to two, as the GEMM rounds a row
+        alike at every width above one, so a one-member batch steps bitwise
+        as that member of any wider batch.
         """
-        if db.ndim == 1:
-            return self.noise_increment(db[:, None])[0]
         if db.shape[1] == 1:
             return self.noise_increment(np.hstack([db, np.zeros_like(db)]))[:1]
         return np.tensordot(db, self.basis_hat, axes=(0, 0))
@@ -378,30 +376,26 @@ class CoupledElementSolver:
         return self.op.reduce(u0)
 
     def noise_rhs(self, db: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The element noise increment (without sigma), (M, 2, n+1, R) or,
-        for db (K+1,), (M, 2, n+1): gamma times the global increment at
-        every element node, for sqrt(q)-weighted global coefficients db
-        (K+1, R).  It is one product with db padded to P columns, into a
-        node-by-node buffer `out` (n+1, 2M, P) when one is given.
+        """The element noise increment (without sigma), (M, 2, n+1, R): gamma
+        times the global increment at every element node, for sqrt(q)-weighted
+        global coefficients db (K+1, R).  It is one product with db padded to
+        P = `_gemm_width(R)` columns, into a node-by-node buffer `out`
+        (n+1, 2M, P) when one is given.
         """
-        if db.ndim == 1:
-            return self.noise_rhs(db[:, None])[..., 0]
-        R, P = db.shape[1], -(-db.shape[1] // 8) * 8
+        R, P = db.shape[1], _gemm_width(db.shape[1])
         if P > R:
             db = np.hstack([db, np.zeros((len(db), P - R))])
         n, M = self.grid.subgrid_n, self.grid.M
-        if out is None:
-            out = np.empty((n + 1, 2 * M, P))
+        out = np.empty((n + 1, 2 * M, P)) if out is None else out
         np.matmul(self.basis, db, out=out.reshape(-1, P))
         return out[..., :R].reshape(n + 1, M, 2, R).transpose(1, 2, 0, 3)
 
     def workspace(self, R: int) -> tuple:
         """Zeroed buffers for `step_reduced` on R members: the nodal values and
         T's product, node by node (n+1, 2M, P), and the centres (M, P).  Every
-        product runs on these P columns, the members and zeros up to a
-        multiple of 8, as OpenBLAS rounds a column alike only at widths of one
-        remainder mod 8, so a member steps bitwise alike at every batch width."""
-        n, M, P = self.grid.subgrid_n, self.grid.M, -(-R // 8) * 8
+        product runs on these P = `_gemm_width(R)` columns, so a member steps
+        bitwise alike at every batch width."""
+        n, M, P = self.grid.subgrid_n, self.grid.M, _gemm_width(R)
         return np.zeros((n + 1, 2 * M, P)), np.zeros((n + 1, 2 * M, P)), np.zeros((M, P))
 
     def step_reduced(self, c: np.ndarray, cfg: SpdeConfig, noise: np.ndarray,

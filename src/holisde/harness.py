@@ -826,7 +826,7 @@ def _holistic_term_budget(cfg: RunConfig) -> dict:
     W = setup.proj.slow_map                                          # (M, K+1)
     cov = W @ W.T
     var_slow = cfg.sigma**2 * np.diag(cov)
-    sten = np.roll(np.eye(grid.M), 1, axis=1) - 2 * np.eye(grid.M) + np.roll(np.eye(grid.M), -1, axis=1)
+    sten = models._second_difference(grid.M)
     cov_sten = sten @ cov @ sten.T
     var_sten = (cfg.sigma / 4.0) ** 2 * np.diag(cov_sten)
     dev = models._deviation_coef(setup.coeffs, grid, cfg.deviation_alpha) ** 2

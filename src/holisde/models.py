@@ -20,9 +20,9 @@ Four models evolve the vector (U_1 .. U_M) of grid values:
 
 All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
 alpha U^3) + dev U dbeta_check + noise with per-kind coefficients, dt the
-`SpdeConfig`'s, which also scales the paths.  `simulate_models` steps
-several kinds and members in one time loop from the tables `build_drivers`
-writes; a single kind or member is a batch of one.
+`SpdeConfig`'s; each kind's stencil drift is one operator (dt g^2 / h^2) S.
+`simulate_models` steps several kinds and members in one time loop from the
+tables `build_drivers` writes; a single kind or member is a batch of one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
 from .noise import ElementNoiseProjection, PathDraw
-from .spectral import CoupledOperator, expansion_fields
+from .spectral import CoupledOperator, _gemm_width, expansion_fields
 from .dynamics import _L2_BUDGET, NumericalAbort, SpdeConfig, initial_profile
 
 __all__ = [
@@ -84,10 +84,6 @@ class ModelDrivers:
     slow: np.ndarray
     gridpoint: np.ndarray
     deviation: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.slow.shape[1]
 
 
 def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarray | PathDraw,
@@ -159,53 +155,55 @@ def _kind_terms(model: DiscreteModel, cfg: SpdeConfig, drivers: ModelDrivers) ->
     return g2, g2 * coeffs.hat_alpha, dev, cfg.sigma * g, cfg.sigma * g2 / 4.0, dS
 
 
-def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
-    """(step, noise) of several kinds on a leading kind axis, state (K, M, R).
+def _second_difference(M: int) -> np.ndarray:
+    """The periodic second difference S, (M, M): (S U)_j = U_{j-1} - 2 U_j + U_{j+1}."""
+    I = np.eye(M)
+    return np.roll(I, 1, axis=1) - 2.0 * I + np.roll(I, -1, axis=1)
 
-    noise(i0, i1) holds the U-independent increments of steps i0 .. i1 - 1,
-    time-major (B, K, M, R), in one buffer; step(U, dt, dchk, noise_i) is
-    one Ito Euler-Maruyama step of U in place, through two scratch states,
-    dchk the deviation increments (M, R).  The coefficients are broadcast to
-    the state's shape once, so every product runs over contiguous operands;
-    the neighbours j -+ 1 are periodic indices.
+
+def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
+    """(step, noise) of several kinds on a leading kind axis, state (K, M, P),
+    the R members padded with zero columns to P = `_gemm_width(R)`.
+
+    The stencil drift is one batched matmul of the per-kind operators
+    (dt g^2 / h^2) S.  The identity and dt lin stay out of them: the rows
+    c, -2c, c sum to exactly 0 on a constant, so U = 1, -1 or 0 stays bitwise
+    fixed where lin = alpha.  noise(i0, i1) holds the gains 1 + dev dbeta_check
+    and the U-independent increments of steps i0 .. i1 - 1, time-major
+    (B, K, M, P), whose padding is 1 and 0; step(U, gain_i, noise_i) is one
+    Ito Euler-Maruyama step of U in place, through two scratch states.
     """
     parts = [_kind_terms(m, cfg, drivers) for m in models]
     M, _, R = drivers.slow.shape
-    buf = np.empty((_BLOCK, len(parts), M, R))
-    wl, lin, dev = (np.broadcast_to(np.reshape([p[i] for p in parts], (len(parts), -1, 1)),
-                                    buf.shape[1:]).copy() for i in range(3))
+    K, P, dt = len(parts), _gemm_width(R), cfg.dt
+    op = np.stack([(dt * p[0] / drivers.grid.h**2) * _second_difference(M) for p in parts])
+    dt_lin = np.broadcast_to(np.reshape([dt * p[1] for p in parts], (K, M, 1)), (K, M, P)).copy()
+    dev, dt_alpha = np.reshape([p[2] for p in parts], (K, M, 1)), dt * cfg.alpha
+    gain, buf = np.ones((_BLOCK, K, M, P)), np.zeros((_BLOCK, K, M, P))
     prev, nxt = np.roll(np.arange(M), 1), np.roll(np.arange(M), -1)
-    h2, alpha = drivers.grid.h**2, cfg.alpha
 
     def noise(i0, i1):
+        dchk = drivers.deviation[:, i0:i1].transpose(1, 0, 2)    # (B, M, R)
+        g = gain[:len(dchk), ..., :R]
+        np.add(1.0, np.multiply(dev, dchk[:, None], out=g), out=g)
         for k, (*_, w, s, d) in enumerate(parts):
             d = d[:, i0:i1]                                       # (M, B, R)
             np.add(w * d, s * (d[prev] - 2.0 * d + d[nxt]),
-                   out=buf[:d.shape[1], k].transpose(1, 0, 2))
-        return buf
+                   out=buf[:d.shape[1], k, :, :R].transpose(1, 0, 2))
+        return gain, buf
 
-    a, b = np.empty_like(wl), np.empty_like(wl)
+    a, b = np.empty((K, M, P)), np.empty((K, M, P))
 
-    def step(U, dt, dchk, noise_i):
-        # U + dt (wl lap + lin U - alpha U U U) + dev U dchk + noise_i, term by term
-        U.take(prev, axis=1, out=a, mode="wrap")
-        np.multiply(2.0, U, out=b)
-        np.subtract(a, b, out=a)
-        U.take(nxt, axis=1, out=b, mode="wrap")
-        np.add(a, b, out=a)
-        np.divide(a, h2, out=a)                 # lap
-        np.multiply(wl, a, out=a)
-        np.multiply(lin, U, out=b)
-        np.add(a, b, out=a)
+    def step(U, gain_i, noise_i):
+        # gain_i U + [op U + (dt lin - dt alpha U U) U] + noise_i
+        np.matmul(op, U, out=a)
         np.multiply(U, U, out=b)
+        np.multiply(dt_alpha, b, out=b)
+        np.subtract(dt_lin, b, out=b)
         np.multiply(b, U, out=b)
-        np.multiply(alpha, b, out=b)
-        np.subtract(a, b, out=a)
-        np.multiply(dt, a, out=a)
-        np.add(U, a, out=a)
-        np.multiply(dev, U, out=b)
-        np.multiply(b, dchk, out=b)
         np.add(a, b, out=a)
+        np.multiply(gain_i, U, out=b)
+        np.add(b, a, out=a)
         np.add(a, noise_i, out=U)
 
     return step, noise
@@ -230,19 +228,15 @@ def reduced_slow_sde(
     grid model only through the operator-versus-stencil difference, which
     is O(gamma^3).  A one-member oracle: it reads member 0 of the tables.
     """
-    g = cfg.gamma
-    grid = op.grid
+    g, grid = cfg.gamma, op.grid
     F1, F2, _ = expansion_fields(np.asarray(a, dtype=float), grid)
     vals = a[:, None, None] + g * F1 + g * g * F2
     l_centre = op.apply(ElementField(vals, grid)).values[:, 0, -1]
     s = stats.mean_second_moment
     cubic = 0.0 if linearize else (a * a * a)
     drift = l_centre + cfg.alpha * g * g * a - cfg.alpha * (cubic + 3.0 * g * g * a * s)
-    dS = drivers.slow[:, step, 0]
-    dchk = drivers.deviation[:, step, 0]
-    noise = cfg.sigma * g * dS + cfg.alpha * g * g * (
-        3.0 * np.sqrt(2.0 * coeffs.qj) * grid.centre_mode_value
-    ) * a * dchk
+    dS, dchk = drivers.slow[:, step, 0], drivers.deviation[:, step, 0]
+    noise = cfg.sigma * g * dS + cfg.alpha * g * g * _deviation_coef(coeffs, grid, False) * a * dchk
     out = a + cfg.dt * drift + noise
     if not np.all(np.isfinite(out)):
         raise NumericalAbort("non-finite values in reduced slow equation", step=step, member=0)
@@ -281,20 +275,22 @@ def simulate_models(
     if u0.shape != (M,):
         raise ValueError(f"u0 must be one grid profile of shape ({M},), got {u0.shape}")
     advance, noise = _stacked_kernel(models, cfg, drivers)
-    U = np.broadcast_to(u0[:, None], (len(models), M, R)).copy()
+    P = _gemm_width(R)
+    state = np.pad(np.broadcast_to(u0[:, None], (len(models), M, R)), [(0, 0), (0, 0), (0, P - R)])
+    U = state[..., :R]
     out = [U.copy()] if store else None
     record = np.full((len(models), R), n_steps)
     for i in range(n_steps):
         if i % _BLOCK == 0:
-            block = noise(i, i + _BLOCK)
-        advance(U, cfg.dt, drivers.deviation[:, i], block[i % _BLOCK])
-        if not np.isfinite(U).all():
+            gains, block = noise(i, i + _BLOCK)
+        advance(state, gains[i % _BLOCK], block[i % _BLOCK])
+        if not np.isfinite(state).all():
             bad = ~np.isfinite(U).all(axis=1)
             record[bad & (record > i)] = i
             np.copyto(U, 0.0, where=bad[:, None])
         if store:
             out.append(U.copy())
-    states = np.asarray(out) if store else U[None]
+    states = np.asarray(out) if store else U[None].copy()
     if record.min() < n_steps:
         abort = _first_abort(models, record)
         abort.record, abort.states = record, states

@@ -63,6 +63,13 @@ __all__ = [
 CLUSTER_RTOL = 1e-6
 
 
+def _gemm_width(R: int) -> int:
+    """R members padded with zero columns to a multiple of 8: OpenBLAS rounds a
+    column alike only at widths of one remainder mod 8, so a member-batched
+    product on this width gives a member bitwise alike at every batch width."""
+    return -(-R // 8) * 8
+
+
 def _end_map(M: int, gamma: float) -> np.ndarray:
     """The value conditions as a map E, (4M, M), from the M centre values to
     node 0 of every half, element by element, then to node n of every half."""
@@ -116,9 +123,9 @@ def _galerkin(B: np.ndarray, E: np.ndarray) -> np.ndarray:
 class CoupledOperator:
     """Assembled coupled operator at a fixed coupling strength.
 
-    Holds the value conditions `ends` (E, from `_end_map`); the operator
-    action L u is the weak second derivative, M_red c' = -K_red c, solved
-    per half-element by `_condensed`.
+    Holds the value conditions `ends` (E, from `_end_map`) and, built once,
+    the condensations against B = mb of W = mb (the H-projection) and W = kb
+    (the operator action L u, the weak second derivative M_red c' = -K_red c).
     """
 
     grid: DomainGrid
@@ -127,6 +134,14 @@ class CoupledOperator:
     @functools.cached_property
     def ends(self) -> np.ndarray:
         return _end_map(self.grid.M, self.gamma)
+
+    @functools.cached_property
+    def _mass_condensed(self) -> tuple:
+        return _condensed(self.grid.mass_block, self.grid.mass_block, self.ends)
+
+    @functools.cached_property
+    def _stiffness_condensed(self) -> tuple:
+        return _condensed(self.grid.stiffness_block, self.grid.mass_block, self.ends)
 
     @property
     def n_reduced(self) -> int:
@@ -137,34 +152,38 @@ class CoupledOperator:
     def field_from_reduced(self, c: np.ndarray) -> ElementField | np.ndarray:
         """The element field Z c of reduced coordinates c, (nred,), or for c
         (nred, R) the element fields (M, 2, n+1, R): two slice fills and the
-        end map, whose product runs on the members padded to a multiple of 8
-        columns, so a member's field is bitwise alike at every R."""
+        end map, whose product runs on `_gemm_width(R)` columns."""
         if c.ndim == 1:
             return ElementField(self.field_from_reduced(c[:, None])[..., 0], self.grid)
         M, n, R = self.grid.M, self.grid.subgrid_n, c.shape[1]
-        x_c = np.zeros((M, -(-R // 8) * 8))
+        x_c = np.zeros((M, _gemm_width(R)))
         x_c[:, :R] = c[-M:]
         u = np.empty((n + 1, 2 * M, R))
         u[1:n] = c[:-M].reshape(2 * M, n - 1, R).transpose(1, 0, 2)
         u[::n] = (self.ends @ x_c)[:, :R].reshape(2, 2 * M, R)
         return u.reshape(n + 1, M, 2, R).transpose(1, 2, 0, 3)
 
-    def _solve(self, W: np.ndarray, u: ElementField) -> np.ndarray:
-        """x of M_red x = Z^T (I x W) u, by `_condensed` with B = mb."""
-        T, centre, correct = _condensed(W, self.grid.mass_block, self.ends)
-        y = T @ u.values.reshape(2 * self.grid.M, -1).T
-        x_c = centre @ y[:2].ravel()
-        return np.concatenate([(y[2:] - (correct @ x_c).reshape(len(y) - 2, -1)).T.ravel(), x_c])
+    def _solve(self, pieces: tuple, u: np.ndarray) -> np.ndarray:
+        """x, (nred,) or (nred, R), of M_red x = Z^T (I x W) u for nodal values
+        u, (M, 2, n+1) or (M, 2, n+1, R), from W's `_condensed` pieces, B = mb."""
+        T, centre, correct = pieces
+        M, n, tail = self.grid.M, self.grid.subgrid_n, u.shape[3:]
+        y = T @ u.reshape(2 * M, n + 1, -1).transpose(1, 0, 2).reshape(n + 1, -1)
+        x_c = centre @ y[:2].reshape(4 * M, *tail)
+        interior = y[2:].reshape(n - 1, 2 * M, *tail) - (correct @ x_c).reshape(n - 1, 2 * M, *tail)
+        return np.concatenate([interior.swapaxes(0, 1).reshape(-1, *tail), x_c])
 
     def reduce(self, u: ElementField) -> np.ndarray:
         """H-projection of a nodal field onto the constrained subspace."""
-        return self._solve(self.grid.mass_block, u)
+        return self._solve(self._mass_condensed, u.values)
 
     # -- operator action ----------------------------------------------------
 
     def apply_reduced(self, c: np.ndarray) -> np.ndarray:
-        """Reduced coordinates of L u for u = Z c: -M_red^-1 K_red c."""
-        return -self._solve(self.grid.stiffness_block, self.field_from_reduced(c))
+        """Reduced coordinates of L u for u = Z c: -M_red^-1 K_red c, for c
+        (nred,) or (nred, R)."""
+        u = self.field_from_reduced(c)
+        return -self._solve(self._stiffness_condensed, u.values if c.ndim == 1 else u)
 
     def apply(self, u: ElementField) -> ElementField:
         """L u for a field (projected onto the constrained subspace first)."""
@@ -185,17 +204,9 @@ def _cluster(eigenvalues: np.ndarray, grid: DomainGrid) -> list[tuple[int, int]]
     near-zero slow band is resolved rather than lumped with the kernel.
     """
     atol = 1e-9 * np.pi**2 / grid.h**2
-    groups = []
-    start = 0
-    for i in range(1, eigenvalues.size + 1):
-        if i == eigenvalues.size:
-            groups.append((start, i))
-            break
-        gap = eigenvalues[i] - eigenvalues[i - 1]
-        if gap > max(CLUSTER_RTOL * abs(eigenvalues[i]), atol):
-            groups.append((start, i))
-            start = i
-    return groups
+    gaps = np.diff(eigenvalues) > np.maximum(CLUSTER_RTOL * np.abs(eigenvalues[1:]), atol)
+    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), eigenvalues.size]
+    return list(zip(edges, edges[1:]))
 
 
 @dataclass
@@ -288,8 +299,8 @@ def eig_gamma(op: CoupledOperator, kmax: int) -> EigenSystem:
         ) from exc
     lam = np.where(np.abs(lam) < 1e-12 * max(abs(lam[-1]), 1.0), 0.0, lam)
     fields = _fix_signs(op.field_from_reduced(V).transpose(3, 0, 1, 2).copy(), op.grid)
-    res = np.array([seminorm(op.field_from_reduced(op.apply_reduced(v) + lk * v))
-                    for v, lk in zip(V.T, lam)])
+    r = op.field_from_reduced(op.apply_reduced(V) + lam * V)               # (M, 2, n+1, kmax)
+    res = np.sqrt(np.maximum(np.einsum("mhik,ij,mhjk->k", r, op.grid.mass_block, r), 0.0))
     return EigenSystem(
         gamma=op.gamma,
         grid=op.grid,
@@ -457,7 +468,5 @@ def expand_ground_mode(
     F1, F2, A = expansion_fields(centres, grid)
     g = eig.gamma
     remainder = field - centres[:, None, None] - g * F1 - g * g * F2
-    rnorm = float(
-        np.sqrt(max(np.einsum("mhi,ij,mhj->", remainder, grid.mass_block, remainder), 0.0))
-    )
-    return GroundModeExpansion(centres=centres, F1=F1, A=A, remainder_norm=rnorm)
+    return GroundModeExpansion(centres=centres, F1=F1, A=A,
+                               remainder_norm=seminorm(ElementField(remainder, grid)))

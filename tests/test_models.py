@@ -14,8 +14,8 @@ from holisde.models import (
     reduced_slow_sde,
     simulate_models,
 )
-from holisde.noise import PathDraw, sample_global_path
-from holisde.spectral import assemble_operator
+from holisde.noise import PathDraw, project_to_element_modes, sample_global_path
+from holisde.spectral import assemble_operator, eig_gamma0
 
 
 def _coeffs(proj8, eig0_8, alpha=1.0, sigma=0.5):
@@ -43,11 +43,15 @@ def _manual_drivers(grid, tables):
 # ---------------------------------------------------------------------------
 
 
-def test_fd_cubic_root_stationary(grid8, qspec, proj8):
+@pytest.mark.parametrize("kind", ["conventional_fd", "holistic"])
+@pytest.mark.parametrize("root", [1.0, -1.0, 0.0])
+def test_fd_cubic_root_stationary(grid8, qspec, proj8, eig0_8, kind, root):
+    # the sigma = 0 holistic model (hat_alpha = alpha, Q_j = 0) shares the fixed points
     cfg = SpdeConfig(alpha=1.0, sigma=0.0, dt=1e-3, T=1e-3)
     drv = _drivers(grid8, qspec, proj8, cfg)
-    U = np.ones(grid8.M)
-    out = simulate_models([DiscreteModel("conventional_fd")], cfg, drv, U)[-1, 0, :, 0]
+    model = DiscreteModel(kind, coeffs=_coeffs(proj8, eig0_8, sigma=0.0))
+    U = np.full(grid8.M, root)
+    out = simulate_models([model], cfg, drv, U)[-1, 0, :, 0]
     assert np.array_equal(out, U)
 
 
@@ -346,22 +350,35 @@ def test_drawn_rows_build_the_sampled_tables(grid8, qspec, proj8, members):
     assert np.isnan(wide[..., [0, -1]]).all()
 
 
+@pytest.fixture(scope="module")
+def grids_8_16(grid8, qspec, proj8, eig0_8):
+    """(grid, projection, coefficients) at M = 8 and M = 16: on unpadded
+    members, OpenBLAS rounds a slice of width 1 apart from the whole batch
+    at M = 8, and slices of widths 1 to 4 at M = 16."""
+    grid16 = build_grid(2.0 * np.pi, 16, 8)
+    eig16 = eig_gamma0(grid16, 6)
+    proj16 = project_to_element_modes(qspec, eig16, grid16)
+    return [(grid8, proj8, _coeffs(proj8, eig0_8)), (grid16, proj16, _coeffs(proj16, eig16))]
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(st.sets(st.integers(1, 8)))
-def test_member_slices_step_as_the_whole_batch(grid8, qspec, proj8, eig0_8, cuts):
+def test_member_slices_step_as_the_whole_batch(grids_8_16, qspec, cuts):
     # wide grid-model stepping rests on this: 70 steps cross two precomputed noise blocks
-    co = _coeffs(proj8, eig0_8)
     cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.07)
-    drv = build_drivers(grid8, proj8, PathDraw(qspec, cfg.dt, cfg.n_steps, list(range(9))),
-                        list(range(100, 109)), cfg.dt)
-    models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
-              DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
-    whole = simulate_models(models, cfg, drv, store=True)
     edges = [0] + sorted(cuts) + [9]
-    for lo, hi in zip(edges, edges[1:]):
-        part = replace(drv, slow=drv.slow[..., lo:hi], gridpoint=drv.gridpoint[..., lo:hi],
-                       deviation=drv.deviation[..., lo:hi])
-        assert np.array_equal(simulate_models(models, cfg, part, store=True), whole[..., lo:hi])
+    for grid, proj, co in grids_8_16:
+        drv = build_drivers(grid, proj, PathDraw(qspec, cfg.dt, cfg.n_steps, list(range(9))),
+                            list(range(100, 109)), cfg.dt)
+        models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
+                  DiscreteModel("holistic_intro", coeffs=co),
+                  DiscreteModel("gamma_reduced", coeffs=co)]
+        whole = simulate_models(models, cfg, drv, store=True)
+        for lo, hi in zip(edges, edges[1:]):
+            part = replace(drv, slow=drv.slow[..., lo:hi], gridpoint=drv.gridpoint[..., lo:hi],
+                           deviation=drv.deviation[..., lo:hi])
+            assert np.array_equal(simulate_models(models, cfg, part, store=True),
+                                  whole[..., lo:hi])
 
 
 def test_model_kind_validation(proj8, eig0_8):
@@ -398,7 +415,7 @@ def test_abort_records_each_member_and_keeps_the_others(grid8, qspec, proj8, eig
     with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as err:
         simulate_models(models, cfg, drv, store=True)
     assert (err.value.step, err.value.member) == (40, 2)
-    want = np.full((2, 5), drv.n_steps)
+    want = np.full((2, 5), drv.slow.shape[1])
     want[:, 2] = 40
     assert np.array_equal(err.value.record, want)
     others = [0, 1, 3, 4]
@@ -431,7 +448,7 @@ def test_kind_stacking_is_independent(grid8, qspec, proj8, eig0_8, members, stor
     for k, model in enumerate(models):
         alone = simulate_models([model], cfg, drv, store=store)
         assert np.array_equal(stacked[:, k:k + 1], alone)
-    assert stacked.shape == (drv.n_steps + 1 if store else 1, len(models), grid8.M, members)
+    assert stacked.shape == (drv.slow.shape[1] + 1 if store else 1, len(models), grid8.M, members)
 
 
 def test_stacked_abort_names_kind_step_and_member(grid8, qspec, proj8, eig0_8):
