@@ -197,9 +197,11 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalAbort as exc:   # every verb steps members of the master seed's ensemble
-        print(f"numerical abort: {exc} (step={exc.step}, member={exc.member}, "
-              f"seed={cfg.master_seed})", file=sys.stderr)
+    except (NumericalAbort, spectral.EigenSolveError) as exc:
+        # a stepping abort names its step, member and master seed; an eigensolve its solve
+        where = (f" (step={exc.step}, member={exc.member}, seed={cfg.master_seed})"
+                 if isinstance(exc, NumericalAbort) else "")
+        print(f"numerical abort: {exc}{where}", file=sys.stderr)
         return EXIT_NUMERIC
     return rc
 

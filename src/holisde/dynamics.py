@@ -32,7 +32,7 @@ and solves by `spectral`'s static condensation per half-element: one
 inverse of the interior block serves all 2M halves, which meet only in the M
 centre values.  It projects its initial data by `CoupledOperator.reduce` and
 rebuilds its fields by `field_from_reduced`, in the operator's one reduced
-order.  This module, like `spectral` outside `eig_gamma`, imports no scipy.
+order.  No module of the package imports scipy.
 """
 
 from __future__ import annotations

@@ -843,16 +843,14 @@ def _holistic_term_budget(cfg: RunConfig) -> dict:
 
 
 def write_manifest(cfg: RunConfig, out_dir: Path, extra: Optional[dict] = None) -> Path:
-    """JSON run manifest: config, digest, seed and library versions."""
-    import scipy
-
+    """JSON run manifest: config, digest, seed and numpy's version."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": cfg.to_dict(),
         "config_digest": cfg.digest(),
         "master_seed": cfg.master_seed,
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"numpy": np.__version__},
     }
     if extra:
         manifest.update(extra)

@@ -28,9 +28,8 @@ Neither Z nor the pair is stored.  A half's interior nodes couple only to
 its own two end nodes, so every reduced solve is a static condensation per
 half-element (`_condensed`): one inverse of the half block's interior serves
 all 2M halves, which meet only in the M centre values.  `reduce`,
-`apply_reduced` and the coupled solver's step solve that way in numpy;
-only `eig_gamma` builds the dense pair, inside the call, and it alone
-loads scipy (`scipy.linalg`, about 0.2 s and 21 MiB of peak memory).
+`apply_reduced`, the coupled solver's step and `eig_gamma`'s shift-invert
+subspace iteration all solve that way, in numpy alone.
 
 The decoupled operator (gamma = 0) has a closed-form eigensystem per element:
 eigenvalue k^2 pi^2 / h^2 with one mode for odd k (the odd sine), three for
@@ -51,6 +50,7 @@ from .grid import DomainGrid, ElementField, seminorm
 __all__ = [
     "CoupledOperator",
     "EigenSystem",
+    "EigenSolveError",
     "AnalyticEigenSystem",
     "GroundModeExpansion",
     "assemble_operator",
@@ -61,6 +61,7 @@ __all__ = [
 
 # clustering of numerically coincident eigenvalues
 CLUSTER_RTOL = 1e-6
+_MAX_SWEEPS = 500                   # eig_gamma's cap on subspace sweeps
 
 
 def _gemm_width(R: int) -> int:
@@ -102,21 +103,6 @@ def _condensed(W: np.ndarray, B: np.ndarray, E: np.ndarray) -> tuple:
     T = np.vstack([W[e] - G.T @ W[i], inv @ W[i]])
     S = np.einsum("ehj,ef,fhk->jk", E3, B[np.ix_(e, e)] - B[e, i] @ G, E3)
     return T, np.linalg.inv(S) @ E.T, np.einsum("ie,ehj->ihj", G, E3).reshape(-1, M)
-
-
-def _galerkin(B: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """The dense reduced matrix Z^T (I x B) Z of a half-element block B: each
-    half's interiors couple to themselves through B_II and to the centres
-    through B_Ie and the value conditions E; the centres to each other
-    through B_ee."""
-    n, M = len(B) - 1, E.shape[-1]
-    m, e, i, E3 = 2 * M * (n - 1), [0, n], slice(1, n), E.reshape(2, -1, M)
-    A = np.zeros((m + M, m + M))
-    A[:m, :m] = np.kron(np.eye(2 * M), B[i, i])
-    A[:m, m:] = np.einsum("ie,ehj->hij", B[i, e], E3).reshape(m, M)
-    A[m:, :m] = A[:m, m:].T
-    A[m:, m:] = np.einsum("ehj,ef,fhk->jk", E3, B[np.ix_(e, e)], E3)
-    return A
 
 
 @dataclass
@@ -271,44 +257,63 @@ def _fix_signs(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
     return fields
 
 
+def _gram(u: np.ndarray, block: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^T (I x block) v, (p, q), of element fields (M, 2, n+1, p) and (.., q)."""
+    u, v = (w.reshape(-1, len(block), w.shape[-1]) for w in (u, v))
+    return np.tensordot(u, block @ v, axes=([0, 1], [0, 1]))
+
+
+class EigenSolveError(RuntimeError):
+    """`eig_gamma` met no stopping rule within `_MAX_SWEEPS`, or a failed Cholesky."""
+
+
+def _m_orthonormal(op: CoupledOperator, V: np.ndarray) -> np.ndarray:
+    """CholeskyQR2 of reduced columns V in the mass inner product."""
+    for _ in range(2):
+        F = op.field_from_reduced(V)
+        V = V @ np.linalg.inv(np.linalg.cholesky(_gram(F, op.grid.mass_block, F))).T
+    return V
+
+
 def eig_gamma(op: CoupledOperator, kmax: int) -> EigenSystem:
     """Lowest kmax eigenpairs of -L at coupling gamma.
 
-    Solves the generalized symmetric problem K_red v = lambda M_red v, the
-    dense pair assembled here from the half blocks and the value conditions;
-    the eigenfields come back H-orthonormal, signs fixed deterministically,
-    and every pair carries its residual ||L e + lambda e||_0, with L the
-    condensed `apply_reduced`, so it also checks the pair against it.
+    Block shift-invert subspace iteration on p = max(2 kmax, kmax + M + 2)
+    columns (n_red at most), spanning the whole slow band: a sweep solves
+    (K_red + s M_red) X = M_red V, s = 1e-3 pi^2/h^2, by the half-element
+    condensation, M-orthonormalizes X by CholeskyQR2 and takes the Ritz pairs
+    of span X.  It stops once every residual ||L e + lambda e||_0, L the
+    condensed `apply_reduced`, is at most 1e-11 max(|lambda_kmax|, 1) plus
+    2 eps ||mb^-1 kb||_inf, the residual an exact eigenvector has once
+    rounded to double.  A fixed-seed start block makes calls bitwise alike;
+    kmax >= n_red gives all n_red pairs.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    import scipy.linalg as sla
-
-    # eigh reads the lower triangles, so the pair needs no symmetrizing
-    A = _galerkin(op.grid.stiffness_block, op.ends)
-    B = _galerkin(op.grid.mass_block, op.ends)
+    grid, nred, mb, kb = op.grid, op.n_reduced, op.grid.mass_block, op.grid.stiffness_block
+    k, p = min(kmax, nred), min(nred, max(2 * kmax, kmax + grid.M + 2))
+    pieces = _condensed(mb, kb + 1e-3 * np.pi**2 / grid.h**2 * mb, op.ends)
+    floor = 2 * np.finfo(float).eps * np.linalg.norm(np.linalg.solve(mb, kb), np.inf)
     try:
-        if kmax < A.shape[0]:
-            lam, V = sla.eigh(A, B, subset_by_index=[0, kmax - 1])
+        V = _m_orthonormal(op, np.random.default_rng(0).standard_normal((nred, p)))
+        for _ in range(_MAX_SWEEPS):
+            V = _m_orthonormal(op, op._solve(pieces, op.field_from_reduced(V)))
+            F = op.field_from_reduced(V)
+            lam, W = np.linalg.eigh(_gram(F, kb, F))
+            lam, V = lam[:k], V @ W
+            r = op.field_from_reduced(op.apply_reduced(V[:, :k]) + lam * V[:, :k])
+            res = np.sqrt(np.maximum(np.diagonal(_gram(r, mb, r)), 0.0))
+            if np.all(res <= 1e-11 * max(abs(lam[-1]), 1.0) + floor):
+                break
         else:
-            lam, V = sla.eigh(A, B)
-    except sla.LinAlgError as exc:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"generalized eigensolve failed at gamma={op.gamma} "
-            f"(n={A.shape[0]}, cond(M)~{np.linalg.cond(B):.2e})"
-        ) from exc
+            raise np.linalg.LinAlgError(f"no convergence in {_MAX_SWEEPS} sweeps")
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"eigensolve failed at gamma={op.gamma}, (M, n)=({grid.M}, "
+                              f"{grid.subgrid_n}), kmax={kmax}: {exc}") from exc
     lam = np.where(np.abs(lam) < 1e-12 * max(abs(lam[-1]), 1.0), 0.0, lam)
-    fields = _fix_signs(op.field_from_reduced(V).transpose(3, 0, 1, 2).copy(), op.grid)
-    r = op.field_from_reduced(op.apply_reduced(V) + lam * V)               # (M, 2, n+1, kmax)
-    res = np.sqrt(np.maximum(np.einsum("mhik,ij,mhjk->k", r, op.grid.mass_block, r), 0.0))
-    return EigenSystem(
-        gamma=op.gamma,
-        grid=op.grid,
-        eigenvalues=lam,
-        fields=fields,
-        residuals=res,
-        clusters=_cluster(lam, op.grid),
-    )
+    fields = _fix_signs(op.field_from_reduced(V[:, :k]).transpose(3, 0, 1, 2).copy(), grid)
+    return EigenSystem(gamma=op.gamma, grid=grid, eigenvalues=lam, fields=fields,
+                       residuals=res, clusters=_cluster(lam, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -238,14 +238,10 @@ def test_condensed_step_matches_splu(qspec, M, subgrid_n, gamma):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.6, 1.0])
 def test_half_blocks_rebuild_the_reduced_matrix(grid8, gamma):
-    # eig_gamma's dense pair, from the half-element block and the value
-    # conditions alone, against Z^T (I x B) Z
-    # and the operator's condensed action against -M_red^-1 K_red c
+    # the operator's condensed action, from the half-element blocks and the
+    # value conditions alone, against -M_red^-1 K_red c of Z^T (I x B) Z
     op = assemble_operator(grid8, gamma)
     Z = injection(grid8, gamma)
-    for B in (grid8.mass_block, grid8.stiffness_block, grid8.mass_block + 1e-3 * grid8.stiffness_block):
-        want = galerkin(grid8, Z, B)
-        assert np.max(np.abs(spectral._galerkin(B, op.ends) - want)) <= 1e-14 * np.max(np.abs(want))
     c = np.random.default_rng(5).standard_normal(len(Z.T))
     want = -np.linalg.solve(galerkin(grid8, Z, grid8.mass_block),
                             galerkin(grid8, Z, grid8.stiffness_block) @ c)

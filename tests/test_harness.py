@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holisde import harness, models, noise
+from holisde import harness, models, noise, spectral
 from holisde.cli import main as cli_main
 from holisde.harness import (
     _load_chunk,
@@ -836,6 +836,19 @@ def test_cli_abort_names_step_member_and_seed(tmp_path, capsys, verb):
     assert rc == 3
     err = capsys.readouterr().err
     assert "step=0, member=0, seed=2024" in err
+
+
+@pytest.mark.parametrize("verb", [["eig-sweep"], ["expansion-check"]])
+def test_cli_eigensolve_failure_exits_3(tmp_path, capsys, monkeypatch, verb):
+    # one sweep converges no pair on the FAST grid: an abort naming the
+    # solve, not a traceback
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
+    rc = cli_main(["--config", str(_write_cfg(tmp_path)), "--out", str(tmp_path / "out")] + verb)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: eigensolve failed at gamma=")
+    assert "(M, n)=(8, 16), kmax=" in err and "no convergence in 1 sweeps" in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """Package surface: every exported name resolves, the README quick start runs,
-and the grid-model paths start without scipy's linear algebra."""
+and no module imports scipy, so no verb loads it."""
 
 import ast
 import importlib
@@ -152,11 +152,24 @@ def test_coupling_gap_loads_no_scipy_linear_algebra(tmp_path):
     assert _cold(code, tmp_path) == [[0]]
 
 
-def test_eig_sweep_loads_scipy_on_first_use(tmp_path):
+def test_eig_sweep_and_expansion_check_load_no_scipy(tmp_path):
+    # eig_gamma iterates on the condensed element solve in numpy
     code = (
         "from holisde import cli\n"
-        "print(json.dumps(loaded()))\n"
-        "print(json.dumps([cli.main(['--config', 'cfg.json', '--out', 'out', '--sweep', "
-        "'gamma=0,0.5,1', 'eig-sweep'])] + loaded()))\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "argv = ['--config', 'cfg.json', '--out', 'out']\n"
+        "print(json.dumps([cli.main(argv + ['--sweep', 'gamma=0,0.5,1', 'eig-sweep'])] + scipy()))\n"
+        "print(json.dumps([cli.main(argv + ['expansion-check'])] + scipy()))\n"
     )
-    assert _cold(code, tmp_path) == [[], [0, "scipy.linalg"]]
+    assert _cold(code, tmp_path) == [[0], [0]]
+
+
+def test_no_module_imports_scipy():
+    # numpy is the package's only run-time dependency; scipy serves the tests
+    # as an oracle
+    src = Path(holisde.__file__).parent
+    imports = [f"{p.name}:{node.lineno}" for p in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
+    assert imports == []

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from holisde import spectral
 from holisde.grid import ElementField, build_grid, inner_product, seminorm
 from holisde.spectral import (assemble_operator, eig_gamma, eig_gamma0,
                               expand_ground_mode)
+from test_dynamics import galerkin, injection
 
 
 def analytic_level_tuples(eig0, level):
@@ -250,3 +252,58 @@ def test_expansion_rejects_fast_mode(grid8):
 def test_eig_rejects_bad_kmax(grid8):
     with pytest.raises(ValueError):
         eig_gamma(assemble_operator(grid8, 0.2), 0)
+
+
+def h_gram(fields_a, fields_b, grid):
+    """H inner products of two eigenfield families, (a, b)."""
+    return np.einsum("amhi,ij,bmhj->ab", fields_a, grid.mass_block, fields_b, optimize=True)
+
+
+def largest_angle_sine(fields_a, fields_b, grid):
+    """sin of the largest principal angle between the spans of two
+    H-orthonormal families, from what of a is left after projecting onto b
+    (an arccos of the Gram singular values resolves no angle below 1e-8)."""
+    rest = fields_a - np.einsum("ba,bmhi->amhi", h_gram(fields_b, fields_a, grid), fields_b)
+    return np.sqrt(max(np.linalg.eigvalsh(h_gram(rest, rest, grid))[-1], 0.0))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.005, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("M, subgrid_n", [(8, 16), (32, 16), (4, 32)])
+def test_eig_gamma_matches_dense_generalized_eigh(M, subgrid_n, gamma):
+    # oracle: the dense pair (K, M) = Z^T (I x B) Z from the value conditions,
+    # solved by scipy as the shifted pair (M, K + M), 1 / (lambda + 1): eigh's
+    # vectors of (K, M) itself err by ~eps lambda_max / gap, 6e-8 here at
+    # gamma = 0.005; (32, 16) at gamma = 0.05, kmax = 2 is criterion 11's
+    # case, whose slow band is 32-fold near-degenerate
+    grid = build_grid(2.0 * np.pi, M, subgrid_n)
+    op = assemble_operator(grid, gamma)
+    Z = injection(grid, gamma)
+    K, B = galerkin(grid, Z, grid.stiffness_block), galerkin(grid, Z, grid.mass_block)
+    mu, V = sla.eigh(B, K + B, subset_by_index=[len(B) - 3 * M, len(B) - 1])
+    lam_ref = 1.0 / mu[::-1] - 1.0
+    ref = (Z @ V[:, ::-1]).T.reshape(3 * M, M, 2, subgrid_n + 1)
+    ref /= np.sqrt(np.diagonal(h_gram(ref, ref, grid)))[:, None, None, None]
+    for kmax in (1, 2, M, M + 2, 2 * M):
+        eig = eig_gamma(op, kmax)
+        scale = max(lam_ref[kmax - 1], 1.0)
+        assert np.max(np.abs(eig.eigenvalues - lam_ref[:kmax])) <= 1e-10 * scale
+        assert eig.clusters == spectral._cluster(lam_ref[:kmax], grid)
+        assert np.max(np.abs(h_gram(eig.fields, eig.fields, grid) - np.eye(kmax))) <= 1e-10
+        for a, b in spectral._cluster(lam_ref, grid):
+            if b <= kmax:
+                assert largest_angle_sine(eig.fields[a:b], ref[a:b], grid) <= 1e-8, (kmax, a, b)
+    again = eig_gamma(op, kmax)
+    for name in ("eigenvalues", "fields", "residuals"):
+        assert np.array_equal(getattr(again, name), getattr(eig, name))
+
+
+def test_eig_gamma_returns_every_pair_beyond_the_reduced_size():
+    grid = build_grid(2.0 * np.pi, 3, 8)
+    op = assemble_operator(grid, 0.3)
+    Z = injection(grid, 0.3)
+    lam_ref = sla.eigh(galerkin(grid, Z, grid.stiffness_block), galerkin(grid, Z, grid.mass_block),
+                       eigvals_only=True)
+    eig = eig_gamma(op, op.n_reduced + 5)
+    assert eig.n_computed == op.n_reduced
+    assert np.max(np.abs(eig.eigenvalues - lam_ref)) <= 1e-10 * lam_ref[-1]
+    assert np.max(eig.residuals) <= 1e-10 * lam_ref[-1]
