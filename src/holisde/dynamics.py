@@ -133,7 +133,7 @@ def initial_profile(spec: dict, L: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 _WORKER = "holisde-solver"
-_L2_BUDGET = 2**19    # bytes of a member block here and of a table scratch in models: L2 / 4
+_L2_BUDGET = 2**19    # bytes of a solver's member block: L2 / 4
 
 
 @functools.cache

@@ -211,7 +211,9 @@ class RunConfig:
                 errors += _sweep_errors(self.sweep_axis, self.sweep_values)
             if len(self.sweep_values) < 3:
                 errors.append("sweeps need at least 3 values")
-        if not errors and not 0.5 < self.T / self.dt_value < np.inf:   # round(T / dt) >= 1, finite
+        if not errors and not 0 < self.dt_value < np.inf:      # 1e-4 h^2 underflowed or overflowed
+            errors.append(f"the default dt = 1e-4 h^2 is no positive finite step at h = {self.h:g}")
+        elif not errors and not 0.5 < self.T / self.dt_value < np.inf:   # round(T / dt) >= 1, finite
             errors.append(f"T = {self.T:g} holds no finite count of dt = {self.dt_value:g} steps")
         elif not errors:          # one member's noise path, (K+1, n_steps) floats, must fit in RAM
             steps = round(self.T / self.dt_value)
@@ -230,7 +232,10 @@ class RunConfig:
 
     @property
     def dt_value(self) -> float:
-        return self.dt if self.dt is not None else 1e-4 * self.h**2
+        try:                       # the default 1e-4 h^2 is inf where h^2 overflows
+            return self.dt if self.dt is not None else 1e-4 * self.h**2
+        except OverflowError:
+            return np.inf
 
     def grid(self) -> DomainGrid:
         return build_grid(self.L, self.M, self.subgrid_n)
@@ -418,12 +423,11 @@ def _group_models(cfg: RunConfig, setup: RunSetup, grid_models, spde: SpdeConfig
     """
     edges = np.cumsum([0] + [len(chunk) for chunk in chunks]).tolist()
     spans = list(zip(edges, edges[1:]))
-    tables = np.empty((3, setup.grid.M, spde.n_steps, edges[-1]))
+    tables = np.empty((edges[-1], 3, setup.grid.M, spde.n_steps))
     for path, chunk, (lo, hi) in zip(paths, chunks, spans):
         seeds = member_seeds(cfg.master_seed, chunk, stream)
-        drivers = models.build_drivers(setup.grid, setup.proj, path, seeds, spde.dt,
-                                       out=tables[..., lo:hi])
-    wide = replace(drivers, slow=tables[0], gridpoint=tables[1], deviation=tables[2])
+        models.build_drivers(setup.grid, setup.proj, path, seeds, spde.dt, out=tables[lo:hi])
+    wide = models.ModelDrivers(setup.grid, *tables.transpose(1, 2, 3, 0))
     try:
         U = simulate_models(grid_models, spde, wide)[-1]
         return [U[..., lo:hi] for lo, hi in spans], None

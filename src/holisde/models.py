@@ -20,9 +20,9 @@ Four models evolve the vector (U_1 .. U_M) of grid values:
 
 All four are one Ito Euler-Maruyama update U + dt (g^2 lap U + lin U -
 alpha U^3) + dev U dbeta_check + noise with per-kind coefficients, dt the
-`SpdeConfig`'s; each kind's stencil drift is one operator (dt g^2 / h^2) S.
-`simulate_models` steps several kinds and members in one time loop from the
-tables `build_drivers` writes; a single kind or member is a batch of one.
+`SpdeConfig`'s; each kind's stencil drift is one operator (dt g^2 / h^2) S,
+its noise one operator w I + s S.  `simulate_models` steps several kinds and
+members in one loop from the member-major tables `build_drivers` writes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .averaging import AveragedCoeffs, FastModeStats
 from .grid import DomainGrid, ElementField
 from .noise import ElementNoiseProjection, PathDraw
 from .spectral import CoupledOperator, _gemm_width, expansion_fields
-from .dynamics import _L2_BUDGET, NumericalAbort, SpdeConfig, initial_profile
+from .dynamics import NumericalAbort, SpdeConfig, initial_profile
 
 __all__ = [
     "ModelDrivers",
@@ -93,31 +93,24 @@ def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarr
     The path's increments (R, K+1, n_steps) were drawn at step dt, which
     scales the deviation increments too; a `PathDraw` is mapped row by row
     as drawn, so only one member's (K+1, n_steps) increments are held.
-    Members are written in place into a member-major scratch of at most
-    512 KiB (or one member), one BLAS product per map and member as on its
-    own, so each column is bitwise that member's tables whatever the batch;
-    one transposing copy per block follows, into `out` (3, M, n_steps, R)
-    when given (a column slice of a group's buffer), else into new tables.
+    Each member's slow, grid-point and deviation tables are written in place
+    into its own contiguous row of a member-major (R, 3, M, n_steps) buffer,
+    `out` when given (a row slice of a group's buffer), one BLAS product per
+    map and member as on its own, so each column is bitwise that member's
+    tables whatever the batch; the tables are transposed views of it.
     Raises ValueError unless there is one seed per member and at least one step.
     """
     (R, _, n_steps), M = path.shape, proj.slow_map.shape[0]
     if len(deviation_seeds) != R or n_steps < 1:
         raise ValueError(f"need one deviation seed per member and a step, got "
                          f"{len(deviation_seeds)} seeds, {R} members, {n_steps} steps")
-    tables = np.empty((3, M, n_steps, R)) if out is None else out
-    B = min(R, max(1, _L2_BUDGET // (3 * M * n_steps * 8)))
-    scratch = np.empty((B, 3, M, n_steps))
-    members = zip(path, deviation_seeds)
-    for r0 in range(0, R, B):
-        block = scratch[:min(B, R - r0)]
-        for member, (inc, ss) in zip(block, members):     # block first: no member is skipped
-            np.matmul(proj.slow_map, inc, out=member[0])
-            np.matmul(proj.gridpoint_map, inc, out=member[1])
-            np.random.default_rng(ss).standard_normal(out=member[2])
-        block[:, 2] *= np.sqrt(dt)
-        tables[..., r0:r0 + len(block)] = block.transpose(1, 2, 3, 0)
-    slow, gridpoint, deviation = tables
-    return ModelDrivers(grid=grid, slow=slow, gridpoint=gridpoint, deviation=deviation)
+    tables = np.empty((R, 3, M, n_steps)) if out is None else out
+    for member, inc, ss in zip(tables, path, deviation_seeds):
+        np.matmul(proj.slow_map, inc, out=member[0])
+        np.matmul(proj.gridpoint_map, inc, out=member[1])
+        np.random.default_rng(ss).standard_normal(out=member[2])
+        member[2] *= np.sqrt(dt)
+    return ModelDrivers(grid, *tables.transpose(1, 2, 3, 0))
 
 
 # steps per precomputed noise block, 512 KiB for four kinds of a two-chunk group
@@ -134,23 +127,23 @@ def _deviation_coef(coeffs: AveragedCoeffs, grid: DomainGrid, deviation_alpha: b
 def _kind_terms(model: DiscreteModel, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
     """(stencil weight g^2, linear coefficient, deviation coefficient, w, s, d).
 
-    The noise (w, s, d) adds w d_j + s (d_{j-1} - 2 d_j + d_{j+1}).
-    conventional_fd is the shared update with a unit stencil weight, lin =
-    alpha, no deviation term and bare pointwise drivers, so the sigma = 0
-    holistic model (hat_alpha = alpha, Q_j = 0) reproduces it bitwise.  Others
-    weight each term by its gamma order: O(gamma) slow driver; O(gamma^2)
-    stencil, averaged linear drift, deviation term and noise stencil.  The
-    holistic models use g = 1, exact in floating point, so gamma_reduced at
-    gamma = 1 has their terms bitwise; holistic_intro reads the pointwise
-    drivers W(X_j, .) in place of the slow ones.
+    The noise (w, s, d) adds w d_j + s (d_{j-1} - 2 d_j + d_{j+1}) of the
+    driver table named d.  conventional_fd is the shared update with a unit
+    stencil weight, lin = alpha, no deviation term and bare pointwise drivers,
+    so the sigma = 0 holistic model (hat_alpha = alpha, Q_j = 0) reproduces it
+    bitwise.  Others weight each term by its gamma order: O(gamma) slow
+    driver; O(gamma^2) stencil, averaged linear drift, deviation term and
+    noise stencil.  The holistic models use g = 1, exact in floating point,
+    so gamma_reduced at gamma = 1 has their terms bitwise; holistic_intro
+    reads the pointwise drivers W(X_j, .) in place of the slow ones.
     """
     grid = drivers.grid
     if model.kind == "conventional_fd":
-        return 1.0, np.full(grid.M, cfg.alpha), np.zeros(grid.M), cfg.sigma, 0.0, drivers.gridpoint
+        return 1.0, np.full(grid.M, cfg.alpha), np.zeros(grid.M), cfg.sigma, 0.0, "gridpoint"
     coeffs = model.coeffs
     g = cfg.gamma if model.kind == "gamma_reduced" else 1.0
     g2 = g * g
-    dS = drivers.gridpoint if model.kind == "holistic_intro" else drivers.slow
+    dS = "gridpoint" if model.kind == "holistic_intro" else "slow"
     dev = g2 * _deviation_coef(coeffs, grid, model.deviation_alpha)
     return g2, g2 * coeffs.hat_alpha, dev, cfg.sigma * g, cfg.sigma * g2 / 4.0, dS
 
@@ -168,28 +161,29 @@ def _stacked_kernel(models, cfg: SpdeConfig, drivers: ModelDrivers) -> tuple:
     The stencil drift is one batched matmul of the per-kind operators
     (dt g^2 / h^2) S.  The identity and dt lin stay out of them: the rows
     c, -2c, c sum to exactly 0 on a constant, so U = 1, -1 or 0 stays bitwise
-    fixed where lin = alpha.  noise(i0, i1) holds the gains 1 + dev dbeta_check
-    and the U-independent increments of steps i0 .. i1 - 1, time-major
-    (B, K, M, P), whose padding is 1 and 0; step(U, gain_i, noise_i) is one
-    Ito Euler-Maruyama step of U in place, through two scratch states.
+    fixed where lin = alpha.  noise(i0, i1) copies steps i0 .. i1 - 1 of the
+    driver tables the kinds read into zero-padded (M, _BLOCK, P) scratches and
+    gives the gains 1 + dev dbeta_check and each kind's increments, one product
+    of w I + s S with its table's scratch, both (K, M, _BLOCK, P) padded with 1
+    and 0; step(U, gain_i, noise_i) is one Ito Euler-Maruyama step of U in place.
     """
     parts = [_kind_terms(m, cfg, drivers) for m in models]
     M, _, R = drivers.slow.shape
-    K, P, dt = len(parts), _gemm_width(R), cfg.dt
-    op = np.stack([(dt * p[0] / drivers.grid.h**2) * _second_difference(M) for p in parts])
+    K, P, dt, S = len(parts), _gemm_width(R), cfg.dt, _second_difference(M)
+    op = np.stack([(dt * p[0] / drivers.grid.h**2) * S for p in parts])
     dt_lin = np.broadcast_to(np.reshape([dt * p[1] for p in parts], (K, M, 1)), (K, M, P)).copy()
-    dev, dt_alpha = np.reshape([p[2] for p in parts], (K, M, 1)), dt * cfg.alpha
-    gain, buf = np.ones((_BLOCK, K, M, P)), np.zeros((_BLOCK, K, M, P))
-    prev, nxt = np.roll(np.arange(M), 1), np.roll(np.arange(M), -1)
+    dev, dt_alpha = np.reshape([p[2] for p in parts], (K, M, 1, 1)), dt * cfg.alpha
+    ops = [(w * np.eye(M) + s * S, d) for *_, w, s, d in parts]
+    scratch = {name: np.zeros((M, _BLOCK, P)) for name in [p[5] for p in parts] + ["deviation"]}
+    gain, buf = np.empty((K, M, _BLOCK, P)), np.empty((K, M, _BLOCK, P))
 
     def noise(i0, i1):
-        dchk = drivers.deviation[:, i0:i1].transpose(1, 0, 2)    # (B, M, R)
-        g = gain[:len(dchk), ..., :R]
-        np.add(1.0, np.multiply(dev, dchk[:, None], out=g), out=g)
-        for k, (*_, w, s, d) in enumerate(parts):
-            d = d[:, i0:i1]                                       # (M, B, R)
-            np.add(w * d, s * (d[prev] - 2.0 * d + d[nxt]),
-                   out=buf[:d.shape[1], k, :, :R].transpose(1, 0, 2))
+        for name, x in scratch.items():
+            d = getattr(drivers, name)[:, i0:i1]                  # (M, B, R)
+            x[:, :d.shape[1], :R] = d
+        np.add(1.0, np.multiply(dev, scratch["deviation"], out=gain), out=gain)
+        for out, (N, d) in zip(buf, ops):
+            np.matmul(N, scratch[d].reshape(M, -1), out=out.reshape(M, -1))
         return gain, buf
 
     a, b = np.empty((K, M, P)), np.empty((K, M, P))
@@ -283,7 +277,7 @@ def simulate_models(
     for i in range(n_steps):
         if i % _BLOCK == 0:
             gains, block = noise(i, i + _BLOCK)
-        advance(state, gains[i % _BLOCK], block[i % _BLOCK])
+        advance(state, gains[:, :, i % _BLOCK], block[:, :, i % _BLOCK])
         if not np.isfinite(state).all():
             bad = ~np.isfinite(U).all(axis=1)
             record[bad & (record > i)] = i

@@ -55,6 +55,13 @@ def test_config_validation_collects_all_errors():
     assert len(err.value.messages) >= 5
 
 
+@pytest.mark.parametrize("L", [1e-300, 1e300])
+def test_config_rejects_a_default_dt_out_of_range(L):
+    # 1e-4 h^2 underflows to 0 at L = 1e-300 and overflows at L = 1e300
+    with pytest.raises(ConfigError, match="default dt"):
+        RunConfig(L=L)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"not_a_key": 1})
@@ -145,11 +152,9 @@ def _member_oracle(setup, spde, master_seed, m, inc=None):
 
 
 def test_batch_driver_columns_are_member_tables():
-    cfg = RunConfig(**{**FAST, "T": 0.2})    # 200 steps: 38,400 B of tables per member
+    cfg = RunConfig(**{**FAST, "T": 0.2})
     setup, spde = build_setup(cfg), cfg.spde()
     M, n = setup.grid.M, spde.n_steps
-    per_block = models._L2_BUDGET // (3 * M * n * 8)
-    assert 2 * per_block < 30 < 3 * per_block    # two whole scratch blocks and a remainder
     for R, given in itertools.product((1, 3, 30), (False, True)):
         path_seeds, deviation_seeds = (member_seeds(cfg.master_seed, range(R), stream)
                                        for stream in (0, 1))
@@ -920,6 +925,8 @@ _VERB_ARGS = st.sampled_from([["coeffs"], ["simulate"], ["bogus"], [], ["converg
          ["coeffs"])
 @example(RunConfig(**FAST).to_json(), ["--config", "cfg.json"], [["--seed", "x"]], ["bogus"])
 @example(RunConfig(**FAST).to_json(), ["--config", "cfg.json"], [["--seed", "3"]], ["simulate"])
+@example('{"L": 1e-300}', ["--config", "cfg.json"], [], ["compare"])
+@example('{"L": 1e300}', ["--config", "cfg.json"], [], ["compare"])
 def test_cli_main_never_exits_1(tmp_path_factory, text, config, options, verb):
     # bad argv or config JSON is exit 2, never exit 1 or an escaping exception
     work = tmp_path_factory.mktemp("argv")

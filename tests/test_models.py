@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holisde import models
 from holisde.averaging import AveragedCoeffs, averaged_coeffs, ou_stationary_stats
 from holisde.dynamics import NumericalAbort, SpdeConfig, initial_profile
 from holisde.grid import build_grid
@@ -333,7 +334,6 @@ def test_build_drivers_takes_a_batch_of_one(grid8, qspec, proj8):
 
 @pytest.mark.parametrize("members", [1, 3, 40])
 def test_drawn_rows_build_the_sampled_tables(grid8, qspec, proj8, members):
-    # 40 members of 200 steps fill three 512 KiB scratch blocks and part of a fourth
     cfg = SpdeConfig(dt=1e-3, T=0.2)
     seeds, dev_seeds = list(range(members)), [s + 100 for s in range(members)]
     path = sample_global_path(qspec, cfg.dt, cfg.n_steps, seeds)
@@ -342,12 +342,12 @@ def test_drawn_rows_build_the_sampled_tables(grid8, qspec, proj8, members):
     assert len(draw) == len(path) == members and draw.shape == path.shape
     assert all(np.array_equal(row, want) for row, want in zip(rows, path))
     want = build_drivers(grid8, proj8, path, dev_seeds, cfg.dt)
-    wide = np.full((3, grid8.M, cfg.n_steps, members + 2), np.nan)
-    got = build_drivers(grid8, proj8, draw, dev_seeds, cfg.dt, out=wide[..., 1:-1])
+    wide = np.full((members + 2, 3, grid8.M, cfg.n_steps), np.nan)
+    got = build_drivers(grid8, proj8, draw, dev_seeds, cfg.dt, out=wide[1:-1])
     for name in ("slow", "gridpoint", "deviation"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
         assert np.shares_memory(getattr(got, name), wide)
-    assert np.isnan(wide[..., [0, -1]]).all()
+    assert np.isnan(wide[[0, -1]]).all()
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +361,11 @@ def grids_8_16(grid8, qspec, proj8, eig0_8):
     return [(grid8, proj8, _coeffs(proj8, eig0_8)), (grid16, proj16, _coeffs(proj16, eig16))]
 
 
+def _all_kinds(co):
+    return [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
+            DiscreteModel("holistic_intro", coeffs=co), DiscreteModel("gamma_reduced", coeffs=co)]
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(st.sets(st.integers(1, 8)))
 def test_member_slices_step_as_the_whole_batch(grids_8_16, qspec, cuts):
@@ -370,15 +375,58 @@ def test_member_slices_step_as_the_whole_batch(grids_8_16, qspec, cuts):
     for grid, proj, co in grids_8_16:
         drv = build_drivers(grid, proj, PathDraw(qspec, cfg.dt, cfg.n_steps, list(range(9))),
                             list(range(100, 109)), cfg.dt)
-        models = [DiscreteModel("conventional_fd"), DiscreteModel("holistic", coeffs=co),
-                  DiscreteModel("holistic_intro", coeffs=co),
-                  DiscreteModel("gamma_reduced", coeffs=co)]
-        whole = simulate_models(models, cfg, drv, store=True)
+        kinds = _all_kinds(co)
+        whole = simulate_models(kinds, cfg, drv, store=True)
         for lo, hi in zip(edges, edges[1:]):
             part = replace(drv, slow=drv.slow[..., lo:hi], gridpoint=drv.gridpoint[..., lo:hi],
                            deviation=drv.deviation[..., lo:hi])
-            assert np.array_equal(simulate_models(models, cfg, part, store=True),
+            assert np.array_equal(simulate_models(kinds, cfg, part, store=True),
                                   whole[..., lo:hi])
+
+
+def _stencil_oracle(kinds, cfg, drv):
+    """Final states (K, M, R) of a per-kind, per-step loop whose stencils gather
+    the neighbours by index: noise w d_j + s (d_{j-1} - 2 d_j + d_{j+1})."""
+    M, n_steps, R = drv.slow.shape
+    prev, nxt = np.roll(np.arange(M), 1), np.roll(np.arange(M), -1)
+    u0 = initial_profile(cfg.initial, drv.grid.L)(drv.grid.grid_points)
+    finals = []
+    for model in kinds:
+        g2, lin, dev, w, s, name = models._kind_terms(model, cfg, drv)
+        d, dchk, U = getattr(drv, name), drv.deviation, np.repeat(u0[:, None], R, axis=1)
+        for i in range(n_steps):
+            lap = (U[prev] - 2.0 * U + U[nxt]) / drv.grid.h**2
+            U = (U + cfg.dt * (g2 * lap + lin[:, None] * U - cfg.alpha * U**3)
+                 + dev[:, None] * U * dchk[:, i]
+                 + w * d[:, i] + s * (d[prev, i] - 2.0 * d[:, i] + d[nxt, i]))
+        finals.append(U)
+    return np.stack(finals)
+
+
+def test_noise_product_matches_the_gathered_stencil(grids_8_16, qspec):
+    # 70 steps fill two noise blocks and part of a third
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.07)
+    for grid, proj, co in grids_8_16:
+        drv = build_drivers(grid, proj, PathDraw(qspec, cfg.dt, cfg.n_steps, list(range(5))),
+                            list(range(100, 105)), cfg.dt)
+        got = simulate_models(_all_kinds(co), cfg, drv)[-1]
+        want = _stencil_oracle(_all_kinds(co), cfg, drv)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 9, 30])
+def test_member_replayed_alone_is_its_column(grids_8_16, qspec, width):
+    # a member's tables built and stepped as a batch of one give its column bitwise;
+    # 40 steps cross two noise blocks
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, gamma=0.5, dt=1e-3, T=0.04)
+    path = sample_global_path(qspec, cfg.dt, cfg.n_steps, list(range(width)))
+    dev_seeds = list(range(100, 100 + width))
+    for grid, proj, co in grids_8_16:
+        kinds = _all_kinds(co)
+        whole = simulate_models(kinds, cfg, build_drivers(grid, proj, path, dev_seeds, cfg.dt))
+        for r in range(width):
+            one = build_drivers(grid, proj, path[r:r + 1], dev_seeds[r:r + 1], cfg.dt)
+            assert np.array_equal(simulate_models(kinds, cfg, one), whole[..., r:r + 1])
 
 
 def test_model_kind_validation(proj8, eig0_8):
