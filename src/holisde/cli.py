@@ -27,7 +27,7 @@ from .harness import (
     write_csv,
     write_manifest,
 )
-from .models import DiscreteModel, build_drivers, simulate_models
+from .models import MODEL_KINDS, DiscreteModel, build_drivers, simulate_models
 from .noise import sample_global_path
 
 EXIT_CONFIG = 2
@@ -107,15 +107,15 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    """Member 0 of the configured ensemble, stepped by one model and stored."""
+    """Member 0 of the configured ensemble, stepped by its first grid model
+    (holistic when it names none) and stored."""
     setup = build_setup(cfg)
     spde = cfg.spde()
     path = sample_global_path(setup.spec, spde.dt, spde.n_steps,
                               member_seeds(cfg.master_seed, [0], 0))
     drivers = build_drivers(setup.grid, setup.proj, path, member_seeds(cfg.master_seed, [0], 1),
                             spde.dt)
-    kind = next((k for k in cfg.model_kinds if k in ("conventional_fd", "holistic", "holistic_intro")),
-                "holistic")
+    kind = next((k for k in cfg.model_kinds if k in MODEL_KINDS), "holistic")
     model = DiscreteModel(kind=kind, coeffs=setup.coeffs, deviation_alpha=cfg.deviation_alpha)
     states = simulate_models([model], spde, drivers, store=True)[:, 0, :, 0]     # (n_steps + 1, M)
     out = _out_dir(cfg)

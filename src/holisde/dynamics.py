@@ -54,7 +54,6 @@ __all__ = [
     "SpdeConfig",
     "BatchJob",
     "run_batches",
-    "pool_width",
     "NumericalAbort",
     "FullSpdeSolver",
     "CoupledElementSolver",
@@ -63,23 +62,13 @@ __all__ = [
 
 
 class NumericalAbort(RuntimeError):
-    """A solve produced non-finite values; carries replay diagnostics.
-
-    `job` is the index of the aborting job in a `run_batches` call, None
-    outside one; `fields` then holds the fields of the jobs before it.
-    From `models.simulate_models`, `record` is each kind's and member's
-    first non-finite step, (K, R), n_steps if none, and `states` its states,
-    an aborted member's column zeroed there and stepped on.
-    """
+    """A solve produced non-finite values; names the step, member and seed to replay."""
 
     def __init__(self, message: str, step: int | None = None, member: int | None = None, seed=None):
         super().__init__(message)
         self.step = step
         self.member = member
         self.seed = seed
-        self.job = None
-        self.fields = []
-        self.record = self.states = None
 
 
 @dataclass(frozen=True)
@@ -142,11 +131,6 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix=_WORKER)
 
 
-def pool_width() -> int:
-    """How many blocks `run_batches` steps at once: its pool's worker count."""
-    return _pool()._max_workers
-
-
 @dataclass(frozen=True)
 class BatchJob:
     """One member batch for `run_batches`: every member starts from u0
@@ -164,9 +148,10 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     (n, R), the coupled solver's element fields (M, 2, n+1, R).
 
     Every job's members are split into near-equal blocks of at most 512 KiB
-    of field (the solver's `_member_bytes` per member) where possible, never
-    a block of one member unless R = 1, and all blocks of all jobs run in
-    one pool map, each its own time loop in place.
+    of field (the solver's `_member_bytes` per member) where possible, and
+    into at least ceil(workers / jobs) blocks, so that one job fills the
+    pool; never a block of one member unless R = 1.  All blocks of all jobs
+    run in one pool map, each its own time loop in place.
     Members are independent; the reference's noise product puts them on the
     GEMM's row axis (`tensordot`, one member padded to two), where OpenBLAS
     rounds a row alike at every width above one, and the coupled solver's
@@ -176,9 +161,7 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     A block stops at its first non-finite step and
     every block stops once the caller stops waiting.  The abort raised is the
     first aborting job's in list order, at its earliest step, then its lowest
-    member; its `job` is that job's index and its `fields` the finished
-    fields of the jobs before it, as a serial loop would have them.  The
-    runner waits on the pool, so a pool worker must not call it: with one
+    member.  The runner waits on the pool, so a pool worker must not call it: with one
     worker per CPU, the nested wait can deadlock.  Raises ValueError for a
     path that is not 3-D or does not hold its config's n_steps steps.
     """
@@ -189,10 +172,11 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
             raise ValueError(f"a path must be (members, modes, {job.cfg.n_steps} steps), "
                              f"got shape {job.path.shape}")
     states, blocks = [], []
+    floor = -(-_pool()._max_workers // max(len(jobs), 1))       # blocks per job to fill the pool
     for j, job in enumerate(jobs):
         R = len(job.path)
         state = job.solver._batch_state(job.cfg, R, job.u0)
-        n_blocks = max(1, min(-(-R * job.solver._member_bytes // _L2_BUDGET), R // 2))
+        n_blocks = max(1, min(max(-(-R * job.solver._member_bytes // _L2_BUDGET), floor), R // 2))
         edges = [R * b // n_blocks for b in range(n_blocks + 1)]
         blocks += [(j, lo, hi, job.solver._block_stepper(job.cfg, state, lo, hi))
                    for lo, hi in zip(edges[:-1], edges[1:])]
@@ -220,14 +204,9 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     finally:
         stop.set()
     failed = [(j, a.step, a.member, a) for (j, *_), a in zip(blocks, aborts) if a is not None]
-    done = len(jobs)
     if failed:
-        done, *_, abort = min(failed, key=lambda f: f[:3])
-    fields = [job.solver._batch_fields(state) for job, state in zip(jobs[:done], states)]
-    if failed:
-        abort.job, abort.fields = done, fields
-        raise abort
-    return fields
+        raise min(failed, key=lambda f: f[:3])[-1]
+    return [job.solver._batch_fields(state) for job, state in zip(jobs, states)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ member from (config, master seed, member index): `member_seeds` names each
 member's seed by its index and a stream (see its table), all noise consumed
 by the solvers is a deterministic image of the sampled Brownian coefficient
 matrices, and artifacts carry a manifest with the config hash.  Ensembles
-advance member batches in lock step (the state arrays grow a trailing
+advance member chunks in lock step (the state arrays grow a trailing
 member axis), which keeps the per-step work in BLAS instead of Python;
-ensembles and the weak-h study step grid models through one member-group
-helper, `_group_models`.
+ensembles and the weak-h study step grid models one chunk at a time through
+`_chunk_models`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .dynamics import (
     NumericalAbort,
     SpdeConfig,
     initial_profile,
-    pool_width,
     run_batches,
 )
 from .grid import DomainGrid, build_grid
@@ -131,7 +130,7 @@ class RunConfig:
     sweep_axis: Optional[str] = None
     sweep_values: tuple[float, ...] = ()
     out_dir: Optional[str] = None
-    chunk_size: int = 32
+    chunk_size: int = 64
     deviation_alpha: bool = False
 
     # -- validation ----------------------------------------------------------
@@ -405,38 +404,24 @@ def _load_chunk(cache: Path, keys: list, n_members: int) -> Optional[dict]:
     return out
 
 
-def _chunk_groups(chunks: list) -> list:
-    """Member chunks in groups of one chunk per solver pool worker."""
-    width = pool_width()
-    return [chunks[g:g + width] for g in range(0, len(chunks), width)]
+def _chunks(cfg: RunConfig) -> list:
+    """The ensemble's member chunks: ranges of cfg.chunk_size member indices."""
+    R = cfg.ensemble
+    return [range(lo, min(lo + cfg.chunk_size, R)) for lo in range(0, R, cfg.chunk_size)]
 
 
-def _group_models(cfg: RunConfig, setup: RunSetup, grid_models, spde: SpdeConfig, paths: list,
-                  chunks: list, stream: int) -> tuple[list, Optional[NumericalAbort]]:
-    """Final model states (K, M, R_c) of a group's member chunks, and at most one abort.
-
-    The chunks' tables (deviation seeds of `stream`) go into one buffer,
-    stepped in one `simulate_models` call.  The abort, read off the kernel's
-    record, is the one a serial loop over the chunks would raise: the first
-    chunk with a non-finite member, its earliest step, first kind and lowest
-    member, named by its index in the ensemble, with the chunks' finals before it.
-    """
-    edges = np.cumsum([0] + [len(chunk) for chunk in chunks]).tolist()
-    spans = list(zip(edges, edges[1:]))
-    tables = np.empty((edges[-1], 3, setup.grid.M, spde.n_steps))
-    for path, chunk, (lo, hi) in zip(paths, chunks, spans):
-        seeds = member_seeds(cfg.master_seed, chunk, stream)
-        models.build_drivers(setup.grid, setup.proj, path, seeds, spde.dt, out=tables[lo:hi])
-    wide = models.ModelDrivers(setup.grid, *tables.transpose(1, 2, 3, 0))
+def _chunk_models(cfg: RunConfig, setup: RunSetup, grid_models, spde: SpdeConfig, path,
+                  chunk: range, stream: int) -> np.ndarray:
+    """Final states (K, M, R_c) of a member chunk's grid models, driven by its
+    path and the deviation seeds of `stream`; an abort names its member by
+    the member's index in the ensemble."""
+    drivers = models.build_drivers(setup.grid, setup.proj, path,
+                                   member_seeds(cfg.master_seed, chunk, stream), spde.dt)
     try:
-        U = simulate_models(grid_models, spde, wide)[-1]
-        return [U[..., lo:hi] for lo, hi in spans], None
-    except NumericalAbort as exc:
-        U, record = exc.states[-1], exc.record
-    c = next(c for c, (lo, hi) in enumerate(spans) if record[:, lo:hi].min() < spde.n_steps)
-    abort = models._first_abort(grid_models, record[:, slice(*spans[c])])
-    abort.member = chunks[c][abort.member]
-    return [U[..., lo:hi] for lo, hi in spans[:c]], abort
+        return simulate_models(grid_models, spde, drivers)[-1]
+    except NumericalAbort as abort:
+        abort.member = chunk[abort.member]
+        raise
 
 
 def _names_master_seed(run):
@@ -463,12 +448,13 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     not fit the chunk is recomputed.  The setup is built only if some chunk
     must be computed.
 
-    The chunks to compute go in groups of one chunk per solver pool worker:
-    `_group_models` steps a group's grid models, then its reference batches
-    (paths are sampled only for them) step in one `run_batches` call.  Values,
-    flushed chunks and the abort raised are those of computing the chunks one
-    after another: the first chunk with a non-finite member, its models before
-    its reference, with every chunk before it flushed.  No batch steps twice.
+    The chunks to compute run one after another.  A chunk's path is drawn
+    (sampled as a batch only when the reference reads it, else row by row),
+    its grid models step in one `simulate_models` call, its reference as one
+    `run_batches` job whose blocks fill the solver pool, and then its gaps
+    are computed and it is flushed.  An abort propagates from the chunk it
+    happens in, its member named by its index in the ensemble, with every
+    chunk before it flushed.  No batch steps twice.
     """
     spde = cfg.spde()
     R = cfg.ensemble
@@ -483,7 +469,7 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
     names = model_kinds + (["reference"] if needs_reference else [])
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     keys = names + [f"gap:{a}-{b}" for a, b in pairs]
-    chunks = [range(lo, min(lo + cfg.chunk_size, R)) for lo in range(0, R, cfg.chunk_size)]
+    chunks = _chunks(cfg)
     caches = [flush_dir / f"chunk_{ci:04d}.npz" if flush_dir else None
               for ci in range(len(chunks))]
     outs = [_load_chunk(cache, keys, len(chunk)) if cache is not None else None
@@ -495,37 +481,26 @@ def run_ensemble(cfg: RunConfig, out_dir: Optional[Path] = None) -> EnsembleStat
                                      deviation_alpha=cfg.deviation_alpha)
                        for kind in model_kinds]
         fine = FullSpdeSolver(setup.grid.L, cfg.n_fine, setup.spec) if needs_reference else None
-    for group in _chunk_groups(todo):
-        paths = None                            # the last group's, before the next are drawn
-        members = [chunks[ci] for ci in group]
-        path_seeds = [member_seeds(cfg.master_seed, chunk, 0) for chunk in members]
-        draw = sample_global_path if needs_reference else PathDraw
-        paths = [draw(setup.spec, spde.dt, spde.n_steps, ps) for ps in path_seeds]
-        finals, abort = [[] for _ in group], None
+    draw = sample_global_path if needs_reference else PathDraw
+    for ci in todo:
+        chunk, path = chunks[ci], None          # free the last chunk's path before drawing the next
+        path = draw(setup.spec, spde.dt, spde.n_steps, member_seeds(cfg.master_seed, chunk, 0))
+        out = {}
         if grid_models:
-            finals, abort = _group_models(cfg, setup, grid_models, spde, paths, members, 1)
-        done = group[:len(finals)]
-        for ci, U in zip(done, finals):
-            outs[ci] = dict(zip(model_kinds, U))
-        if needs_reference and done:
+            out = dict(zip(model_kinds, _chunk_models(cfg, setup, grid_models, spde, path, chunk, 1)))
+        if needs_reference:
             try:
-                fields = run_batches([BatchJob(fine, spde, path) for path in paths[:len(done)]])
-            except NumericalAbort as exc:
-                # an earlier chunk's reference aborts before any later chunk
-                exc.member = chunks[done[exc.job]][exc.member]
-                abort, fields = exc, exc.fields
-                del done[exc.job :]
-            for ci, u in zip(done, fields):
-                outs[ci]["reference"] = at_grid_points(u, cfg.M)
-        for ci in done:
-            out = outs[ci]
-            for a, b in pairs:
-                gap = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))
-                out[f"gap:{a}-{b}"] = gap[None, :]
-            if caches[ci] is not None:
-                _flush_chunk(caches[ci], out)
-        if abort is not None:
-            raise abort
+                (field,) = run_batches([BatchJob(fine, spde, path)])
+            except NumericalAbort as abort:
+                abort.member = chunk[abort.member]
+                raise
+            out["reference"] = at_grid_points(field, cfg.M)
+        for a, b in pairs:
+            gap = np.sqrt(np.mean((out[a] - out[b]) ** 2, axis=0))
+            out[f"gap:{a}-{b}"] = gap[None, :]
+        if caches[ci] is not None:
+            _flush_chunk(caches[ci], out)
+        outs[ci] = out
 
     samples = {k: np.concatenate([out[k] for out in outs], axis=-1) for k in keys}
     return _summaries(samples, R)
@@ -727,9 +702,9 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     values are read at the fine nodes that coincide with each X_j.  Errors
     are RMS over grid points of the CRN-paired mean gap and of the
     variance gap at the final time.  The model steps in `run_ensemble`'s
-    member groups through `_group_models`, so the study holds the path batch,
-    the reference's grid-point rows (not its fine field) and one group's
-    tables, and raises at the first aborting group.
+    member chunks through `_chunk_models`, one after another, so the study
+    holds the path batch, the reference's grid-point rows (not its fine
+    field) and one chunk's tables, and raises at the first aborting chunk.
     """
     hs = np.asarray(sorted(hs, reverse=True))
     Ms = [int(round(cfg.L / h)) for h in hs]
@@ -742,21 +717,14 @@ def _study_weak_h(cfg: RunConfig, hs: np.ndarray) -> tuple:
     ref = run_batches([BatchJob(FullSpdeSolver(cfg.L, cfg.n_fine, spec), spde, path)])[0]
     urefs = [at_grid_points(ref, M) for M in Ms]
     del ref
-    groups = _chunk_groups([range(lo, min(lo + cfg.chunk_size, R))
-                            for lo in range(0, R, cfg.chunk_size)])
 
     mean_err, var_err = [], []
     for k, (M, uref) in enumerate(zip(Ms, urefs)):
         setup = build_setup(replace(cfg, M=M))
         model = DiscreteModel(kind="holistic", coeffs=setup.coeffs,
                               deviation_alpha=cfg.deviation_alpha)
-        U = np.empty((M, R))
-        for chunks in groups:
-            paths = [path[c.start:c.stop] for c in chunks]
-            finals, abort = _group_models(cfg, setup, [model], spde, paths, chunks, 3 * k + 4)
-            if abort is not None:
-                raise abort
-            U[:, chunks[0].start:chunks[-1].stop] = np.concatenate(finals, axis=-1)[0]
+        U = np.concatenate([_chunk_models(cfg, setup, [model], spde, path[c.start:c.stop], c,
+                                          3 * k + 4)[0] for c in _chunks(cfg)], axis=-1)
         mean_err.append(np.sqrt(np.mean(np.mean(U - uref, axis=1) ** 2)))
         var_err.append(np.sqrt(np.mean((np.var(U, axis=1, ddof=1)
                                         - np.var(uref, axis=1, ddof=1)) ** 2)))

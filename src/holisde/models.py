@@ -87,7 +87,7 @@ class ModelDrivers:
 
 
 def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarray | PathDraw,
-                  deviation_seeds, dt: float, out: Optional[np.ndarray] = None) -> ModelDrivers:
+                  deviation_seeds, dt: float) -> ModelDrivers:
     """Driver tables (M, n_steps, R) of a member batch's path and deviation seeds.
 
     The path's increments (R, K+1, n_steps) were drawn at step dt, which
@@ -95,16 +95,16 @@ def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarr
     as drawn, so only one member's (K+1, n_steps) increments are held.
     Each member's slow, grid-point and deviation tables are written in place
     into its own contiguous row of a member-major (R, 3, M, n_steps) buffer,
-    `out` when given (a row slice of a group's buffer), one BLAS product per
-    map and member as on its own, so each column is bitwise that member's
-    tables whatever the batch; the tables are transposed views of it.
+    one BLAS product per map and member as on its own, so each column is
+    bitwise that member's tables whatever the batch; the tables are
+    transposed views of it.
     Raises ValueError unless there is one seed per member and at least one step.
     """
     (R, _, n_steps), M = path.shape, proj.slow_map.shape[0]
     if len(deviation_seeds) != R or n_steps < 1:
         raise ValueError(f"need one deviation seed per member and a step, got "
                          f"{len(deviation_seeds)} seeds, {R} members, {n_steps} steps")
-    tables = np.empty((R, 3, M, n_steps)) if out is None else out
+    tables = np.empty((R, 3, M, n_steps))
     for member, inc, ss in zip(tables, path, deviation_seeds):
         np.matmul(proj.slow_map, inc, out=member[0])
         np.matmul(proj.gridpoint_map, inc, out=member[1])
@@ -113,7 +113,7 @@ def build_drivers(grid: DomainGrid, proj: ElementNoiseProjection, path: np.ndarr
     return ModelDrivers(grid, *tables.transpose(1, 2, 3, 0))
 
 
-# steps per precomputed noise block, 512 KiB for four kinds of a two-chunk group
+# steps per precomputed noise block, 512 KiB for four kinds of a default chunk
 # (M = 8, R = 64): a whole-run table would grow the RSS
 _BLOCK = 32
 
@@ -237,12 +237,6 @@ def reduced_slow_sde(
     return out
 
 
-def _first_abort(models, record: np.ndarray) -> NumericalAbort:
-    """The abort at a (K, R) record's earliest step, first kind, lowest member."""
-    k, r = np.unravel_index(np.argmin(record), record.shape)
-    return NumericalAbort(f"non-finite values in {models[k].kind} model", int(record[k, r]), int(r))
-
-
 def simulate_models(
     models,
     cfg: SpdeConfig,
@@ -256,9 +250,8 @@ def simulate_models(
     initial profile at the grid points), R is the tables' member count, and
     n is 1, or n_steps + 1 with `store`.  Each kind's values are those of a
     run on its own.  Raises ValueError unless u0 is (M,) and the tables hold
-    cfg.n_steps steps, each stepped with cfg.dt.  A member gone
-    non-finite in a kind is recorded and zeroed, and all step to the end;
-    then NumericalAbort names the earliest step, first kind, lowest member.
+    cfg.n_steps steps, each stepped with cfg.dt, and NumericalAbort at the
+    first non-finite step, naming its first kind, then its lowest member.
     """
     M, n_steps, R = drivers.slow.shape
     if n_steps != cfg.n_steps:
@@ -273,20 +266,13 @@ def simulate_models(
     state = np.pad(np.broadcast_to(u0[:, None], (len(models), M, R)), [(0, 0), (0, 0), (0, P - R)])
     U = state[..., :R]
     out = [U.copy()] if store else None
-    record = np.full((len(models), R), n_steps)
     for i in range(n_steps):
         if i % _BLOCK == 0:
             gains, block = noise(i, i + _BLOCK)
         advance(state, gains[:, :, i % _BLOCK], block[:, :, i % _BLOCK])
         if not np.isfinite(state).all():
-            bad = ~np.isfinite(U).all(axis=1)
-            record[bad & (record > i)] = i
-            np.copyto(U, 0.0, where=bad[:, None])
+            k, r = np.argwhere(~np.isfinite(U).all(axis=1))[0]
+            raise NumericalAbort(f"non-finite values in {models[k].kind} model", i, int(r))
         if store:
             out.append(U.copy())
-    states = np.asarray(out) if store else U[None].copy()
-    if record.min() < n_steps:
-        abort = _first_abort(models, record)
-        abort.record, abort.states = record, states
-        raise abort
-    return states
+    return np.asarray(out) if store else U[None].copy()

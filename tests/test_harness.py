@@ -365,7 +365,7 @@ def assert_same_stats(got, want):
 
 @pytest.mark.parametrize("workers", [None, 1, 8])
 def test_grouped_ensemble_matches_serial_oracle(monkeypatch, solver_pool, workers):
-    # one chunk per worker: on two CPUs groups of 2 and 1 chunks, then 1 + 1 + 1, then all 3
+    # the chunks step one after another, their references on pools of every width
     cfg = RunConfig(**GROUPED)
     want = serial_ensemble(cfg)
     with monkeypatch.context() as m:
@@ -392,8 +392,8 @@ def plant_blowups(monkeypatch, reference=(), model=()):
     later; in `model`, it makes the tables non-finite at that step."""
     build, chunks = models.build_drivers, itertools.count()
 
-    def planted(grid, proj, path, deviation_seeds, dt, out=None):
-        drivers, chunk = build(grid, proj, path, deviation_seeds, dt, out), next(chunks)
+    def planted(grid, proj, path, deviation_seeds, dt):
+        drivers, chunk = build(grid, proj, path, deviation_seeds, dt), next(chunks)
         for member, step in [(m, i) for c, m, i in reference if c == chunk]:
             path[member, :, step] *= 1e200
         for member, step in [(m, i) for c, m, i in model if c == chunk]:
@@ -405,13 +405,13 @@ def plant_blowups(monkeypatch, reference=(), model=()):
 
 
 @pytest.mark.parametrize("reference, model, want", [
-    ([(1, 2, 5)], [], (6, 4 + 2, "reference")),              # the second chunk of a group
+    ([(1, 2, 5)], [], (6, 4 + 2, "reference")),              # the second chunk
     ([(0, 3, 5)], [(1, 1, 2)], (6, 3, "reference")),         # chunk 0's reference comes first
     ([(1, 3, 1)], [(1, 1, 4)], (4, 4 + 1, "model")),         # a chunk's models, then its reference
     ([], [(0, 2, 6), (1, 1, 3)], (6, 2, "model")),           # chunk 0's models, at a later step
 ], ids=["second-chunk", "earlier-chunk-reference", "models-first", "earlier-chunk-model"])
 def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, model, want):
-    # one chunk per group, then groups of two: the abort does not depend on the width
+    # on pools of one and two workers: the abort does not depend on the width
     cfg = RunConfig(**GROUPED)
     for workers in (1, 2):
         with monkeypatch.context() as m, solver_pool(workers), \
@@ -428,9 +428,9 @@ def test_grouped_abort_is_the_serial_loops(monkeypatch, solver_pool, reference, 
 ])
 def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
                                             reference, model, chunk):
-    # four chunks, one per group or in groups (0, 1) and (2, 3); a models-only abort
-    # also without a reference.  Each group up to the aborting chunk's steps its
-    # models in one call: none steps again to find the abort.
+    # four chunks, on pools of one and two workers; a models-only abort also
+    # without a reference.  Each chunk up to the aborting one steps its models
+    # in one call: none steps again to find the abort.
     kinds = [GROUPED["model_kinds"]] + ([] if reference else [("conventional_fd", "holistic")])
     for i, cfg in enumerate(RunConfig(**{**GROUPED, "ensemble": 16, "model_kinds": k})
                             for k in kinds):
@@ -447,7 +447,7 @@ def test_abort_flushes_every_chunk_before_it(tmp_path, monkeypatch, solver_pool,
                         pytest.raises(NumericalAbort) as err:
                     run_ensemble(cfg, out_dir=aborted.parent)
             assert err.value.member == chunk * cfg.chunk_size + 1
-            assert widths == [4 * workers] * (chunk // workers + 1)
+            assert widths == [4] * (chunk + 1)
             assert sorted(p.name for p in aborted.iterdir()) == [f"chunk_{c:04d}.npz"
                                                                  for c in range(chunk)]
             assert_same_payloads(clean, aborted)
@@ -463,8 +463,7 @@ def assert_same_payloads(want_dir, got_dir):
 
 
 def test_reference_abort_steps_each_reference_once(tmp_path, monkeypatch, solver_pool):
-    # chunk 1's reference aborts: chunk 0's reference, stepped before or beside it, is
-    # kept and flushed
+    # chunk 1's reference aborts: chunk 0's reference, stepped before it, is kept and flushed
     cfg = RunConfig(**{**GROUPED, "ensemble": 16})
     run_ensemble(cfg, out_dir=tmp_path / "clean")
     for workers in (1, 2):
@@ -521,9 +520,9 @@ def serial_weak_h(cfg, hs, chunk_size=None):
     return {"mean_gap": mean_gap, "var_gap": var_gap, "combined": mean_gap + var_gap}
 
 
-@pytest.mark.parametrize("workers, groups", [(1, [4, 4, 2]), (2, [8, 2]), (8, [10])])
+@pytest.mark.parametrize("workers, groups", [(1, [4, 4, 2]), (2, [4, 4, 2]), (8, [4, 4, 2])])
 def test_grouped_weak_h_matches_whole_batch_oracle(monkeypatch, solver_pool, workers, groups):
-    # 10 members in chunks of 4, 4 and 2, stepped in groups of `workers` chunks
+    # 10 members in chunks of 4, 4 and 2, one model call per chunk at every pool width
     cfg = RunConfig(**{**FAST, "ensemble": 10})
     want = serial_weak_h(cfg, WEAK_H)
     sizes, widths, build, simulate = [], [], models.build_drivers, harness.simulate_models
@@ -548,8 +547,8 @@ def plant_member_blowups(monkeypatch, plants):
     its deviation seed's spawn key, not from the call order."""
     build = models.build_drivers
 
-    def planted(grid, proj, path, deviation_seeds, dt, out=None):
-        drivers = build(grid, proj, path, deviation_seeds, dt, out)
+    def planted(grid, proj, path, deviation_seeds, dt):
+        drivers = build(grid, proj, path, deviation_seeds, dt)
         for col, ss in enumerate(deviation_seeds):
             for step in [i for m, i in plants if m == ss.spawn_key[0]]:
                 for table in (drivers.slow, drivers.gridpoint, drivers.deviation):
@@ -562,10 +561,10 @@ def plant_member_blowups(monkeypatch, plants):
 @pytest.mark.parametrize("plants, want", [
     ([(3, 6), (9, 2)], (6, 3)),       # the earlier chunk, though a later one aborts earlier
     ([(9, 4), (5, 4)], (4, 5)),       # both at one step: the earlier chunk
-    ([(3, 6), (5, 2)], (6, 3)),       # the same, with both chunks in one group of two
+    ([(3, 6), (5, 2)], (6, 3)),       # the same, with the later chunk the next one
 ], ids=["later-group-earlier-step", "same-step", "later-chunk-earlier-step"])
 def test_grouped_weak_h_abort_is_the_serial_loops(monkeypatch, solver_pool, plants, want):
-    # chunks of members 0-3, 4-7 and 8-9, one per group or in groups of two
+    # chunks of members 0-3, 4-7 and 8-9, on pools of one and two workers
     cfg = RunConfig(**{**FAST, "ensemble": 10})
     plant_member_blowups(monkeypatch, plants)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -580,7 +579,7 @@ def test_grouped_weak_h_abort_is_the_serial_loops(monkeypatch, solver_pool, plan
 
 
 def test_grouped_weak_h_holds_one_group_of_tables(solver_pool):
-    # 32 members in 4 groups of 8 on two workers; tracemalloc counts numpy's buffers
+    # 32 members in 8 chunks of 4 on two workers; tracemalloc counts numpy's buffers
     cfg = RunConfig(**{**FAST, "ensemble": 32, "T": 0.1})
 
     def traced_peak(study):
@@ -706,15 +705,18 @@ def test_cli_coeffs_and_simulate(tmp_path):
 
 
 def test_cli_simulate_is_ensemble_member_zero(tmp_path):
-    cfg = RunConfig(**{**FAST, "ensemble": 1, "model_kinds": ("holistic",)})
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(cfg.to_json(), encoding="utf-8")
-    out = tmp_path / "out"
-    assert cli_main(["--config", str(cfgp), "--out", str(out), "simulate"]) == 0
-    lines = (out / "trajectory_holistic.csv").read_text().splitlines()
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert rows[-1, 0] == pytest.approx(cfg.T)
-    assert np.array_equal(rows[-1, 1:], run_ensemble(cfg).mean("holistic"))
+    # each grid model kind steps as itself, gamma_reduced too
+    for kind in models.MODEL_KINDS:
+        cfg = RunConfig(**{**FAST, "gamma": 0.5, "ensemble": 1, "model_kinds": (kind,)})
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(cfg.to_json(), encoding="utf-8")
+        out = tmp_path / kind
+        assert cli_main(["--config", str(cfgp), "--out", str(out), "simulate"]) == 0
+        assert [p.name for p in out.glob("trajectory_*.csv")] == [f"trajectory_{kind}.csv"]
+        lines = (out / f"trajectory_{kind}.csv").read_text().splitlines()
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows[-1, 0] == pytest.approx(cfg.T)
+        assert np.array_equal(rows[-1, 1:], run_ensemble(cfg).mean(kind)), kind
 
 
 def test_cli_simulate_keeps_final_time(tmp_path):
@@ -813,14 +815,31 @@ def test_cli_coeff_h_grid_beyond_the_element_bound_exits_2(tmp_path, capsys, mon
     ({}, "h=0,-1,2"),
     ({"dt": 1e-320}, None),         # T / dt overflows to inf
     ({"dt": 1e-12, "ensemble": 4}, None),
+    ({"subgrid_n": 7}, None),
+    ({"n_modes": 1}, None),
+    ({"decay_r": 1.5}, None),
+    ({"dt": -1}, None),
+    ({"T": -1}, None),
+    ({"initial": {"kind": "sine", "amplitude": 0.3, "mode": 1, "phase": 0.0}}, None),
+    ({"ensemble": 0}, None),
+    ({"n_fine": 16}, None),         # below 4 M
+    ({"n_fine": 1020}, None),       # not a multiple of M = 8
+    ({"sweep_axis": "foo", "sweep_values": [1.0, 2.0, 3.0]}, None),
+    ({"sweep_axis": "gamma", "sweep_values": [0.1, 0.2]}, None),
+    ([1, 2, 3], None),              # a JSON list, not an object
 ], ids=["int-as-string", "float-as-string", "fractional-int", "sweep-value", "directory",
         "nan", "zero-elements", "negative-seed", "gamma-above-one", "h-not-positive",
-        "step-count-not-finite", "path-exceeds-memory"])
+        "step-count-not-finite", "path-exceeds-memory", "odd-subgrid", "one-noise-mode",
+        "slow-decay", "negative-dt", "negative-T", "initial-extra-key", "empty-ensemble",
+        "fine-grid-too-coarse", "fine-grid-off-M", "unknown-sweep-axis", "two-value-sweep",
+        "json-list"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, override, sweep):
     cfgp = tmp_path
     if override is not None:
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({**RunConfig(**FAST).to_dict(), **override}), encoding="utf-8")
+        payload = override if isinstance(override, list) else {**RunConfig(**FAST).to_dict(),
+                                                                **override}
+        cfgp.write_text(json.dumps(payload), encoding="utf-8")
     argv = ["--config", str(cfgp), "--out", str(tmp_path / "out")]
     argv += ["--sweep", sweep] if sweep else []
     for verb in ("compare", "simulate"):
