@@ -23,23 +23,26 @@ is a batch of one.  The reference steps a member-major state (R, n), so both
 FFTs run along the contiguous axis, and adds its noise in rfft space: the
 Fourier noise modes are exact DFT bins of the fine grid.  At alpha = 0 the
 step is diagonal in those bins, so the runner steps the spectrum instead:
-one rfft per member block, one irfft per batch at the end, none per step.
-That skips an irfft-rfft round trip per step and moves the fields by round-off
-(criterion 09's gaps by 5.2e-11 relative); every alpha != 0 step stays
-bitwise `step`'s.  The coupled solver carries the members on a trailing
-axis, writes its per-step arrays into buffers made once per member block,
-and solves by `spectral`'s static condensation per half-element: one
-inverse of the interior block serves all 2M halves, which meet only in the M
-centre values.  It projects its initial data by `CoupledOperator.reduce` and
+one rfft per member block, one irfft per batch at the end, none per step, and
+it steps only the nb bins that take noise, decaying the rest once by the
+implicit factor's n_steps-th power.  That skips an irfft-rfft round trip per
+step and moves the fields by round-off (criterion 09's gaps by 5.2e-11
+relative); every alpha != 0 step stays bitwise `step`'s.  The coupled
+solver carries the members on a trailing axis, writes its per-step arrays
+into buffers made once per member block, and solves by `spectral`'s static
+condensation per half-element: one inverse of the interior block serves all
+2M halves, which meet only in the M centre values.  It projects its initial data by `CoupledOperator.reduce` and
 rebuilds its fields by `field_from_reduced`, in the operator's one reduced
 order.  No module of the package imports scipy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -127,7 +130,17 @@ _L2_BUDGET = 2**19    # bytes of a solver's member block: L2 / 4
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The solvers' block workers, one per usable CPU, made on first use."""
+    """The solvers' block workers, one per usable CPU, made on first use.  The
+    workers are the parallelism, so this pins numpy's bundled OpenBLAS to one
+    thread, and warns once where it cannot reach it."""
+    try:        # dlsym on numpy's core module also searches the libraries it links
+        pin = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        warnings.warn("numpy's bundled OpenBLAS was not found; set OPENBLAS_NUM_THREADS=1 so "
+                      "that each solver worker runs BLAS on one thread", RuntimeWarning)
+    else:
+        pin.argtypes, pin.restype = [ctypes.c_int], None
+        pin(1)
     return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix=_WORKER)
 
 
@@ -148,13 +161,14 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     (n, R), the coupled solver's element fields (M, 2, n+1, R).
 
     Every job's members are split into near-equal blocks of at most 512 KiB
-    of field (the solver's `_member_bytes` per member) where possible, and
-    into at least ceil(workers / jobs) blocks, so that one job fills the
+    of stepped state (the solver's `_member_bytes(cfg)` per member: at
+    alpha = 0 the reference steps only its nb noise bins) where possible,
+    and into at least ceil(workers / jobs) blocks, so that one job fills the
     pool; never a block of one member unless R = 1.  All blocks of all jobs
     run in one pool map, each its own time loop in place.
     Members are independent; the reference's noise product puts them on the
-    GEMM's row axis (`tensordot`, one member padded to two), where OpenBLAS
-    rounds a row alike at every width above one, and the coupled solver's
+    GEMM's row axis (a C-ordered db's transpose, one member padded to two),
+    where OpenBLAS rounds a row alike at every width above one, and the coupled solver's
     products run on them padded to `_gemm_width` columns, where it rounds a
     column alike at every width, so every field is bitwise that of
     stepping the whole batch.
@@ -176,7 +190,8 @@ def run_batches(jobs: list[BatchJob]) -> list[np.ndarray]:
     for j, job in enumerate(jobs):
         R = len(job.path)
         state = job.solver._batch_state(job.cfg, R, job.u0)
-        n_blocks = max(1, min(max(-(-R * job.solver._member_bytes // _L2_BUDGET), floor), R // 2))
+        member_bytes = job.solver._member_bytes(job.cfg)
+        n_blocks = max(1, min(max(-(-R * member_bytes // _L2_BUDGET), floor), R // 2))
         edges = [R * b // n_blocks for b in range(n_blocks + 1)]
         blocks += [(j, lo, hi, job.solver._block_stepper(job.cfg, state, lo, hi))
                    for lo, hi in zip(edges[:-1], edges[1:])]
@@ -225,9 +240,11 @@ class FullSpdeSolver:
 
     With alpha = 0 there is no reaction, so `step` is (rfft(u) + sigma
     dw_hat) inv, diagonal in the bins, and `run_batches` steps each block's
-    spectrum through the same add and multiply, with no FFT per step.  Its
-    fields then differ from `step`'s by the skipped round trips, at most
-    n_steps 2 log2(n) eps relative; alpha != 0 always steps through `step`.
+    spectrum through the same add and multiply, with no FFT per step.  The
+    bins from nb up take no noise, so the block multiplies them once by
+    inv^n_steps and steps the nb noise bins alone.  Its fields then differ
+    from `step`'s by the skipped round trips, at most n_steps 2 log2(n) eps
+    relative; alpha != 0 always steps through `step`.
     """
 
     def __init__(self, L: float, n_fine: int, spec: QWienerSpec):
@@ -242,19 +259,24 @@ class FullSpdeSolver:
         self.sqrt_q = np.sqrt(spec.q)
         m = np.arange(self.n // 2 + 1)
         self.symbol = 2.0 * (1.0 - np.cos(2.0 * np.pi * m / self.n)) / self.delta**2
-        self._member_bytes = 8 * self.n                    # a member's row of the field
+
+    def _member_bytes(self, cfg: SpdeConfig) -> int:
+        """Bytes a block steps per member: its noise bins at alpha = 0, else its field row."""
+        return 16 * self.basis_hat.shape[1] if cfg.alpha == 0 else 8 * self.n
 
     def noise_increment(self, db: np.ndarray) -> np.ndarray:
         """Leading rfft bins of the fine-grid noise increment.
 
         db holds sqrt(q)-weighted coefficients (K+1, R); the result is
-        (R, nb).  A single member is padded to two, as the GEMM rounds a row
-        alike at every width above one, so a one-member batch steps bitwise
-        as that member of any wider batch.
+        (R, nb).  It is one real product of db's transpose with basis_hat's
+        (re, im) pairs.  db is made C-ordered first, so the GEMM sees one
+        layout whatever the caller's, and rounds a row alike at every width
+        above one; a single member is padded to two, so a one-member batch
+        steps bitwise as that member of any wider batch.
         """
         if db.shape[1] == 1:
             return self.noise_increment(np.hstack([db, np.zeros_like(db)]))[:1]
-        return np.tensordot(db, self.basis_hat, axes=(0, 0))
+        return (np.ascontiguousarray(db).T @ self.basis_hat.view(float)).view(complex)
 
     def step(self, u: np.ndarray, cfg: SpdeConfig, dw_hat: np.ndarray, scratch: np.ndarray,
              rhat: np.ndarray, inv: np.ndarray) -> None:
@@ -262,9 +284,9 @@ class FullSpdeSolver:
 
         u is (R, n), dw_hat its noise_increment, scratch an (R, n) and rhat an
         (R, n // 2 + 1) buffer, and inv the implicit reciprocal
-        1 / (1 + dt symbol).  numpy divides a complex by a real through the
-        real's reciprocal, so the multiply gives the division's bits at about
-        a quarter of its cost.
+        1 / (1 + dt symbol) repeated per (re, im) pair.  numpy divides a
+        complex by a real through the real's reciprocal, so multiplying the
+        bins' real view by inv gives the division's bits, with no complex cast.
         """
         np.multiply(u, u, out=scratch)
         np.multiply(scratch, u, out=scratch)
@@ -274,7 +296,7 @@ class FullSpdeSolver:
         np.add(u, scratch, out=scratch)
         np.fft.rfft(scratch, axis=-1, out=rhat)
         rhat[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
-        np.multiply(rhat, inv, out=rhat)
+        np.multiply(rhat.view(float), inv, out=rhat.view(float))
         np.fft.irfft(rhat, n=self.n, axis=-1, out=u)
 
     # -- the runner's interface: whole-batch state, block step, result -------
@@ -291,20 +313,24 @@ class FullSpdeSolver:
     def _block_stepper(self, cfg: SpdeConfig, state: tuple, lo: int, hi: int):
         """advance(db) steps members lo:hi of the state in place with their own
         buffers and returns them, members first: the field through `step`, or
-        at alpha = 0 the spectrum, which `step` leaves diagonal in the rfft
-        bins, so the block takes one rfft here and none per step."""
+        at alpha = 0 the (re, im) pairs of the nb noise bins.  `step` leaves
+        the spectrum diagonal in the rfft bins, so the block takes one rfft
+        here and none per step, and multiplies the noiseless bins above nb
+        here, once, by inv^n_steps."""
         u, uhat = state
         ub, inv = u[lo:hi], 1.0 / (1.0 + cfg.dt * self.symbol)
         if uhat is not None:
-            vb = np.fft.rfft(ub, axis=-1, out=uhat[lo:hi])
+            vb, nb = np.fft.rfft(ub, axis=-1, out=uhat[lo:hi]), self.basis_hat.shape[1]
+            vb[:, nb:] *= inv[nb:] ** cfg.n_steps
+            head, inv = vb.view(float)[:, : 2 * nb], np.repeat(inv[:nb], 2)
 
             def advance(db: np.ndarray) -> np.ndarray:
-                dw_hat = self.noise_increment(db)
-                vb[:, : dw_hat.shape[-1]] += cfg.sigma * dw_hat
-                return np.multiply(vb, inv, out=vb)
+                np.add(head, cfg.sigma * self.noise_increment(db).view(float), out=head)
+                return np.multiply(head, inv, out=head)
 
             return advance
         scratch, rhat = np.empty_like(ub), np.empty((hi - lo, inv.size), dtype=complex)
+        inv = np.repeat(inv, 2)
 
         def advance(db: np.ndarray) -> np.ndarray:
             self.step(ub, cfg, self.noise_increment(db), scratch, rhat, inv)
@@ -344,8 +370,11 @@ class CoupledElementSolver:
         basis = fourier_basis(np.mod(grid.all_nodes(), grid.L), spec.n_modes, grid.L)
         # gamma times the noise modes at every node, node by node: (n+1) 2M rows
         self.basis = op.gamma * basis.reshape(spec.n_modes, -1, n + 1).T.reshape(-1, spec.n_modes)
-        self._member_bytes = 8 * op.n_reduced                      # a member's reduced state
         self.sqrt_q = np.sqrt(spec.q)
+
+    def _member_bytes(self, cfg: SpdeConfig) -> int:
+        """Bytes a block steps per member: its reduced state."""
+        return 8 * self.op.n_reduced
 
     def initial_reduced(self, cfg: SpdeConfig, u0: Optional[ElementField] = None) -> np.ndarray:
         """Project initial data onto the constrained subspace, (nred,)."""

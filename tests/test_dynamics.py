@@ -1,4 +1,6 @@
 import ast
+import ctypes
+import functools
 import inspect
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -56,9 +58,10 @@ def _batch(spec, cfg, members):
 
 
 def workspace(solver, cfg, members):
-    """Work buffers and implicit reciprocal of FullSpdeSolver.step for a batch."""
+    """Work buffers and implicit reciprocal, repeated per (re, im) pair, of
+    FullSpdeSolver.step for a batch."""
     return (np.empty((members, solver.n)), np.empty((members, solver.n // 2 + 1), dtype=complex),
-            1.0 / (1.0 + cfg.dt * solver.symbol))
+            np.repeat(1.0 / (1.0 + cfg.dt * solver.symbol), 2))
 
 
 def whole_batch_reference(solver, cfg, path):
@@ -480,28 +483,38 @@ def test_blocked_reference_matches_whole_batch(qspec, monkeypatch, solver_pool, 
     assert sorted(rows) == [2] * 2 * cfg.n_steps + [3] * cfg.n_steps
 
 
+def round_trip_tol(solver, cfg, path):
+    """Per member, how far the runner's alpha = 0 fields may sit from the oracle's.
+
+    The oracle's steps differ from the runner's by one irfft-rfft round trip
+    per step, and in the bins no noise reaches by one product inv^n_steps for
+    n_steps products by inv.  Each transform errs by at most about log2(n) eps
+    times the field's 2-norm, and the factor 1 / (1 + dt symbol) <= 1 only
+    damps what earlier steps left, so a member's final fields differ by at
+    most n_steps 2 log2(n) eps times its largest 2-norm over the steps.
+    """
+    u0 = initial_profile(cfg.initial, solver.L)(solver.x)
+    norms = [np.full(len(path), np.linalg.norm(u0))]
+    norms += [np.linalg.norm(whole_batch_reference(solver, replace(cfg, T=k * cfg.dt), path),
+                             axis=0) for k in range(1, cfg.n_steps + 1)]
+    return cfg.n_steps * 2 * np.log2(solver.n) * np.finfo(float).eps * np.max(norms, axis=0)
+
+
 @pytest.mark.parametrize("workers", [1, 8])
-@pytest.mark.parametrize("n_fine, blocks", [(64, 1), (BLOCKED_N, 3)])
+@pytest.mark.parametrize("n_fine, blocks", [(64, 1), (BLOCKED_N, 1)])
 def test_linear_reference_steps_in_fourier_space(qspec, monkeypatch, solver_pool,
                                                  n_fine, blocks, workers):
     # at alpha = 0 the runner steps each block's spectrum: one rfft per block,
     # one irfft per job, no transform per step; a lone job fills the pool, in
-    # at least `workers` blocks of two members or more
+    # at least `workers` blocks of two members or more.  A block steps only
+    # the nb noise bins, 16 nb bytes a member, so at both sizes all members
+    # fit one L2 block and the pool's width sets the count.
     blocks = max(blocks, min(workers, BLOCKED_R // 2))
     cfg = SpdeConfig(alpha=0.0, sigma=0.5, dt=1e-3, T=0.004)
     solver = FullSpdeSolver(2.0 * np.pi, n_fine, qspec)
     path = _batch(qspec, cfg, BLOCKED_R)
     want = whole_batch_reference(solver, cfg, path)
-    # The oracle's steps differ from the runner's only by one irfft-rfft round
-    # trip per step.  Each transform errs by at most about log2(n) eps times
-    # the field's 2-norm, and the factor 1 / (1 + dt symbol) <= 1 only damps
-    # what earlier steps left, so a member's final fields differ by at most
-    # n_steps 2 log2(n) eps times its largest 2-norm over the steps.
-    u0 = initial_profile(cfg.initial, solver.L)(solver.x)
-    norms = [np.full(BLOCKED_R, np.linalg.norm(u0))]
-    norms += [np.linalg.norm(whole_batch_reference(solver, replace(cfg, T=k * cfg.dt), path),
-                             axis=0) for k in range(1, cfg.n_steps + 1)]
-    tol = cfg.n_steps * 2 * np.log2(n_fine) * np.finfo(float).eps * np.max(norms, axis=0)
+    tol = round_trip_tol(solver, cfg, path)
     calls = []
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *a, _name=name, _fft=getattr(np.fft, name), **kw:
@@ -510,6 +523,59 @@ def test_linear_reference_steps_in_fourier_space(qspec, monkeypatch, solver_pool
         got = simulate(solver, cfg, path)
     assert sorted(calls) == ["irfft"] + ["rfft"] * blocks
     assert np.all(np.linalg.norm(got - want, axis=0) <= tol)
+
+
+def test_linear_reference_decays_the_bins_above_the_noise_once(monkeypatch):
+    # 33 modes reach bin 16 (nb = 17); a sine of mode 20 puts the field's
+    # content in a bin no noise reaches, which the runner multiplies once by
+    # inv^n_steps when it takes the block's rfft.  Four steps leave a quarter
+    # of that bin, far above round-off.
+    spec = QWienerSpec.from_decay(33, 3.0)
+    cfg = SpdeConfig(alpha=0.0, sigma=0.5, dt=1e-3, T=0.004, initial={"kind": "sine", "mode": 20})
+    solver = FullSpdeSolver(2.0 * np.pi, 256, spec)
+    assert solver.basis_hat.shape[1] == 17
+    path = _batch(spec, cfg, BLOCKED_R)
+    want, tol = whole_batch_reference(solver, cfg, path), round_trip_tol(solver, cfg, path)
+    spectra, irfft = [], np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda a, *args, **kw: spectra.append(a.copy())
+                        or irfft(a, *args, **kw))
+    got = simulate(solver, cfg, path)
+    assert np.all(np.linalg.norm(got - want, axis=0) <= tol)
+    u0 = initial_profile(cfg.initial, solver.L)(solver.x)
+    inv = 1.0 / (1.0 + cfg.dt * solver.symbol)
+    bin20 = np.fft.rfft(u0)[20] * inv[20] ** cfg.n_steps
+    assert abs(bin20) > 0.2 * abs(np.fft.rfft(u0)[20])
+    assert np.all(np.abs(spectra[-1][:, 20] - bin20) <= 4 * np.finfo(float).eps * abs(bin20))
+
+
+def test_noise_rows_do_not_depend_on_layout_or_width(qspec):
+    # the runner's blocks and a member replayed alone rest on this: a
+    # member's row of the noise product has the same bits at every width
+    # and for a C-ordered, F-ordered or strided db
+    solver = FullSpdeSolver(2.0 * np.pi, 256, qspec)
+    path = solver.sqrt_q[:, None] * np.random.default_rng(4).standard_normal((30, qspec.n_modes, 3))
+    want = solver.noise_increment(np.ascontiguousarray(path[:, :, 1].T))
+    for width in (2, 3, 8, 9, 30):
+        view = path[:width, :, 1].T
+        for db in (np.ascontiguousarray(view), np.asfortranarray(view), view):
+            assert np.array_equal(solver.noise_increment(db), want[:width])
+    one = path[:1, :, 1].T
+    padded = solver.noise_increment(np.hstack([one, np.zeros_like(one)]))
+    assert np.array_equal(solver.noise_increment(one), padded[:1])
+    assert np.array_equal(padded[:1], want[:1])
+
+
+def test_solver_pool_pins_blas_to_one_thread(qspec, monkeypatch):
+    # the workers are the parallelism: the pool pins numpy's OpenBLAS when it starts
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    blas.scipy_openblas_set_num_threads64_(2)
+    monkeypatch.setattr(dynamics, "_pool", functools.cache(dynamics._pool.__wrapped__))
+    cfg = SpdeConfig(alpha=1.0, sigma=0.5, dt=1e-3, T=0.002)
+    try:
+        simulate(FullSpdeSolver(2.0 * np.pi, 64, qspec), cfg, _batch(qspec, cfg, 2))
+        assert blas.scipy_openblas_get_num_threads64_() == 1
+    finally:
+        dynamics._pool().shutdown(wait=True)
 
 
 def test_blocked_reference_stops_when_the_caller_stops_waiting(qspec, monkeypatch):
@@ -643,9 +709,12 @@ def test_runner_refuses_to_run_on_a_pool_worker(qspec):
 
 def test_blocked_abort_names_earliest_step_then_member(qspec):
     solver = FullSpdeSolver(2.0 * np.pi, BLOCKED_N, qspec)
-    # members 1, 2 and 5 sit in the first, second and third block; a huge
-    # increment at step k - 1 overflows the cube at step k, and with no cube
-    # (alpha = 0) nothing overflows, so an infinite one aborts at step k - 1
+    # at alpha = 1 members 1, 2 and 5 sit in the first, second and third L2
+    # block; at alpha = 0 the noise bins fit one, so the pool's width sets the
+    # count (on two workers, 1 and 2 share the first block and 5 sits in the
+    # second).  A huge increment at step k - 1 overflows the cube at step k,
+    # and with no cube (alpha = 0) nothing overflows, so an infinite one
+    # aborts at step k - 1
     for alpha, scale, step in ((1.0, 1e200, 2), (0.0, np.inf, 1)):
         cfg = SpdeConfig(alpha=alpha, sigma=0.5, dt=1e-3, T=0.006)
         path = _batch(qspec, cfg, BLOCKED_R)
